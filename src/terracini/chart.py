@@ -6,15 +6,22 @@ derivative vectors of the chart at rational points, so this module owns
 the derivative cache, Taylor blocks, jet normalization, generic
 projection, and the assembled derivative formulas of a curve through the
 chart up to fifth order.
+
+Jet normalization has two routes.  ``normalized_derivatives`` contracts
+the chart's own derivative table at the jet's base point with the affine
+frame (chain rule, no polynomial arithmetic); the analysis uses it.
+``jet_normalize`` substitutes the frame into every coordinate polynomial
+and is kept as the symbolic reference that tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactlin import (
     BadIndexError,
@@ -190,6 +197,27 @@ class FiveJet:
         return out
 
 
+def _normalized_frame(jet: CurvilinearJet) -> tuple[int, Matrix, CurvilinearJet]:
+    """Pivot, affine frame M and normalized jet shared by both normalization routes.
+
+    M has lambda as first column and e_i (i != pivot) as the others, so
+    u = base + M w is invertible; the curve parameter is then requadratically
+    rescaled to kill mu_1.
+    """
+    n = jet.n
+    pivot = next(i for i in range(n) if jet.lam[i] != 0)
+    cols = [list(jet.lam)] + [[_F1 if t == i else _F0 for t in range(n)]
+                              for i in range(n) if i != pivot]
+    m = Matrix.from_columns(cols)
+    mu_w = solve_square(m, jet.mu)
+    # t -> s - mu_w[0] s^2 removes the first quadratic coefficient
+    lam_new = tuple(_F1 if i == 0 else _F0 for i in range(n))
+    mu_new = tuple(mu_w[i] - mu_w[0] * lam_new[i] for i in range(n))
+    new_jet = CurvilinearJet(base=tuple(_F0 for _ in range(n)), lam=lam_new,
+                             mu=mu_new, length=jet.length)
+    return pivot, m, new_jet
+
+
 def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, CurvilinearJet]:
     """Equivalent chart and jet with lambda = (1,0,...,0), mu_1 = 0, base = 0.
 
@@ -197,25 +225,56 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
     with first column of M equal to lambda; the curve parameter is then
     requadratically rescaled to kill mu_1.  The image scheme of the jet in
     P^r is unchanged by either step.
+
+    This is the symbolic reference route: it substitutes into every
+    coordinate polynomial.  The analysis itself reads the same derivatives
+    by contraction through ``normalized_derivatives``; tests compare the two.
     """
-    n = chart.n
     if all(c == 0 for c in jet.lam):
         raise DegenerateJetError("lambda = 0")
     if jet.is_normalized() and all(c == 0 for c in jet.base):
         return chart, jet
-    pivot = next(i for i in range(n) if jet.lam[i] != 0)
-    cols = [list(jet.lam)] + [[_F1 if t == i else _F0 for t in range(n)]
-                              for i in range(n) if i != pivot]
-    m = Matrix.from_columns(cols)
+    _, m, new_jet = _normalized_frame(jet)
     new_coords = tuple(p.substitute_affine(jet.base, m) for p in chart.coords)
-    new_chart = Chart(f"{chart.label}|jet-normalized", n, chart.r, new_coords)
-    mu_w = solve_square(m, jet.mu)
-    # t -> s - mu_w[0] s^2 removes the first quadratic coefficient
-    lam_new = tuple(_F1 if i == 0 else _F0 for i in range(n))
-    mu_new = tuple(mu_w[i] - mu_w[0] * lam_new[i] for i in range(n))
-    new_jet = CurvilinearJet(base=tuple(_F0 for _ in range(n)), lam=lam_new,
-                             mu=mu_new, length=jet.length)
+    new_chart = Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, new_coords)
     return new_chart, new_jet
+
+
+def normalized_derivatives(chart: Chart, jet: CurvilinearJet
+                           ) -> tuple[CurvilinearJet, Callable[..., Vector]]:
+    """Normalized jet and an accessor of the normalized chart's derivatives at w = 0.
+
+    Under u = base + M w the w-derivatives are the chart's derivative tensor
+    at base contracted with the columns of M (chain rule): a w-index with
+    ``a`` slots equal to 0 and other slots S is the sum over a-multisets J of
+    multinomial(a; J) * prod(lambda_j) * d[J + S'], where S' maps each s >= 1
+    to the s-th non-pivot coordinate.  Orders up to 3 (length 2) or 5
+    (length 3) are available; values are memoized per call.
+    """
+    n, width, lam = chart.n, chart.r + 1, jet.lam
+    pivot, _, new_jet = _normalized_frame(jet)
+    others = [i for i in range(n) if i != pivot]
+    d = chart.derivative_table(jet.base, 3 if jet.length == 2 else 5)
+    memo: dict[tuple[int, ...], Vector] = {}
+
+    def dw(*idx: int) -> Vector:
+        key = tuple(sorted(idx))
+        got = memo.get(key)
+        if got is None:
+            a = key.count(0)
+            rest = tuple(others[s - 1] for s in key[a:])
+            parts = []
+            for js in combinations_with_replacement(range(n), a):
+                coeff = math.factorial(a)
+                for j in set(js):
+                    coeff //= math.factorial(js.count(j))
+                for j in js:
+                    coeff *= lam[j]
+                parts.append((coeff, d[tuple(sorted(js + rest))]))
+            got = memo[key] = vaccum(width, parts)
+        return got
+
+    return new_jet, dw
 
 
 def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:

@@ -134,6 +134,8 @@ def parse_check(token: str) -> tuple[str, int | None]:
             value = int(arg)
         except ValueError as exc:
             raise InputError(f"check {name} needs an integer argument, got {token!r}") from exc
+        if name == "secant" and value < 1:
+            raise InputError(f"secant check needs k >= 1, got {token!r}")
         if name == "osc" and value not in (1, 2):
             raise InputError("osc check supports m = 1 or 2")
         if name == "speciality" and value not in (2, 3):
@@ -184,10 +186,16 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(render_markdown(doc))
 
 
+def check_trials(trials: int) -> None:
+    if trials < 1:
+        raise InputError(f"--trials must be >= 1, got {trials}")
+
+
 def cmd_analyze(args) -> int:
+    check_trials(args.trials)
+    checks = [parse_check(token) for token in args.check]
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
-    checks = [parse_check(token) for token in args.check]
     results = []
     consistent = True
     for name, arg in checks:
@@ -218,6 +226,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_audit_theorem(args) -> int:
+    check_trials(args.trials)
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
     try:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable
 
-from .chart import AmbientTooSmallError, Chart, CurvilinearJet, jet_normalize
+from .chart import AmbientTooSmallError, Chart, CurvilinearJet, normalized_derivatives
 from .exactlin import Matrix, Vector, vaccum, vdot
 from .secants import COORD_RADIUS, LinearSpan, sample_smooth_point
 
@@ -43,47 +43,39 @@ class TangentAlongScheme:
         return self.span.dim
 
 
-def _generators_length2(chart: Chart, base: Vector) -> tuple[list[Vector], list[str]]:
-    n = chart.n
-    d = chart.derivative_table(base, 3)
-    vecs = [d[()]]
+def _generators_length2(dw: Callable[..., Vector], n: int) -> tuple[list[Vector], list[str]]:
+    vecs = [dw()]
     labels = ["x"]
     for i in range(n):
-        vecs.append(d[(i,)])
+        vecs.append(dw(i))
         labels.append(f"x_{i + 1}")
     for j in range(n):
-        vecs.append(d[tuple(sorted((0, j)))])
+        vecs.append(dw(0, j))
         labels.append(f"x_1{j + 1}")
-    vecs.append(d[(0, 0, 0)])
+    vecs.append(dw(0, 0, 0))
     labels.append("x_111")
     return vecs, labels
 
 
-def _generators_length3(chart: Chart, base: Vector,
+def _generators_length3(dw: Callable[..., Vector], n: int, width: int,
                         mu: Vector) -> tuple[list[Vector], list[str]]:
-    n, width = chart.n, chart.r + 1
-    d = chart.derivative_table(base, 5)
-
-    def dv(*idx: int) -> Vector:
-        return d[tuple(sorted(idx))]
-
-    vecs, labels = _generators_length2(chart, base)
+    vecs, labels = _generators_length2(dw, n)
     # 2 sum_{i>=2} x_ih mu_i + x_11h, for h = 2..n
     for h in range(1, n):
-        parts = [(2 * mu[i], dv(i, h)) for i in range(1, n)]
-        parts.append((_F1, dv(0, 0, h)))
+        parts = [(2 * mu[i], dw(i, h)) for i in range(1, n)]
+        parts.append((_F1, dw(0, 0, h)))
         vecs.append(vaccum(width, parts))
         labels.append(f"2*sum x_i{h + 1} mu_i + x_11{h + 1}")
     # 12 sum_{i,j>=2} x_ij mu_i mu_j + 12 sum_{i>=2} x_11i mu_i + x_1111
-    parts = [(12 * mu[i] * mu[j], dv(i, j)) for i in range(1, n) for j in range(1, n)]
-    parts += [(12 * mu[i], dv(0, 0, i)) for i in range(1, n)]
-    parts.append((_F1, dv(0, 0, 0, 0)))
+    parts = [(12 * mu[i] * mu[j], dw(i, j)) for i in range(1, n) for j in range(1, n)]
+    parts += [(12 * mu[i], dw(0, 0, i)) for i in range(1, n)]
+    parts.append((_F1, dw(0, 0, 0, 0)))
     vecs.append(vaccum(width, parts))
     labels.append("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111")
     # 60 sum_{i,j>=2} x_1ij mu_i mu_j + 20 sum_{i>=2} x_111i mu_i + x_11111
-    parts = [(60 * mu[i] * mu[j], dv(0, i, j)) for i in range(1, n) for j in range(1, n)]
-    parts += [(20 * mu[i], dv(0, 0, 0, i)) for i in range(1, n)]
-    parts.append((_F1, dv(0, 0, 0, 0, 0)))
+    parts = [(60 * mu[i] * mu[j], dw(0, i, j)) for i in range(1, n) for j in range(1, n)]
+    parts += [(20 * mu[i], dw(0, 0, 0, i)) for i in range(1, n)]
+    parts.append((_F1, dw(0, 0, 0, 0, 0)))
     vecs.append(vaccum(width, parts))
     labels.append("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111")
     return vecs, labels
@@ -92,8 +84,11 @@ def _generators_length3(chart: Chart, base: Vector,
 def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
     """Tangent space along a length-2 or length-3 curvilinear scheme.
 
-    The jet is normalized first (lambda = e_1, mu_1 = 0); the generator
-    list is stated for normalized jets only.  Zero generators (e.g. the
+    The generator list is stated for normalized jets (lambda = e_1,
+    mu_1 = 0).  Their chart derivatives come from ``normalized_derivatives``,
+    which contracts this chart's derivative table at the jet's base with the
+    normalizing frame; ``jet_normalize`` builds the same data symbolically
+    and serves as the reference route in tests.  Zero generators (e.g. the
     quintic combination on a quadratic chart) are kept in the list and
     flagged, they cannot affect the rank.
     """
@@ -101,11 +96,11 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
         raise AmbientTooSmallError(
             f"length-3 analysis needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}"
             " (project the chart first)")
-    nchart, njet = jet_normalize(chart, jet)
+    njet, dw = normalized_derivatives(chart, jet)
     if jet.length == 2:
-        vecs, labels = _generators_length2(nchart, njet.base)
+        vecs, labels = _generators_length2(dw, chart.n)
     else:
-        vecs, labels = _generators_length3(nchart, njet.base, njet.mu)
+        vecs, labels = _generators_length3(dw, chart.n, chart.r + 1, njet.mu)
     span = LinearSpan.of(vecs, chart.r + 1)
     expected = expected_tangent_dim(chart.n, jet.length, chart.r)
     zeros = tuple(i for i, v in enumerate(vecs) if all(c == 0 for c in v))

@@ -53,18 +53,6 @@ class OrderMismatchError(ValueError):
 # small vector helpers shared across the package
 # ---------------------------------------------------------------------------
 
-def vzero(length: int) -> Vector:
-    return (_F0,) * length
-
-
-def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in v)
-
-
 def vdot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), _F0)
 

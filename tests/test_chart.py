@@ -20,6 +20,7 @@ from terracini.chart import (
     jet_normalize,
     load_chart,
     multi_indices,
+    normalized_derivatives,
     obj_to_chart,
     project_generic,
     save_chart,
@@ -134,8 +135,9 @@ def test_normalize_rejects_zero_lambda():
 def test_normalized_jet_spans_same_tangent_dimension():
     rng = random.Random(41)
     c = make_veronese(4, 2)
-    for _ in range(5):
-        lam = tuple(F(rng.randint(-4, 4)) for _ in range(4))
+    lams = [tuple(F(rng.randint(-4, 4)) for _ in range(4)) for _ in range(5)]
+    lams.append((F(0), F(0), F(-3), F(2)))  # lambda_1 = 0: pivot is not 0
+    for lam in lams:
         if all(x == 0 for x in lam):
             lam = (F(1), F(0), F(0), F(0))
         jet = CurvilinearJet(base=tuple(F(rng.randint(-2, 2)) for _ in range(4)),
@@ -144,8 +146,30 @@ def test_normalized_jet_spans_same_tangent_dimension():
                              length=3)
         nc, nj = jet_normalize(c, jet)
         assert nj.is_normalized()
-        # tangent_along normalizes internally, so both routes must agree
-        assert tangent_along(c, jet).dim == tangent_along(nc, nj).dim
+        # tangent_along contracts the chart's own derivatives; the substituted
+        # chart is the reference route, and both must give the same generators
+        via_contraction = tangent_along(c, jet)
+        via_substitution = tangent_along(nc, nj)
+        assert via_contraction.jet == via_substitution.jet == nj
+        assert via_contraction.span.generators == via_substitution.span.generators
+        assert via_contraction.zero_generators == via_substitution.zero_generators
+
+
+@pytest.mark.parametrize("lam", [(F(2), F(-1)), (F(0), F(3))])
+def test_contracted_derivatives_match_substituted_chart(lam):
+    # degree 5, so the quartic and quintic w-derivatives are nonzero
+    c = make_random_variety(2, 5, 8, 7)
+    jet = CurvilinearJet(base=(F(1, 2), F(-1)), lam=lam, mu=(F(3), F(-2)),
+                         length=3)
+    nc, nj = jet_normalize(c, jet)
+    njet, dw = normalized_derivatives(c, jet)
+    assert njet == nj
+    reference = nc.derivative_table(nj.base, 5)
+    assert any(reference[idx] != (F(0),) * (c.r + 1) for idx in multi_indices(2, 5)
+               if len(idx) == 5)
+    for idx, vec in reference.items():
+        assert dw(*idx) == vec, idx
+        assert dw(*reversed(idx)) == vec, idx
 
 
 # ---------------------------------------------------------------------------

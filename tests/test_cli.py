@@ -115,6 +115,26 @@ def test_input_errors_exit_1(capsys):
     assert code == 1 and "project" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--variety", "veronese:2:2", "--check", "secant:0"), "k >= 1"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "secant:-2"), "k >= 1"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "secant:1",
+      "--trials", "0"), "--trials must be >= 1"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "speciality:2",
+      "--trials", "-3"), "--trials must be >= 1"),
+    (("analyze", "--variety", "veronese:2:3", "--check", "osc:1",
+      "--trials", "0"), "--trials must be >= 1"),
+    (("audit-theorem", "--variety", "random:2:3:8:1", "--trials", "0"),
+     "--trials must be >= 1"),
+])
+def test_bad_counts_exit_1_with_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("terracini: error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--check", "secant:1"])  # missing --variety

@@ -369,25 +369,32 @@ def test_defect_pipeline_never_reports_violation_across_catalog():
 
 
 def test_normalization_preserves_downstream_verdicts():
-    # jet normalization must not change span dimensions or the vanishing
-    # pattern of the determinant at the jet
+    # jet normalization must not change the tangent generators or the
+    # vanishing pattern of the determinant at the jet
     from terracini.chart import jet_normalize
+    from terracini.curvilinear import tangent_along
 
     rng = random.Random(66)
-    for c, vanishes in [(make_veronese(4, 2), True),
-                        (make_random_variety(2, 5, 8, 7), False)]:
+    cases = [(make_veronese(4, 2), True, False),
+             (make_random_variety(2, 5, 8, 7), False, False),
+             (make_random_variety(2, 5, 8, 7), False, True)]
+    for c, vanishes, pivot_off_first in cases:
         n = c.n
         lam = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-        if all(x == 0 for x in lam):
+        if pivot_off_first:  # lambda_1 = 0: the frame pivots on a later coordinate
+            lam = (F(0),) * (n - 1) + (F(rng.randint(1, 3)),)
+        elif all(x == 0 for x in lam):
             lam = (F(1),) * n
         mu = tuple(F(rng.randint(-3, 3)) for _ in range(n))
         base = tuple(F(rng.randint(-1, 1)) for _ in range(n))
         for length in (2, 3):
             jet = CurvilinearJet(base, lam, mu, length)
-            from terracini.curvilinear import tangent_along
-
             nc, nj = jet_normalize(c, jet)
-            assert tangent_along(c, jet).dim == tangent_along(nc, nj).dim
+            via_contraction = tangent_along(c, jet)
+            via_substitution = tangent_along(nc, nj)
+            assert via_contraction.jet == via_substitution.jet == nj
+            assert via_contraction.span.generators == via_substitution.span.generators
+            assert via_contraction.zero_generators == via_substitution.zero_generators
         jet3 = CurvilinearJet(base, lam, mu, 3)
         nc, nj = jet_normalize(c, jet3)
         d_before = gamma15_det(c, base, lam, mu)
