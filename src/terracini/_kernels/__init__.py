@@ -1,32 +1,11 @@
-"""Kernel backend selection.
+"""Elimination kernels: fraction-free Bareiss echelon and rank modulo a prime.
 
-The compiled Cython kernels are preferred when the extension was built;
-otherwise the pure-Python twins are used.  Both produce bit-identical
-results, so the choice never affects any verdict, only speed.  Set
-``TERRACINI_KERNELS=python`` to force the fallback (used by the benchmark
-and for debugging), or ``TERRACINI_KERNELS=cython`` to fail loudly when
-the extension is missing.
+Both are pure Python (``pykernels``).  Elimination is under 1% of run time,
+so no compiled backend is kept; ``BACKEND`` names the one implementation.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import pykernels
-
-_requested = os.environ.get("TERRACINI_KERNELS", "auto").lower()
+from .pykernels import bareiss_echelon, mod_rank
 
 BACKEND = "python"
-_impl = pykernels
-if _requested in ("auto", "cython", "fast"):
-    try:
-        from . import fastkernels as _fast
-
-        _impl = _fast
-        BACKEND = "cython"
-    except ImportError:
-        if _requested != "auto":
-            raise
-
-bareiss_echelon = _impl.bareiss_echelon
-mod_rank = _impl.mod_rank

@@ -1,10 +1,8 @@
 """Pure-Python elimination kernels.
 
-Reference implementation of the two hot loops shared with the compiled
-backend (`fastkernels.pyx`): fraction-free Bareiss echelon over Python
-integers and Gaussian elimination modulo a word-sized prime.  Both
-backends must return bit-identical results; `tests/test_kernels.py`
-enforces this whenever the compiled extension is importable.
+The two elimination loops: fraction-free Bareiss echelon over Python
+integers and Gaussian elimination modulo a word-sized prime.
+`tests/test_kernels.py` checks both against rational oracles.
 """
 
 from __future__ import annotations

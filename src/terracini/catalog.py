@@ -10,6 +10,7 @@ speciality / determinant-vanishing verdicts used by the audit batteries.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,26 @@ _F1 = Fraction(1)
 
 DATA_VERSION = "v1"
 
+# Largest coordinate count r + 1 (for random charts: monomial count) that the
+# constructors build.  The count is computed arithmetically before any
+# polynomial exists, so an input such as veronese:40:40 (about 1e23
+# coordinates) is refused at once instead of exhausting memory.  The shipped
+# catalog and the benchmark stay under 100.
+MAX_COORDINATES = 1000
+
 
 class SmoothnessFailureError(RuntimeError):
     """Random constructor failed to produce a chart smooth at the base point."""
+
+
+class TooLargeError(ValueError):
+    """Requested variety has more coordinates than MAX_COORDINATES."""
+
+
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_COORDINATES:
+        raise TooLargeError(f"{what} needs {count} coordinates,"
+                            f" above the cap of {MAX_COORDINATES}")
 
 
 def _monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
@@ -43,6 +61,7 @@ def make_veronese(n: int, d: int) -> Chart:
     """Affine chart of the d-uple embedding of P^n: all monomials of degree <= d."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    _check_size(f"veronese(n={n}, d={d})", math.comb(n + d, d))
     coords = tuple(MultiPoly.monomial(n, e, 1) for e in _monomials_upto(n, d))
     return Chart(f"veronese-{n}-{d}", n, len(coords) - 1, coords)
 
@@ -51,6 +70,7 @@ def make_segre(a: int, b: int) -> Chart:
     """Affine chart of the Segre embedding of P^a x P^b."""
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
+    _check_size(f"segre(a={a}, b={b})", (a + 1) * (b + 1))
     n = a + b
     left = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(a)]
     right = [(0,) * n] + [tuple(1 if t == a + j else 0 for t in range(n)) for j in range(b)]
@@ -65,6 +85,9 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
     """Seeded random degree-bounded parametrization, smooth at 0 and nondegenerate."""
     if r < 2 * n:
         raise ValueError(f"need r >= 2n, got r={r}, n={n}")
+    if n < 1 or degree < 1:
+        raise ValueError("need n >= 1 and degree >= 1")
+    _check_size(f"random(n={n}, degree={degree})", math.comb(n + degree, degree))
     mons = _monomials_upto(n, degree)
     if len(mons) < r + 1:
         raise ValueError(

@@ -3,9 +3,19 @@
 A chart is an affine polynomial parametrization u -> x(u) of an n-fold in
 P^r: r+1 coordinate polynomials over Q.  Everything downstream consumes
 derivative vectors of the chart at rational points, so this module owns
-the derivative cache, Taylor blocks, jet normalization, generic
+the derivative store, Taylor blocks, jet normalization, generic
 projection, and the assembled derivative formulas of a curve through the
 chart up to fifth order.
+
+Derivatives come from integer forms.  Each coordinate is stored once with
+its denominators cleared (a common denominator and integer coefficients),
+and each mixed partial is derived from its prefix by integer
+differentiation.  A point is scaled to a common denominator q, one table
+of integer powers is built per point and shared by every multi-index of
+the request, and each entry leaves as a canonical ``Fraction``.  The
+symbolic route, a ``MultiPoly.partial`` chain evaluated term by term,
+gives the same values and is kept as the reference that tests compare
+against.
 
 Jet normalization has two routes.  ``normalized_derivatives`` contracts
 the chart's own derivative table at the jet's base point with the affine
@@ -21,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import mul
 from typing import Callable, Sequence
 
 from .exactlin import (
@@ -63,6 +74,41 @@ def multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _integer_form(p: MultiPoly) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(den, coefficients, exponents) with p = sum(c * u^e) / den, all ints."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return (den, tuple(c.numerator * (den // c.denominator) for c in p.terms.values()),
+            tuple(p.terms))
+
+
+def _partial_form(form: tuple, v: int) -> tuple:
+    """Integer form of the partial derivative in variable v; den is unchanged."""
+    den, cs, es = form
+    pairs = [(c * e[v], e[:v] + (e[v] - 1,) + e[v + 1:]) for c, e in zip(cs, es) if e[v]]
+    return den, tuple(c for c, _ in pairs), tuple(e for _, e in pairs)
+
+
+class _Monomials(dict):
+    """q^(D - |e|) * prod A_i^e_i per exponent e at one point, filled on first use.
+
+    ``powers[i][k]`` is A_i^k and ``qpowers[k]`` is q^k for k <= D.
+    """
+
+    __slots__ = ("powers", "qpowers")
+
+    def __init__(self, powers: list[list[int]], qpowers: list[int]):
+        super().__init__()
+        self.powers, self.qpowers = powers, qpowers
+
+    def __missing__(self, e: tuple[int, ...]) -> int:
+        v = self.qpowers[-1 - sum(e)]
+        for row, k in zip(self.powers, e):
+            if k:
+                v *= row[k]
+        self[e] = v
+        return v
+
+
 @dataclass(frozen=True)
 class Chart:
     """Affine polynomial chart of an n-dimensional variety in P^r."""
@@ -72,6 +118,9 @@ class Chart:
     r: int
     coords: tuple[MultiPoly, ...]
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Chart degree D and, per variable, the highest exponent in any coordinate.
+    _degree: int = field(default=0, init=False, repr=False, compare=False)
+    _top: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) != self.r + 1:
@@ -79,36 +128,71 @@ class Chart:
         for p in self.coords:
             if p.num_vars != self.n:
                 raise ValueError("coordinate polynomial has wrong variable count")
+        self._dcache[()] = tuple(_integer_form(p) for p in self.coords)
+        exps = [e for p in self.coords for e in p.terms]
+        object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
+        object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
+                                              for i in range(self.n)))
 
     # -- derivatives ---------------------------------------------------------
 
-    def derivative_polys(self, idx: Sequence[int]) -> tuple[MultiPoly, ...]:
-        """Coordinate-wise mixed partial, cached by sorted multi-index."""
+    def _forms(self, key: tuple[int, ...]) -> tuple:
+        """Integer forms of the mixed partial at a sorted, valid multi-index."""
+        forms = self._dcache.get(key)
+        if forms is None:
+            v = key[-1]
+            forms = self._dcache[key] = tuple(_partial_form(f, v)
+                                              for f in self._forms(key[:-1]))
+        return forms
+
+    def _values(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]) -> list[Vector]:
+        """Derivative vectors at pt for sorted, valid multi-indices.
+
+        With q the common denominator of pt and A_i = q * pt_i, a monomial
+        u^e with |e| <= D is q^(D - |e|) A^e / q^D, so every coordinate is
+        an integer combination of one table of integer monomial values
+        over den * q^D.
+        """
+        if len(pt) != self.n:
+            raise ValueError("point has wrong length")
+        q = math.lcm(*(x.denominator for x in pt))
+        powers = []
+        for x, top in zip(pt, self._top):
+            a, row = x.numerator * (q // x.denominator), [1]
+            for _ in range(top):
+                row.append(row[-1] * a)
+            powers.append(row)
+        qpowers = [q ** k for k in range(self._degree + 1)]
+        get, scale = _Monomials(powers, qpowers).__getitem__, qpowers[-1]
+        out = []
+        for key in keys:
+            vec = []
+            for den, cs, es in self._forms(key):
+                num = sum(map(mul, cs, map(get, es)))
+                if not num:
+                    vec.append(_F0)
+                else:
+                    den *= scale
+                    vec.append(Fraction(num) if den == 1 else Fraction(num, den))
+            out.append(tuple(vec))
+        return out
+
+    def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
+        """Value at pt of the mixed partial of the chart; symmetric in idx."""
         key = tuple(sorted(idx))
         for i in key:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
-        cached = self._dcache.get(key)
-        if cached is not None:
-            return cached
-        if key:
-            prev = self.derivative_polys(key[:-1])
-            polys = tuple(p.partial(key[-1]) for p in prev)
-        else:
-            polys = self.coords
-        self._dcache[key] = polys
-        return polys
-
-    def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
-        """Value at pt of the mixed partial of the chart; symmetric in idx."""
-        return tuple(p.eval(pt) for p in self.derivative_polys(idx))
+        return self._values(pt, (key,))[0]
 
     def taylor_block(self, pt: Sequence[Fraction], h: int) -> list[tuple[tuple[int, ...], Vector]]:
         """All derivative vectors of order <= h, keyed by sorted multi-index."""
-        return [(idx, self.derivative_vector(pt, idx)) for idx in multi_indices(self.n, h)]
+        keys = multi_indices(self.n, h)
+        return list(zip(keys, self._values(pt, keys)))
 
     def derivative_table(self, pt: Sequence[Fraction], h: int) -> dict[tuple[int, ...], Vector]:
-        return {idx: vec for idx, vec in self.taylor_block(pt, h)}
+        keys = multi_indices(self.n, h)
+        return dict(zip(keys, self._values(pt, keys)))
 
     # -- basic geometry -------------------------------------------------------
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from ._kernels import BACKEND as KERNEL_BACKEND  # noqa: F401  (re-exported)
 from ._kernels import bareiss_echelon, mod_rank
 
 Rational = Fraction

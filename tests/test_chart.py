@@ -74,6 +74,59 @@ def test_derivative_bad_index():
         c.derivative_vector((F(0), F(0)), (2,))
 
 
+def rational_chart():
+    """Rational coefficients, a zero coordinate and a constant coordinate."""
+    n = 3
+    coords = (
+        MultiPoly(n, {(2, 1, 0): F(3, 4), (0, 0, 3): F(-5, 6), (1, 0, 0): F(1, 9),
+                      (0, 0, 0): F(2)}),
+        MultiPoly(n, {(1, 2, 2): F(-7, 3), (0, 1, 0): F(1, 2)}),
+        MultiPoly.zero(n),
+        MultiPoly.constant(n, F(-4, 5)),
+        MultiPoly(n, {(5, 0, 0): F(1), (0, 2, 3): F(2, 7), (1, 1, 1): F(-1)}),
+    )
+    return Chart("rational", n, len(coords) - 1, coords)
+
+
+def reference_vector(chart, pt, idx):
+    """Derivative vector through the symbolic partial chain and MultiPoly.eval."""
+    polys = chart.coords
+    for i in idx:
+        polys = [p.partial(i) for p in polys]
+    return tuple(p.eval(pt) for p in polys)
+
+
+@pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7), F(0)), (F(2), F(-1), F(3)),
+                                (F(5, 3), F(-5, 6), F(1, 4))])
+@pytest.mark.parametrize("make", [rational_chart, lambda: make_random_variety(3, 5, 9, 5)],
+                         ids=["rational", "random"])
+def test_integer_kernel_matches_symbolic_reference(make, pt):
+    c = make()
+    table = c.derivative_table(pt, 5)
+    block = c.taylor_block(pt, 5)
+    indices = multi_indices(3, 5)
+    assert list(table) == [idx for idx, _ in block] == indices
+    for idx, vec in block:
+        ref = reference_vector(c, pt, idx)
+        assert table[idx] == vec == ref
+        assert c.derivative_vector(pt, idx[::-1]) == ref
+        assert all(type(x) is F for x in vec)
+    # both charts are quintic, so order 5 is reached
+    assert any(any(vec) for idx, vec in block if len(idx) == 5)
+
+
+def test_integer_kernel_rejects_bad_index_and_point_length():
+    c = rational_chart()
+    origin = (F(0), F(0), F(0))
+    for idx in [(3,), (0, -1), (1, 7, 0)]:
+        with pytest.raises(BadIndexError):
+            c.derivative_vector(origin, idx)
+    with pytest.raises(ValueError, match="wrong length"):
+        c.derivative_vector((F(0), F(0)), (0,))
+    with pytest.raises(ValueError, match="wrong length"):
+        c.derivative_table(origin + (F(1),), 2)
+
+
 # ---------------------------------------------------------------------------
 # taylor blocks
 # ---------------------------------------------------------------------------

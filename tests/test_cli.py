@@ -1,11 +1,16 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from terracini.catalog import make_veronese
+from terracini.catalog import MAX_COORDINATES, make_veronese
 from terracini.chart import load_chart, save_chart
 from terracini.cli import main
 
@@ -133,6 +138,29 @@ def test_bad_counts_exit_1_with_message(capsys, argv, message):
     assert out == ""
     assert err.startswith("terracini: error:") and message in err
     assert "Traceback" not in err
+
+
+def _limit_child_memory():
+    # Runs in the child only: a size check that let the work start would hit
+    # this limit (or the timeout) instead of the host's memory.
+    limit = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("variety", ["veronese:40:40", "segre:40:40",
+                                     "random:40:40:100:1"])
+def test_oversized_variety_is_refused_before_any_work(variety):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
+         "--check", "secant:1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"above the cap of {MAX_COORDINATES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_1(capsys):
