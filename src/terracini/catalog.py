@@ -17,19 +17,12 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations_with_replacement
 
-from .chart import Chart, project_generic
+from .chart import MAX_COORDINATES, Chart, project_generic
 from .exactlin import MultiPoly
 
 _F1 = Fraction(1)
 
 DATA_VERSION = "v1"
-
-# Largest coordinate count r + 1 (for random charts: monomial count) that the
-# constructors build.  The count is computed arithmetically before any
-# polynomial exists, so an input such as veronese:40:40 (about 1e23
-# coordinates) is refused at once instead of exhausting memory.  The shipped
-# catalog and the benchmark stay under 100.
-MAX_COORDINATES = 1000
 
 
 class SmoothnessFailureError(RuntimeError):

@@ -3,23 +3,25 @@
 A chart is an affine polynomial parametrization u -> x(u) of an n-fold in
 P^r: r+1 coordinate polynomials over Q.  Everything downstream consumes
 derivative vectors of the chart at rational points, so this module owns
-the derivative store, Taylor blocks, jet normalization, generic
-projection, and the assembled derivative formulas of a curve through the
-chart up to fifth order.
+the derivative store, Taylor blocks, the contraction primitive, jet
+normalization, generic projection, and the derivatives of a curve through
+the chart up to fifth order.
 
 Derivatives come from integer forms.  Each coordinate is stored once with
 its denominators cleared (a common denominator and integer coefficients),
 and each mixed partial is derived from its prefix by integer
 differentiation.  A point is scaled to a common denominator q, one table
 of integer powers is built per point and shared by every multi-index of
-the request, and each entry leaves as a canonical ``Fraction``.  The
+the request; entries leave as canonical ``Fraction``s or, from
+``integer_table``, as integers over one denominator per coordinate.  The
 symbolic route, a ``MultiPoly.partial`` chain evaluated term by term,
 gives the same values and is kept as the reference that tests compare
-against.
+against.  Every derivative combination of the analysis is a list of terms
+that ``contract`` sums over one integer table.
 
 Jet normalization has two routes.  ``normalized_derivatives`` contracts
-the chart's own derivative table at the jet's base point with the affine
-frame (chain rule, no polynomial arithmetic); the analysis uses it.
+the chart's own derivative table at the jet's base point through the
+affine frame (chain rule, no polynomial arithmetic); the analysis uses it.
 ``jet_normalize`` substitutes the frame into every coordinate polynomial
 and is kept as the symbolic reference that tests compare against.
 """
@@ -30,9 +32,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from operator import mul
-from typing import Callable, Sequence
+from functools import cache
+from itertools import combinations_with_replacement, repeat
+from operator import add, mul
+from typing import Callable, NamedTuple, Sequence
 
 from .exactlin import (
     BadIndexError,
@@ -43,11 +46,18 @@ from .exactlin import (
     poly_compose_curve,
     solve_square,
     span_rank,
-    vaccum,
 )
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# Largest coordinate count r + 1 that the catalog constructors build (checked
+# before any polynomial exists) and that a chart file may declare.
+MAX_COORDINATES = 1000
+# Largest derivative table, C(n+h, h)(r+1) entries at order h, that the
+# command line lets a check read; the shipped catalog, tests and benchmark
+# read at most 1,890, veronese:900:1 at order 3 would read 1.1e11.
+MAX_TABLE_ENTRIES = 200_000
 
 
 class DegenerateJetError(ValueError):
@@ -72,6 +82,11 @@ def multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
     for h in range(max_order + 1):
         out.extend(combinations_with_replacement(range(n), h))
     return out
+
+
+def unit_vectors(n: int) -> list[tuple[int, ...]]:
+    """e_1..e_n as integer tuples, the coordinate directions of ``contract``."""
+    return [tuple(int(t == i) for t in range(n)) for i in range(n)]
 
 
 def _integer_form(p: MultiPoly) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -109,6 +124,21 @@ class _Monomials(dict):
         return v
 
 
+class IntegerTable(NamedTuple):
+    """Chart derivatives of order <= ``order`` at one point, denominators cleared.
+
+    Entry c of the derivative at a sorted multi-index is
+    ``nums[key][c] / dens[c]``; keys whose vector vanishes are left out, and
+    ``top`` is the highest order of a key kept (-1 if none).
+    """
+
+    nums: dict[tuple[int, ...], tuple[int, ...]]
+    dens: tuple[int, ...]
+    n: int
+    order: int
+    top: int
+
+
 @dataclass(frozen=True)
 class Chart:
     """Affine polynomial chart of an n-dimensional variety in P^r."""
@@ -121,6 +151,8 @@ class Chart:
     # Chart degree D and, per variable, the highest exponent in any coordinate.
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     _top: tuple = field(default=(), init=False, repr=False, compare=False)
+    # Per coordinate, the common denominator of its integer forms.
+    _dens: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) != self.r + 1:
@@ -129,6 +161,7 @@ class Chart:
             if p.num_vars != self.n:
                 raise ValueError("coordinate polynomial has wrong variable count")
         self._dcache[()] = tuple(_integer_form(p) for p in self.coords)
+        object.__setattr__(self, "_dens", tuple(den for den, _, _ in self._dcache[()]))
         exps = [e for p in self.coords for e in p.terms]
         object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
         object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
@@ -145,13 +178,14 @@ class Chart:
                                               for f in self._forms(key[:-1]))
         return forms
 
-    def _values(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]) -> list[Vector]:
-        """Derivative vectors at pt for sorted, valid multi-indices.
+    def _numerators(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]
+                    ) -> tuple[list[tuple[int, ...]], int]:
+        """Integer numerators of the derivative vectors at pt, and the scale q^D.
 
         With q the common denominator of pt and A_i = q * pt_i, a monomial
-        u^e with |e| <= D is q^(D - |e|) A^e / q^D, so every coordinate is
-        an integer combination of one table of integer monomial values
-        over den * q^D.
+        u^e with |e| <= D is q^(D - |e|) A^e / q^D, so coordinate c of every
+        derivative is an integer combination of one table of integer
+        monomial values over den_c * q^D, den_c the coordinate's denominator.
         """
         if len(pt) != self.n:
             raise ValueError("point has wrong length")
@@ -163,19 +197,19 @@ class Chart:
                 row.append(row[-1] * a)
             powers.append(row)
         qpowers = [q ** k for k in range(self._degree + 1)]
-        get, scale = _Monomials(powers, qpowers).__getitem__, qpowers[-1]
-        out = []
-        for key in keys:
-            vec = []
-            for den, cs, es in self._forms(key):
-                num = sum(map(mul, cs, map(get, es)))
-                if not num:
-                    vec.append(_F0)
-                else:
-                    den *= scale
-                    vec.append(Fraction(num) if den == 1 else Fraction(num, den))
-            out.append(tuple(vec))
-        return out
+        get = _Monomials(powers, qpowers).__getitem__
+        zero = (0,) * len(self._dens)  # partials above the chart degree vanish
+        rows = [zero if len(key) > self._degree else
+                tuple(sum(map(mul, cs, map(get, es))) for _, cs, es in self._forms(key))
+                for key in keys]
+        return rows, qpowers[-1]
+
+    def _values(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]) -> list[Vector]:
+        """Derivative vectors at pt for sorted, valid multi-indices, as canonical Fractions."""
+        rows, scale = self._numerators(pt, keys)
+        dens = [den * scale for den in self._dens]
+        return [tuple(Fraction(num, den) if num else _F0 for num, den in zip(row, dens))
+                for row in rows]
 
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
         """Value at pt of the mixed partial of the chart; symmetric in idx."""
@@ -187,12 +221,19 @@ class Chart:
 
     def taylor_block(self, pt: Sequence[Fraction], h: int) -> list[tuple[tuple[int, ...], Vector]]:
         """All derivative vectors of order <= h, keyed by sorted multi-index."""
-        keys = multi_indices(self.n, h)
-        return list(zip(keys, self._values(pt, keys)))
+        return list(self.derivative_table(pt, h).items())
 
     def derivative_table(self, pt: Sequence[Fraction], h: int) -> dict[tuple[int, ...], Vector]:
         keys = multi_indices(self.n, h)
         return dict(zip(keys, self._values(pt, keys)))
+
+    def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
+        """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads."""
+        keys = multi_indices(self.n, h)
+        rows, scale = self._numerators(pt, keys)
+        nums = {key: row for key, row in zip(keys, rows) if any(row)}
+        return IntegerTable(nums, tuple(den * scale for den in self._dens), self.n, h,
+                            max(map(len, nums), default=-1))
 
     # -- basic geometry -------------------------------------------------------
 
@@ -214,8 +255,66 @@ class Chart:
         rows = [[p.terms.get(e, _F0) for e in mons] for p in self.coords]
         return span_rank(rows) == self.r + 1
 
-    def relabel(self, label: str) -> "Chart":
-        return Chart(label, self.n, self.r, self.coords)
+
+# ---------------------------------------------------------------------------
+# contraction of the derivative tensor with direction vectors
+# ---------------------------------------------------------------------------
+
+def _times(part: dict, v: Sequence) -> dict:
+    """Multiply {sorted multi-index: scalar} by the linear form sum_i v[i] e_i."""
+    out: dict = {}
+    for key, s in part.items():
+        for i, x in enumerate(v):
+            if x:
+                k = key + (i,) if not key or key[-1] <= i else tuple(sorted(key + (i,)))
+                out[k] = out.get(k, 0) + s * x
+    return out
+
+
+def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
+    """Sum of c * D^h x[v_1, ..., v_h] over ``terms`` (c, (v_1, ..., v_h)).
+
+    D^h x[v_1, ..., v_h] sums v_1[i_1] ... v_h[i_h] x_{i_1...i_h} over ordered
+    indices.  Each product of linear forms is expanded into {sorted
+    multi-index: scalar}, merging keys at every step, so each distinct
+    derivative is read once, in one pass over the width.  Numeric directions
+    and coefficients are cleared to integers with one common denominator, so
+    each entry leaves as a single canonical Fraction; ring scalars (the
+    MultiPoly lambda, mu of the symbolic audit) go through the same
+    expansion and come back as ring elements.
+    """
+    for _, vs in terms:
+        if len(vs) > table.order:
+            raise ValueError(f"term of order {len(vs)} above the table's order {table.order}")
+        if any(len(v) != table.n for v in vs):
+            raise ValueError(f"direction length differs from the chart's n={table.n}")
+    terms = [(c, vs) for c, vs in terms if len(vs) <= table.top]  # the rest read zeros
+    vecs = {id(v): v for _, vs in terms for v in vs}
+    numeric = all(isinstance(x, (int, Fraction)) for v in vecs.values() for x in v)
+    if numeric:
+        s = math.lcm(*(x.denominator for v in vecs.values() for x in v))
+        vecs = {k: tuple((x * s).numerator for x in v) for k, v in vecs.items()}
+        weights = [Fraction(c) / s ** len(vs) for c, vs in terms]
+        scale = math.lcm(*(w.denominator for w in weights))
+        mults = [(w * scale).numerator for w in weights]
+    else:
+        scale, mults = 1, [c for c, _ in terms]
+    coeffs: dict = {}
+    for m, (_, vs) in zip(mults, terms):
+        part = {(): m}
+        for v in vs:
+            part = _times(part, vecs[id(v)])
+        for key, x in part.items():
+            coeffs[key] = coeffs.get(key, 0) + x
+    acc: list = [0] * len(table.dens)
+    for key, x in coeffs.items():
+        row = table.nums.get(key)
+        if row is not None:
+            acc = list(map(add, acc, map(mul, row, repeat(x))))
+    dens = [den * scale for den in table.dens]
+    if numeric:
+        return tuple(Fraction(a, d) if a else _F0 for a, d in zip(acc, dens))
+    return tuple(a * Fraction(1, d) for a, d in zip(acc, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +380,8 @@ class FiveJet:
         return out
 
 
-def _normalized_frame(jet: CurvilinearJet) -> tuple[int, Matrix, CurvilinearJet]:
-    """Pivot, affine frame M and normalized jet shared by both normalization routes.
+def _normalized_frame(jet: CurvilinearJet) -> tuple[Matrix, CurvilinearJet]:
+    """Affine frame M and normalized jet shared by both normalization routes.
 
     M has lambda as first column and e_i (i != pivot) as the others, so
     u = base + M w is invertible; the curve parameter is then requadratically
@@ -299,7 +398,7 @@ def _normalized_frame(jet: CurvilinearJet) -> tuple[int, Matrix, CurvilinearJet]
     mu_new = tuple(mu_w[i] - mu_w[0] * lam_new[i] for i in range(n))
     new_jet = CurvilinearJet(base=tuple(_F0 for _ in range(n)), lam=lam_new,
                              mu=mu_new, length=jet.length)
-    return pivot, m, new_jet
+    return m, new_jet
 
 
 def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, CurvilinearJet]:
@@ -318,47 +417,36 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
         raise DegenerateJetError("lambda = 0")
     if jet.is_normalized() and all(c == 0 for c in jet.base):
         return chart, jet
-    _, m, new_jet = _normalized_frame(jet)
+    m, new_jet = _normalized_frame(jet)
     new_coords = tuple(p.substitute_affine(jet.base, m) for p in chart.coords)
     new_chart = Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, new_coords)
     return new_chart, new_jet
 
 
 def normalized_derivatives(chart: Chart, jet: CurvilinearJet
-                           ) -> tuple[CurvilinearJet, Callable[..., Vector]]:
-    """Normalized jet and an accessor of the normalized chart's derivatives at w = 0.
+                           ) -> tuple[CurvilinearJet, Callable[[Sequence[tuple]], Vector]]:
+    """Normalized jet and the contraction of the normalized chart's derivatives at w = 0.
 
-    Under u = base + M w the w-derivatives are the chart's derivative tensor
-    at base contracted with the columns of M (chain rule): a w-index with
-    ``a`` slots equal to 0 and other slots S is the sum over a-multisets J of
-    multinomial(a; J) * prod(lambda_j) * d[J + S'], where S' maps each s >= 1
-    to the s-th non-pivot coordinate.  Orders up to 3 (length 2) or 5
-    (length 3) are available; values are memoized per call.
+    Under u = base + M w the w-derivative tensor is the chart's derivative
+    tensor at base read through M (chain rule):
+    D^h_w x[v_1, ..., v_h] = D^h_u x[M v_1, ..., M v_h].  The returned
+    function takes ``contract`` terms over w-direction tuples and maps each
+    direction v to M v = v_1 lambda + sum_{s>=2} v_s e_(s-th non-pivot);
+    a w-index with ``a`` slots equal to 0 is the term
+    (1, (lambda,) * a + unit vectors).  Orders up to 3 (length 2) or 5
+    (length 3) are available.
     """
-    n, width, lam = chart.n, chart.r + 1, jet.lam
-    pivot, _, new_jet = _normalized_frame(jet)
-    others = [i for i in range(n) if i != pivot]
-    d = chart.derivative_table(jet.base, 3 if jet.length == 2 else 5)
-    memo: dict[tuple[int, ...], Vector] = {}
+    m, new_jet = _normalized_frame(jet)
+    table = chart.integer_table(jet.base, 3 if jet.length == 2 else 5)
 
-    def dw(*idx: int) -> Vector:
-        key = tuple(sorted(idx))
-        got = memo.get(key)
-        if got is None:
-            a = key.count(0)
-            rest = tuple(others[s - 1] for s in key[a:])
-            parts = []
-            for js in combinations_with_replacement(range(n), a):
-                coeff = math.factorial(a)
-                for j in set(js):
-                    coeff //= math.factorial(js.count(j))
-                for j in js:
-                    coeff *= lam[j]
-                parts.append((coeff, d[tuple(sorted(js + rest))]))
-            got = memo[key] = vaccum(width, parts)
-        return got
+    @cache
+    def frame(v: tuple) -> Vector:
+        return tuple(sum(map(mul, row, v)) for row in m.entries)
 
-    return new_jet, dw
+    def contract_w(terms: Sequence[tuple]) -> Vector:
+        return contract(table, [(c, tuple(map(frame, vs))) for c, vs in terms])
+
+    return new_jet, contract_w
 
 
 def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
@@ -403,47 +491,21 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
 
-    Assembled from the chart's Taylor data contracted against the jet
-    coefficients; independently equal to k! times the t^k coefficients of
-    the composed curve (see tests), which validates each assembly.
+    Faa di Bruno terms over the chart's derivative table, contracted with
+    the jet coefficients; independently equal to k! times the t^k
+    coefficients of the composed curve (see tests), which validates each
+    assembly.
     """
-    n, width = chart.n, chart.r + 1
     lam, mu, nu, rho, sig = jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma
-    d = chart.derivative_table(jet.base, 5)
-
-    def dv(*idx: int) -> Vector:
-        return d[tuple(sorted(idx))]
-
-    rng_n = range(n)
-    x1 = vaccum(width, ((lam[i], dv(i)) for i in rng_n))
-    x2 = vaccum(width, [(lam[i] * lam[j], dv(i, j)) for i in rng_n for j in rng_n]
-                + [(2 * mu[i], dv(i)) for i in rng_n])
-    x3 = vaccum(width,
-                [(lam[i] * lam[j] * lam[k], dv(i, j, k))
-                 for i in rng_n for j in rng_n for k in rng_n]
-                + [(6 * lam[i] * mu[j], dv(i, j)) for i in rng_n for j in rng_n]
-                + [(6 * nu[i], dv(i)) for i in rng_n])
-    x4 = vaccum(width,
-                [(lam[i] * lam[j] * lam[k] * lam[l], dv(i, j, k, l))
-                 for i in rng_n for j in rng_n for k in rng_n for l in rng_n]
-                + [(12 * lam[i] * lam[j] * mu[k], dv(i, j, k))
-                   for i in rng_n for j in rng_n for k in rng_n]
-                + [(12 * mu[i] * mu[j], dv(i, j)) for i in rng_n for j in rng_n]
-                + [(24 * lam[i] * nu[j], dv(i, j)) for i in rng_n for j in rng_n]
-                + [(24 * rho[i], dv(i)) for i in rng_n])
-    x5_parts = [(lam[i] * lam[j] * lam[k] * lam[l] * lam[m], dv(i, j, k, l, m))
-                for i, j, k, l, m in product(rng_n, repeat=5)]
-    x5_parts += [(20 * lam[i] * lam[j] * lam[k] * mu[l], dv(i, j, k, l))
-                 for i, j, k, l in product(rng_n, repeat=4)]
-    x5_parts += [(60 * lam[i] * mu[j] * mu[k], dv(i, j, k))
-                 for i, j, k in product(rng_n, repeat=3)]
-    x5_parts += [(120 * mu[i] * nu[j], dv(i, j)) for i in rng_n for j in rng_n]
-    x5_parts += [(120 * lam[i] * rho[j], dv(i, j)) for i in rng_n for j in rng_n]
-    x5_parts += [(60 * lam[i] * lam[j] * nu[k], dv(i, j, k))
-                 for i, j, k in product(rng_n, repeat=3)]
-    x5_parts += [(120 * sig[i], dv(i)) for i in rng_n]
-    x5 = vaccum(width, x5_parts)
-    return x1, x2, x3, x4, x5
+    t = chart.integer_table(jet.base, 5)
+    return (contract(t, [(1, (lam,))]),
+            contract(t, [(1, (lam, lam)), (2, (mu,))]),
+            contract(t, [(1, (lam,) * 3), (6, (lam, mu)), (6, (nu,))]),
+            contract(t, [(1, (lam,) * 4), (12, (lam, lam, mu)), (12, (mu, mu)),
+                         (24, (lam, nu)), (24, (rho,))]),
+            contract(t, [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu)),
+                         (60, (lam, lam, nu)), (120, (mu, nu)), (120, (lam, rho)),
+                         (120, (sig,))]))
 
 
 def composed_curve_series(chart: Chart, jet: FiveJet, order: int = 5) -> list[Series]:
@@ -480,6 +542,9 @@ def obj_to_chart(obj: dict) -> Chart:
         raise ChartFormatError("n must be a positive integer")
     if not (isinstance(r, int) and r >= 1):
         raise ChartFormatError("r must be a positive integer")
+    if r + 1 > MAX_COORDINATES:
+        raise ChartFormatError(f"chart declares {r + 1} coordinates,"
+                               f" above the cap of {MAX_COORDINATES}")
     coords = obj["coords"]
     if not isinstance(coords, list) or len(coords) != r + 1:
         raise ChartFormatError(f"coords must be a list of r+1={r + 1} polynomials")

@@ -11,11 +11,19 @@ invocation reproduces a byte-identical JSON report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 from . import catalog as cat
-from .chart import AmbientTooSmallError, Chart, ChartFormatError, load_chart, project_generic
+from .chart import (
+    MAX_TABLE_ENTRIES,
+    AmbientTooSmallError,
+    Chart,
+    ChartFormatError,
+    load_chart,
+    project_generic,
+)
 from .curvilinear import generic_speciality
 from .gamma15 import (
     AmbientMismatchError,
@@ -146,6 +154,19 @@ def parse_check(token: str) -> tuple[str, int | None]:
     return name, None
 
 
+def derivative_order(name: str, arg: int | None) -> int:
+    """Highest derivative order a check reads; gamma15, pi-constancy, audit read 5."""
+    orders = {"secant": 1, "osc": (arg or 0) + 1, "speciality": 3 if arg == 2 else 5}
+    return orders.get(name, 5)
+
+
+def check_table_size(chart: Chart, what: str, order: int) -> None:
+    entries = math.comb(chart.n + order, order) * (chart.r + 1)
+    if entries > MAX_TABLE_ENTRIES:
+        raise InputError(f"{what} reads derivative tables of C(n+{order}, {order}) x (r+1)"
+                         f" = {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+
+
 def run_check(chart: Chart, name: str, arg: int | None, trials: int, seed: int) -> dict:
     if name == "secant":
         rec = secant_defect(chart, arg, samples=trials, seed=seed)
@@ -196,6 +217,8 @@ def cmd_analyze(args) -> int:
     checks = [parse_check(token) for token in args.check]
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
+    for token, (name, arg) in zip(args.check, checks):
+        check_table_size(chart, f"check {token}", derivative_order(name, arg))
     results = []
     consistent = True
     for name, arg in checks:
@@ -229,6 +252,7 @@ def cmd_audit_theorem(args) -> int:
     check_trials(args.trials)
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
+    check_table_size(chart, "audit-theorem", 5)
     try:
         rep = defect_pipeline(chart, trials=args.trials, samples=args.trials,
                               seed=args.seed)

@@ -2,9 +2,11 @@
 
 The tangent space along a jet is the intersection of all hyperplanes whose
 section of the variety is singular along the scheme; dually it is the span
-of an explicit generator list assembled from chart derivatives at the
-normalized jet.  The scheme is special when that span falls short of the
-expected dimension min{r, k(n+1)-1}.
+of an explicit generator list of chart derivatives at the normalized jet.
+Each generator is a list of ``contract`` terms over directions in the
+normalized coordinates w, read through the normalizing frame from one
+integer derivative table at the jet's base.  The scheme is special when
+that span falls short of the expected dimension min{r, k(n+1)-1}.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .chart import AmbientTooSmallError, Chart, CurvilinearJet, normalized_derivatives
-from .exactlin import Matrix, Vector, vaccum, vdot
+from .chart import (
+    AmbientTooSmallError,
+    Chart,
+    CurvilinearJet,
+    normalized_derivatives,
+    unit_vectors,
+)
+from .exactlin import Matrix, Vector, vdot
 from .secants import COORD_RADIUS, LinearSpan, sample_smooth_point
 
 _F0 = Fraction(0)
@@ -43,42 +50,26 @@ class TangentAlongScheme:
         return self.span.dim
 
 
-def _generators_length2(dw: Callable[..., Vector], n: int) -> tuple[list[Vector], list[str]]:
-    vecs = [dw()]
-    labels = ["x"]
-    for i in range(n):
-        vecs.append(dw(i))
-        labels.append(f"x_{i + 1}")
-    for j in range(n):
-        vecs.append(dw(0, j))
-        labels.append(f"x_1{j + 1}")
-    vecs.append(dw(0, 0, 0))
-    labels.append("x_111")
-    return vecs, labels
+def _generators(jet: CurvilinearJet) -> list[tuple[str, list]]:
+    """Labelled ``contract`` terms, over w-directions, of the generator list.
 
-
-def _generators_length3(dw: Callable[..., Vector], n: int, width: int,
-                        mu: Vector) -> tuple[list[Vector], list[str]]:
-    vecs, labels = _generators_length2(dw, n)
-    # 2 sum_{i>=2} x_ih mu_i + x_11h, for h = 2..n
-    for h in range(1, n):
-        parts = [(2 * mu[i], dw(i, h)) for i in range(1, n)]
-        parts.append((_F1, dw(0, 0, h)))
-        vecs.append(vaccum(width, parts))
-        labels.append(f"2*sum x_i{h + 1} mu_i + x_11{h + 1}")
-    # 12 sum_{i,j>=2} x_ij mu_i mu_j + 12 sum_{i>=2} x_11i mu_i + x_1111
-    parts = [(12 * mu[i] * mu[j], dw(i, j)) for i in range(1, n) for j in range(1, n)]
-    parts += [(12 * mu[i], dw(0, 0, i)) for i in range(1, n)]
-    parts.append((_F1, dw(0, 0, 0, 0)))
-    vecs.append(vaccum(width, parts))
-    labels.append("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111")
-    # 60 sum_{i,j>=2} x_1ij mu_i mu_j + 20 sum_{i>=2} x_111i mu_i + x_11111
-    parts = [(60 * mu[i] * mu[j], dw(0, i, j)) for i in range(1, n) for j in range(1, n)]
-    parts += [(20 * mu[i], dw(0, 0, 0, i)) for i in range(1, n)]
-    parts.append((_F1, dw(0, 0, 0, 0, 0)))
-    vecs.append(vaccum(width, parts))
-    labels.append("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111")
-    return vecs, labels
+    Stated for the normalized jet (lambda = e_1, mu_1 = 0), so each sum over
+    i >= 2 in a label is a contraction with mu.
+    """
+    e = unit_vectors(jet.n)
+    e1, mu = e[0], jet.mu
+    gens = [("x", [(1, ())])]
+    gens += [(f"x_{i}", [(1, (ei,))]) for i, ei in enumerate(e, 1)]
+    gens += [(f"x_1{j}", [(1, (e1, ej))]) for j, ej in enumerate(e, 1)]
+    gens.append(("x_111", [(1, (e1,) * 3)]))
+    if jet.length == 3:
+        gens += [(f"2*sum x_i{h} mu_i + x_11{h}", [(2, (mu, eh)), (1, (e1, e1, eh))])
+                 for h, eh in enumerate(e[1:], 2)]
+        gens.append(("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111",
+                     [(12, (mu, mu)), (12, (e1, e1, mu)), (1, (e1,) * 4)]))
+        gens.append(("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111",
+                     [(60, (e1, mu, mu)), (20, (e1, e1, e1, mu)), (1, (e1,) * 5)]))
+    return gens
 
 
 def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
@@ -96,17 +87,15 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
         raise AmbientTooSmallError(
             f"length-3 analysis needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}"
             " (project the chart first)")
-    njet, dw = normalized_derivatives(chart, jet)
-    if jet.length == 2:
-        vecs, labels = _generators_length2(dw, chart.n)
-    else:
-        vecs, labels = _generators_length3(dw, chart.n, chart.r + 1, njet.mu)
+    njet, cw = normalized_derivatives(chart, jet)
+    gens = _generators(njet)
+    vecs = [cw(terms) for _, terms in gens]
     span = LinearSpan.of(vecs, chart.r + 1)
     expected = expected_tangent_dim(chart.n, jet.length, chart.r)
     zeros = tuple(i for i, v in enumerate(vecs) if all(c == 0 for c in v))
     return TangentAlongScheme(jet=njet, span=span, expected=expected,
                               special=span.dim < expected, zero_generators=zeros,
-                              generator_labels=tuple(labels))
+                              generator_labels=tuple(label for label, _ in gens))
 
 
 # ---------------------------------------------------------------------------

@@ -56,18 +56,6 @@ def vdot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), _F0)
 
 
-def vaccum(length: int, parts: Iterable[tuple[Fraction, Sequence[Fraction]]]) -> Vector:
-    """Sum of ``coeff * vector`` contributions, skipping zero coefficients."""
-    acc = [_F0] * length
-    for c, v in parts:
-        if c == 0:
-            continue
-        for i, x in enumerate(v):
-            if x:
-                acc[i] += c * x
-    return tuple(acc)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -531,10 +519,6 @@ Series = tuple[Fraction, ...]
 
 def series_const(c, order: int) -> Series:
     return (Fraction(c),) + (_F0,) * order
-
-
-def series_add(a: Series, b: Series) -> Series:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def series_mul(a: Series, b: Series, order: int) -> Series:

@@ -4,7 +4,8 @@ For an n-fold in P^{3n+2}, the existence of a 3(n-1)-dimensional family of
 (1,5)-quasi-asymptotic curves (one through each general length-3
 curvilinear scheme) is equivalent to the identical vanishing, in the jet
 coefficients (lambda, mu), of the determinant D of a fixed (3n+3)-square
-matrix of derivative contractions.  This module builds that matrix,
+matrix of derivative contractions.  This module builds that matrix (each
+column one ``chart.contract`` call over a single derivative table),
 decides D == 0 by seeded Schwartz-Zippel testing (exact symbolic expansion
 is available for n <= 3 as a certifying mode), audits the five-jet rank
 condition, the constancy of the span Pi along coordinate curves, and the
@@ -24,7 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chart import Chart, CurvilinearJet, FiveJet, curve_derivatives
+from .chart import (
+    AmbientTooSmallError,
+    Chart,
+    DegenerateJetError,
+    FiveJet,
+    contract,
+    curve_derivatives,
+    unit_vectors,
+)
 from .curvilinear import (
     SpecialityVerdict,
     generic_speciality,
@@ -72,56 +81,28 @@ def _require_square_ambient(chart: Chart) -> None:
 # the (3n+3)-square determinant matrix
 # ---------------------------------------------------------------------------
 
-def _gamma15_columns(chart: Chart, pt: Sequence[Fraction], lam, mu, zero):
-    """Columns of the determinant matrix, generic over the scalar ring.
+def _gamma15_columns(chart: Chart, pt: Sequence[Fraction], lam, mu):
+    """Columns of the determinant matrix, contracted from one table at pt.
 
-    Works for Fraction scalars (numeric evaluation) and for MultiPoly
-    scalars (symbolic expansion); ``zero`` is the ring zero.  Column order
+    ``contract`` expands over the scalars of lam and mu: Fractions give
+    numeric columns, MultiPoly scalars the symbolic expansion.  Column order
     is fixed: x; x_1..x_n; the n Hessian contractions sum_i x_ij lam_i; the
     quartic combination; the n cubic combinations
     2 sum_i x_ik mu_i + sum_ij x_ijk lam_i lam_j; the quintic combination.
     """
-    n, width = chart.n, chart.r + 1
-    d = chart.derivative_table(pt, 5)
-
-    def dv(*idx: int) -> Vector:
-        return d[tuple(sorted(idx))]
-
-    def combo(parts) -> list:
-        col = [zero] * width
-        for s, v in parts:
-            for c in range(width):
-                if v[c]:
-                    col[c] = col[c] + s * v[c]
-        return col
-
-    rng_n = range(n)
-    cols = [list(dv())] + [list(dv(i)) for i in rng_n]
-    labels = ["x"] + [f"x_{i + 1}" for i in rng_n]
-    for j in rng_n:
-        cols.append(combo((lam[i], dv(i, j)) for i in rng_n))
-        labels.append(f"sum_i x_i{j + 1} lam_i")
-    parts = [(lam[i] * lam[j] * lam[k] * lam[l], dv(i, j, k, l))
-             for i in rng_n for j in rng_n for k in rng_n for l in rng_n]
-    parts += [(12 * (lam[i] * lam[j] * mu[k]), dv(i, j, k))
-              for i in rng_n for j in rng_n for k in rng_n]
-    parts += [(12 * (mu[i] * mu[j]), dv(i, j)) for i in rng_n for j in rng_n]
-    cols.append(combo(parts))
-    labels.append("quartic combination")
-    for k in rng_n:
-        parts = [(2 * mu[i], dv(i, k)) for i in rng_n]
-        parts += [(lam[i] * lam[j], dv(i, j, k)) for i in rng_n for j in rng_n]
-        cols.append(combo(parts))
-        labels.append(f"cubic combination k={k + 1}")
-    parts = [(lam[i] * lam[j] * lam[k] * lam[l] * lam[m], dv(i, j, k, l, m))
-             for i in rng_n for j in rng_n for k in rng_n for l in rng_n for m in rng_n]
-    parts += [(20 * (lam[i] * lam[j] * lam[k] * mu[l]), dv(i, j, k, l))
-              for i in rng_n for j in rng_n for k in rng_n for l in rng_n]
-    parts += [(60 * (lam[i] * mu[j] * mu[k]), dv(i, j, k))
-              for i in rng_n for j in rng_n for k in rng_n]
-    cols.append(combo(parts))
-    labels.append("quintic combination")
-    return cols, labels
+    n = chart.n
+    t = chart.integer_table(pt, 5)
+    e = unit_vectors(n)
+    groups = [("x", [(1, ())])]
+    groups += [(f"x_{i + 1}", [(1, (e[i],))]) for i in range(n)]
+    groups += [(f"sum_i x_i{j + 1} lam_i", [(1, (lam, e[j]))]) for j in range(n)]
+    groups.append(("quartic combination",
+                   [(1, (lam,) * 4), (12, (lam, lam, mu)), (12, (mu, mu))]))
+    groups += [(f"cubic combination k={k + 1}", [(2, (mu, e[k])), (1, (lam, lam, e[k]))])
+               for k in range(n)]
+    groups.append(("quintic combination",
+                   [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu))]))
+    return [contract(t, terms) for _, terms in groups], [label for label, _ in groups]
 
 
 @dataclass(frozen=True)
@@ -140,10 +121,8 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
     if all(c == 0 for c in lam):
-        from .chart import DegenerateJetError
-
         raise DegenerateJetError("lambda = 0")
-    cols, labels = _gamma15_columns(chart, pt, lam, mu, _F0)
+    cols, labels = _gamma15_columns(chart, pt, lam, mu)
     return Gamma15Matrix(pt=tuple(Fraction(x) for x in pt), lam=lam, mu=mu,
                          matrix=Matrix.from_columns(cols),
                          column_labels=tuple(labels))
@@ -386,11 +365,9 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
     nv = 2 * n  # variables: lam_1..lam_n, mu_1..mu_n
     lam = [MultiPoly.variable(nv, i) for i in range(n)]
     mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
-    cols, _ = _gamma15_columns(chart, pt, lam, mu, MultiPoly.zero(nv))
-    size = 3 * n + 3
-    rows = [[cols[j][i] if isinstance(cols[j][i], MultiPoly)
-             else MultiPoly.constant(nv, cols[j][i]) for j in range(size)]
-            for i in range(size)]
+    cols, _ = _gamma15_columns(chart, pt, lam, mu)
+    rows = [[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
+            for row in zip(*cols)]
     sym = poly_det(rows)
 
     rng = random.Random(seed)
@@ -484,8 +461,6 @@ def defect_pipeline(chart: Chart, trials: int = 5, samples: int = 5,
     chart's own ambient space.
     """
     if chart.r < 3 * chart.n + 2:
-        from .chart import AmbientTooSmallError
-
         raise AmbientTooSmallError(
             f"pipeline needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}")
     spec = generic_speciality(chart, 3, trials=trials, seed=seed)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chart import AmbientTooSmallError, Chart
-from .exactlin import Vector, span_rank, vaccum
+from .chart import AmbientTooSmallError, Chart, contract, unit_vectors
+from .exactlin import Vector, span_rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -166,20 +166,11 @@ def osc2_vectors(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
     x; x_i; the Hessian contractions sum_i x_ij lam_i for each j; and for
     each k the vectors sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j.
     """
-    n, width = chart.n, chart.r + 1
-    d = chart.derivative_table(pt, 3)
-
-    def dv(*idx: int) -> Vector:
-        return d[tuple(sorted(idx))]
-
-    vecs = [dv()] + [dv(i) for i in range(n)]
-    for j in range(n):
-        vecs.append(vaccum(width, ((lam[i], dv(i, j)) for i in range(n))))
-    for k in range(n):
-        parts = [(lam[i] * lam[j], dv(k, i, j)) for i in range(n) for j in range(n)]
-        parts += [(2 * mu[j], dv(k, j)) for j in range(n)]
-        vecs.append(vaccum(width, parts))
-    return vecs
+    t = chart.integer_table(pt, 3)
+    e = unit_vectors(chart.n)
+    return ([contract(t, [(1, ())])] + [contract(t, [(1, (ei,))]) for ei in e]
+            + [contract(t, [(1, (lam, ej))]) for ej in e]
+            + [contract(t, [(1, (ek, lam, lam)), (2, (ek, mu))]) for ek in e])
 
 
 @dataclass(frozen=True)
@@ -265,7 +256,8 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    n, width = chart.n, chart.r + 1
+    n = chart.n
+    e = unit_vectors(n)
     rng = random.Random(seed)
     best = -1
     for _ in range(samples):
@@ -276,47 +268,18 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
                             for _ in range(n - 1))
         alpha = Fraction(rng.randint(1, COORD_RADIUS))
         beta = Fraction(rng.randint(1, COORD_RADIUS))
-        d = chart.derivative_table(pt, m + 1)
-
-        def dv(*idx: int) -> Vector:
-            return d[tuple(sorted(idx))]
-
-        x_ = dv()
-        xi = [dv(i) for i in range(n)]
-        auger: list[Vector] = []
-        # y itself
-        y_parts: list[tuple[Fraction, Vector]] = [(_F1, x_)]
-        y_parts += [(alpha * lam[i], xi[i]) for i in range(n)]
+        # y, then its partials in lam_j and mu_j (j >= 2), alpha and beta
+        y = [(1, ()), (alpha, (lam,))]
+        dlam = [[(alpha, (ej,))] for ej in e[1:]]
+        dparams = [[(1, (lam,))]]
         if m == 2:
-            y_parts += [(beta * lam[i] * lam[j], dv(i, j))
-                        for i in range(n) for j in range(n)]
-            y_parts += [(2 * beta * mu[i], xi[i]) for i in range(n)]
-        auger.append(vaccum(width, y_parts))
-        # d/du_k
-        for k in range(n):
-            parts = [(_F1, xi[k])]
-            parts += [(alpha * lam[i], dv(i, k)) for i in range(n)]
-            if m == 2:
-                parts += [(beta * lam[i] * lam[j], dv(k, i, j))
-                          for i in range(n) for j in range(n)]
-                parts += [(2 * beta * mu[i], dv(i, k)) for i in range(n)]
-            auger.append(vaccum(width, parts))
-        # d/dlam_j, j >= 2
-        for j in range(1, n):
-            parts = [(alpha, xi[j])]
-            if m == 2:
-                parts += [(2 * beta * lam[i], dv(i, j)) for i in range(n)]
-            auger.append(vaccum(width, parts))
-        if m == 2:
-            # d/dmu_j, j >= 2
-            for j in range(1, n):
-                auger.append(vaccum(width, [(2 * beta, xi[j])]))
-        # d/dalpha
-        auger.append(vaccum(width, ((lam[i], xi[i]) for i in range(n))))
-        if m == 2:
-            # d/dbeta
-            parts = [(lam[i] * lam[j], dv(i, j)) for i in range(n) for j in range(n)]
-            parts += [(2 * mu[i], xi[i]) for i in range(n)]
-            auger.append(vaccum(width, parts))
-        best = max(best, span_rank(auger) - 1)
+            quad = [(1, (lam, lam)), (2, (mu,))]
+            y += [(beta * c, vs) for c, vs in quad]
+            dlam = [[(alpha, (ej,)), (2 * beta, (lam, ej))] for ej in e[1:]]
+            dparams += [[(2 * beta, (ej,))] for ej in e[1:]] + [quad]
+        # d/du_k raises every term by one slot in direction e_k
+        du = [[(c, (ek,) + vs) for c, vs in y] for ek in e]
+        t = chart.integer_table(pt, m + 1)
+        rows = [contract(t, terms) for terms in [y] + du + dlam + dparams]
+        best = max(best, span_rank(rows) - 1)
     return best

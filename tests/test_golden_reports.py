@@ -51,3 +51,30 @@ def test_report_matches_recorded_digest(command):
         code = main(command.split())
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DIGESTS[command]
+
+
+# Contraction callers that the benchmark templates never reach: gamma15 on a
+# chart with D != 0 (a 106-digit witness_value), both osc routes, Pi
+# constancy with its precondition holding, and the equivalence audit.
+# Recorded once from the reports of the integer derivative kernel, before
+# the contraction primitive replaced the hand-expanded sums; only read here.
+CONTRACTION_DIGESTS = {
+    "analyze --variety random:2:5:8:7 --check gamma15 --seed 3":
+        "2183250d69369e07c853b67f9cd0e1893c8c43059633199843cb0614897fcf8e",
+    "analyze --variety random:3:3:11:5 --check osc:2 --check osc:1 --trials 2":
+        "85fadecc34df422c3088aec32faf78cc1c9449556ee67ad49031ebc97f540ed5",
+    "analyze --variety random:2:4:8:2 --check pi-constancy":
+        "9ea5b88477b449aec8e927042dd9b5f952bcd67139823d7f8b6ba8b61cc67f22",
+    "analyze --variety random:2:3:8:4 --check audit --trials 2":
+        "d3c998bdefd2f511aed34523dff7ee321cf1aae7d11c53d7a82ef291cfcba1a8",
+}
+
+
+@pytest.mark.parametrize("command", list(CONTRACTION_DIGESTS))
+def test_contraction_report_matches_recorded_digest(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == CONTRACTION_DIGESTS[command]
