@@ -13,13 +13,12 @@ from .chart import (
     CurvilinearJet,
     FiveJet,
     curve_derivatives,
-    jet_normalize,
     load_chart,
     project_generic,
     save_chart,
 )
 from .curvilinear import generic_speciality, hyperplane_system, tangent_along
-from .exactlin import Matrix, MultiPoly, Rational, rank_exact, rank_modular
+from .exactlin import Matrix, MultiPoly, Rational
 from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
@@ -60,7 +59,6 @@ __all__ = [
     "gamma15_matrix",
     "generic_speciality",
     "hyperplane_system",
-    "jet_normalize",
     "load_chart",
     "make_random_variety",
     "make_segre",
@@ -72,8 +70,6 @@ __all__ = [
     "pi_constancy_check",
     "pi_space",
     "project_generic",
-    "rank_exact",
-    "rank_modular",
     "save_chart",
     "secant_defect",
     "tangent_space",

@@ -3,27 +3,27 @@
 A chart is an affine polynomial parametrization u -> x(u) of an n-fold in
 P^r: r+1 coordinate polynomials over Q.  Everything downstream consumes
 derivative vectors of the chart at rational points, so this module owns
-the derivative store, Taylor blocks, the contraction primitive, jet
-normalization, generic projection, and the derivatives of a curve through
-the chart up to fifth order.
+the derivative store, the contraction primitive, jet normalization,
+generic projection, and the derivatives of a curve through the chart up
+to fifth order.
 
 Derivatives come from integer forms.  Each coordinate is stored once with
 its denominators cleared (a common denominator and integer coefficients),
 and each mixed partial is derived from its prefix by integer
 differentiation.  A point is scaled to a common denominator q, one table
 of integer powers is built per point and shared by every multi-index of
-the request; entries leave as canonical ``Fraction``s or, from
-``integer_table``, as integers over one denominator per coordinate.  The
-symbolic route, a ``MultiPoly.partial`` chain evaluated term by term,
-gives the same values and is kept as the reference that tests compare
-against.  Every derivative combination of the analysis is a list of terms
-that ``contract`` sums over one integer table.
+the request.  ``integer_table`` returns integers over one denominator per
+coordinate, and every derivative combination of the analysis is a list of
+terms that ``contract`` sums over one such table.  ``derivative_vector``
+reads a single multi-index as canonical ``Fraction``s for the smoothness
+test and the tangent space.
 
-Jet normalization has two routes.  ``normalized_derivatives`` contracts
-the chart's own derivative table at the jet's base point through the
-affine frame (chain rule, no polynomial arithmetic); the analysis uses it.
-``jet_normalize`` substitutes the frame into every coordinate polynomial
-and is kept as the symbolic reference that tests compare against.
+``normalized_derivatives`` normalizes a jet by contracting the chart's
+own derivative table at the jet's base point through the affine frame
+(chain rule, no polynomial arithmetic).  The symbolic routes that tests
+compare against (a formal partial chain evaluated term by term,
+substitution of the frame into every coordinate, composition with the
+curve's truncated series) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ from .exactlin import (
     BadIndexError,
     Matrix,
     MultiPoly,
-    Series,
     Vector,
-    poly_compose_curve,
     solve_square,
     span_rank,
 )
@@ -204,28 +202,15 @@ class Chart:
                 for key in keys]
         return rows, qpowers[-1]
 
-    def _values(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]) -> list[Vector]:
-        """Derivative vectors at pt for sorted, valid multi-indices, as canonical Fractions."""
-        rows, scale = self._numerators(pt, keys)
-        dens = [den * scale for den in self._dens]
-        return [tuple(Fraction(num, den) if num else _F0 for num, den in zip(row, dens))
-                for row in rows]
-
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
-        """Value at pt of the mixed partial of the chart; symmetric in idx."""
+        """Value at pt of the mixed partial, as canonical Fractions; symmetric in idx."""
         key = tuple(sorted(idx))
         for i in key:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
-        return self._values(pt, (key,))[0]
-
-    def taylor_block(self, pt: Sequence[Fraction], h: int) -> list[tuple[tuple[int, ...], Vector]]:
-        """All derivative vectors of order <= h, keyed by sorted multi-index."""
-        return list(self.derivative_table(pt, h).items())
-
-    def derivative_table(self, pt: Sequence[Fraction], h: int) -> dict[tuple[int, ...], Vector]:
-        keys = multi_indices(self.n, h)
-        return dict(zip(keys, self._values(pt, keys)))
+        (row,), scale = self._numerators(pt, (key,))
+        return tuple(Fraction(num, den * scale) if num else _F0
+                     for num, den in zip(row, self._dens))
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads."""
@@ -342,10 +327,6 @@ class CurvilinearJet:
     def n(self) -> int:
         return len(self.base)
 
-    def is_normalized(self) -> bool:
-        e1 = tuple(_F1 if i == 0 else _F0 for i in range(self.n))
-        return self.lam == e1 and self.mu[0] == 0
-
 
 @dataclass(frozen=True)
 class FiveJet:
@@ -370,18 +351,9 @@ class FiveJet:
     def n(self) -> int:
         return len(self.base)
 
-    def curve_series(self, order: int) -> list[Series]:
-        """Component series of u(t) truncated at the requested order."""
-        coeffs = [self.base, self.lam, self.mu, self.nu, self.rho, self.sigma]
-        out = []
-        for i in range(self.n):
-            s = [coeffs[k][i] if k < len(coeffs) else _F0 for k in range(order + 1)]
-            out.append(tuple(s))
-        return out
-
 
 def _normalized_frame(jet: CurvilinearJet) -> tuple[Matrix, CurvilinearJet]:
-    """Affine frame M and normalized jet shared by both normalization routes.
+    """Affine frame M and normalized jet (lambda = e_1, mu_1 = 0, base = 0).
 
     M has lambda as first column and e_i (i != pivot) as the others, so
     u = base + M w is invertible; the curve parameter is then requadratically
@@ -399,28 +371,6 @@ def _normalized_frame(jet: CurvilinearJet) -> tuple[Matrix, CurvilinearJet]:
     new_jet = CurvilinearJet(base=tuple(_F0 for _ in range(n)), lam=lam_new,
                              mu=mu_new, length=jet.length)
     return m, new_jet
-
-
-def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, CurvilinearJet]:
-    """Equivalent chart and jet with lambda = (1,0,...,0), mu_1 = 0, base = 0.
-
-    The chart parameters undergo the invertible affine change u = base + M w
-    with first column of M equal to lambda; the curve parameter is then
-    requadratically rescaled to kill mu_1.  The image scheme of the jet in
-    P^r is unchanged by either step.
-
-    This is the symbolic reference route: it substitutes into every
-    coordinate polynomial.  The analysis itself reads the same derivatives
-    by contraction through ``normalized_derivatives``; tests compare the two.
-    """
-    if all(c == 0 for c in jet.lam):
-        raise DegenerateJetError("lambda = 0")
-    if jet.is_normalized() and all(c == 0 for c in jet.base):
-        return chart, jet
-    m, new_jet = _normalized_frame(jet)
-    new_coords = tuple(p.substitute_affine(jet.base, m) for p in chart.coords)
-    new_chart = Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, new_coords)
-    return new_chart, new_jet
 
 
 def normalized_derivatives(chart: Chart, jet: CurvilinearJet
@@ -493,8 +443,8 @@ def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vecto
 
     Faa di Bruno terms over the chart's derivative table, contracted with
     the jet coefficients; independently equal to k! times the t^k
-    coefficients of the composed curve (see tests), which validates each
-    assembly.
+    coefficients of the composed curve (the composition oracle in tests),
+    which validates each assembly.
     """
     lam, mu, nu, rho, sig = jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma
     t = chart.integer_table(jet.base, 5)
@@ -506,12 +456,6 @@ def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vecto
             contract(t, [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu)),
                          (60, (lam, lam, nu)), (120, (mu, nu)), (120, (lam, rho)),
                          (120, (sig,))]))
-
-
-def composed_curve_series(chart: Chart, jet: FiveJet, order: int = 5) -> list[Series]:
-    """Coordinate-wise truncated series of t -> x(u(t)); the composition route."""
-    curve = jet.curve_series(order)
-    return [poly_compose_curve(p, curve, order) for p in chart.coords]
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +482,10 @@ def obj_to_chart(obj: dict) -> Chart:
         if key not in obj:
             raise ChartFormatError(f"missing key {key!r}")
     n, r = obj["n"], obj["r"]
-    if not (isinstance(n, int) and n >= 1):
+    # type(x) is int: JSON true/false load as bool, an int subclass
+    if not (type(n) is int and n >= 1):
         raise ChartFormatError("n must be a positive integer")
-    if not (isinstance(r, int) and r >= 1):
+    if not (type(r) is int and r >= 1):
         raise ChartFormatError("r must be a positive integer")
     if r + 1 > MAX_COORDINATES:
         raise ChartFormatError(f"chart declares {r + 1} coordinates,"
@@ -559,11 +504,13 @@ def obj_to_chart(obj: dict) -> Chart:
                 raise ChartFormatError(f"{where} must be an object")
             exp = term.get("exp")
             if (not isinstance(exp, list) or len(exp) != n
-                    or any(not isinstance(e, int) or e < 0 for e in exp)):
+                    or any(type(e) is not int or e < 0 for e in exp)):
                 raise ChartFormatError(f"{where}.exp must be {n} nonnegative integers")
             try:
-                num = int(term["num"])
-                den = int(term["den"])
+                num, den = term["num"], term["den"]
+                if not (isinstance(num, str) and isinstance(den, str)):
+                    raise TypeError("num/den are not strings")
+                num, den = int(num), int(den)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ChartFormatError(f"{where} needs decimal-string num/den") from exc
             if den <= 0:

@@ -34,7 +34,14 @@ from .gamma15 import (
     pi_constancy_check,
 )
 from .reports import SCHEMA_VERSION, render_json, render_markdown, to_jsonable
-from .secants import osc2_regular, osc_variety_dim, secant_defect
+from .secants import (
+    COORD_RADIUS,
+    SingularPointError,
+    osc2_regular,
+    osc_variety_dim,
+    sample_lattice_size,
+    secant_defect,
+)
 
 DEFAULT_SEED = 1009
 DEFAULT_TRIALS = 5
@@ -219,12 +226,16 @@ def cmd_analyze(args) -> int:
     chart = apply_projection(chart, args.project, args.seed)
     for token, (name, arg) in zip(args.check, checks):
         check_table_size(chart, f"check {token}", derivative_order(name, arg))
+        if name == "secant" and arg + 1 > sample_lattice_size(chart.n):
+            raise InputError(f"check {token} needs k+1 = {arg + 1} distinct sample points, but"
+                             f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only"
+                             f" {sample_lattice_size(chart.n)}")
     results = []
     consistent = True
     for name, arg in checks:
         try:
             result = run_check(chart, name, arg, args.trials, args.seed)
-        except (AmbientMismatchError, AmbientTooSmallError) as exc:
+        except (AmbientMismatchError, AmbientTooSmallError, SingularPointError) as exc:
             raise InputError(f"check {name}: {exc}") from exc
         results.append(result)
         if result.get("consistent") is False or result.get("routes_agree") is False:
@@ -256,7 +267,7 @@ def cmd_audit_theorem(args) -> int:
     try:
         rep = defect_pipeline(chart, trials=args.trials, samples=args.trials,
                               seed=args.seed)
-    except (AmbientMismatchError, AmbientTooSmallError) as exc:
+    except (AmbientMismatchError, AmbientTooSmallError, SingularPointError) as exc:
         raise InputError(str(exc)) from exc
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .chart import (
     AmbientTooSmallError,
@@ -22,7 +23,7 @@ from .chart import (
     normalized_derivatives,
     unit_vectors,
 )
-from .exactlin import Matrix, Vector, vdot
+from .exactlin import Matrix, Vector
 from .secants import COORD_RADIUS, LinearSpan, sample_smooth_point
 
 _F0 = Fraction(0)
@@ -78,8 +79,8 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
     The generator list is stated for normalized jets (lambda = e_1,
     mu_1 = 0).  Their chart derivatives come from ``normalized_derivatives``,
     which contracts this chart's derivative table at the jet's base with the
-    normalizing frame; ``jet_normalize`` builds the same data symbolically
-    and serves as the reference route in tests.  Zero generators (e.g. the
+    normalizing frame; the symbolic substitution oracle in tests builds the
+    same data from a substituted chart.  Zero generators (e.g. the
     quintic combination on a quadratic chart) are kept in the list and
     flagged, they cannot affect the rank.
     """
@@ -119,7 +120,7 @@ def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
     m = Matrix.from_rows(tas.span.generators)
     covs = tuple(m.right_nullspace())
     for a in covs:  # nullspace contract: every covector kills every generator
-        assert all(vdot(a, v) == 0 for v in tas.span.generators)
+        assert not any(sum(map(mul, a, v)) for v in tas.span.generators)
     threshold = chart.r - jet.length * (chart.n + 1)
     sys_dim = len(covs) - 1
     return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=tas.dim,

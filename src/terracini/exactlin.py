@@ -4,9 +4,11 @@ Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
 all exact arithmetic over Q; no floating point anywhere.  Rank,
 determinant and nullspace run fraction-free (Bareiss) on
-denominator-cleared integer matrices via the kernel backend; a modular
-elimination with a 31-bit prime is available as a rank pre-screen that
-can only ever underestimate the true rank.
+denominator-cleared integer matrices via the kernel backend.  Rank has
+one route, ``span_rank`` / ``Matrix.rank_fast``: elimination modulo a
+31-bit prime, which can only underestimate, decides every full rank and
+Bareiss the rest.  Polynomials carry what the symbolic determinant audit
+(``poly_det``) needs; their reference routes live in ``tests/oracles.py``.
 
 The ground field type ``Rational`` is ``fractions.Fraction``, which
 guarantees the lowest-terms / positive-denominator invariants.
@@ -36,24 +38,8 @@ class NotSquareError(ValueError):
     """Determinant requested of a non-square matrix."""
 
 
-class BadPrimeError(ValueError):
-    """A stored denominator vanishes modulo the requested prime."""
-
-
 class BadIndexError(IndexError):
     """Variable index outside 0..num_vars-1."""
-
-
-class OrderMismatchError(ValueError):
-    """Curve component series shorter than the requested truncation order."""
-
-
-# ---------------------------------------------------------------------------
-# small vector helpers shared across the package
-# ---------------------------------------------------------------------------
-
-def vdot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _F0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,19 +75,11 @@ class Matrix:
         height = len(cols[0])
         return cls([[col[i] for col in cols] for i in range(height)])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
 
     def _cleared_rows(self) -> tuple[list[list[int]], list[int]]:
         """Integer rows after clearing each row's denominators; returns multipliers."""
@@ -112,14 +90,6 @@ class Matrix:
             out.append([int(x * m) for x in r])
             mults.append(m)
         return out, mults
-
-    def rank(self) -> int:
-        """Exact rank over Q (fraction-free elimination)."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        ints, _ = self._cleared_rows()
-        _, pivots, _ = bareiss_echelon(ints)
-        return len(pivots)
 
     def rank_fast(self) -> int:
         """Exact rank, using the modular pre-screen as a shortcut.
@@ -136,20 +106,6 @@ class Matrix:
             return full
         _, pivots, _ = bareiss_echelon(ints)
         return len(pivots)
-
-    def rank_mod(self, p: int) -> int:
-        """Rank of the entry-wise reduction mod p; requires no denominator divisible by p."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        reduced = []
-        for r in self.entries:
-            row = []
-            for x in r:
-                if x.denominator % p == 0:
-                    raise BadPrimeError(f"denominator {x.denominator} vanishes mod {p}")
-                row.append(x.numerator * pow(x.denominator, -1, p) % p)
-            reduced.append(row)
-        return mod_rank(reduced, p)
 
     def det(self) -> Fraction:
         """Exact determinant (Bareiss: last pivot of the fraction-free echelon)."""
@@ -190,27 +146,6 @@ class Matrix:
                 v[pc] = -s / ech[i][pc]
             basis.append(tuple(v))
         return basis
-
-
-def rank_exact(m: Matrix) -> int:
-    return m.rank()
-
-
-def rank_modular(m: Matrix, p: int) -> int:
-    return m.rank_mod(p)
-
-
-def determinant(m: Matrix) -> Fraction:
-    return m.det()
-
-
-def nullspace(m: Matrix, side: str = "right") -> list[Vector]:
-    """Kernel basis; ``side="left"`` gives the covectors a with a M = 0."""
-    if side == "right":
-        return m.right_nullspace()
-    if side == "left":
-        return m.transpose().right_nullspace()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -366,32 +301,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(self.num_vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def partial(self, i: int) -> "MultiPoly":
-        """Formal partial derivative with respect to variable i."""
-        if not 0 <= i < self.num_vars:
-            raise BadIndexError(f"variable index {i} out of range for {self.num_vars} vars")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[i] = k - 1
-            out[tuple(e2)] = c * k
-        return MultiPoly(self.num_vars, out)
-
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.num_vars:
             raise ValueError("point has wrong length")
@@ -403,40 +312,6 @@ class MultiPoly:
                     v *= Fraction(x) ** k
             total += v
         return total
-
-    def substitute_affine(self, base: Sequence[Fraction], m: Matrix) -> "MultiPoly":
-        """Substitute u_i = base_i + sum_j m[i][j] w_j; returns a polynomial in w."""
-        n = self.num_vars
-        if m.rows != n:
-            raise ValueError("substitution matrix has wrong height")
-        nw = m.cols
-        subs = []
-        for i in range(n):
-            p = MultiPoly.constant(nw, base[i])
-            for j in range(nw):
-                if m.entries[i][j]:
-                    p = p + MultiPoly.monomial(nw, tuple(1 if t == j else 0 for t in range(nw)),
-                                               m.entries[i][j])
-            subs.append(p)
-        out = MultiPoly.zero(nw)
-        # power cache per variable, filled on demand
-        powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(nw, 1)} for _ in range(n)]
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(nw, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    kk = max(cache)
-                    p = cache[kk]
-                    while kk < k:
-                        p = p * subs[i]
-                        kk += 1
-                        cache[kk] = p
-                term = term * cache[k]
-            out = out + term
-        return out
 
     def divexact(self, d: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ArithmeticError if d does not divide self."""
@@ -465,10 +340,6 @@ class MultiPoly:
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), _F0)
-
-
-def poly_partial(p: MultiPoly, i: int) -> MultiPoly:
-    return p.partial(i)
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -507,65 +378,6 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         prev = p
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-# ---------------------------------------------------------------------------
-# truncated power series in one parameter t
-# ---------------------------------------------------------------------------
-# A series truncated at order k is a tuple of k+1 coefficients (t^0 .. t^k).
-
-Series = tuple[Fraction, ...]
-
-
-def series_const(c, order: int) -> Series:
-    return (Fraction(c),) + (_F0,) * order
-
-
-def series_mul(a: Series, b: Series, order: int) -> Series:
-    out = [_F0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def poly_compose_curve(p: MultiPoly, curve: Sequence[Sequence[Fraction]],
-                       order: int) -> Series:
-    """Compose p with a tuple of truncated series u_i(t), truncated at ``order``.
-
-    Each curve component must carry coefficients at least up to t^order.
-    """
-    if len(curve) != p.num_vars:
-        raise OrderMismatchError(
-            f"curve has {len(curve)} components, polynomial has {p.num_vars} variables")
-    comps: list[Series] = []
-    for s in curve:
-        if len(s) < order + 1:
-            raise OrderMismatchError(
-                f"curve component truncated at {len(s) - 1} < requested order {order}")
-        comps.append(tuple(Fraction(x) for x in s[: order + 1]))
-    out = [_F0] * (order + 1)
-    powers: list[dict[int, Series]] = [{0: series_const(1, order)} for _ in comps]
-    for e, c in p.terms.items():
-        term = series_const(c, order)
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            cache = powers[i]
-            if k not in cache:
-                kk = max(cache)
-                s = cache[kk]
-                while kk < k:
-                    s = series_mul(s, comps[i], order)
-                    kk += 1
-                    cache[kk] = s
-            term = series_mul(term, cache[k], order)
-        for i, x in enumerate(term):
-            out[i] += x
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

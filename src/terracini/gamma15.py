@@ -149,16 +149,13 @@ def gamma15_degree_bound(chart: Chart) -> tuple[int, dict[str, int]]:
 
     per = {
         "x": udeg(0),
-        "x_i": n * udeg(1) + n * 0,
+        "x_i": n * udeg(1),
         "hessian contractions": n * (udeg(2) + 1),
         "quartic combination": udeg(2) + 4,
         "cubic combinations": n * (udeg(2) + 2),
         "quintic combination": udeg(3) + 5,
     }
-    total = udeg(0) + n * udeg(1) + per["hessian contractions"] \
-        + per["quartic combination"] + per["cubic combinations"] \
-        + per["quintic combination"]
-    return total, per
+    return sum(per.values()), per
 
 
 def gamma15_lamu_degree(n: int) -> int:
@@ -278,11 +275,11 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
             f"u_1-coordinate curve is not quasi-asymptotic at u1={u1}"
             f" (rank {check.rank} > {check.dependency_threshold})")
     base = (Fraction(u1),) + tuple(_F0 for _ in range(n - 1))
-    d = chart.derivative_table(base, 4)
-    vecs = [d[()]] + [d[(i,)] for i in range(n)]
-    vecs += [d[tuple(sorted((0, j)))] for j in range(n)]
-    vecs += [d[tuple(sorted((0, 0, k)))] for k in range(n)]
-    vecs.append(d[(0, 0, 0, 0)])
+    t = chart.integer_table(base, 4)
+    e = unit_vectors(n)
+    terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e]
+    terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 4]
+    vecs = [contract(t, [(1, vs)]) for vs in terms]
     return PiSpace(u1=Fraction(u1), span=LinearSpan.of(vecs, chart.r + 1))
 
 
@@ -391,13 +388,11 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
         e2[1] = 1                  # lam_2
         e2[n] = 1                  # mu_1
         coeff2 = sym.coefficient(tuple(e2))
-        d = chart.derivative_table(pt, 4)
-        cols_num = [d[()]] + [d[(i,)] for i in range(n)]
-        cols_num += [d[tuple(sorted((0, j)))] for j in range(n)]
-        cols_num.append(d[(0, 0, 0, 0)])
-        cols_num += [d[tuple(sorted((0, 0, k)))] for k in range(n)]
-        cols_num.append(d[tuple(sorted((0, 0, 0, 1)))])
-        derived = Matrix.from_columns(cols_num).det()
+        t = chart.integer_table(pt, 4)
+        e = unit_vectors(n)
+        terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e] + [(e[0],) * 4]
+        terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 3 + (e[1],)]
+        derived = Matrix.from_columns([contract(t, [(1, vs)]) for vs in terms]).det()
 
     bound = gamma15_lamu_degree(n)
     deg = sym.total_degree()

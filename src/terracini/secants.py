@@ -15,13 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chart import AmbientTooSmallError, Chart, contract, unit_vectors
+from .chart import AmbientTooSmallError, Chart, contract, multi_indices, unit_vectors
 from .exactlin import Vector, span_rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 COORD_RADIUS = 5  # sample coordinates drawn from [-5, 5]
+
+
+def sample_lattice_size(n: int) -> int:
+    """Number of distinct sample points, (2 * COORD_RADIUS + 1)^n."""
+    return (2 * COORD_RADIUS + 1) ** n
 
 
 class SingularPointError(ValueError):
@@ -74,13 +79,17 @@ def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
     vecs += [chart.derivative_vector(pt, (i,)) for i in range(chart.n)]
     span = LinearSpan.of(vecs, chart.r + 1)
     if span.rank < chart.n + 1:
-        raise SingularPointError(f"tangent rank {span.rank} < n+1 at {pt}")
+        raise SingularPointError(f"tangent rank {span.rank} < n+1 at"
+                                 f" ({', '.join(map(str, pt))}) on {chart.label}")
     return span
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
     """h-osculating space: span of all derivative vectors of order <= h."""
-    return LinearSpan.of([vec for _, vec in chart.taylor_block(pt, h)], chart.r + 1)
+    t = chart.integer_table(pt, h)
+    e = unit_vectors(chart.n)
+    return LinearSpan.of([contract(t, [(1, tuple(e[i] for i in idx))])
+                          for idx in multi_indices(chart.n, h)], chart.r + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +134,13 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     Each sample draws k+1 distinct smooth points; the span of their tangent
     spaces is the Terracini tangent space of the secant variety at a general
     point of the spanned plane, so its max dimension over the batch is the
-    observed secant dimension.
+    observed secant dimension.  The points come from the sample lattice, so
+    k+1 may not exceed its size.
     """
     if k < 1 or samples < 1:
         raise ValueError("need k >= 1 and samples >= 1")
+    if k + 1 > sample_lattice_size(chart.n):
+        raise ValueError(f"k+1 = {k + 1} exceeds the {sample_lattice_size(chart.n)} sample points")
     rng = random.Random(seed)
     expected = min(chart.r, k * chart.n + chart.n + k)
     best = -1
@@ -231,11 +243,8 @@ def osc2_regular_coordinate(chart: Chart, pt: Sequence[Fraction]) -> Osc2Coordin
     one).
     """
     n = chart.n
-    d = chart.derivative_table(pt, 3)
-    vecs = [d[()]] + [d[(i,)] for i in range(n)]
-    vecs += [d[tuple(sorted((0, i)))] for i in range(n)]
-    vecs += [d[tuple(sorted((0, 0, i)))] for i in range(n)]
-    rank = span_rank(vecs)
+    e = unit_vectors(n)
+    rank = span_rank(osc2_vectors(chart, pt, e[0], (0,) * n))
     return Osc2CoordinateVerdict(sufficient=(rank == 3 * n + 1), rank=rank,
                                  needed=3 * n + 1)
 

@@ -6,12 +6,30 @@ implementation that rank/determinant results are checked against, an
 ordered-tuple derivative contraction that ``chart.contract`` is checked
 against, and closed-form dimension counts that secant and osculating
 verdicts are checked against.
+
+The symbolic reference routes live here too, since only tests compare
+against them: derivative tables from a chain of formal partials evaluated
+term by term (``symbolic_table``), jet normalization by substituting the
+affine frame into every coordinate (``jet_normalize``), and curve
+derivatives from truncated-series composition (``composed_curve_series``).
+None of them reads the chart's integer derivative store.
+
+``rank_exact`` and ``rank_modular`` do call the package's elimination
+kernels, each on its own and without the modular screen that
+``span_rank`` puts in front of Bareiss, so the two can be compared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import mul
+
+from terracini._kernels import bareiss_echelon, mod_rank
+from terracini.chart import Chart, CurvilinearJet, _normalized_frame
+from terracini.exactlin import BadIndexError, Matrix, MultiPoly
+
+F0 = Fraction(0)
 
 
 def rref_rank(rows) -> int:
@@ -86,8 +104,8 @@ def vaccum(length: int, parts) -> tuple:
 def brute_contract(table, n: int, width: int, terms) -> tuple:
     """Sum of c * D^h x[v_1..v_h], one summand per ordered index tuple.
 
-    ``table`` maps sorted multi-indices to Fraction vectors (a chart's
-    ``derivative_table``); each term (c, (v_1, ..., v_h)) contributes
+    ``table`` maps sorted multi-indices to Fraction vectors (a
+    ``symbolic_table``); each term (c, (v_1, ..., v_h)) contributes
     c * v_1[i_1] ... v_h[i_h] * x_{i_1...i_h} for every (i_1, ..., i_h) in
     range(n)^h, so the n^h summands carry no symmetry reduction.
     """
@@ -99,3 +117,153 @@ def brute_contract(table, n: int, width: int, terms) -> tuple:
                 coeff *= v[i]
             parts.append((coeff, table[tuple(sorted(idx))]))
     return vaccum(width, parts)
+
+
+def dot(a, b) -> Fraction:
+    return sum(map(mul, a, b), F0)
+
+
+# ---------------------------------------------------------------------------
+# rank routes without the modular screen
+# ---------------------------------------------------------------------------
+
+def rank_exact(m: Matrix) -> int:
+    """Exact rank by fraction-free elimination alone."""
+    ints, _ = m._cleared_rows()
+    return len(bareiss_echelon(ints)[1])
+
+
+def rank_modular(m: Matrix, p: int) -> int:
+    """Rank of the entry-wise reduction mod p; no denominator may vanish mod p."""
+    return mod_rank([[x.numerator * pow(x.denominator, -1, p) % p for x in r]
+                     for r in m.entries], p)
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives and jet normalization
+# ---------------------------------------------------------------------------
+
+def partial(p: MultiPoly, i: int) -> MultiPoly:
+    """Formal partial derivative with respect to variable i."""
+    if not 0 <= i < p.num_vars:
+        raise BadIndexError(f"variable index {i} out of range for {p.num_vars} vars")
+    return MultiPoly(p.num_vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                  for e, c in p.terms.items() if e[i]})
+
+
+def symbolic_table(chart: Chart, pt, h: int) -> dict:
+    """{sorted multi-index: derivative vector at pt} for every order <= h.
+
+    Each mixed partial is a chain of formal partials of the coordinate
+    polynomials, evaluated term by term with ``MultiPoly.eval``.
+    """
+    polys = {(): chart.coords}
+    out = {}
+    for order in range(h + 1):
+        for idx in combinations_with_replacement(range(chart.n), order):
+            if idx:
+                polys[idx] = [partial(p, idx[-1]) for p in polys[idx[:-1]]]
+            out[idx] = tuple(p.eval(pt) for p in polys[idx])
+    return out
+
+
+def _power(cache: list, base, k: int, times):
+    """base^k, extending ``cache`` (cache[j] = base^j, cache[0] the unit)."""
+    while len(cache) <= k:
+        cache.append(times(cache[-1], base))
+    return cache[k]
+
+
+def substitute_affine(p: MultiPoly, base, m: Matrix) -> MultiPoly:
+    """Substitute u_i = base_i + sum_j m[i][j] w_j into p; a polynomial in w."""
+    nw = m.cols
+    subs = [sum((MultiPoly.variable(nw, j) * x for j, x in enumerate(row) if x),
+                MultiPoly.constant(nw, b)) for b, row in zip(base, m.entries)]
+    powers = [[MultiPoly.constant(nw, 1)] for _ in subs]
+    out = MultiPoly.zero(nw)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(nw, c)
+        for cache, s, k in zip(powers, subs, e):
+            if k:
+                term = term * _power(cache, s, k, mul)
+        out = out + term
+    return out
+
+
+def is_normalized(jet: CurvilinearJet) -> bool:
+    return jet.lam == (1,) + (0,) * (jet.n - 1) and jet.mu[0] == 0
+
+
+def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, CurvilinearJet]:
+    """Equivalent chart and jet with lambda = e_1, mu_1 = 0, base = 0.
+
+    The chart parameters undergo the affine change u = base + M w of
+    ``chart._normalized_frame`` and every coordinate polynomial is
+    substituted, so the normalized chart's derivatives can be read directly.
+    """
+    if is_normalized(jet) and not any(jet.base):
+        return chart, jet
+    m, new_jet = _normalized_frame(jet)
+    coords = tuple(substitute_affine(p, jet.base, m) for p in chart.coords)
+    return Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
+
+
+# ---------------------------------------------------------------------------
+# truncated power series in one parameter t: the composition route
+# ---------------------------------------------------------------------------
+# A series truncated at order k is a tuple of k+1 coefficients (t^0 .. t^k).
+
+class OrderMismatchError(ValueError):
+    """Curve component series shorter than the requested truncation order."""
+
+
+def series_const(c, order: int) -> tuple:
+    return (Fraction(c),) + (F0,) * order
+
+
+def series_mul(a, b, order: int) -> tuple:
+    out = [F0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_compose_curve(p: MultiPoly, curve, order: int) -> tuple:
+    """Compose p with truncated series u_i(t), truncated at ``order``.
+
+    Each curve component must carry coefficients at least up to t^order.
+    """
+    if len(curve) != p.num_vars:
+        raise OrderMismatchError(
+            f"curve has {len(curve)} components, polynomial has {p.num_vars} variables")
+    if any(len(s) < order + 1 for s in curve):
+        raise OrderMismatchError(f"a curve component is truncated below order {order}")
+    comps = [tuple(Fraction(x) for x in s[: order + 1]) for s in curve]
+
+    def times(a, b):
+        return series_mul(a, b, order)
+
+    powers = [[series_const(1, order)] for _ in comps]
+    out = [F0] * (order + 1)
+    for e, c in p.terms.items():
+        term = series_const(c, order)
+        for cache, s, k in zip(powers, comps, e):
+            if k:
+                term = times(term, _power(cache, s, k, times))
+        out = [a + b for a, b in zip(out, term)]
+    return tuple(out)
+
+
+def curve_series(jet, order: int) -> list[tuple]:
+    """Component series of u(t) = base + lam t + ... + sigma t^5, truncated at order."""
+    coeffs = [jet.base, jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma]
+    return [tuple(coeffs[k][i] if k < len(coeffs) else F0 for k in range(order + 1))
+            for i in range(jet.n)]
+
+
+def composed_curve_series(chart: Chart, jet, order: int = 5) -> list[tuple]:
+    """Coordinate-wise truncated series of t -> x(u(t)); the composition route."""
+    curve = curve_series(jet, order)
+    return [poly_compose_curve(p, curve, order) for p in chart.coords]

@@ -15,10 +15,8 @@ from terracini.chart import (
     DegenerateJetError,
     FiveJet,
     chart_to_obj,
-    composed_curve_series,
     contract,
     curve_derivatives,
-    jet_normalize,
     load_chart,
     multi_indices,
     normalized_derivatives,
@@ -29,7 +27,14 @@ from terracini.chart import (
 )
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, MultiPoly, span_rank
-from oracles import brute_contract
+from terracini.secants import osculating_space
+from oracles import (
+    brute_contract,
+    composed_curve_series,
+    is_normalized,
+    jet_normalize,
+    symbolic_table,
+)
 
 
 def rand_fivejet(rng, n, base_hi=2, hi=4):
@@ -91,31 +96,24 @@ def rational_chart():
     return Chart("rational", n, len(coords) - 1, coords)
 
 
-def reference_vector(chart, pt, idx):
-    """Derivative vector through the symbolic partial chain and MultiPoly.eval."""
-    polys = chart.coords
-    for i in idx:
-        polys = [p.partial(i) for p in polys]
-    return tuple(p.eval(pt) for p in polys)
-
-
 @pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7), F(0)), (F(2), F(-1), F(3)),
                                 (F(5, 3), F(-5, 6), F(1, 4))])
 @pytest.mark.parametrize("make", [rational_chart, lambda: make_random_variety(3, 5, 9, 5)],
                          ids=["rational", "random"])
 def test_integer_kernel_matches_symbolic_reference(make, pt):
     c = make()
-    table = c.derivative_table(pt, 5)
-    block = c.taylor_block(pt, 5)
-    indices = multi_indices(3, 5)
-    assert list(table) == [idx for idx, _ in block] == indices
-    for idx, vec in block:
-        ref = reference_vector(c, pt, idx)
-        assert table[idx] == vec == ref
-        assert c.derivative_vector(pt, idx[::-1]) == ref
+    reference = symbolic_table(c, pt, 5)
+    itable = c.integer_table(pt, 5)
+    assert list(reference) == multi_indices(3, 5)
+    assert set(itable.nums) == {idx for idx, ref in reference.items() if any(ref)}
+    for idx, ref in reference.items():
+        nums = itable.nums.get(idx, (0,) * (c.r + 1))
+        assert tuple(F(num, den) for num, den in zip(nums, itable.dens)) == ref
+        vec = c.derivative_vector(pt, idx[::-1])
+        assert vec == ref
         assert all(type(x) is F for x in vec)
     # both charts are quintic, so order 5 is reached
-    assert any(any(vec) for idx, vec in block if len(idx) == 5)
+    assert itable.top == 5
 
 
 def test_integer_kernel_rejects_bad_index_and_point_length():
@@ -127,7 +125,7 @@ def test_integer_kernel_rejects_bad_index_and_point_length():
     with pytest.raises(ValueError, match="wrong length"):
         c.derivative_vector((F(0), F(0)), (0,))
     with pytest.raises(ValueError, match="wrong length"):
-        c.derivative_table(origin + (F(1),), 2)
+        c.integer_table(origin + (F(1),), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ CONTRACTIONS = {
                          ids=["rational", "random"])
 def test_contract_matches_ordered_tuple_oracle(make, pt):
     c = make()
-    table = c.derivative_table(pt, 5)
+    table = symbolic_table(c, pt, 5)
     itable = c.integer_table(pt, 5)
     assert itable.top == 5  # both charts are quintic
     for name, terms in CONTRACTIONS.items():
@@ -191,28 +189,30 @@ def test_contract_rejects_orders_above_the_table_and_wrong_lengths():
 
 
 # ---------------------------------------------------------------------------
-# taylor blocks
+# taylor blocks: the derivative vectors of order <= h that span osculating spaces
 # ---------------------------------------------------------------------------
 
 def test_taylor_block_h0():
     c = make_veronese(2, 2)
-    block = c.taylor_block((F(1), F(1)), 0)
-    assert len(block) == 1 and block[0][0] == ()
+    pt = (F(1), F(1))
+    block = osculating_space(c, pt, 0).generators
+    assert block == (c.derivative_vector(pt, ()),)
 
 
 def test_taylor_block_count_and_smooth_rank():
     c = make_random_variety(3, 3, 9, 4)
     pt = (F(0), F(0), F(0))
-    block = c.taylor_block(pt, 2)
+    block = osculating_space(c, pt, 2).generators
     assert len(block) == math.comb(3 + 2, 2)
-    order1 = [vec for idx, vec in block if len(idx) <= 1]
+    assert block == tuple(symbolic_table(c, pt, 2).values())
+    order1 = block[:4]  # multi-indices come by order: (), (0,), (1,), (2,), ...
     assert span_rank(order1) == 4  # n+1 on a smooth chart
 
 
 def test_quadratic_veronese_fills_ambient_at_order_2():
     c = make_veronese(4, 2)
     pt = (F(1), F(-2), F(3), F(1))
-    block = [vec for _, vec in c.taylor_block(pt, 2)]
+    block = osculating_space(c, pt, 2).generators
     assert len(block) == 15 and span_rank(block) == 15
 
 
@@ -261,7 +261,7 @@ def test_normalized_jet_spans_same_tangent_dimension():
                              mu=tuple(F(rng.randint(-4, 4)) for _ in range(4)),
                              length=3)
         nc, nj = jet_normalize(c, jet)
-        assert nj.is_normalized()
+        assert is_normalized(nj)
         # tangent_along contracts the chart's own derivatives; the substituted
         # chart is the reference route, and both must give the same generators
         via_contraction = tangent_along(c, jet)
@@ -285,7 +285,7 @@ def test_contracted_derivatives_match_substituted_chart(lam):
     def dw(*idx):  # the w-index idx as one term over unit directions
         return cw([(1, tuple(e[i] for i in idx))])
 
-    reference = nc.derivative_table(nj.base, 5)
+    reference = symbolic_table(nc, nj.base, 5)
     assert any(reference[idx] != (F(0),) * (c.r + 1) for idx in multi_indices(2, 5)
                if len(idx) == 5)
     for idx, vec in reference.items():
@@ -324,8 +324,8 @@ def test_projection_preserves_span_ranks():
     proj = project_generic(c, 8, seed=7)
     for _ in range(5):
         pt = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-        before = [vec for _, vec in c.taylor_block(pt, 2)]
-        after = [vec for _, vec in proj.taylor_block(pt, 2)]
+        before = osculating_space(c, pt, 2).generators
+        after = osculating_space(proj, pt, 2).generators
         assert span_rank(before) >= span_rank(after)
         # a generic projection to P^8 cannot lose a 6-dimensional span
         assert span_rank(after) == min(span_rank(before), 9)
@@ -427,6 +427,12 @@ def test_chart_json_big_integers():
     (lambda o: o["coords"][0].__setitem__(0, {"exp": [1], "num": "x", "den": "1"}),
      "num/den"),
     (lambda o: o["coords"][0][0].__setitem__("exp", [1, 2, 3]), "exp"),
+    # JSON booleans are Python ints, and floats would truncate through int()
+    (lambda o: o.__setitem__("n", True), "n must be a positive integer"),
+    (lambda o: o.__setitem__("r", True), "r must be a positive integer"),
+    (lambda o: o["coords"][1][0].__setitem__("exp", [True]), "nonnegative integers"),
+    (lambda o: o["coords"][1][0].__setitem__("num", 2.7), "decimal-string"),
+    (lambda o: o["coords"][1][0].__setitem__("den", 1), "needs decimal-string num/den"),
 ])
 def test_chart_json_errors(mutate, fragment):
     obj = chart_to_obj(make_veronese(1, 2))

@@ -140,6 +140,52 @@ def test_bad_counts_exit_1_with_message(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def _monomial_chart(label, exps):
+    """Chart document whose coordinates are the monomials u^e, e in exps."""
+    return {"label": label, "n": 2, "r": len(exps) - 1,
+            "coords": [[{"exp": list(e), "num": "1", "den": "1"}] for e in exps]}
+
+
+# Jacobian rank 1 everywhere, so no sample point is smooth.
+U1_ONLY = _monomial_chart("u1-only", [(0, 0), (1, 0), (2, 0)])
+# Homogeneous: x lies in the span of x_1, x_2, so every tangent span has rank 2.
+HOMOGENEOUS = _monomial_chart("homogeneous", [(2, 0), (1, 1), (0, 2)])
+
+
+@pytest.mark.parametrize("doc, check, message", [
+    (U1_ONLY, "secant:1", "no smooth sample found on u1-only"),
+    (U1_ONLY, "osc:1", "no smooth sample found on u1-only"),
+    (U1_ONLY, "speciality:2", "no smooth sample found on u1-only"),
+    (HOMOGENEOUS, "secant:1", "tangent rank 2 < n+1 at ("),
+    # these read no tangent space and terminate with a report
+    (HOMOGENEOUS, "osc:1", None),
+    (HOMOGENEOUS, "speciality:2", None),
+], ids=["u1-secant", "u1-osc", "u1-speciality", "homogeneous-secant",
+        "homogeneous-osc", "homogeneous-speciality"])
+def test_chart_without_usable_points_exits_1_with_message(capsys, tmp_path, doc, check,
+                                                          message):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--variety", f"file:{path}", "--check", check)
+    assert "Traceback" not in err
+    if message is None:
+        assert code == 0 and json.loads(out)["results"][0]["check"] == check
+        return
+    assert code == 1
+    assert out == ""
+    assert err.startswith("terracini: error:") and message in err
+
+
+def test_audit_theorem_without_smooth_points_exits_1(capsys, tmp_path):
+    doc = _monomial_chart("u1-only-p8", [(k, 0) for k in range(9)])
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "audit-theorem", "--variety", f"file:{path}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("terracini: error:") and "no smooth sample found" in err
+
+
 def _limit_child_memory():
     # Runs in the child only: a size check that let the work start would hit
     # this limit (or the timeout) instead of the host's memory.
@@ -179,6 +225,25 @@ def test_oversized_derivative_table_is_refused_before_any_work(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("terracini: error:")
     assert f"above the cap of {MAX_TABLE_ENTRIES}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("variety, k, points", [("veronese:1:3", 11, 11),
+                                                ("veronese:2:2", 121, 121)])
+def test_secant_beyond_the_sample_lattice_is_refused(variety, k, points):
+    # k+1 distinct points cannot be drawn from the 11^n points of [-5, 5]^n;
+    # without the refusal the draw loops forever
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
+         "--check", "secant:1", "--check", f"secant:{k}"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"k+1 = {k + 1} distinct sample points" in proc.stderr
+    assert f"holds only {points}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -27,7 +27,7 @@ from terracini.gamma15 import (
     pi_constancy_check,
     pi_space,
 )
-from oracles import vaccum
+from oracles import jet_normalize, symbolic_table, vaccum
 
 
 def degenerate_chart_p8() -> Chart:
@@ -83,7 +83,7 @@ def test_columns_reduce_to_coordinate_vectors_at_axis_jet():
     mu = (F(0), F(0))
     gm = gamma15_matrix(c, pt, lam, mu)
     cols = [tuple(gm.matrix.entries[i][j] for i in range(9)) for j in range(9)]
-    d = c.derivative_table(pt, 5)
+    d = symbolic_table(c, pt, 5)
     assert cols[0] == d[()]
     assert cols[1] == d[(0,)] and cols[2] == d[(1,)]
     assert cols[3] == d[(0, 0)] and cols[4] == d[(0, 1)]        # hessian block
@@ -169,7 +169,8 @@ def test_identically_zero_reports_error_bound():
     assert v.sz.trials == 12
     assert 0 < v.sz.error_bound < F(1, 32) ** 12 * F(2)
     bound, per_column = gamma15_degree_bound(make_veronese(4, 2))
-    assert v.degree_bound == bound
+    # degree 2, n = 4: 2 + 4*1 + 4*1 + 4 + 4*2 + 5
+    assert v.degree_bound == bound == sum(per_column.values()) == 27
     assert bound >= gamma15_lamu_degree(4)
     assert set(per_column) == {"x", "x_i", "hessian contractions",
                                "quartic combination", "cubic combinations",
@@ -231,7 +232,7 @@ def test_cubic_vector_lies_in_documented_span_across_catalog():
             if all(x == 0 for x in lam):
                 lam = (F(1),) * n
             mu = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-            d = c.derivative_table(pt, 3)
+            d = symbolic_table(c, pt, 3)
 
             def dv(*idx):
                 return d[tuple(sorted(idx))]
@@ -372,7 +373,6 @@ def test_defect_pipeline_never_reports_violation_across_catalog():
 def test_normalization_preserves_downstream_verdicts():
     # jet normalization must not change the tangent generators or the
     # vanishing pattern of the determinant at the jet
-    from terracini.chart import jet_normalize
     from terracini.curvilinear import tangent_along
 
     rng = random.Random(66)

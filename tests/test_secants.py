@@ -18,6 +18,7 @@ from terracini.secants import (
     secant_defect,
     tangent_space,
 )
+from oracles import rref_rank, symbolic_table
 
 
 def hyperplane_bound_chart() -> Chart:
@@ -107,6 +108,12 @@ def test_secant_dimension_monotone_in_k():
     assert all(secant_defect(c, k, samples=3, seed=5).defect >= 0 for k in (1, 2))
 
 
+def test_secant_needs_no_more_points_than_the_sample_lattice():
+    assert secant_defect(make_veronese(1, 3), 10, samples=1, seed=0).observed == 3
+    with pytest.raises(ValueError, match="exceeds the 11 sample points"):
+        secant_defect(make_veronese(1, 3), 11, samples=1, seed=0)
+
+
 def test_secant_witness_points_are_recorded():
     rec = secant_defect(make_veronese(2, 2), 1, samples=2, seed=7)
     assert len(rec.witness_points[0]) == 2
@@ -171,6 +178,19 @@ def test_coordinate_condition_on_quintic_curve():
 def test_coordinate_condition_inconclusive_in_hyperplane():
     res = osc2_regular_coordinate(hyperplane_bound_chart(), (F(0), F(0)))
     assert not res.sufficient
+
+
+def test_coordinate_condition_reads_the_u1_curve():
+    # x_11, x_111 and x_112 vanish at 0; read along u_2 the vectors have rank 7
+    u1, u2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    coords = (MultiPoly.constant(2, 1), u1, u2, u1 * u2, u2 * u2, u1 * u2 * u2, u2 * u2 * u2)
+    c = Chart("curved-along-u2", 2, 6, coords)
+    pt = (F(0), F(0))
+    d = symbolic_table(c, pt, 3)
+    ref = rref_rank([d[()], d[(0,)], d[(1,)], d[(0, 0)], d[(0, 1)], d[(0, 0, 0)],
+                     d[(0, 0, 1)]])
+    res = osc2_regular_coordinate(c, pt)
+    assert res.rank == ref == 4 and not res.sufficient
 
 
 def test_coordinate_condition_implies_general_condition():
