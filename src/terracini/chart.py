@@ -14,9 +14,13 @@ differentiation.  A point is scaled to a common denominator q, one table
 of integer powers is built per point and shared by every multi-index of
 the request.  ``integer_table`` returns integers over one denominator per
 coordinate, and every derivative combination of the analysis is a list of
-terms that ``contract`` sums over one such table.  ``derivative_vector``
-reads a single multi-index as canonical ``Fraction``s for the smoothness
-test and the tangent space.
+terms that ``contract`` sums over one such table.  ``contract_numerators``
+gives the same sum as integer numerators and one scale; entry c's
+denominator is den_c times a factor of the point and the terms, so ranks
+and determinants are taken of the numerators (a row scale times a column
+scale) and ``contract`` builds canonical ``Fraction``s from them only where
+exact values are kept.  ``derivative_vector`` reads a single multi-index as
+``Fraction``s for the smoothness test.
 
 ``normalized_derivatives`` normalizes a jet by contracting the chart's
 own derivative table at the jet's base point through the affine frame
@@ -209,8 +213,7 @@ class Chart:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
         (row,), scale = self._numerators(pt, (key,))
-        return tuple(Fraction(num, den * scale) if num else _F0
-                     for num, den in zip(row, self._dens))
+        return fraction_vector(row, self._dens, scale)
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads."""
@@ -245,6 +248,11 @@ class Chart:
 # contraction of the derivative tensor with direction vectors
 # ---------------------------------------------------------------------------
 
+def fraction_vector(nums: Sequence[int], dens: Sequence[int], scale: int = 1) -> Vector:
+    """The exact vector of a numerator form: entry c is nums[c] / (dens[c] * scale)."""
+    return tuple(Fraction(a, d * scale) if a else _F0 for a, d in zip(nums, dens))
+
+
 def _times(part: dict, v: Sequence) -> dict:
     """Multiply {sorted multi-index: scalar} by the linear form sum_i v[i] e_i."""
     out: dict = {}
@@ -256,17 +264,19 @@ def _times(part: dict, v: Sequence) -> dict:
     return out
 
 
-def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
-    """Sum of c * D^h x[v_1, ..., v_h] over ``terms`` (c, (v_1, ..., v_h)).
+def contract_numerators(table: IntegerTable, terms: Sequence[tuple]) -> tuple[list, int]:
+    """Numerator form (ints, scale) of ``contract``: entry c is ints[c] / (dens[c] * scale).
 
-    D^h x[v_1, ..., v_h] sums v_1[i_1] ... v_h[i_h] x_{i_1...i_h} over ordered
-    indices.  Each product of linear forms is expanded into {sorted
-    multi-index: scalar}, merging keys at every step, so each distinct
-    derivative is read once, in one pass over the width.  Numeric directions
-    and coefficients are cleared to integers with one common denominator, so
-    each entry leaves as a single canonical Fraction; ring scalars (the
-    MultiPoly lambda, mu of the symbolic audit) go through the same
-    expansion and come back as ring elements.
+    ``dens`` is ``table.dens``.  Each product of linear forms is expanded
+    into {sorted multi-index: scalar}, merging keys at every step, so each
+    distinct derivative is read once, in one pass over the width.  Numeric
+    directions and coefficients are cleared to integers with one common
+    denominator, which ``scale`` carries; ring scalars (the MultiPoly
+    lambda, mu of the symbolic audit) go through the same expansion with
+    scale 1 and come back as ring elements.  Every vector contracted from
+    one chart's tables is its numerators over a row scale (q^D * scale)
+    times a column scale (den_c), so ranks and determinants can be taken
+    of the numerators.
     """
     for _, vs in terms:
         if len(vs) > table.order:
@@ -275,13 +285,14 @@ def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
             raise ValueError(f"direction length differs from the chart's n={table.n}")
     terms = [(c, vs) for c, vs in terms if len(vs) <= table.top]  # the rest read zeros
     vecs = {id(v): v for _, vs in terms for v in vs}
-    numeric = all(isinstance(x, (int, Fraction)) for v in vecs.values() for x in v)
-    if numeric:
+    if all(isinstance(x, (int, Fraction)) for v in vecs.values() for x in v):
         s = math.lcm(*(x.denominator for v in vecs.values() for x in v))
-        vecs = {k: tuple((x * s).numerator for x in v) for k, v in vecs.items()}
-        weights = [Fraction(c) / s ** len(vs) for c, vs in terms]
-        scale = math.lcm(*(w.denominator for w in weights))
-        mults = [(w * scale).numerator for w in weights]
+        vecs = {k: tuple(x.numerator * (s // x.denominator) for x in v)
+                for k, v in vecs.items()}
+        # term c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] / (c.denominator s^h)
+        dens = [c.denominator * s ** len(vs) for c, vs in terms]
+        scale = math.lcm(*dens)
+        mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
     else:
         scale, mults = 1, [c for c, _ in terms]
     coeffs: dict = {}
@@ -296,10 +307,20 @@ def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
         row = table.nums.get(key)
         if row is not None:
             acc = list(map(add, acc, map(mul, row, repeat(x))))
-    dens = [den * scale for den in table.dens]
-    if numeric:
-        return tuple(Fraction(a, d) if a else _F0 for a, d in zip(acc, dens))
-    return tuple(a * Fraction(1, d) for a, d in zip(acc, dens))
+    return acc, scale
+
+
+def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
+    """Sum of c * D^h x[v_1, ..., v_h] over ``terms`` (c, (v_1, ..., v_h)).
+
+    D^h x[v_1, ..., v_h] sums v_1[i_1] ... v_h[i_h] x_{i_1...i_h} over ordered
+    indices.  Numeric terms give canonical Fractions, built from
+    ``contract_numerators``; ring scalars give ring elements.
+    """
+    acc, scale = contract_numerators(table, terms)
+    if all(type(a) is int for a in acc):
+        return fraction_vector(acc, table.dens, scale)
+    return tuple(a * Fraction(1, d) for a, d in zip(acc, table.dens))  # scale is 1
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +459,17 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 # curve derivatives through a chart (orders 1..5)
 # ---------------------------------------------------------------------------
 
-def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
+def curve_derivatives(chart: Chart, jet: FiveJet, table: IntegerTable | None = None
+                      ) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
 
-    Faa di Bruno terms over the chart's derivative table, contracted with
-    the jet coefficients; independently equal to k! times the t^k
-    coefficients of the composed curve (the composition oracle in tests),
-    which validates each assembly.
+    Faa di Bruno terms over the chart's order-5 derivative table at the
+    jet's base (``table``, if given), contracted with the jet coefficients;
+    independently equal to k! times the t^k coefficients of the composed
+    curve (the composition oracle in tests), which validates each assembly.
     """
     lam, mu, nu, rho, sig = jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma
-    t = chart.integer_table(jet.base, 5)
+    t = chart.integer_table(jet.base, 5) if table is None else table
     return (contract(t, [(1, (lam,))]),
             contract(t, [(1, (lam, lam)), (2, (mu,))]),
             contract(t, [(1, (lam,) * 3), (6, (lam, mu)), (6, (nu,))]),

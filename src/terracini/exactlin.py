@@ -2,13 +2,18 @@
 
 Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
-all exact arithmetic over Q; no floating point anywhere.  Rank,
-determinant and nullspace run fraction-free (Bareiss) on
-denominator-cleared integer matrices via the kernel backend.  Rank has
-one route, ``span_rank`` / ``Matrix.rank_fast``: elimination modulo a
-31-bit prime, which can only underestimate, decides every full rank and
-Bareiss the rest.  Polynomials carry what the symbolic determinant audit
-(``poly_det``) needs; their reference routes live in ``tests/oracles.py``.
+all exact arithmetic over Q; no floating point anywhere.  Rank and
+determinant run on integer rows.  Rows of ``int`` go to the elimination
+kernels as they are; that is how the numerators read from a chart's
+derivative table arrive, and rank ignores their nonzero row and column
+scales.  ``Fraction`` rows are cleared per row with integer arithmetic
+first.  Rank has one route, ``span_rank``: elimination modulo a 31-bit
+prime, which can only underestimate, decides every full rank and
+fraction-free Bareiss the rest.  ``integer_det`` is the last Bareiss pivot;
+``Matrix.det`` divides it by the row multipliers once.  The ``Fraction``
+``Matrix`` remains for nullspaces and square solves.  Polynomials carry
+what the symbolic determinant audit (``poly_det``) needs; their reference
+routes live in ``tests/oracles.py``.
 
 The ground field type ``Rational`` is ``fractions.Fraction``, which
 guarantees the lowest-terms / positive-denominator invariants.
@@ -81,47 +86,16 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _cleared_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Integer rows after clearing each row's denominators; returns multipliers."""
-        out = []
-        mults = []
-        for r in self.entries:
-            m = lcm(*(x.denominator for x in r)) if r else 1
-            out.append([int(x * m) for x in r])
-            mults.append(m)
-        return out, mults
-
-    def rank_fast(self) -> int:
-        """Exact rank, using the modular pre-screen as a shortcut.
-
-        If the reduction mod SCREEN_PRIME already has full rank, the exact
-        rank equals it (modular rank never exceeds the exact one); otherwise
-        fall back to the fraction-free elimination.
-        """
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        ints, _ = self._cleared_rows()
-        full = min(self.rows, self.cols)
-        if mod_rank(ints, SCREEN_PRIME) == full:
-            return full
-        _, pivots, _ = bareiss_echelon(ints)
-        return len(pivots)
-
     def det(self) -> Fraction:
-        """Exact determinant (Bareiss: last pivot of the fraction-free echelon)."""
+        """Exact determinant: Bareiss on the cleared rows, over their multipliers."""
         if self.rows != self.cols:
             raise NotSquareError(f"{self.rows}x{self.cols} matrix has no determinant")
-        n = self.rows
-        if n == 0:
-            return _F1
-        ints, mults = self._cleared_rows()
-        ech, pivots, sign = bareiss_echelon(ints)
-        if len(pivots) < n:
-            return _F0
-        scale = 1
-        for m in mults:
+        ints, scale = [], 1
+        for r in self.entries:
+            row, m = cleared_row(r)
+            ints.append(row)
             scale *= m
-        return Fraction(sign * ech[n - 1][pivots[-1]], scale)
+        return Fraction(integer_det(ints), scale)
 
     def right_nullspace(self) -> list[Vector]:
         """Basis of {v : M v = 0}, one vector per non-pivot column."""
@@ -130,8 +104,7 @@ class Matrix:
         if self.rows == 0:
             return [tuple(_F1 if i == j else _F0 for i in range(self.cols))
                     for j in range(self.cols)]
-        ints, _ = self._cleared_rows()
-        ech, pivots, _ = bareiss_echelon(ints)
+        ech, pivots, _ = bareiss_echelon([cleared_row(r)[0] for r in self.entries])
         pivot_set = set(pivots)
         free_cols = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
@@ -148,12 +121,48 @@ class Matrix:
         return basis
 
 
-def span_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the span of a family of vectors (modular pre-screen enabled)."""
-    vectors = [v for v in vectors]
-    if not vectors:
+def cleared_row(row: Sequence) -> tuple[Sequence[int], int]:
+    """Integer row m * row and its multiplier m; a row of ints comes back as is.
+
+    For Fractions, m is the lcm of the denominators and each entry becomes
+    ``x.numerator * (m // x.denominator)``: integer arithmetic only.
+    """
+    if all(type(x) is int for x in row):
+        return row, 1
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row], m
+
+
+def span_rank(vectors: Sequence[Sequence]) -> int:
+    """Rank of the span of a family of vectors (modular pre-screen enabled).
+
+    Entries are ints or Fractions.  Rank does not change under nonzero row
+    and column scales, so rows of integer numerators read from derivative
+    tables of one chart (entry c over den_c times a per-row factor) can be
+    ranked as they are.  If the reduction mod SCREEN_PRIME has full rank,
+    that is the exact rank (modular rank never exceeds it); otherwise
+    fraction-free elimination decides.
+    """
+    rows = [cleared_row(v)[0] for v in vectors]
+    if not rows or not rows[0]:
         return 0
-    return Matrix.from_rows(vectors).rank_fast()
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    full = min(len(rows), len(rows[0]))
+    if mod_rank(rows, SCREEN_PRIME) == full:
+        return full
+    return len(bareiss_echelon(rows)[1])
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the last fraction-free pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquareError(f"{n}-row matrix is not square")
+    if n == 0:
+        return 1
+    ech, pivots, sign = bareiss_echelon(rows)
+    return sign * ech[n - 1][pivots[-1]] if len(pivots) == n else 0
 
 
 def solve_square(m: Matrix, rhs: Sequence[Fraction]) -> Vector:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .chart import (
@@ -30,8 +32,11 @@ from .chart import (
     Chart,
     DegenerateJetError,
     FiveJet,
+    IntegerTable,
     contract,
+    contract_numerators,
     curve_derivatives,
+    fraction_vector,
     unit_vectors,
 )
 from .curvilinear import (
@@ -45,6 +50,7 @@ from .exactlin import (
     MultiPoly,
     SZResult,
     Vector,
+    integer_det,
     poly_det,
     span_rank,
     sz_zero_test,
@@ -81,17 +87,18 @@ def _require_square_ambient(chart: Chart) -> None:
 # the (3n+3)-square determinant matrix
 # ---------------------------------------------------------------------------
 
-def _gamma15_columns(chart: Chart, pt: Sequence[Fraction], lam, mu):
-    """Columns of the determinant matrix, contracted from one table at pt.
+def _gamma15_columns(t: IntegerTable, lam, mu, form=contract):
+    """Columns of the determinant matrix, contracted from one order-5 table.
 
-    ``contract`` expands over the scalars of lam and mu: Fractions give
-    numeric columns, MultiPoly scalars the symbolic expansion.  Column order
+    Each column is ``form(table, terms)``: ``contract`` expands over the
+    scalars of lam and mu (Fractions give numeric columns, MultiPoly
+    scalars the symbolic expansion), ``contract_numerators`` gives the
+    numerator form of a numeric column.  Column order
     is fixed: x; x_1..x_n; the n Hessian contractions sum_i x_ij lam_i; the
     quartic combination; the n cubic combinations
     2 sum_i x_ik mu_i + sum_ij x_ijk lam_i lam_j; the quintic combination.
     """
-    n = chart.n
-    t = chart.integer_table(pt, 5)
+    n = t.n
     e = unit_vectors(n)
     groups = [("x", [(1, ())])]
     groups += [(f"x_{i + 1}", [(1, (e[i],))]) for i in range(n)]
@@ -102,16 +109,41 @@ def _gamma15_columns(chart: Chart, pt: Sequence[Fraction], lam, mu):
                for k in range(n)]
     groups.append(("quintic combination",
                    [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu))]))
-    return [contract(t, terms) for _, terms in groups], [label for label, _ in groups]
+    return [form(t, terms) for _, terms in groups], [label for label, _ in groups]
+
+
+def _columns_det(dens: Sequence[int], cols: Sequence[tuple[Sequence[int], int]]) -> Fraction:
+    """Determinant of the square matrix whose column j has entry c = nums_j[c] / (dens[c] * s_j).
+
+    ``cols`` holds the numerator forms (nums_j, s_j).  Scaling rows and
+    columns scales the determinant by their product, so it is the integer
+    determinant of the numerators divided once by prod(dens) * prod(s_j).
+    """
+    return Fraction(integer_det([nums for nums, _ in cols]),
+                    prod(dens) * prod(s for _, s in cols))
 
 
 @dataclass(frozen=True)
 class Gamma15Matrix:
+    """The determinant matrix as integer columns: entry c of column j is
+    ``columns[j][c] / (dens[c] * scales[j])``."""
+
     pt: Vector
     lam: Vector
     mu: Vector
-    matrix: Matrix
+    columns: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+    dens: tuple[int, ...]
     column_labels: tuple[str, ...]
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The matrix over Q, built on first use."""
+        return Matrix.from_columns([fraction_vector(col, self.dens, s)
+                                    for col, s in zip(self.columns, self.scales)])
+
+    def det(self) -> Fraction:
+        return _columns_det(self.dens, list(zip(self.columns, self.scales)))
 
 
 def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
@@ -122,15 +154,18 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     mu = tuple(Fraction(x) for x in mu)
     if all(c == 0 for c in lam):
         raise DegenerateJetError("lambda = 0")
-    cols, labels = _gamma15_columns(chart, pt, lam, mu)
-    return Gamma15Matrix(pt=tuple(Fraction(x) for x in pt), lam=lam, mu=mu,
-                         matrix=Matrix.from_columns(cols),
+    pt = tuple(Fraction(x) for x in pt)
+    t = chart.integer_table(pt, 5)
+    cols, labels = _gamma15_columns(t, lam, mu, contract_numerators)
+    return Gamma15Matrix(pt=pt, lam=lam, mu=mu,
+                         columns=tuple(tuple(nums) for nums, _ in cols),
+                         scales=tuple(s for _, s in cols), dens=t.dens,
                          column_labels=tuple(labels))
 
 
 def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
                 mu: Sequence[Fraction]) -> Fraction:
-    return gamma15_matrix(chart, pt, lam, mu).matrix.det()
+    return gamma15_matrix(chart, pt, lam, mu).det()
 
 
 def gamma15_degree_bound(chart: Chart) -> tuple[int, dict[str, int]]:
@@ -226,12 +261,14 @@ class FiveJetRankCheck:
     vector_count: int           # n + 6
 
 
-def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
+def five_jet_rank_check(chart: Chart, jet: FiveJet,
+                        table: IntegerTable | None = None) -> FiveJetRankCheck:
+    """The check read from the order-5 table at the jet's base (``table``, if given)."""
     _require_square_ambient(chart)
     n = chart.n
-    x = chart.derivative_vector(jet.base, ())
-    xi = [chart.derivative_vector(jet.base, (i,)) for i in range(n)]
-    rank = span_rank([x] + xi + list(curve_derivatives(chart, jet)))
+    t = chart.integer_table(jet.base, 5) if table is None else table
+    tangent = [contract(t, [(1, vs)]) for vs in [()] + [(ei,) for ei in unit_vectors(n)]]
+    rank = span_rank(tangent + list(curve_derivatives(chart, jet, t)))
     return FiveJetRankCheck(rank=rank, condition_holds=(rank <= n + 4),
                             dependency_threshold=n + 4, structural_bound=n + 5,
                             vector_count=n + 6)
@@ -269,13 +306,13 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
     """
     _require_square_ambient(chart)
     n = chart.n
-    check = five_jet_rank_check(chart, _coordinate_five_jet(chart, u1))
+    jet = _coordinate_five_jet(chart, u1)
+    t = chart.integer_table(jet.base, 5)
+    check = five_jet_rank_check(chart, jet, t)
     if not check.condition_holds:
         raise PreconditionFailedError(
             f"u_1-coordinate curve is not quasi-asymptotic at u1={u1}"
             f" (rank {check.rank} > {check.dependency_threshold})")
-    base = (Fraction(u1),) + tuple(_F0 for _ in range(n - 1))
-    t = chart.integer_table(base, 4)
     e = unit_vectors(n)
     terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e]
     terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 4]
@@ -311,14 +348,9 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
     for s in spaces:
         union.extend(s.span.generators)
     constant = len(set(dims)) == 1 and span_rank(union) == spaces[0].span.rank
-    contained = True
-    for s in spaces:
-        n = chart.n
-        base = (s.u1,) + tuple(_F0 for _ in range(n - 1))
-        tangent = [chart.derivative_vector(base, ())]
-        tangent += [chart.derivative_vector(base, (i,)) for i in range(n)]
-        if span_rank(list(s.span.generators) + tangent) != s.span.rank:
-            contained = False
+    # the tangent space at the base is spanned by Pi's first n+1 generators, x and x_i
+    contained = all(s.span.contains_span(LinearSpan.of(s.span.generators[:chart.n + 1]))
+                    for s in spaces)
     lo, hi = 3 * chart.n, 3 * chart.n + 1
     return PiConstancyReport(samples=tuple(Fraction(s) for s in samples), dims=dims,
                              constant=constant, tangent_contained=contained,
@@ -362,7 +394,8 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
     nv = 2 * n  # variables: lam_1..lam_n, mu_1..mu_n
     lam = [MultiPoly.variable(nv, i) for i in range(n)]
     mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
-    cols, _ = _gamma15_columns(chart, pt, lam, mu)
+    t = chart.integer_table(pt, 5)
+    cols, _ = _gamma15_columns(t, lam, mu)
     rows = [[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
             for row in zip(*cols)]
     sym = poly_det(rows)
@@ -388,11 +421,10 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
         e2[1] = 1                  # lam_2
         e2[n] = 1                  # mu_1
         coeff2 = sym.coefficient(tuple(e2))
-        t = chart.integer_table(pt, 4)
         e = unit_vectors(n)
         terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e] + [(e[0],) * 4]
         terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 3 + (e[1],)]
-        derived = Matrix.from_columns([contract(t, [(1, vs)]) for vs in terms]).det()
+        derived = _columns_det(t.dens, [contract_numerators(t, [(1, vs)]) for vs in terms])
 
     bound = gamma15_lamu_degree(n)
     deg = sym.total_degree()

@@ -13,9 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
-from .chart import AmbientTooSmallError, Chart, contract, multi_indices, unit_vectors
+from .chart import (
+    AmbientTooSmallError,
+    Chart,
+    contract,
+    fraction_vector,
+    multi_indices,
+    unit_vectors,
+)
 from .exactlin import Vector, span_rank
 
 _F0 = Fraction(0)
@@ -73,15 +81,26 @@ class LinearSpan:
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
+def _tangent_numerators(chart: Chart, pt: Sequence[Fraction]) -> tuple[list, tuple[int, ...]]:
+    """Numerator rows of x, x_1..x_n at pt (entry c over dens[c]) and dens.
+
+    Raises SingularPointError when they span less than n+1 dimensions.
+    """
+    t = chart.integer_table(pt, 1)
+    zero = (0,) * len(t.dens)
+    rows = [t.nums.get(key, zero) for key in multi_indices(chart.n, 1)]
+    rank = span_rank(rows)
+    if rank < chart.n + 1:
+        raise SingularPointError(f"tangent rank {rank} < n+1 at"
+                                 f" ({', '.join(map(str, pt))}) on {chart.label}")
+    return rows, t.dens
+
+
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
     """Projective tangent space: span of x and the first derivatives."""
-    vecs = [chart.derivative_vector(pt, ())]
-    vecs += [chart.derivative_vector(pt, (i,)) for i in range(chart.n)]
-    span = LinearSpan.of(vecs, chart.r + 1)
-    if span.rank < chart.n + 1:
-        raise SingularPointError(f"tangent rank {span.rank} < n+1 at"
-                                 f" ({', '.join(map(str, pt))}) on {chart.label}")
-    return span
+    rows, dens = _tangent_numerators(chart, pt)
+    return LinearSpan(tuple(fraction_vector(row, dens) for row in rows), chart.n + 1,
+                      chart.r + 1)
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
@@ -128,6 +147,21 @@ class DefectRecord:
     seed: int
 
 
+def _require_smooth_lattice_points(chart: Chart, needed: int) -> None:
+    """Raise SingularPointError unless the sample lattice holds ``needed`` smooth points.
+
+    Counts by enumeration, which draws nothing from the sampler's rng.
+    """
+    found = 0
+    for coords in product(range(-COORD_RADIUS, COORD_RADIUS + 1), repeat=chart.n):
+        found += chart.is_smooth_at(tuple(map(Fraction, coords)))
+        if found == needed:
+            return
+    raise SingularPointError(f"k+1 = {needed} distinct smooth points needed, but"
+                             f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only"
+                             f" {found} on {chart.label}")
+
+
 def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> DefectRecord:
     """k-secant dimension as max rank of k+1 tangent spans at random points.
 
@@ -135,7 +169,9 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     spaces is the Terracini tangent space of the secant variety at a general
     point of the spanned plane, so its max dimension over the batch is the
     observed secant dimension.  The points come from the sample lattice, so
-    k+1 may not exceed its size.
+    k+1 may not exceed its size; when a run of duplicate draws as long as
+    the lattice suggests it holds fewer than k+1 smooth points, the lattice
+    is counted and the shortfall raised as SingularPointError.
     """
     if k < 1 or samples < 1:
         raise ValueError("need k >= 1 and samples >= 1")
@@ -148,17 +184,21 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     resamples = 0
     for _ in range(samples):
         pts: list[Vector] = []
+        repeats = 0
         while len(pts) < k + 1:
             pt, extra = sample_smooth_point(chart, rng)
             resamples += extra
             if pt in pts:  # distinct points required
                 resamples += 1
+                repeats += 1
+                if repeats == sample_lattice_size(chart.n):
+                    _require_smooth_lattice_points(chart, k + 1)
                 continue
             pts.append(pt)
-        vecs: list[Vector] = []
-        for pt in pts:
-            vecs.extend(tangent_space(chart, pt).generators)
-        observed = span_rank(vecs) - 1
+            repeats = 0
+        # numerator rows of every point share the column scales den_c
+        rows = [row for pt in pts for row in _tangent_numerators(chart, pt)[0]]
+        observed = span_rank(rows) - 1
         if observed > best:
             best = observed
             witness = tuple(pts)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
@@ -128,8 +129,11 @@ def dot(a, b) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def rank_exact(m: Matrix) -> int:
-    """Exact rank by fraction-free elimination alone."""
-    ints, _ = m._cleared_rows()
+    """Exact rank by fraction-free elimination alone, on rows cleared here."""
+    ints = []
+    for r in m.entries:
+        d = lcm(*(x.denominator for x in r))
+        ints.append([x.numerator * (d // x.denominator) for x in r])
     return len(bareiss_echelon(ints)[1])
 
 

@@ -247,6 +247,31 @@ def test_secant_beyond_the_sample_lattice_is_refused(variety, k, points):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("k, code", [(10, 1), (9, 0)])
+def test_secant_beyond_the_smooth_lattice_points_exits_1(tmp_path, k, code):
+    # the cusp (1, u^2, u^3) is singular at u = 0 only, so [-5, 5] holds 10
+    # smooth points: k+1 = 11 of them can never be drawn, 10 can
+    doc = {"label": "cusp", "n": 1, "r": 2,
+           "coords": [[{"exp": [e], "num": "1", "den": "1"}] for e in (0, 2, 3)]}
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
+         "--check", f"secant:{k}", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["results"][0]["observed"] == 2
+        return
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert "k+1 = 11 distinct smooth points needed" in proc.stderr
+    assert "holds only 10 on cusp" in proc.stderr
+
+
 def test_oversized_chart_file_is_refused(capsys, tmp_path):
     # 1001 coordinates 1, u, ..., u^1000; without the cap secant:1 would run
     r = MAX_COORDINATES

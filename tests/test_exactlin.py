@@ -75,12 +75,13 @@ def test_rank_invariant_under_permutation_and_scaling():
         assert rank_exact(Matrix.from_columns(rows)) == rank
 
 
-def test_rank_fast_agrees_with_rank():
+def test_span_rank_agrees_with_rank():
     rng = random.Random(23)
     for _ in range(25):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nr, nc)
-        assert m.rank_fast() == rank_exact(m)
+        assert span_rank(m.entries) == rank_exact(m)
+        assert span_rank([[x.numerator for x in r] for r in m.entries]) == rank_exact(m)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_symbolic_column_degrees():
     nv = 4
     lam = [MultiPoly.variable(nv, i) for i in range(2)]
     mu = [MultiPoly.variable(nv, 2 + i) for i in range(2)]
-    cols, labels = _gamma15_columns(c, (F(0), F(0)), lam, mu)
+    cols, labels = _gamma15_columns(c.integer_table((F(0), F(0)), 5), lam, mu)
 
     def coldeg(col):
         return max((e.total_degree() for e in col if isinstance(e, MultiPoly)
