@@ -22,6 +22,13 @@ scale) and ``contract`` builds canonical ``Fraction``s from them only where
 exact values are kept.  ``derivative_vector`` reads a single multi-index as
 ``Fraction``s for the smoothness test.
 
+The order-1 table of the last point asked for is memoized per chart: a
+point is drawn, tested for smoothness (x and the n first partials) and its
+tangent space is read, all from one evaluation.  ``derivative_vector``
+reads requests of order <= 1 from that table and ``integer_table(pt, 1)``
+returns it while the point is unchanged; the memoized table is shared, so
+callers must not modify it.
+
 ``normalized_derivatives`` normalizes a jet by contracting the chart's
 own derivative table at the jet's base point through the affine frame
 (chain rule, no polynomial arithmetic).  The symbolic routes that tests
@@ -155,6 +162,9 @@ class Chart:
     _top: tuple = field(default=(), init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
+    # The last point given to ``_tangent_table`` and its order-1 table.
+    _memo: list = field(default_factory=lambda: [None, None], init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if len(self.coords) != self.r + 1:
@@ -207,21 +217,45 @@ class Chart:
         return rows, qpowers[-1]
 
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
-        """Value at pt of the mixed partial, as canonical Fractions; symmetric in idx."""
+        """Value at pt of the mixed partial, as canonical Fractions; symmetric in idx.
+
+        Orders <= 1 are read from the memoized order-1 table of pt.
+        """
         key = tuple(sorted(idx))
         for i in key:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
+        if len(key) <= 1:
+            t = self._tangent_table(pt)
+            return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens)
         (row,), scale = self._numerators(pt, (key,))
         return fraction_vector(row, self._dens, scale)
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
-        """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads."""
+        """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads.
+
+        The order-1 table is the memoized one: read it, do not modify it.
+        """
+        if h == 1:
+            return self._tangent_table(pt)
+        return self._table(pt, h)
+
+    def _table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         keys = multi_indices(self.n, h)
         rows, scale = self._numerators(pt, keys)
         nums = {key: row for key, row in zip(keys, rows) if any(row)}
         return IntegerTable(nums, tuple(den * scale for den in self._dens), self.n, h,
                             max(map(len, nums), default=-1))
+
+    def _tangent_table(self, pt: Sequence[Fraction]) -> IntegerTable:
+        """The order-1 table at pt, kept for the last point asked for.
+
+        Points match by value, so ints and equal Fractions share the entry.
+        """
+        key = tuple(pt)
+        if self._memo[0] != key:
+            self._memo[:] = key, self._table(key, 1)
+        return self._memo[1]
 
     # -- basic geometry -------------------------------------------------------
 

@@ -45,6 +45,9 @@ from .secants import (
 
 DEFAULT_SEED = 1009
 DEFAULT_TRIALS = 5
+# Largest --trials accepted; the shipped tests and benchmark use at most 5,
+# and every trial adds work and an entry to the report's trial lists.
+MAX_TRIALS = 10_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 KNOWN_CHECKS = ("secant", "osc", "speciality", "gamma15", "pi-constancy", "audit")
@@ -217,6 +220,8 @@ def _emit(doc: dict, fmt: str) -> None:
 def check_trials(trials: int) -> None:
     if trials < 1:
         raise InputError(f"--trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise InputError(f"--trials {trials} is above the cap of {MAX_TRIALS}")
 
 
 def cmd_analyze(args) -> int:

@@ -19,7 +19,9 @@ from typing import Sequence
 from .chart import (
     AmbientTooSmallError,
     Chart,
+    IntegerTable,
     contract,
+    contract_numerators,
     fraction_vector,
     multi_indices,
     unit_vectors,
@@ -81,12 +83,14 @@ class LinearSpan:
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
-def _tangent_numerators(chart: Chart, pt: Sequence[Fraction]) -> tuple[list, tuple[int, ...]]:
+def _tangent_numerators(chart: Chart, pt: Sequence[Fraction], table: IntegerTable | None = None
+                        ) -> tuple[list, tuple[int, ...]]:
     """Numerator rows of x, x_1..x_n at pt (entry c over dens[c]) and dens.
 
-    Raises SingularPointError when they span less than n+1 dimensions.
+    ``table`` is pt's order-1 table, if already read.  Raises
+    SingularPointError when the rows span less than n+1 dimensions.
     """
-    t = chart.integer_table(pt, 1)
+    t = chart.integer_table(pt, 1) if table is None else table
     zero = (0,) * len(t.dens)
     rows = [t.nums.get(key, zero) for key in multi_indices(chart.n, 1)]
     rank = span_rank(rows)
@@ -184,6 +188,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     resamples = 0
     for _ in range(samples):
         pts: list[Vector] = []
+        tables: list[IntegerTable] = []
         repeats = 0
         while len(pts) < k + 1:
             pt, extra = sample_smooth_point(chart, rng)
@@ -195,9 +200,12 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
                     _require_smooth_lattice_points(chart, k + 1)
                 continue
             pts.append(pt)
+            # the smoothness test just evaluated pt's order-1 table
+            tables.append(chart.integer_table(pt, 1))
             repeats = 0
         # numerator rows of every point share the column scales den_c
-        rows = [row for pt in pts for row in _tangent_numerators(chart, pt)[0]]
+        rows = [row for pt, t in zip(pts, tables)
+                for row in _tangent_numerators(chart, pt, t)[0]]
         observed = span_rank(rows) - 1
         if observed > best:
             best = observed
@@ -211,6 +219,14 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
 # 2-osculating regularity
 # ---------------------------------------------------------------------------
 
+def _osc2_terms(n: int, lam: Sequence[Fraction], mu: Sequence[Fraction]) -> list[list]:
+    """``contract`` terms of the 3n+1 criterion vectors, one list per vector."""
+    e = unit_vectors(n)
+    return ([[(1, ())]] + [[(1, (ei,))] for ei in e]
+            + [[(1, (lam, ej))] for ej in e]
+            + [[(1, (ek, lam, lam)), (2, (ek, mu))] for ek in e])
+
+
 def osc2_vectors(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
                  mu: Sequence[Fraction]) -> list[Vector]:
     """The 3n+1 vectors whose generic independence is 2-osculating regularity.
@@ -219,10 +235,15 @@ def osc2_vectors(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
     each k the vectors sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j.
     """
     t = chart.integer_table(pt, 3)
-    e = unit_vectors(chart.n)
-    return ([contract(t, [(1, ())])] + [contract(t, [(1, (ei,))]) for ei in e]
-            + [contract(t, [(1, (lam, ej))]) for ej in e]
-            + [contract(t, [(1, (ek, lam, lam)), (2, (ek, mu))]) for ek in e])
+    return [contract(t, terms) for terms in _osc2_terms(chart.n, lam, mu)]
+
+
+def _osc2_rank(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
+               mu: Sequence[Fraction]) -> int:
+    """Rank of ``osc2_vectors``, taken of their numerator rows."""
+    t = chart.integer_table(pt, 3)
+    return span_rank([contract_numerators(t, terms)[0]
+                      for terms in _osc2_terms(chart.n, lam, mu)])
 
 
 @dataclass(frozen=True)
@@ -256,7 +277,7 @@ def osc2_regular(chart: Chart, trials: int = 5, seed: int = 0) -> Osc2Verdict:
                              for _ in range(n - 1))
         mu = (_F0,) + tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
                             for _ in range(n - 1))
-        rank = span_rank(osc2_vectors(chart, pt, lam, mu))
+        rank = _osc2_rank(chart, pt, lam, mu)
         ranks.append(rank)
         if rank > best:
             best = rank
@@ -283,8 +304,7 @@ def osc2_regular_coordinate(chart: Chart, pt: Sequence[Fraction]) -> Osc2Coordin
     one).
     """
     n = chart.n
-    e = unit_vectors(n)
-    rank = span_rank(osc2_vectors(chart, pt, e[0], (0,) * n))
+    rank = _osc2_rank(chart, pt, unit_vectors(n)[0], (0,) * n)
     return Osc2CoordinateVerdict(sufficient=(rank == 3 * n + 1), rank=rank,
                                  needed=3 * n + 1)
 
@@ -329,6 +349,7 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
         # d/du_k raises every term by one slot in direction e_k
         du = [[(c, (ek,) + vs) for c, vs in y] for ek in e]
         t = chart.integer_table(pt, m + 1)
-        rows = [contract(t, terms) for terms in [y] + du + dlam + dparams]
+        # the rows share the table's column scales, so their numerators rank alike
+        rows = [contract_numerators(t, terms)[0] for terms in [y] + du + dlam + dparams]
         best = max(best, span_rank(rows) - 1)
     return best

@@ -128,6 +128,32 @@ def test_integer_kernel_rejects_bad_index_and_point_length():
         c.integer_table(origin + (F(1),), 2)
 
 
+def test_order_one_memo_serves_the_point_asked_for():
+    # the chart keeps the order-1 table of the last point; every read must
+    # still give that point's derivatives, however the point is spelled
+    c = rational_chart()
+    a, b = (F(1, 2), F(-3, 7), F(0)), (F(2), F(-1), F(3))
+    refs = {a: symbolic_table(c, a, 1), b: symbolic_table(c, b, 1)}
+    zero = (0,) * (c.r + 1)
+
+    def check(pt, ref):
+        t = c.integer_table(pt, 1)
+        assert t.order == 1
+        for idx, vec in ref.items():
+            assert tuple(F(x, d) for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
+            assert c.derivative_vector(pt, idx) == vec
+            assert all(type(x) is F for x in c.derivative_vector(pt, idx))
+
+    for pt in (a, b, a):
+        check(pt, refs[pt])
+    for spelling in [(2, -1, 3), (F(2), F(-1), F(3)), [2, -1, 3], [F(2), F(-1), F(3)]]:
+        check(spelling, refs[b])
+    # a higher-order table at another point leaves the order-1 reads intact
+    assert c.integer_table(a, 3).order == 3
+    check(b, refs[b])
+    check(a, refs[a])
+
+
 # ---------------------------------------------------------------------------
 # the contraction primitive against the ordered-tuple oracle
 # ---------------------------------------------------------------------------

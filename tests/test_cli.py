@@ -12,7 +12,7 @@ import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
 from terracini.chart import MAX_TABLE_ENTRIES, load_chart, save_chart
-from terracini.cli import main
+from terracini.cli import MAX_TRIALS, main
 
 
 def run(capsys, *argv):
@@ -226,6 +226,32 @@ def test_oversized_derivative_table_is_refused_before_any_work(argv):
     assert proc.stderr.startswith("terracini: error:")
     assert f"above the cap of {MAX_TABLE_ENTRIES}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # without the cap this runs far past the timeout, its trial lists growing
+    ["analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--trials", "100000000"],
+    ["audit-theorem", "--variety", "veronese:4:2", "--trials", str(MAX_TRIALS + 1)],
+], ids=["analyze", "audit-theorem"])
+def test_oversized_trial_count_is_refused_before_any_work(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"above the cap of {MAX_TRIALS}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trial_count_at_the_cap_is_accepted(capsys):
+    # MAX_TRIALS itself passes the cap; the bad variety then stops the run
+    # before any trial, and is what the error names
+    code, _, err = run(capsys, "analyze", "--variety", "veronese:0:2", "--check", "secant:1",
+                       "--trials", str(MAX_TRIALS))
+    assert code == 1 and "bad variety spec" in err
 
 
 @pytest.mark.parametrize("variety, k, points", [("veronese:1:3", 11, 11),

@@ -78,3 +78,31 @@ def test_contraction_report_matches_recorded_digest(command):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == CONTRACTION_DIGESTS[command]
+
+
+# secant:K paths where draws are thrown away before a point's tangent space
+# is read: singular draws on the cusp (1, u^2, u^3), which is singular at
+# u = 0 only, and duplicate draws from the 11 points of [-5, 5] on the twisted
+# cubic.  Recorded from the reports before the order-1 table was memoized;
+# only read here.  The cusp runs from its own directory, so the report echoes
+# the relative path.
+CUSP = {"label": "cusp", "n": 1, "r": 2,
+        "coords": [[{"exp": [e], "num": "1", "den": "1"}] for e in (0, 2, 3)]}
+DRAW_DIGESTS = {
+    "analyze --variety file:cusp.json --check secant:9 --trials 1":
+        "a51c1bdd8b36f317986ee7c648af735e80a08f5717d3558966caa683a7c15d31",
+    "analyze --variety veronese:1:3 --check secant:9":
+        "7c1f78b9f1eef4bfd5e563fc86363282c4d4699019ac08fa08620e3d1cc7d91b",
+}
+
+
+@pytest.mark.parametrize("command", list(DRAW_DIGESTS), ids=["rejected", "duplicate"])
+def test_secant_draw_report_matches_recorded_digest(command, tmp_path, monkeypatch):
+    (tmp_path / "cusp.json").write_text(json.dumps(CUSP), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == DRAW_DIGESTS[command]

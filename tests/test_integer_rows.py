@@ -18,7 +18,8 @@ from itertools import product
 
 import pytest
 
-from terracini import exactlin
+from terracini import exactlin, secants
+from terracini.catalog import make_veronese
 from terracini.chart import Chart, contract_numerators, multi_indices, unit_vectors
 from terracini.cli import main
 from terracini.exactlin import Matrix, MultiPoly, span_rank
@@ -120,3 +121,24 @@ def test_elimination_kernels_receive_only_ints(kernel_entries, argv):
     with redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0
     assert kernel_entries and set(kernel_entries) == {int}
+
+
+def test_secant_defect_evaluates_each_draw_once(monkeypatch):
+    # a draw's smoothness test (x and the n first partials) and its tangent
+    # rows read one order-1 table, so a point is evaluated at most once
+    draws, evaluations = [], []
+    sample_point, numerators = secants.sample_point, Chart._numerators
+
+    def counted_draw(*args):
+        draws.append(sample_point(*args))
+        return draws[-1]
+
+    def counted_numerators(self, pt, keys):
+        evaluations.append(tuple(pt))
+        return numerators(self, pt, keys)
+
+    monkeypatch.setattr(secants, "sample_point", counted_draw)
+    monkeypatch.setattr(Chart, "_numerators", counted_numerators)
+    rec = secants.secant_defect(make_veronese(2, 12), 14, samples=2)
+    assert rec.observed == 44
+    assert len(evaluations) <= len(draws) == 30 + rec.resamples
