@@ -83,14 +83,14 @@ class LinearSpan:
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
-def _tangent_numerators(chart: Chart, pt: Sequence[Fraction], table: IntegerTable | None = None
+def _tangent_numerators(chart: Chart, t: IntegerTable, pt: Sequence[Fraction]
                         ) -> tuple[list, tuple[int, ...]]:
-    """Numerator rows of x, x_1..x_n at pt (entry c over dens[c]) and dens.
+    """Numerator rows of x, x_1..x_n (entry c over dens[c]) and dens.
 
-    ``table`` is pt's order-1 table, if already read.  Raises
-    SingularPointError when the rows span less than n+1 dimensions.
+    ``t`` is the order-1 table at pt; pt itself only names the point in the
+    error.  Raises SingularPointError when the rows span less than n+1
+    dimensions.
     """
-    t = chart.integer_table(pt, 1) if table is None else table
     zero = (0,) * len(t.dens)
     rows = [t.nums.get(key, zero) for key in multi_indices(chart.n, 1)]
     rank = span_rank(rows)
@@ -102,7 +102,7 @@ def _tangent_numerators(chart: Chart, pt: Sequence[Fraction], table: IntegerTabl
 
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
     """Projective tangent space: span of x and the first derivatives."""
-    rows, dens = _tangent_numerators(chart, pt)
+    rows, dens = _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
     return LinearSpan(tuple(fraction_vector(row, dens) for row in rows), chart.n + 1,
                       chart.r + 1)
 
@@ -205,7 +205,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
             repeats = 0
         # numerator rows of every point share the column scales den_c
         rows = [row for pt, t in zip(pts, tables)
-                for row in _tangent_numerators(chart, pt, t)[0]]
+                for row in _tangent_numerators(chart, t, pt)[0]]
         observed = span_rank(rows) - 1
         if observed > best:
             best = observed
@@ -220,27 +220,21 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
 # ---------------------------------------------------------------------------
 
 def _osc2_terms(n: int, lam: Sequence[Fraction], mu: Sequence[Fraction]) -> list[list]:
-    """``contract`` terms of the 3n+1 criterion vectors, one list per vector."""
+    """``contract`` terms of the 3n+1 criterion vectors, one list per vector.
+
+    Their generic independence is 2-osculating regularity: x; x_i; the
+    Hessian contractions sum_i x_ij lam_i for each j; and for each k the
+    vectors sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j.
+    """
     e = unit_vectors(n)
     return ([[(1, ())]] + [[(1, (ei,))] for ei in e]
             + [[(1, (lam, ej))] for ej in e]
             + [[(1, (ek, lam, lam)), (2, (ek, mu))] for ek in e])
 
 
-def osc2_vectors(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
-                 mu: Sequence[Fraction]) -> list[Vector]:
-    """The 3n+1 vectors whose generic independence is 2-osculating regularity.
-
-    x; x_i; the Hessian contractions sum_i x_ij lam_i for each j; and for
-    each k the vectors sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j.
-    """
-    t = chart.integer_table(pt, 3)
-    return [contract(t, terms) for terms in _osc2_terms(chart.n, lam, mu)]
-
-
 def _osc2_rank(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
                mu: Sequence[Fraction]) -> int:
-    """Rank of ``osc2_vectors``, taken of their numerator rows."""
+    """Rank of the ``_osc2_terms`` vectors at pt, taken of their numerator rows."""
     t = chart.integer_table(pt, 3)
     return span_rank([contract_numerators(t, terms)[0]
                       for terms in _osc2_terms(chart.n, lam, mu)])

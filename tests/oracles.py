@@ -9,7 +9,8 @@ verdicts are checked against.
 
 The symbolic reference routes live here too, since only tests compare
 against them: derivative tables from a chain of formal partials evaluated
-term by term (``symbolic_table``), jet normalization by substituting the
+term by term (``symbolic_table``), the 2-osculating criterion vectors as
+Fractions from that table (``osc2_vectors``), jet normalization by substituting the
 affine frame into every coordinate (``jet_normalize``), and curve
 derivatives from truncated-series composition (``composed_curve_series``).
 None of them reads the chart's integer derivative store.
@@ -29,6 +30,7 @@ from operator import mul
 from terracini._kernels import bareiss_echelon, mod_rank
 from terracini.chart import Chart, CurvilinearJet, _normalized_frame
 from terracini.exactlin import BadIndexError, Matrix, MultiPoly
+from terracini.secants import _osc2_terms
 
 F0 = Fraction(0)
 
@@ -169,6 +171,17 @@ def symbolic_table(chart: Chart, pt, h: int) -> dict:
                 polys[idx] = [partial(p, idx[-1]) for p in polys[idx[:-1]]]
             out[idx] = tuple(p.eval(pt) for p in polys[idx])
     return out
+
+
+def osc2_vectors(chart: Chart, pt, lam, mu) -> list[tuple]:
+    """The 3n+1 vectors ranked by ``secants.osc2_regular``, as Fractions.
+
+    Built from the symbolic table by ``brute_contract``; only the term
+    lists are shared with the package.
+    """
+    sym = symbolic_table(chart, pt, 3)
+    return [brute_contract(sym, chart.n, chart.r + 1, terms)
+            for terms in _osc2_terms(chart.n, lam, mu)]
 
 
 def _power(cache: list, base, k: int, times):

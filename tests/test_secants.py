@@ -10,15 +10,15 @@ from terracini.exactlin import MultiPoly
 from terracini.secants import (
     LinearSpan,
     SingularPointError,
+    _osc2_rank,
     osc2_regular,
     osc2_regular_coordinate,
-    osc2_vectors,
     osc_variety_dim,
     osculating_space,
     secant_defect,
     tangent_space,
 )
-from oracles import rref_rank, symbolic_table
+from oracles import osc2_vectors, rref_rank, symbolic_table
 
 
 def hyperplane_bound_chart() -> Chart:
@@ -156,6 +156,15 @@ def test_quadratic_chart_relation_is_structural():
     lhs = [sum(lam[k] * v_vecs[k][c_] for k in range(n)) for c_ in range(15)]
     rhs = [2 * sum(mu[j] * a_vecs[j][c_] for j in range(n)) for c_ in range(15)]
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("chart", [make_veronese(4, 2), make_random_variety(2, 3, 8, 5)],
+                         ids=["quadratic", "random"])
+def test_osc2_numerator_rank_matches_fraction_vectors(chart):
+    lam = tuple(F(v) for v in (1, 2, -1, 4)[:chart.n])
+    mu = tuple(F(v, 3) for v in (0, 3, 5, -2)[:chart.n])
+    pt = tuple(F(v, 2) for v in (3, -1, 4, 1)[:chart.n])
+    assert _osc2_rank(chart, pt, lam, mu) == rref_rank(osc2_vectors(chart, pt, lam, mu))
 
 
 def test_chart_in_hyperplane_is_never_regular():
