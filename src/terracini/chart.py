@@ -22,12 +22,14 @@ scale) and ``contract`` builds canonical ``Fraction``s from them only where
 exact values are kept.  ``derivative_vector`` reads a single multi-index as
 ``Fraction``s for the smoothness test.
 
-The order-1 table of the last point asked for is memoized per chart: a
-point is drawn, tested for smoothness (x and the n first partials) and its
-tangent space is read, all from one evaluation.  ``derivative_vector``
-reads requests of order <= 1 from that table and ``integer_table(pt, 1)``
-returns it while the point is unchanged; the memoized table is shared, so
-callers must not modify it.
+``integer_table`` is the one evaluator: it keeps the tables of the last
+point asked for, one per order, and starts afresh when the point changes.
+A point is drawn, tested for smoothness (x and the n first partials) and
+its tangent space is read, all from one order-1 evaluation; the curve
+derivatives, the five-jet check and the span Pi at a jet's base share one
+order-5 evaluation.  ``derivative_vector`` reads a key of order h from the
+order-max(1, h) table.  Memoized tables are shared, so callers must not
+modify them.
 
 ``normalized_derivatives`` normalizes a jet by contracting the chart's
 own derivative table at the jet's base point through the affine frame
@@ -53,7 +55,6 @@ from .exactlin import (
     Matrix,
     MultiPoly,
     Vector,
-    solve_square,
     span_rank,
 )
 
@@ -162,8 +163,8 @@ class Chart:
     _top: tuple = field(default=(), init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
-    # The last point given to ``_tangent_table`` and its order-1 table.
-    _memo: list = field(default_factory=lambda: [None, None], init=False, repr=False,
+    # The last point given to ``integer_table`` and its tables, {order: table}.
+    _memo: list = field(default_factory=lambda: [None, {}], init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
@@ -219,43 +220,33 @@ class Chart:
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
         """Value at pt of the mixed partial, as canonical Fractions; symmetric in idx.
 
-        Orders <= 1 are read from the memoized order-1 table of pt.
+        A key of order h is read from ``integer_table(pt, max(1, h))``.
         """
         key = tuple(sorted(idx))
         for i in key:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
-        if len(key) <= 1:
-            t = self._tangent_table(pt)
-            return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens)
-        (row,), scale = self._numerators(pt, (key,))
-        return fraction_vector(row, self._dens, scale)
+        t = self.integer_table(pt, max(1, len(key)))
+        return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens)
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads.
 
-        The order-1 table is the memoized one: read it, do not modify it.
+        The tables of the last point asked for are kept, one per order.
+        Points match by value, so ints and equal Fractions share them; the
+        tables are shared, so read them, do not modify them.
         """
-        if h == 1:
-            return self._tangent_table(pt)
-        return self._table(pt, h)
-
-    def _table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
-        keys = multi_indices(self.n, h)
-        rows, scale = self._numerators(pt, keys)
-        nums = {key: row for key, row in zip(keys, rows) if any(row)}
-        return IntegerTable(nums, tuple(den * scale for den in self._dens), self.n, h,
-                            max(map(len, nums), default=-1))
-
-    def _tangent_table(self, pt: Sequence[Fraction]) -> IntegerTable:
-        """The order-1 table at pt, kept for the last point asked for.
-
-        Points match by value, so ints and equal Fractions share the entry.
-        """
-        key = tuple(pt)
-        if self._memo[0] != key:
-            self._memo[:] = key, self._table(key, 1)
-        return self._memo[1]
+        pt = tuple(pt)
+        if self._memo[0] != pt:
+            self._memo[:] = pt, {}
+        tables = self._memo[1]
+        if h not in tables:
+            keys = multi_indices(self.n, h)
+            rows, scale = self._numerators(pt, keys)
+            nums = {key: row for key, row in zip(keys, rows) if any(row)}
+            tables[h] = IntegerTable(nums, tuple(den * scale for den in self._dens), self.n,
+                                     h, max(map(len, nums), default=-1))
+        return tables[h]
 
     # -- basic geometry -------------------------------------------------------
 
@@ -410,21 +401,21 @@ class FiveJet:
 def _normalized_frame(jet: CurvilinearJet) -> tuple[Matrix, CurvilinearJet]:
     """Affine frame M and normalized jet (lambda = e_1, mu_1 = 0, base = 0).
 
-    M has lambda as first column and e_i (i != pivot) as the others, so
-    u = base + M w is invertible; the curve parameter is then requadratically
-    rescaled to kill mu_1.
+    M has lambda as first column and e_i (i != pivot p) as the others, so
+    u = base + M w is invertible and M w = mu is solved in closed form:
+    w_1 = mu_p / lambda_p and w_i = mu_i - w_1 lambda_i.  The curve
+    parameter is then requadratically rescaled (t -> s - w_1 s^2) to kill
+    mu_1.
     """
     n = jet.n
     pivot = next(i for i in range(n) if jet.lam[i] != 0)
-    cols = [list(jet.lam)] + [[_F1 if t == i else _F0 for t in range(n)]
-                              for i in range(n) if i != pivot]
-    m = Matrix.from_columns(cols)
-    mu_w = solve_square(m, jet.mu)
-    # t -> s - mu_w[0] s^2 removes the first quadratic coefficient
-    lam_new = tuple(_F1 if i == 0 else _F0 for i in range(n))
-    mu_new = tuple(mu_w[i] - mu_w[0] * lam_new[i] for i in range(n))
-    new_jet = CurvilinearJet(base=tuple(_F0 for _ in range(n)), lam=lam_new,
-                             mu=mu_new, length=jet.length)
+    others = [i for i in range(n) if i != pivot]
+    m = Matrix.from_columns([list(jet.lam)] + [[_F1 if t == i else _F0 for t in range(n)]
+                                               for i in others])
+    w1 = Fraction(jet.mu[pivot]) / jet.lam[pivot]
+    new_jet = CurvilinearJet(base=(_F0,) * n, lam=(_F1,) + (_F0,) * (n - 1),
+                             mu=(_F0,) + tuple(jet.mu[i] - w1 * jet.lam[i] for i in others),
+                             length=jet.length)
     return m, new_jet
 
 
@@ -493,17 +484,16 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 # curve derivatives through a chart (orders 1..5)
 # ---------------------------------------------------------------------------
 
-def curve_derivatives(chart: Chart, jet: FiveJet, table: IntegerTable | None = None
-                      ) -> tuple[Vector, Vector, Vector, Vector, Vector]:
+def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
 
     Faa di Bruno terms over the chart's order-5 derivative table at the
-    jet's base (``table``, if given), contracted with the jet coefficients;
-    independently equal to k! times the t^k coefficients of the composed
-    curve (the composition oracle in tests), which validates each assembly.
+    jet's base, contracted with the jet coefficients; independently equal
+    to k! times the t^k coefficients of the composed curve (the composition
+    oracle in tests), which validates each assembly.
     """
     lam, mu, nu, rho, sig = jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma
-    t = chart.integer_table(jet.base, 5) if table is None else table
+    t = chart.integer_table(jet.base, 5)
     return (contract(t, [(1, (lam,))]),
             contract(t, [(1, (lam, lam)), (2, (mu,))]),
             contract(t, [(1, (lam,) * 3), (6, (lam, mu)), (6, (nu,))]),

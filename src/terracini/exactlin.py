@@ -11,7 +11,7 @@ first.  Rank has one route, ``span_rank``: elimination modulo a 31-bit
 prime, which can only underestimate, decides every full rank and
 fraction-free Bareiss the rest.  ``integer_det`` is the last Bareiss pivot;
 ``Matrix.det`` divides it by the row multipliers once.  The ``Fraction``
-``Matrix`` remains for nullspaces and square solves.  Polynomials carry
+``Matrix`` remains for nullspaces and the jet frame.  Polynomials carry
 what the symbolic determinant audit (``poly_det``) needs; their reference
 routes live in ``tests/oracles.py``.
 
@@ -163,26 +163,6 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
         return 1
     ech, pivots, sign = bareiss_echelon(rows)
     return sign * ech[n - 1][pivots[-1]] if len(pivots) == n else 0
-
-
-def solve_square(m: Matrix, rhs: Sequence[Fraction]) -> Vector:
-    """Unique solution of M x = rhs for invertible square M (plain exact Gauss)."""
-    if m.rows != m.cols:
-        raise NotSquareError("solve_square needs a square matrix")
-    n = m.rows
-    a = [list(r) + [Fraction(rhs[i])] for i, r in enumerate(m.entries)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c] / pv
-                for j in range(c, n + 1):
-                    a[i][j] -= f * a[c][j]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -261,14 +261,13 @@ class FiveJetRankCheck:
     vector_count: int           # n + 6
 
 
-def five_jet_rank_check(chart: Chart, jet: FiveJet,
-                        table: IntegerTable | None = None) -> FiveJetRankCheck:
-    """The check read from the order-5 table at the jet's base (``table``, if given)."""
+def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
+    """The check read from the order-5 table at the jet's base."""
     _require_square_ambient(chart)
     n = chart.n
-    t = chart.integer_table(jet.base, 5) if table is None else table
+    t = chart.integer_table(jet.base, 5)
     tangent = [contract(t, [(1, vs)]) for vs in [()] + [(ei,) for ei in unit_vectors(n)]]
-    rank = span_rank(tangent + list(curve_derivatives(chart, jet, t)))
+    rank = span_rank(tangent + list(curve_derivatives(chart, jet)))
     return FiveJetRankCheck(rank=rank, condition_holds=(rank <= n + 4),
                             dependency_threshold=n + 4, structural_bound=n + 5,
                             vector_count=n + 6)
@@ -308,7 +307,7 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
     n = chart.n
     jet = _coordinate_five_jet(chart, u1)
     t = chart.integer_table(jet.base, 5)
-    check = five_jet_rank_check(chart, jet, t)
+    check = five_jet_rank_check(chart, jet)
     if not check.condition_holds:
         raise PreconditionFailedError(
             f"u_1-coordinate curve is not quasi-asymptotic at u1={u1}"

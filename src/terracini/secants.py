@@ -66,17 +66,8 @@ class LinearSpan:
         """Projective dimension (rank - 1; -1 for the zero span)."""
         return self.rank - 1
 
-    def union(self, other: "LinearSpan") -> "LinearSpan":
-        return LinearSpan.of(self.generators + other.generators, self.ambient)
-
-    def contains_vector(self, v: Vector) -> bool:
-        return span_rank(self.generators + (tuple(v),)) == self.rank
-
     def contains_span(self, other: "LinearSpan") -> bool:
         return span_rank(self.generators + other.generators) == self.rank
-
-    def same_span(self, other: "LinearSpan") -> bool:
-        return self.rank == other.rank and self.contains_span(other)
 
 
 # ---------------------------------------------------------------------------

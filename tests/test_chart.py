@@ -128,30 +128,39 @@ def test_integer_kernel_rejects_bad_index_and_point_length():
         c.integer_table(origin + (F(1),), 2)
 
 
-def test_order_one_memo_serves_the_point_asked_for():
-    # the chart keeps the order-1 table of the last point; every read must
-    # still give that point's derivatives, however the point is spelled
+def test_table_memo_serves_the_point_and_order_asked_for():
+    # the chart keeps the tables of the last point, one per order; every read
+    # must still give that point's derivatives at the order asked for,
+    # however the point is spelled and whatever was read before
     c = rational_chart()
     a, b = (F(1, 2), F(-3, 7), F(0)), (F(2), F(-1), F(3))
-    refs = {a: symbolic_table(c, a, 1), b: symbolic_table(c, b, 1)}
+    refs = {a: symbolic_table(c, a, 5), b: symbolic_table(c, b, 5)}
     zero = (0,) * (c.r + 1)
 
-    def check(pt, ref):
-        t = c.integer_table(pt, 1)
-        assert t.order == 1
+    def check(pt, h, ref):
+        t = c.integer_table(pt, h)
+        assert t.order == h
+        # tables are kept by their exact order, so a lower one still refuses
+        # terms above it after a higher one was read at the same point
+        with pytest.raises(ValueError, match=f"above the table's order {h}"):
+            contract(t, [(1, (E[0],) * (h + 1))])
         for idx, vec in ref.items():
-            assert tuple(F(x, d) for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
-            assert c.derivative_vector(pt, idx) == vec
+            if len(idx) <= h:
+                assert tuple(F(x, d) for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
+            # orders 0 to 5, each read from the table of its own order
+            assert c.derivative_vector(pt, idx[::-1]) == vec
             assert all(type(x) is F for x in c.derivative_vector(pt, idx))
 
     for pt in (a, b, a):
-        check(pt, refs[pt])
+        for h in (1, 3, 5):
+            check(pt, h, refs[pt])
     for spelling in [(2, -1, 3), (F(2), F(-1), F(3)), [2, -1, 3], [F(2), F(-1), F(3)]]:
-        check(spelling, refs[b])
-    # a higher-order table at another point leaves the order-1 reads intact
+        for h in (5, 1, 3):
+            check(spelling, h, refs[b])
+    # a higher-order table at another point leaves the point's reads intact
     assert c.integer_table(a, 3).order == 3
-    check(b, refs[b])
-    check(a, refs[a])
+    check(b, 1, refs[b])
+    check(a, 5, refs[a])
 
 
 # ---------------------------------------------------------------------------

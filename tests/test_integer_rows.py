@@ -19,11 +19,16 @@ from itertools import product
 import pytest
 
 from terracini import exactlin, secants
-from terracini.catalog import make_veronese
+from terracini.catalog import make_random_variety, make_veronese
 from terracini.chart import Chart, contract_numerators, multi_indices, unit_vectors
 from terracini.cli import main
 from terracini.exactlin import Matrix, MultiPoly, span_rank
-from terracini.gamma15 import _gamma15_columns, gamma15_det
+from terracini.gamma15 import (
+    _gamma15_columns,
+    claim_coefficient_audit,
+    gamma15_det,
+    pi_constancy_check,
+)
 from oracles import brute_contract, gauss_det, rank_exact, symbolic_table
 
 
@@ -123,22 +128,49 @@ def test_elimination_kernels_receive_only_ints(kernel_entries, argv):
     assert kernel_entries and set(kernel_entries) == {int}
 
 
-def test_secant_defect_evaluates_each_draw_once(monkeypatch):
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The point of every ``Chart._numerators`` call, one per evaluation."""
+    seen = []
+    numerators = Chart._numerators
+
+    def counted_numerators(self, pt, keys):
+        seen.append(tuple(pt))
+        return numerators(self, pt, keys)
+
+    monkeypatch.setattr(Chart, "_numerators", counted_numerators)
+    return seen
+
+
+def test_secant_defect_evaluates_each_draw_once(monkeypatch, evaluations):
     # a draw's smoothness test (x and the n first partials) and its tangent
     # rows read one order-1 table, so a point is evaluated at most once
-    draws, evaluations = [], []
-    sample_point, numerators = secants.sample_point, Chart._numerators
+    draws = []
+    sample_point = secants.sample_point
 
     def counted_draw(*args):
         draws.append(sample_point(*args))
         return draws[-1]
 
-    def counted_numerators(self, pt, keys):
-        evaluations.append(tuple(pt))
-        return numerators(self, pt, keys)
-
     monkeypatch.setattr(secants, "sample_point", counted_draw)
-    monkeypatch.setattr(Chart, "_numerators", counted_numerators)
     rec = secants.secant_defect(make_veronese(2, 12), 14, samples=2)
     assert rec.observed == 44
     assert len(evaluations) <= len(draws) == 30 + rec.resamples
+
+
+def test_claim_audit_evaluates_its_point_once(evaluations):
+    # the symbolic expansion and the numeric determinants it is compared
+    # with all read the one order-5 table at the audit point
+    chart = make_random_variety(2, 3, 8, 1)
+    evaluations.clear()
+    claim_coefficient_audit(chart, (1, 2), evaluations=10)
+    assert evaluations == [(1, 2)]
+
+
+def test_pi_constancy_evaluates_each_sample_once(evaluations):
+    # the five-jet check, its curve derivatives and the span Pi share the
+    # order-5 table at each sample
+    chart = make_random_variety(2, 3, 8, 1)
+    evaluations.clear()
+    pi_constancy_check(chart, [0, 1, 2])
+    assert len(evaluations) == 3

@@ -58,7 +58,9 @@ def test_tangent_space_singular_point_raises():
 def test_osculating_space_h1_is_tangent_space():
     c = make_veronese(2, 3)
     pt = (F(1), F(-2))
-    assert osculating_space(c, pt, 1).same_span(tangent_space(c, pt))
+    osc, tangent = osculating_space(c, pt, 1), tangent_space(c, pt)
+    assert osc.rank == tangent.rank
+    assert osc.contains_span(tangent)
 
 
 def test_osculating_space_quadratic_veronese_fills_ambient():
@@ -243,11 +245,8 @@ def test_osc_dim_rejects_bad_m():
         osc_variety_dim(make_veronese(1, 5), 3, samples=1, seed=0)
 
 
-def test_linear_span_contains_and_union():
+def test_linear_span_contains_span():
     a = LinearSpan.of([(F(1), F(0), F(0)), (F(0), F(1), F(0))])
     b = LinearSpan.of([(F(1), F(1), F(0))])
     assert a.contains_span(b)
     assert not b.contains_span(a)
-    assert a.union(b).rank == 2
-    assert a.contains_vector((F(2), F(-3), F(0)))
-    assert not a.contains_vector((F(0), F(0), F(1)))
