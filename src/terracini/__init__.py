@@ -3,7 +3,8 @@ curvilinear tangency on polynomially parametrized projective varieties.
 
 All geometry reduces to exact rank computations over Q; randomized pieces
 (general-point sampling, polynomial identity testing) are seeded and
-carry explicit witnesses and error bounds in their reports.
+report their witnesses; only the ``gamma15`` identity test carries an
+error bound, the other verdicts are maxima over seeded samples.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -31,12 +31,17 @@ order-5 evaluation.  ``derivative_vector`` reads a key of order h from the
 order-max(1, h) table.  Memoized tables are shared, so callers must not
 modify them.
 
-``normalized_derivatives`` normalizes a jet by contracting the chart's
-own derivative table at the jet's base point through the affine frame
-(chain rule, no polynomial arithmetic).  The symbolic routes that tests
-compare against (a formal partial chain evaluated term by term,
-substitution of the frame into every coordinate, composition with the
-curve's truncated series) live in ``tests/oracles.py``.
+``jet_terms`` is the one place that holds Faa di Bruno coefficients.  The
+curve derivatives, the generators along a jet, the 2-osculating criterion
+vectors, the determinant columns and Pi are each x or a first partial of
+x differentiated m times along one curve u(t) = base + sum_k c_k t^k, and
+``jet_terms`` gives their ``contract`` terms.  A jet is normalized through
+its affine frame (chain rule, no polynomial arithmetic): the partials
+along the frame's columns are contracted from the chart's own table at
+the jet's base.  The symbolic routes that tests compare against (a formal
+partial chain evaluated term by term, substitution of the frame into every
+coordinate, composition with the curve's truncated series) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,11 +53,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, repeat
 from operator import add, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlin import (
     BadIndexError,
-    Matrix,
     MultiPoly,
     Vector,
     span_rank,
@@ -64,6 +68,9 @@ _F1 = Fraction(1)
 # Largest coordinate count r + 1 that the catalog constructors build (checked
 # before any polynomial exists) and that a chart file may declare.
 MAX_COORDINATES = 1000
+# Largest total degree of a chart file's term: the highest degree the
+# constructors build (veronese:1:999); evaluation grows with the degree.
+MAX_DEGREE = MAX_COORDINATES - 1
 # Largest derivative table, C(n+h, h)(r+1) entries at order h, that the
 # command line lets a check read; the shipped catalog, tests and benchmark
 # read at most 1,890, veronese:900:1 at order 3 would read 1.1e11.
@@ -348,6 +355,28 @@ def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
     return tuple(a * Fraction(1, d) for a, d in zip(acc, table.dens))  # scale is 1
 
 
+@cache
+def _partitions(m: int, largest: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(m! / prod(multiplicity!), P) per multiset P of part sizes <= largest summing to m."""
+    parts = [(top,) + rest for top in range(min(m, largest), 0, -1)
+             for _, rest in _partitions(m - top, top)] if m else [()]
+    return tuple((math.factorial(m) // math.prod(math.factorial(p.count(k)) for k in set(p)), p)
+                 for p in parts)
+
+
+def jet_terms(m: int, coeffs: Sequence, along: tuple = ()) -> list[tuple]:
+    """``contract`` terms of d_along (d/dt)^m x(u(t)) at t = 0 (Faa di Bruno).
+
+    u(t) = base + sum_k coeffs[k-1] t^k and ``along`` is a tuple of
+    directions of partial derivatives taken before the curve is followed.
+    There is one term per multiset P of part sizes <= len(coeffs) summing
+    to m: coefficient m! / prod(multiplicity!), directions
+    ``along + (coeffs[k-1] for k in P)``.
+    """
+    return [(c, along + tuple(coeffs[k - 1] for k in parts))
+            for c, parts in _partitions(m, len(coeffs))]
+
+
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
@@ -398,51 +427,24 @@ class FiveJet:
         return len(self.base)
 
 
-def _normalized_frame(jet: CurvilinearJet) -> tuple[Matrix, CurvilinearJet]:
-    """Affine frame M and normalized jet (lambda = e_1, mu_1 = 0, base = 0).
+def _normalized_frame(jet: CurvilinearJet) -> tuple[list[Vector], CurvilinearJet]:
+    """Columns M e_j of the affine frame M, and the normalized jet (lambda = e_1, mu_1 = 0).
 
     M has lambda as first column and e_i (i != pivot p) as the others, so
     u = base + M w is invertible and M w = mu is solved in closed form:
     w_1 = mu_p / lambda_p and w_i = mu_i - w_1 lambda_i.  The curve
     parameter is then requadratically rescaled (t -> s - w_1 s^2) to kill
-    mu_1.
+    mu_1, so M maps the normalized mu to mu - w_1 lambda.
     """
     n = jet.n
     pivot = next(i for i in range(n) if jet.lam[i] != 0)
     others = [i for i in range(n) if i != pivot]
-    m = Matrix.from_columns([list(jet.lam)] + [[_F1 if t == i else _F0 for t in range(n)]
-                                               for i in others])
+    e = unit_vectors(n)
     w1 = Fraction(jet.mu[pivot]) / jet.lam[pivot]
     new_jet = CurvilinearJet(base=(_F0,) * n, lam=(_F1,) + (_F0,) * (n - 1),
                              mu=(_F0,) + tuple(jet.mu[i] - w1 * jet.lam[i] for i in others),
                              length=jet.length)
-    return m, new_jet
-
-
-def normalized_derivatives(chart: Chart, jet: CurvilinearJet
-                           ) -> tuple[CurvilinearJet, Callable[[Sequence[tuple]], Vector]]:
-    """Normalized jet and the contraction of the normalized chart's derivatives at w = 0.
-
-    Under u = base + M w the w-derivative tensor is the chart's derivative
-    tensor at base read through M (chain rule):
-    D^h_w x[v_1, ..., v_h] = D^h_u x[M v_1, ..., M v_h].  The returned
-    function takes ``contract`` terms over w-direction tuples and maps each
-    direction v to M v = v_1 lambda + sum_{s>=2} v_s e_(s-th non-pivot);
-    a w-index with ``a`` slots equal to 0 is the term
-    (1, (lambda,) * a + unit vectors).  Orders up to 3 (length 2) or 5
-    (length 3) are available.
-    """
-    m, new_jet = _normalized_frame(jet)
-    table = chart.integer_table(jet.base, 3 if jet.length == 2 else 5)
-
-    @cache
-    def frame(v: tuple) -> Vector:
-        return tuple(sum(map(mul, row, v)) for row in m.entries)
-
-    def contract_w(terms: Sequence[tuple]) -> Vector:
-        return contract(table, [(c, tuple(map(frame, vs))) for c, vs in terms])
-
-    return new_jet, contract_w
+    return [tuple(jet.lam)] + [e[i] for i in others], new_jet
 
 
 def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
@@ -487,21 +489,13 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
 
-    Faa di Bruno terms over the chart's order-5 derivative table at the
-    jet's base, contracted with the jet coefficients; independently equal
-    to k! times the t^k coefficients of the composed curve (the composition
-    oracle in tests), which validates each assembly.
+    ``jet_terms`` over the chart's order-5 derivative table at the jet's
+    base; independently equal to k! times the t^k coefficients of the
+    composed curve (the composition oracle in tests).
     """
-    lam, mu, nu, rho, sig = jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma
     t = chart.integer_table(jet.base, 5)
-    return (contract(t, [(1, (lam,))]),
-            contract(t, [(1, (lam, lam)), (2, (mu,))]),
-            contract(t, [(1, (lam,) * 3), (6, (lam, mu)), (6, (nu,))]),
-            contract(t, [(1, (lam,) * 4), (12, (lam, lam, mu)), (12, (mu, mu)),
-                         (24, (lam, nu)), (24, (rho,))]),
-            contract(t, [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu)),
-                         (60, (lam, lam, nu)), (120, (mu, nu)), (120, (lam, rho)),
-                         (120, (sig,))]))
+    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
+    return tuple(contract(t, jet_terms(k, coeffs)) for k in range(1, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +546,9 @@ def obj_to_chart(obj: dict) -> Chart:
             if (not isinstance(exp, list) or len(exp) != n
                     or any(type(e) is not int or e < 0 for e in exp)):
                 raise ChartFormatError(f"{where}.exp must be {n} nonnegative integers")
+            if sum(exp) > MAX_DEGREE:
+                raise ChartFormatError(f"{where} has total degree {sum(exp)},"
+                                       f" above the cap of {MAX_DEGREE}")
             try:
                 num, den = term["num"], term["den"]
                 if not (isinstance(num, str) and isinstance(den, str)):

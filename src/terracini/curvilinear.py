@@ -3,8 +3,8 @@
 The tangent space along a jet is the intersection of all hyperplanes whose
 section of the variety is singular along the scheme; dually it is the span
 of an explicit generator list of chart derivatives at the normalized jet.
-Each generator is a list of ``contract`` terms over directions in the
-normalized coordinates w, read through the normalizing frame from one
+Through the normalizing frame each generator is a curve derivative of x
+or of one of its partials, whose ``jet_terms`` are contracted from one
 integer derivative table at the jet's base.  The scheme is special when
 that span falls short of the expected dimension min{r, k(n+1)-1}.
 """
@@ -20,8 +20,9 @@ from .chart import (
     AmbientTooSmallError,
     Chart,
     CurvilinearJet,
-    normalized_derivatives,
-    unit_vectors,
+    _normalized_frame,
+    contract,
+    jet_terms,
 )
 from .exactlin import Matrix, Vector
 from .secants import COORD_RADIUS, LinearSpan, sample_smooth_point
@@ -51,46 +52,39 @@ class TangentAlongScheme:
         return self.span.dim
 
 
-def _generators(jet: CurvilinearJet) -> list[tuple[str, list]]:
-    """Labelled ``contract`` terms, over w-directions, of the generator list.
-
-    Stated for the normalized jet (lambda = e_1, mu_1 = 0), so each sum over
-    i >= 2 in a label is a contraction with mu.
-    """
-    e = unit_vectors(jet.n)
-    e1, mu = e[0], jet.mu
-    gens = [("x", [(1, ())])]
-    gens += [(f"x_{i}", [(1, (ei,))]) for i, ei in enumerate(e, 1)]
-    gens += [(f"x_1{j}", [(1, (e1, ej))]) for j, ej in enumerate(e, 1)]
-    gens.append(("x_111", [(1, (e1,) * 3)]))
-    if jet.length == 3:
-        gens += [(f"2*sum x_i{h} mu_i + x_11{h}", [(2, (mu, eh)), (1, (e1, e1, eh))])
-                 for h, eh in enumerate(e[1:], 2)]
-        gens.append(("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111",
-                     [(12, (mu, mu)), (12, (e1, e1, mu)), (1, (e1,) * 4)]))
-        gens.append(("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111",
-                     [(60, (e1, mu, mu)), (20, (e1, e1, e1, mu)), (1, (e1,) * 5)]))
-    return gens
-
-
 def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
     """Tangent space along a length-2 or length-3 curvilinear scheme.
 
-    The generator list is stated for normalized jets (lambda = e_1,
-    mu_1 = 0).  Their chart derivatives come from ``normalized_derivatives``,
-    which contracts this chart's derivative table at the jet's base with the
-    normalizing frame; the symbolic substitution oracle in tests builds the
-    same data from a substituted chart.  Zero generators (e.g. the
-    quintic combination on a quadratic chart) are kept in the list and
-    flagged, they cannot affect the rank.
+    The generators are stated for the normalized jet (u = base + M w,
+    lambda = e_1, mu_1 = 0).  By the chain rule each is a derivative of x,
+    or of its partial along a column M e_j, along the line (lambda,) or,
+    for the mu combinations, the curve (lambda, mu - w_1 lambda), read
+    from the chart's own table at the jet's base; the substitution oracle
+    in tests builds them from a substituted chart.  Zero generators (e.g.
+    the quintic combination on a quadratic chart) are kept and flagged,
+    they cannot affect the rank.
     """
     if jet.length == 3 and chart.r < 3 * chart.n + 2:
         raise AmbientTooSmallError(
             f"length-3 analysis needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}"
             " (project the chart first)")
-    njet, cw = normalized_derivatives(chart, jet)
-    gens = _generators(njet)
-    vecs = [cw(terms) for _, terms in gens]
+    frame, njet = _normalized_frame(jet)
+    line = (jet.lam,)
+    gens = [("x", jet_terms(0, line))]
+    gens += [(f"x_{j}", jet_terms(0, line, (v,))) for j, v in enumerate(frame, 1)]
+    gens += [(f"x_1{j}", jet_terms(1, line, (v,))) for j, v in enumerate(frame, 1)]
+    gens.append(("x_111", jet_terms(3, line)))
+    if jet.length == 3:
+        # M maps the normalized mu to mu - w_1 lambda
+        curve = line + (tuple(sum(map(mul, row, njet.mu)) for row in zip(*frame)),)
+        gens += [(f"2*sum x_i{h} mu_i + x_11{h}", jet_terms(2, curve, (v,)))
+                 for h, v in enumerate(frame[1:], 2)]
+        gens.append(("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111",
+                     jet_terms(4, curve)))
+        gens.append(("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111",
+                     jet_terms(5, curve)))
+    t = chart.integer_table(jet.base, 3 if jet.length == 2 else 5)
+    vecs = [contract(t, terms) for _, terms in gens]
     span = LinearSpan.of(vecs, chart.r + 1)
     expected = expected_tangent_dim(chart.n, jet.length, chart.r)
     zeros = tuple(i for i, v in enumerate(vecs) if all(c == 0 for c in v))

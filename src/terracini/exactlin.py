@@ -11,7 +11,7 @@ first.  Rank has one route, ``span_rank``: elimination modulo a 31-bit
 prime, which can only underestimate, decides every full rank and
 fraction-free Bareiss the rest.  ``integer_det`` is the last Bareiss pivot;
 ``Matrix.det`` divides it by the row multipliers once.  The ``Fraction``
-``Matrix`` remains for nullspaces and the jet frame.  Polynomials carry
+``Matrix`` remains for nullspaces.  Polynomials carry
 what the symbolic determinant audit (``poly_det``) needs; their reference
 routes live in ``tests/oracles.py``.
 

@@ -32,11 +32,10 @@ from .chart import (
     Chart,
     DegenerateJetError,
     FiveJet,
-    IntegerTable,
     contract,
     contract_numerators,
-    curve_derivatives,
     fraction_vector,
+    jet_terms,
     unit_vectors,
 )
 from .curvilinear import (
@@ -87,29 +86,23 @@ def _require_square_ambient(chart: Chart) -> None:
 # the (3n+3)-square determinant matrix
 # ---------------------------------------------------------------------------
 
-def _gamma15_columns(t: IntegerTable, lam, mu, form=contract):
-    """Columns of the determinant matrix, contracted from one order-5 table.
+def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
+    """Labelled ``contract`` terms of the determinant matrix's columns.
 
-    Each column is ``form(table, terms)``: ``contract`` expands over the
-    scalars of lam and mu (Fractions give numeric columns, MultiPoly
-    scalars the symbolic expansion), ``contract_numerators`` gives the
-    numerator form of a numeric column.  Column order
-    is fixed: x; x_1..x_n; the n Hessian contractions sum_i x_ij lam_i; the
-    quartic combination; the n cubic combinations
-    2 sum_i x_ik mu_i + sum_ij x_ijk lam_i lam_j; the quintic combination.
+    The columns are derivatives along the curve pt + lam t + mu t^2, in a
+    fixed order: x; x_1..x_n; the n Hessian contractions
+    d_j x' = sum_i x_ij lam_i; the quartic combination x^(4); the n cubic
+    combinations d_k x'' = 2 sum_i x_ik mu_i + sum_ij x_ijk lam_i lam_j;
+    the quintic combination x^(5).  Callers contract the terms over one
+    order-5 table: Fraction scalars give numeric columns, MultiPoly
+    scalars the symbolic expansion.
     """
-    n = t.n
-    e = unit_vectors(n)
-    groups = [("x", [(1, ())])]
-    groups += [(f"x_{i + 1}", [(1, (e[i],))]) for i in range(n)]
-    groups += [(f"sum_i x_i{j + 1} lam_i", [(1, (lam, e[j]))]) for j in range(n)]
-    groups.append(("quartic combination",
-                   [(1, (lam,) * 4), (12, (lam, lam, mu)), (12, (mu, mu))]))
-    groups += [(f"cubic combination k={k + 1}", [(2, (mu, e[k])), (1, (lam, lam, e[k]))])
-               for k in range(n)]
-    groups.append(("quintic combination",
-                   [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu))]))
-    return [form(t, terms) for _, terms in groups], [label for label, _ in groups]
+    e = list(enumerate(unit_vectors(n), 1))
+    spec = [("x", 0, ())] + [(f"x_{i}", 0, (ei,)) for i, ei in e]
+    spec += [(f"sum_i x_i{j} lam_i", 1, (ej,)) for j, ej in e] + [("quartic combination", 4, ())]
+    spec += [(f"cubic combination k={k}", 2, (ek,)) for k, ek in e]
+    return [(label, jet_terms(m, (lam, mu), along))
+            for label, m, along in spec + [("quintic combination", 5, ())]]
 
 
 def _columns_det(dens: Sequence[int], cols: Sequence[tuple[Sequence[int], int]]) -> Fraction:
@@ -156,11 +149,12 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
         raise DegenerateJetError("lambda = 0")
     pt = tuple(Fraction(x) for x in pt)
     t = chart.integer_table(pt, 5)
-    cols, labels = _gamma15_columns(t, lam, mu, contract_numerators)
+    groups = _gamma15_columns(chart.n, lam, mu)
+    cols = [contract_numerators(t, terms) for _, terms in groups]
     return Gamma15Matrix(pt=pt, lam=lam, mu=mu,
                          columns=tuple(tuple(nums) for nums, _ in cols),
                          scales=tuple(s for _, s in cols), dens=t.dens,
-                         column_labels=tuple(labels))
+                         column_labels=tuple(label for label, _ in groups))
 
 
 def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
@@ -266,8 +260,11 @@ def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
     _require_square_ambient(chart)
     n = chart.n
     t = chart.integer_table(jet.base, 5)
-    tangent = [contract(t, [(1, vs)]) for vs in [()] + [(ei,) for ei in unit_vectors(n)]]
-    rank = span_rank(tangent + list(curve_derivatives(chart, jet)))
+    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
+    # x, x_1..x_n, then x', ..., x^(5) along the jet's curve
+    groups = [(0, ())] + [(0, (ei,)) for ei in unit_vectors(n)] + [(k, ()) for k in range(1, 6)]
+    rank = span_rank([contract_numerators(t, jet_terms(h, coeffs, along))[0]
+                      for h, along in groups])
     return FiveJetRankCheck(rank=rank, condition_holds=(rank <= n + 4),
                             dependency_threshold=n + 4, structural_bound=n + 5,
                             vector_count=n + 6)
@@ -312,10 +309,10 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
         raise PreconditionFailedError(
             f"u_1-coordinate curve is not quasi-asymptotic at u1={u1}"
             f" (rank {check.rank} > {check.dependency_threshold})")
+    # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     e = unit_vectors(n)
-    terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e]
-    terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 4]
-    vecs = [contract(t, [(1, vs)]) for vs in terms]
+    groups = [(0, ())] + [(h, (ei,)) for h in (0, 1, 2) for ei in e] + [(4, ())]
+    vecs = [contract(t, jet_terms(h, e[:1], along)) for h, along in groups]
     return PiSpace(u1=Fraction(u1), span=LinearSpan.of(vecs, chart.r + 1))
 
 
@@ -394,7 +391,7 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
     lam = [MultiPoly.variable(nv, i) for i in range(n)]
     mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
     t = chart.integer_table(pt, 5)
-    cols, _ = _gamma15_columns(t, lam, mu)
+    cols = [contract(t, terms) for _, terms in _gamma15_columns(n, lam, mu)]
     rows = [[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
             for row in zip(*cols)]
     sym = poly_det(rows)
@@ -420,10 +417,12 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
         e2[1] = 1                  # lam_2
         e2[n] = 1                  # mu_1
         coeff2 = sym.coefficient(tuple(e2))
+        # x, x_i, x_1j, x_1111, x_11k, x_1112: derivatives along the u_1 line
         e = unit_vectors(n)
-        terms = [()] + [(ei,) for ei in e] + [(e[0], ej) for ej in e] + [(e[0],) * 4]
-        terms += [(e[0], e[0], ek) for ek in e] + [(e[0],) * 3 + (e[1],)]
-        derived = _columns_det(t.dens, [contract_numerators(t, [(1, vs)]) for vs in terms])
+        groups = [(0, ())] + [(0, (ei,)) for ei in e] + [(1, (ej,)) for ej in e] + [(4, ())]
+        groups += [(2, (ek,)) for ek in e] + [(3, (e[1],))]
+        derived = _columns_det(t.dens, [contract_numerators(t, jet_terms(h, e[:1], along))
+                                        for h, along in groups])
 
     bound = gamma15_lamu_degree(n)
     deg = sym.total_degree()

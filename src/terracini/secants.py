@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import perm
 from typing import Sequence
 
 from .chart import (
@@ -23,6 +24,7 @@ from .chart import (
     contract,
     contract_numerators,
     fraction_vector,
+    jet_terms,
     multi_indices,
     unit_vectors,
 )
@@ -210,25 +212,20 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
 # 2-osculating regularity
 # ---------------------------------------------------------------------------
 
-def _osc2_terms(n: int, lam: Sequence[Fraction], mu: Sequence[Fraction]) -> list[list]:
-    """``contract`` terms of the 3n+1 criterion vectors, one list per vector.
-
-    Their generic independence is 2-osculating regularity: x; x_i; the
-    Hessian contractions sum_i x_ij lam_i for each j; and for each k the
-    vectors sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j.
-    """
-    e = unit_vectors(n)
-    return ([[(1, ())]] + [[(1, (ei,))] for ei in e]
-            + [[(1, (lam, ej))] for ej in e]
-            + [[(1, (ek, lam, lam)), (2, (ek, mu))] for ek in e])
-
-
 def _osc2_rank(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
                mu: Sequence[Fraction]) -> int:
-    """Rank of the ``_osc2_terms`` vectors at pt, taken of their numerator rows."""
+    """Rank of the 3n+1 criterion vectors at pt, taken of their numerator rows.
+
+    Their generic independence is 2-osculating regularity: x; x_i; the
+    Hessian contractions d_j x' = sum_i x_ij lam_i; and d_k x'' =
+    sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j, derivatives along the
+    curve pt + lam t + mu t^2.
+    """
+    e = unit_vectors(chart.n)
+    curve = (lam, mu)
     t = chart.integer_table(pt, 3)
-    return span_rank([contract_numerators(t, terms)[0]
-                      for terms in _osc2_terms(chart.n, lam, mu)])
+    return span_rank([contract_numerators(t, jet_terms(h, curve, along))[0]
+                      for h, along in [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]])
 
 
 @dataclass(frozen=True)
@@ -302,11 +299,11 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     """Generic dimension of the variety of m-osculating spaces (m = 1 or 2).
 
     Computed from the Jacobian of the parametrization
-    y = x + alpha sum x_i lam_i [+ beta (sum x_ij lam_i lam_j + 2 sum mu_i x_i)]
-    with lam_1 = 1, mu_1 = 0: the projective dimension of the image is the
-    generic rank of {y, all partials of y} minus 1.  This is a route
-    independent of the 3n+1-vector criterion, which is what makes their
-    agreement a meaningful cross-check.
+    y = x + alpha x' [+ beta x''], the t-derivatives along the curve
+    u + lam t + mu t^2 with lam_1 = 1, mu_1 = 0: the projective dimension
+    of the image is the generic rank of {y, all partials of y} minus 1.
+    This is a route independent of the 3n+1-vector criterion, which is
+    what makes their agreement a meaningful cross-check.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -322,19 +319,20 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
                             for _ in range(n - 1))
         alpha = Fraction(rng.randint(1, COORD_RADIUS))
         beta = Fraction(rng.randint(1, COORD_RADIUS))
-        # y, then its partials in lam_j and mu_j (j >= 2), alpha and beta
-        y = [(1, ()), (alpha, (lam,))]
-        dlam = [[(alpha, (ej,))] for ej in e[1:]]
-        dparams = [[(1, (lam,))]]
-        if m == 2:
-            quad = [(1, (lam, lam)), (2, (mu,))]
-            y += [(beta * c, vs) for c, vs in quad]
-            dlam = [[(alpha, (ej,)), (2 * beta, (lam, ej))] for ej in e[1:]]
-            dparams += [[(2 * beta, (ej,))] for ej in e[1:]] + [quad]
-        # d/du_k raises every term by one slot in direction e_k
-        du = [[(c, (ek,) + vs) for c, vs in y] for ek in e]
+        weights = (1, alpha, beta)[:m + 1]
+
+        def dy(s: int, along: tuple = ()) -> list:
+            # x(u + lam t + mu t^2) has d/d lam_j = t d_j and d/d mu_j = t^2 d_j,
+            # so d_along t^s maps x^(h) to h!/(h-s)! d_along x^(h-s)
+            return [(w * perm(h, s) * c, vs) for h, w in enumerate(weights) if h >= s
+                    for c, vs in jet_terms(h - s, (lam, mu), along)]
+
+        # y, then its partials in u_k, lam_j and mu_j (j >= 2), alpha and beta
+        terms = [dy(0)] + [dy(0, (ek,)) for ek in e]
+        terms += [dy(s, (ej,)) for s in range(1, m + 1) for ej in e[1:]]
+        terms += [jet_terms(h, (lam, mu)) for h in range(1, m + 1)]
         t = chart.integer_table(pt, m + 1)
         # the rows share the table's column scales, so their numerators rank alike
-        rows = [contract_numerators(t, terms)[0] for terms in [y] + du + dlam + dparams]
+        rows = [contract_numerators(t, ts)[0] for ts in terms]
         best = max(best, span_rank(rows) - 1)
     return best

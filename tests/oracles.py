@@ -28,9 +28,8 @@ from math import lcm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
-from terracini.chart import Chart, CurvilinearJet, _normalized_frame
+from terracini.chart import Chart, CurvilinearJet, _normalized_frame, jet_terms, unit_vectors
 from terracini.exactlin import BadIndexError, Matrix, MultiPoly
-from terracini.secants import _osc2_terms
 
 F0 = Fraction(0)
 
@@ -176,12 +175,14 @@ def symbolic_table(chart: Chart, pt, h: int) -> dict:
 def osc2_vectors(chart: Chart, pt, lam, mu) -> list[tuple]:
     """The 3n+1 vectors ranked by ``secants.osc2_regular``, as Fractions.
 
-    Built from the symbolic table by ``brute_contract``; only the term
-    lists are shared with the package.
+    x, x_i, d_j x' and d_k x'' along the curve pt + lam t + mu t^2, built
+    from the symbolic table by ``brute_contract``; only the term generator
+    ``chart.jet_terms`` is shared with the package.
     """
     sym = symbolic_table(chart, pt, 3)
-    return [brute_contract(sym, chart.n, chart.r + 1, terms)
-            for terms in _osc2_terms(chart.n, lam, mu)]
+    e = unit_vectors(chart.n)
+    return [brute_contract(sym, chart.n, chart.r + 1, jet_terms(h, (lam, mu), along))
+            for h, along in [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]]
 
 
 def _power(cache: list, base, k: int, times):
@@ -220,7 +221,8 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
     """
     if is_normalized(jet) and not any(jet.base):
         return chart, jet
-    m, new_jet = _normalized_frame(jet)
+    frame, new_jet = _normalized_frame(jet)
+    m = Matrix.from_columns(frame)
     coords = tuple(substitute_affine(p, jet.base, m) for p in chart.coords)
     return Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
 

@@ -8,6 +8,7 @@ import pytest
 
 from terracini.catalog import make_random_variety, make_veronese
 from terracini.chart import (
+    MAX_DEGREE,
     BadTargetError,
     Chart,
     ChartFormatError,
@@ -17,9 +18,9 @@ from terracini.chart import (
     chart_to_obj,
     contract,
     curve_derivatives,
+    jet_terms,
     load_chart,
     multi_indices,
-    normalized_derivatives,
     obj_to_chart,
     project_generic,
     save_chart,
@@ -33,6 +34,8 @@ from oracles import (
     composed_curve_series,
     is_normalized,
     jet_normalize,
+    partial,
+    poly_compose_curve,
     symbolic_table,
 )
 
@@ -285,47 +288,31 @@ def test_normalize_rejects_zero_lambda():
 
 def test_normalized_jet_spans_same_tangent_dimension():
     rng = random.Random(41)
-    c = make_veronese(4, 2)
+    c2 = make_veronese(4, 2)
     lams = [tuple(F(rng.randint(-4, 4)) for _ in range(4)) for _ in range(5)]
     lams.append((F(0), F(0), F(-3), F(2)))  # lambda_1 = 0: pivot is not 0
-    for lam in lams:
-        if all(x == 0 for x in lam):
-            lam = (F(1), F(0), F(0), F(0))
-        jet = CurvilinearJet(base=tuple(F(rng.randint(-2, 2)) for _ in range(4)),
-                             lam=lam,
-                             mu=tuple(F(rng.randint(-4, 4)) for _ in range(4)),
-                             length=3)
+    jets = [(c2, CurvilinearJet(base=tuple(F(rng.randint(-2, 2)) for _ in range(4)),
+                                lam=lam if any(lam) else (F(1), F(0), F(0), F(0)),
+                                mu=tuple(F(rng.randint(-4, 4)) for _ in range(4)), length=3))
+            for lam in lams]
+    # degree 5, so the quartic and quintic generators do not vanish; both pivots
+    c5 = make_random_variety(2, 5, 8, 7)
+    jets += [(c5, CurvilinearJet((F(1, 2), F(-1)), lam, (F(3), F(-2)), 3))
+             for lam in [(F(2), F(-1)), (F(0), F(3))]]
+    for c, jet in jets:
         nc, nj = jet_normalize(c, jet)
         assert is_normalized(nj)
-        # tangent_along contracts the chart's own derivatives; the substituted
-        # chart is the reference route, and both must give the same generators
+        # tangent_along reads the chart's own derivatives through the frame;
+        # the substituted chart is the reference route, and both must give
+        # the same generators
         via_contraction = tangent_along(c, jet)
         via_substitution = tangent_along(nc, nj)
         assert via_contraction.jet == via_substitution.jet == nj
         assert via_contraction.span.generators == via_substitution.span.generators
         assert via_contraction.zero_generators == via_substitution.zero_generators
-
-
-@pytest.mark.parametrize("lam", [(F(2), F(-1)), (F(0), F(3))])
-def test_contracted_derivatives_match_substituted_chart(lam):
-    # degree 5, so the quartic and quintic w-derivatives are nonzero
-    c = make_random_variety(2, 5, 8, 7)
-    jet = CurvilinearJet(base=(F(1, 2), F(-1)), lam=lam, mu=(F(3), F(-2)),
-                         length=3)
-    nc, nj = jet_normalize(c, jet)
-    njet, cw = normalized_derivatives(c, jet)
-    assert njet == nj
-    e = unit_vectors(2)
-
-    def dw(*idx):  # the w-index idx as one term over unit directions
-        return cw([(1, tuple(e[i] for i in idx))])
-
-    reference = symbolic_table(nc, nj.base, 5)
-    assert any(reference[idx] != (F(0),) * (c.r + 1) for idx in multi_indices(2, 5)
-               if len(idx) == 5)
-    for idx, vec in reference.items():
-        assert dw(*idx) == vec, idx
-        assert dw(*reversed(idx)) == vec, idx
+        if c is c5:  # the quartic and quintic generators, the last two, are nonzero
+            last = len(via_contraction.span.generators)
+            assert {last - 2, last - 1}.isdisjoint(via_contraction.zero_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +417,29 @@ def test_taylor_consistency_against_composition():
             assert assembled == from_series
 
 
+@pytest.mark.parametrize("n, r, seed", [(1, 5, 1), (2, 8, 7), (3, 9, 3)])
+def test_jet_terms_match_composition_with_partials(n, r, seed):
+    # d_v (d/dt)^m x(u(t)) at t = 0 is m! times the t^m coefficient of the
+    # directional derivative sum_i v_i x_i composed with u(t)
+    rng = random.Random(seed)
+    c = make_random_variety(n, 5, r, seed)
+
+    def vec():
+        return tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+
+    for m in range(6):
+        base, v = vec(), vec()
+        coeffs = [vec() for _ in range(rng.randint(1, 5))]
+        curve = [(base[i],) + tuple(k[i] for k in coeffs) + (F(0),) * m for i in range(n)]
+        t = c.integer_table(base, 6)
+        polys = {(): c.coords,
+                 (v,): [sum((partial(p, i) * v[i] for i in range(n)), MultiPoly.zero(n))
+                        for p in c.coords]}
+        for along, ps in polys.items():
+            expected = tuple(math.factorial(m) * poly_compose_curve(p, curve, m)[m] for p in ps)
+            assert contract(t, jet_terms(m, coeffs, along)) == expected, (m, along)
+
+
 # ---------------------------------------------------------------------------
 # chart JSON format
 # ---------------------------------------------------------------------------
@@ -468,9 +478,17 @@ def test_chart_json_big_integers():
     (lambda o: o["coords"][1][0].__setitem__("exp", [True]), "nonnegative integers"),
     (lambda o: o["coords"][1][0].__setitem__("num", 2.7), "decimal-string"),
     (lambda o: o["coords"][1][0].__setitem__("den", 1), "needs decimal-string num/den"),
+    (lambda o: o["coords"][1][0].__setitem__("exp", [MAX_DEGREE + 1]),
+     f"total degree {MAX_DEGREE + 1}, above the cap of {MAX_DEGREE}"),
 ])
 def test_chart_json_errors(mutate, fragment):
     obj = chart_to_obj(make_veronese(1, 2))
     mutate(obj)
     with pytest.raises(ChartFormatError, match=fragment):
         obj_to_chart(obj)
+
+
+def test_chart_json_accepts_the_degree_cap():
+    obj = chart_to_obj(make_veronese(1, 2))
+    obj["coords"][2][0]["exp"] = [MAX_DEGREE]
+    assert obj_to_chart(obj).max_coord_degree() == MAX_DEGREE

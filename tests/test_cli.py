@@ -5,13 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import MAX_TABLE_ENTRIES, load_chart, save_chart
+from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart, save_chart
 from terracini.cli import MAX_TRIALS, main
 
 
@@ -310,6 +311,27 @@ def test_oversized_chart_file_is_refused(capsys, tmp_path):
     assert out == ""
     assert err.startswith("terracini: error:")
     assert f"{r + 1} coordinates, above the cap of {MAX_COORDINATES}" in err
+
+
+def test_chart_file_of_excessive_degree_is_refused_before_any_work(tmp_path):
+    # (1, u, u^100000): without the cap secant:1 grows past 1.5 GB resident
+    doc = {"label": "steep-curve", "n": 1, "r": 2,
+           "coords": [[{"exp": [e], "num": "1", "den": "1"}] for e in (0, 1, 100000)]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
+         "--check", "secant:1", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"total degree 100000, above the cap of {MAX_DEGREE}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_1(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from terracini.catalog import load_catalog, make_random_variety, make_veronese
-from terracini.chart import Chart, CurvilinearJet, FiveJet
+from terracini.chart import Chart, CurvilinearJet, FiveJet, contract
 from terracini.curvilinear import generic_speciality
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
@@ -104,7 +104,8 @@ def test_symbolic_column_degrees():
     nv = 4
     lam = [MultiPoly.variable(nv, i) for i in range(2)]
     mu = [MultiPoly.variable(nv, 2 + i) for i in range(2)]
-    cols, labels = _gamma15_columns(c.integer_table((F(0), F(0)), 5), lam, mu)
+    t = c.integer_table((F(0), F(0)), 5)
+    cols = [contract(t, terms) for _, terms in _gamma15_columns(2, lam, mu)]
 
     def coldeg(col):
         return max((e.total_degree() for e in col if isinstance(e, MultiPoly)

@@ -1,6 +1,8 @@
-"""Static checks of the package sources: no module imports a name it never uses."""
+"""Static checks of the package sources: no module imports a name it never
+uses, and no annotation names something the module never binds."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -23,12 +25,57 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def unbound_annotation_names(source: str) -> list[str]:
+    """Names read in annotations, quoted ones included, that nothing binds.
+
+    With ``from __future__ import annotations`` no annotation is evaluated,
+    so an annotation may name a class the module never imports and the
+    module still runs.  Builtins and every name the module binds anywhere
+    (imports, definitions, assignments, parameters) count as bound.
+    """
+    tree = ast.parse(source)
+    bound = set(dir(builtins))
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            annotations.append(getattr(node, "returns", None))
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+    read = set()
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.parse(node.value, mode="eval")
+            read.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return sorted(read - bound)
+
+
 def test_unused_import_check_finds_unread_names():
     source = ("from __future__ import annotations\nimport os.path, sys as system\n"
               "from math import gcd, lcm\n\ndef f(x: int) -> int:\n    return lcm(x, 2)\n")
     assert unused_imports(source) == ["gcd", "os", "system"]
 
 
+def test_annotation_check_finds_unbound_names():
+    source = ("from __future__ import annotations\nfrom fractions import Fraction\n\n"
+              "class Span:\n    rows: list[Vector]\n\n"
+              "def f(x: Fraction, y: 'Table | None' = None) -> Span:\n    return x\n")
+    assert unbound_annotation_names(source) == ["Table", "Vector"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_module_binds_every_name_its_annotations_read(path):
+    assert unbound_annotation_names(path.read_text(encoding="utf-8")) == []
