@@ -93,7 +93,7 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
             for e in mons:
                 c = rng.randint(-9, 9)
                 if c:
-                    terms[e] = Fraction(c)
+                    terms[e] = c
             coords.append(MultiPoly(n, terms))
         # arrange a usable base point: nonzero coordinate vector at 0
         if all(p.coefficient((0,) * n) == 0 for p in coords):

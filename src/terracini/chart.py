@@ -12,15 +12,16 @@ its denominators cleared (a common denominator and integer coefficients),
 and each mixed partial is derived from its prefix by integer
 differentiation.  A point is scaled to a common denominator q, one table
 of integer powers is built per point and shared by every multi-index of
-the request.  ``integer_table`` returns integers over one denominator per
-coordinate, and every derivative combination of the analysis is a list of
-terms that ``contract`` sums over one such table.  ``contract_numerators``
-gives the same sum as integer numerators and one scale; entry c's
-denominator is den_c times a factor of the point and the terms, so ranks
-and determinants are taken of the numerators (a row scale times a column
-scale) and ``contract`` builds canonical ``Fraction``s from them only where
-exact values are kept.  ``derivative_vector`` reads a single multi-index as
-``Fraction``s for the smoothness test.
+the request.  ``integer_table`` returns integers over a column scale
+den_c, the coordinate's denominator, times a row scale q^D, the point's;
+the two are kept apart, so rows of several points stack under one column
+scale.  Every derivative combination of the analysis is a list of terms
+that ``contract_numerators`` sums over one such table into integer
+numerators and one row scale, so ranks and determinants are taken of the
+numerators.  ``contract`` builds canonical ``Fraction``s from them only
+where exact values are kept: the curve derivatives and the symbolic
+columns of the claim audit.  ``derivative_vector`` reads a single
+multi-index as ``Fraction``s for the smoothness test.
 
 ``integer_table`` is the one evaluator: it keeps the tables of the last
 point asked for, one per order, and starts afresh when the point changes.
@@ -145,15 +146,22 @@ class IntegerTable(NamedTuple):
     """Chart derivatives of order <= ``order`` at one point, denominators cleared.
 
     Entry c of the derivative at a sorted multi-index is
-    ``nums[key][c] / dens[c]``; keys whose vector vanishes are left out, and
-    ``top`` is the highest order of a key kept (-1 if none).
+    ``nums[key][c] / (dens[c] * scale)``: ``dens`` is the chart's column
+    scale den_c and ``scale`` the point's q^D.  Keys whose vector vanishes
+    are left out, and ``top`` is the highest order of a key kept (-1 if none).
     """
 
     nums: dict[tuple[int, ...], tuple[int, ...]]
     dens: tuple[int, ...]
+    scale: int
     n: int
     order: int
     top: int
+
+    def rows(self, keys: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+        """The numerator rows at sorted multi-indices, zero rows included."""
+        zero = (0,) * len(self.dens)
+        return tuple(self.nums.get(key, zero) for key in keys)
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,7 @@ class Chart:
             if not 0 <= i < self.n:
                 raise BadIndexError(f"derivative index {i} out of range for n={self.n}")
         t = self.integer_table(pt, max(1, len(key)))
-        return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens)
+        return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens, t.scale)
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads.
@@ -251,8 +259,8 @@ class Chart:
             keys = multi_indices(self.n, h)
             rows, scale = self._numerators(pt, keys)
             nums = {key: row for key, row in zip(keys, rows) if any(row)}
-            tables[h] = IntegerTable(nums, tuple(den * scale for den in self._dens), self.n,
-                                     h, max(map(len, nums), default=-1))
+            tables[h] = IntegerTable(nums, self._dens, scale, self.n, h,
+                                     max(map(len, nums), default=-1))
         return tables[h]
 
     # -- basic geometry -------------------------------------------------------
@@ -270,9 +278,10 @@ class Chart:
         return max((p.total_degree() for p in self.coords), default=-1)
 
     def is_nondegenerate(self) -> bool:
-        """Coordinates linearly independent as polynomials (X spans P^r)."""
-        mons = sorted({e for p in self.coords for e in p.terms})
-        rows = [[p.terms.get(e, _F0) for e in mons] for p in self.coords]
+        """Coordinates linearly independent as polynomials (X spans P^r); ranks integer forms."""
+        forms = [dict(zip(es, cs)) for _, cs, es in self._dcache[()]]
+        mons = sorted({e for f in forms for e in f})
+        rows = [[f.get(e, 0) for e in mons] for f in forms]
         return span_rank(rows) == self.r + 1
 
 
@@ -280,7 +289,7 @@ class Chart:
 # contraction of the derivative tensor with direction vectors
 # ---------------------------------------------------------------------------
 
-def fraction_vector(nums: Sequence[int], dens: Sequence[int], scale: int = 1) -> Vector:
+def fraction_vector(nums: Sequence[int], dens: Sequence[int], scale: int) -> Vector:
     """The exact vector of a numerator form: entry c is nums[c] / (dens[c] * scale)."""
     return tuple(Fraction(a, d * scale) if a else _F0 for a, d in zip(nums, dens))
 
@@ -296,19 +305,19 @@ def _times(part: dict, v: Sequence) -> dict:
     return out
 
 
-def contract_numerators(table: IntegerTable, terms: Sequence[tuple]) -> tuple[list, int]:
+def contract_numerators(table: IntegerTable, terms: Sequence[tuple]) -> tuple[tuple, int]:
     """Numerator form (ints, scale) of ``contract``: entry c is ints[c] / (dens[c] * scale).
 
     ``dens`` is ``table.dens``.  Each product of linear forms is expanded
     into {sorted multi-index: scalar}, merging keys at every step, so each
     distinct derivative is read once, in one pass over the width.  Numeric
     directions and coefficients are cleared to integers with one common
-    denominator, which ``scale`` carries; ring scalars (the MultiPoly
-    lambda, mu of the symbolic audit) go through the same expansion with
-    scale 1 and come back as ring elements.  Every vector contracted from
-    one chart's tables is its numerators over a row scale (q^D * scale)
-    times a column scale (den_c), so ranks and determinants can be taken
-    of the numerators.
+    denominator, and ``scale`` is that denominator times the table's q^D;
+    ring scalars (the MultiPoly lambda, mu of the symbolic audit) go
+    through the same expansion and come back as ring elements over q^D.
+    Every vector contracted from one chart's tables is its numerators over
+    a row scale (``scale``) times a column scale (den_c), so ranks and
+    determinants can be taken of the numerators.
     """
     for _, vs in terms:
         if len(vs) > table.order:
@@ -339,7 +348,7 @@ def contract_numerators(table: IntegerTable, terms: Sequence[tuple]) -> tuple[li
         row = table.nums.get(key)
         if row is not None:
             acc = list(map(add, acc, map(mul, row, repeat(x))))
-    return acc, scale
+    return tuple(acc), scale * table.scale
 
 
 def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
@@ -352,7 +361,7 @@ def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
     acc, scale = contract_numerators(table, terms)
     if all(type(a) is int for a in acc):
         return fraction_vector(acc, table.dens, scale)
-    return tuple(a * Fraction(1, d) for a, d in zip(acc, table.dens))  # scale is 1
+    return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
 
 
 @cache
@@ -521,6 +530,8 @@ def obj_to_chart(obj: dict) -> Chart:
     for key in ("label", "n", "r", "coords"):
         if key not in obj:
             raise ChartFormatError(f"missing key {key!r}")
+    if not isinstance(obj["label"], str):
+        raise ChartFormatError("label must be a string")
     n, r = obj["n"], obj["r"]
     # type(x) is int: JSON true/false load as bool, an int subclass
     if not (type(n) is int and n >= 1):

@@ -21,11 +21,10 @@ from .chart import (
     Chart,
     CurvilinearJet,
     _normalized_frame,
-    contract,
     jet_terms,
 )
 from .exactlin import Matrix, Vector
-from .secants import COORD_RADIUS, LinearSpan, sample_smooth_point
+from .secants import LinearSpan, sample_point, sample_smooth_point
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -84,10 +83,9 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
         gens.append(("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111",
                      jet_terms(5, curve)))
     t = chart.integer_table(jet.base, 3 if jet.length == 2 else 5)
-    vecs = [contract(t, terms) for _, terms in gens]
-    span = LinearSpan.of(vecs, chart.r + 1)
+    span = LinearSpan.contracted(t, [terms for _, terms in gens])
     expected = expected_tangent_dim(chart.n, jet.length, chart.r)
-    zeros = tuple(i for i, v in enumerate(vecs) if all(c == 0 for c in v))
+    zeros = tuple(i for i, row in enumerate(span.rows) if not any(row))
     return TangentAlongScheme(jet=njet, span=span, expected=expected,
                               special=span.dim < expected, zero_generators=zeros,
                               generator_labels=tuple(label for label, _ in gens))
@@ -141,12 +139,10 @@ class SpecialityVerdict:
 def random_jet(chart: Chart, rng: random.Random, length: int) -> CurvilinearJet:
     base, _ = sample_smooth_point(chart, rng)
     while True:
-        lam = tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-                    for _ in range(chart.n))
+        lam = sample_point(rng, chart.n)
         if any(c != 0 for c in lam):
             break
-    mu = tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-               for _ in range(chart.n))
+    mu = sample_point(rng, chart.n)
     return CurvilinearJet(base=base, lam=lam, mu=mu, length=length)
 
 

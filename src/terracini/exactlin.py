@@ -3,17 +3,17 @@
 Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
 all exact arithmetic over Q; no floating point anywhere.  Rank and
-determinant run on integer rows.  Rows of ``int`` go to the elimination
-kernels as they are; that is how the numerators read from a chart's
-derivative table arrive, and rank ignores their nonzero row and column
-scales.  ``Fraction`` rows are cleared per row with integer arithmetic
-first.  Rank has one route, ``span_rank``: elimination modulo a 31-bit
-prime, which can only underestimate, decides every full rank and
-fraction-free Bareiss the rest.  ``integer_det`` is the last Bareiss pivot;
-``Matrix.det`` divides it by the row multipliers once.  The ``Fraction``
-``Matrix`` remains for nullspaces.  Polynomials carry
-what the symbolic determinant audit (``poly_det``) needs; their reference
-routes live in ``tests/oracles.py``.
+determinant run on integer rows.  Every span of the analysis reaches
+``span_rank`` as rows of ``int``: the numerators read from a chart's
+derivative tables, whose nonzero row and column scales rank ignores.
+Only the smoothness test still hands over ``Fraction`` rows, which are
+cleared per row with integer arithmetic first, as ``Matrix`` clears its
+own.  Rank has one route: elimination modulo a 31-bit prime, which can
+only underestimate, decides every full rank and fraction-free Bareiss the
+rest.  ``integer_det`` is the last Bareiss pivot; ``Matrix.det`` divides
+it by the row multipliers once.  The ``Fraction`` ``Matrix`` remains for
+nullspaces.  Polynomials carry what the symbolic determinant audit
+(``poly_det``) needs; their reference routes live in ``tests/oracles.py``.
 
 The ground field type ``Rational`` is ``fractions.Fraction``, which
 guarantees the lowest-terms / positive-denominator invariants.

@@ -33,8 +33,6 @@ from .chart import (
     DegenerateJetError,
     FiveJet,
     contract,
-    contract_numerators,
-    fraction_vector,
     jet_terms,
     unit_vectors,
 )
@@ -54,7 +52,8 @@ from .exactlin import (
     span_rank,
     sz_zero_test,
 )
-from .secants import DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, secant_defect
+from .secants import (DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, sample_point,
+                      secant_defect)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -105,38 +104,33 @@ def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
             for label, m, along in spec + [("quintic combination", 5, ())]]
 
 
-def _columns_det(dens: Sequence[int], cols: Sequence[tuple[Sequence[int], int]]) -> Fraction:
-    """Determinant of the square matrix whose column j has entry c = nums_j[c] / (dens[c] * s_j).
+def _det(columns: LinearSpan) -> Fraction:
+    """Determinant of the square matrix whose columns are the span's generators.
 
-    ``cols`` holds the numerator forms (nums_j, s_j).  Scaling rows and
-    columns scales the determinant by their product, so it is the integer
-    determinant of the numerators divided once by prod(dens) * prod(s_j).
+    Scaling rows and columns scales the determinant by their product, so it
+    is the integer determinant of the numerator rows divided once by
+    prod(dens) * prod(scales).
     """
-    return Fraction(integer_det([nums for nums, _ in cols]),
-                    prod(dens) * prod(s for _, s in cols))
+    return Fraction(integer_det(columns.rows), prod(columns.dens) * prod(columns.scales))
 
 
 @dataclass(frozen=True)
 class Gamma15Matrix:
-    """The determinant matrix as integer columns: entry c of column j is
-    ``columns[j][c] / (dens[c] * scales[j])``."""
+    """The determinant matrix; its columns are held as a span of integer rows."""
 
     pt: Vector
     lam: Vector
     mu: Vector
-    columns: tuple[tuple[int, ...], ...]
-    scales: tuple[int, ...]
-    dens: tuple[int, ...]
+    columns: LinearSpan
     column_labels: tuple[str, ...]
 
     @cached_property
     def matrix(self) -> Matrix:
         """The matrix over Q, built on first use."""
-        return Matrix.from_columns([fraction_vector(col, self.dens, s)
-                                    for col, s in zip(self.columns, self.scales)])
+        return Matrix.from_columns(self.columns.generators)
 
     def det(self) -> Fraction:
-        return _columns_det(self.dens, list(zip(self.columns, self.scales)))
+        return _det(self.columns)
 
 
 def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
@@ -148,12 +142,9 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     if all(c == 0 for c in lam):
         raise DegenerateJetError("lambda = 0")
     pt = tuple(Fraction(x) for x in pt)
-    t = chart.integer_table(pt, 5)
     groups = _gamma15_columns(chart.n, lam, mu)
-    cols = [contract_numerators(t, terms) for _, terms in groups]
-    return Gamma15Matrix(pt=pt, lam=lam, mu=mu,
-                         columns=tuple(tuple(nums) for nums, _ in cols),
-                         scales=tuple(s for _, s in cols), dens=t.dens,
+    columns = LinearSpan.contracted(chart.integer_table(pt, 5), [terms for _, terms in groups])
+    return Gamma15Matrix(pt=pt, lam=lam, mu=mu, columns=columns,
                          column_labels=tuple(label for label, _ in groups))
 
 
@@ -263,8 +254,7 @@ def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
     coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
     # x, x_1..x_n, then x', ..., x^(5) along the jet's curve
     groups = [(0, ())] + [(0, (ei,)) for ei in unit_vectors(n)] + [(k, ()) for k in range(1, 6)]
-    rank = span_rank([contract_numerators(t, jet_terms(h, coeffs, along))[0]
-                      for h, along in groups])
+    rank = LinearSpan.contracted(t, [jet_terms(h, coeffs, along) for h, along in groups]).rank
     return FiveJetRankCheck(rank=rank, condition_holds=(rank <= n + 4),
                             dependency_threshold=n + 4, structural_bound=n + 5,
                             vector_count=n + 6)
@@ -312,8 +302,8 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
     # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     e = unit_vectors(n)
     groups = [(0, ())] + [(h, (ei,)) for h in (0, 1, 2) for ei in e] + [(4, ())]
-    vecs = [contract(t, jet_terms(h, e[:1], along)) for h, along in groups]
-    return PiSpace(u1=Fraction(u1), span=LinearSpan.of(vecs, chart.r + 1))
+    span = LinearSpan.contracted(t, [jet_terms(h, e[:1], along) for h, along in groups])
+    return PiSpace(u1=Fraction(u1), span=span)
 
 
 @dataclass(frozen=True)
@@ -340,13 +330,13 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
         raise ValueError("need at least one sample")
     spaces = [pi_space(chart, u1) for u1 in samples]
     dims = tuple(s.dim for s in spaces)
-    union: list[Vector] = []
-    for s in spaces:
-        union.extend(s.span.generators)
+    # one chart, so every span's rows share the column scales den_c
+    union = [row for s in spaces for row in s.span.rows]
     constant = len(set(dims)) == 1 and span_rank(union) == spaces[0].span.rank
-    # the tangent space at the base is spanned by Pi's first n+1 generators, x and x_i
-    contained = all(s.span.contains_span(LinearSpan.of(s.span.generators[:chart.n + 1]))
-                    for s in spaces)
+    # the tangent space at the base is spanned by Pi's first n+1 rows, x and x_i
+    k = chart.n + 1
+    contained = all(s.span.contains_span(LinearSpan(s.span.rows[:k], s.span.scales[:k],
+                                                    s.span.dens)) for s in spaces)
     lo, hi = 3 * chart.n, 3 * chart.n + 1
     return PiConstancyReport(samples=tuple(Fraction(s) for s in samples), dims=dims,
                              constant=constant, tangent_contained=contained,
@@ -399,10 +389,10 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
     rng = random.Random(seed)
     match = True
     for _ in range(evaluations):
-        lam_v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        lam_v = sample_point(rng, n)
         if all(c == 0 for c in lam_v):
             lam_v = (_F1,) * n
-        mu_v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        mu_v = sample_point(rng, n)
         if sym.eval(lam_v + mu_v) != gamma15_det(chart, pt, lam_v, mu_v):
             match = False
 
@@ -421,8 +411,8 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
         e = unit_vectors(n)
         groups = [(0, ())] + [(0, (ei,)) for ei in e] + [(1, (ej,)) for ej in e] + [(4, ())]
         groups += [(2, (ek,)) for ek in e] + [(3, (e[1],))]
-        derived = _columns_det(t.dens, [contract_numerators(t, jet_terms(h, e[:1], along))
-                                        for h, along in groups])
+        derived = _det(LinearSpan.contracted(t, [jet_terms(h, e[:1], along)
+                                                 for h, along in groups]))
 
     bound = gamma15_lamu_degree(n)
     deg = sym.total_degree()

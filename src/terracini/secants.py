@@ -6,6 +6,9 @@ osculating-regularity checks.  "General point" semantics everywhere is
 max-rank over a seeded batch of random small-height rational draws: the
 maximal rank attained is a certified lower bound for the generic rank,
 which is exactly what the statements being audited quantify over.
+Every span is a ``LinearSpan`` of integer numerator rows read from one
+chart's derivative tables, and it is ranked as such; its exact vectors
+are built only when ``generators`` is read.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import perm
 from typing import Sequence
@@ -21,7 +25,6 @@ from .chart import (
     AmbientTooSmallError,
     Chart,
     IntegerTable,
-    contract,
     contract_numerators,
     fraction_vector,
     jet_terms,
@@ -51,61 +54,74 @@ class SingularPointError(ValueError):
 
 @dataclass(frozen=True)
 class LinearSpan:
-    """Span of a finite family of coordinate vectors in Q^{ambient}."""
+    """Span of a finite family of vectors in Q^{ambient}, as integer numerator rows.
 
-    generators: tuple[Vector, ...]
-    rank: int
-    ambient: int
+    Entry c of vector i is ``rows[i][c] / (scales[i] * dens[c])``: a row
+    scale (q^D of the point times the contraction's own scale) and the
+    chart's column scale den_c.  Rank ignores both, so it is taken of the
+    rows; the exact vectors are built only when ``generators`` is read.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+    dens: tuple[int, ...]
 
     @classmethod
-    def of(cls, vectors: Sequence[Vector], ambient: int | None = None) -> "LinearSpan":
-        vecs = tuple(tuple(v) for v in vectors)
-        amb = ambient if ambient is not None else (len(vecs[0]) if vecs else 0)
-        return cls(vecs, span_rank(vecs), amb)
+    def contracted(cls, t: IntegerTable, term_lists: Sequence[Sequence[tuple]]) -> "LinearSpan":
+        """Span of the vectors that ``contract`` gives for each term list over table t."""
+        rows, scales = zip(*(contract_numerators(t, terms) for terms in term_lists))
+        return cls(rows, scales, t.dens)
+
+    @cached_property
+    def rank(self) -> int:
+        return span_rank(self.rows)
+
+    @property
+    def ambient(self) -> int:
+        return len(self.dens)
 
     @property
     def dim(self) -> int:
         """Projective dimension (rank - 1; -1 for the zero span)."""
         return self.rank - 1
 
+    @cached_property
+    def generators(self) -> tuple[Vector, ...]:
+        """The exact vectors, built on first use."""
+        return tuple(fraction_vector(row, self.dens, s) for row, s in zip(self.rows, self.scales))
+
     def contains_span(self, other: "LinearSpan") -> bool:
-        return span_rank(self.generators + other.generators) == self.rank
+        # stacked numerator rows span the stacked vectors only under one column scale
+        if other.dens != self.dens:
+            raise ValueError("spans have different column scales")
+        return span_rank(self.rows + other.rows) == self.rank
 
 
 # ---------------------------------------------------------------------------
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
-def _tangent_numerators(chart: Chart, t: IntegerTable, pt: Sequence[Fraction]
-                        ) -> tuple[list, tuple[int, ...]]:
-    """Numerator rows of x, x_1..x_n (entry c over dens[c]) and dens.
-
-    ``t`` is the order-1 table at pt; pt itself only names the point in the
-    error.  Raises SingularPointError when the rows span less than n+1
-    dimensions.
-    """
-    zero = (0,) * len(t.dens)
-    rows = [t.nums.get(key, zero) for key in multi_indices(chart.n, 1)]
+def _tangent_numerators(chart: Chart, t: IntegerTable, pt: Sequence[Fraction]) -> tuple:
+    """Rows of x, x_1..x_n from the order-1 table t at pt; SingularPointError below rank n+1."""
+    rows = t.rows(multi_indices(chart.n, 1))
     rank = span_rank(rows)
     if rank < chart.n + 1:
         raise SingularPointError(f"tangent rank {rank} < n+1 at"
                                  f" ({', '.join(map(str, pt))}) on {chart.label}")
-    return rows, t.dens
+    return rows
 
 
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
-    """Projective tangent space: span of x and the first derivatives."""
-    rows, dens = _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
-    return LinearSpan(tuple(fraction_vector(row, dens) for row in rows), chart.n + 1,
-                      chart.r + 1)
+    """Projective tangent space: span of x and the first derivatives at a smooth point."""
+    _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
+    return osculating_space(chart, pt, 1)
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
     """h-osculating space: span of all derivative vectors of order <= h."""
     t = chart.integer_table(pt, h)
-    e = unit_vectors(chart.n)
-    return LinearSpan.of([contract(t, [(1, tuple(e[i] for i in idx))])
-                          for idx in multi_indices(chart.n, h)], chart.r + 1)
+    rows = t.rows(multi_indices(chart.n, h))
+    return LinearSpan(rows, (t.scale,) * len(rows), t.dens)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +213,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
             tables.append(chart.integer_table(pt, 1))
             repeats = 0
         # numerator rows of every point share the column scales den_c
-        rows = [row for pt, t in zip(pts, tables)
-                for row in _tangent_numerators(chart, t, pt)[0]]
+        rows = [row for pt, t in zip(pts, tables) for row in _tangent_numerators(chart, t, pt)]
         observed = span_rank(rows) - 1
         if observed > best:
             best = observed
@@ -224,8 +239,8 @@ def _osc2_rank(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
     e = unit_vectors(chart.n)
     curve = (lam, mu)
     t = chart.integer_table(pt, 3)
-    return span_rank([contract_numerators(t, jet_terms(h, curve, along))[0]
-                      for h, along in [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]])
+    return LinearSpan.contracted(t, [jet_terms(h, curve, along) for h, along in
+                                     [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]]).rank
 
 
 @dataclass(frozen=True)
@@ -255,10 +270,8 @@ def osc2_regular(chart: Chart, trials: int = 5, seed: int = 0) -> Osc2Verdict:
     witness = None
     for _ in range(trials):
         pt, _ = sample_smooth_point(chart, rng)
-        lam = (_F1,) + tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-                             for _ in range(n - 1))
-        mu = (_F0,) + tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-                            for _ in range(n - 1))
+        lam = (_F1,) + sample_point(rng, n - 1)
+        mu = (_F0,) + sample_point(rng, n - 1)
         rank = _osc2_rank(chart, pt, lam, mu)
         ranks.append(rank)
         if rank > best:
@@ -313,10 +326,8 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     best = -1
     for _ in range(samples):
         pt, _ = sample_smooth_point(chart, rng)
-        lam = (_F1,) + tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-                             for _ in range(n - 1))
-        mu = (_F0,) + tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS))
-                            for _ in range(n - 1))
+        lam = (_F1,) + sample_point(rng, n - 1)
+        mu = (_F0,) + sample_point(rng, n - 1)
         alpha = Fraction(rng.randint(1, COORD_RADIUS))
         beta = Fraction(rng.randint(1, COORD_RADIUS))
         weights = (1, alpha, beta)[:m + 1]
@@ -332,7 +343,5 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
         terms += [dy(s, (ej,)) for s in range(1, m + 1) for ej in e[1:]]
         terms += [jet_terms(h, (lam, mu)) for h in range(1, m + 1)]
         t = chart.integer_table(pt, m + 1)
-        # the rows share the table's column scales, so their numerators rank alike
-        rows = [contract_numerators(t, ts)[0] for ts in terms]
-        best = max(best, span_rank(rows) - 1)
+        best = max(best, LinearSpan.contracted(t, terms).dim)
     return best

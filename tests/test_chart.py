@@ -111,7 +111,7 @@ def test_integer_kernel_matches_symbolic_reference(make, pt):
     assert set(itable.nums) == {idx for idx, ref in reference.items() if any(ref)}
     for idx, ref in reference.items():
         nums = itable.nums.get(idx, (0,) * (c.r + 1))
-        assert tuple(F(num, den) for num, den in zip(nums, itable.dens)) == ref
+        assert tuple(F(num, den * itable.scale) for num, den in zip(nums, itable.dens)) == ref
         vec = c.derivative_vector(pt, idx[::-1])
         assert vec == ref
         assert all(type(x) is F for x in vec)
@@ -149,7 +149,8 @@ def test_table_memo_serves_the_point_and_order_asked_for():
             contract(t, [(1, (E[0],) * (h + 1))])
         for idx, vec in ref.items():
             if len(idx) <= h:
-                assert tuple(F(x, d) for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
+                assert tuple(F(x, d * t.scale)
+                             for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
             # orders 0 to 5, each read from the table of its own order
             assert c.derivative_vector(pt, idx[::-1]) == vec
             assert all(type(x) is F for x in c.derivative_vector(pt, idx))
@@ -467,6 +468,9 @@ def test_chart_json_big_integers():
 
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda o: o.pop("label"), "label"),
+    (lambda o: o.__setitem__("label", None), "label must be a string"),
+    (lambda o: o.__setitem__("label", 5), "label must be a string"),
+    (lambda o: o.__setitem__("label", [1, 2]), "label must be a string"),
     (lambda o: o.__setitem__("n", 0), "n must be"),
     (lambda o: o.__setitem__("coords", []), "polynomials"),
     (lambda o: o["coords"][0].__setitem__(0, {"exp": [1], "num": "x", "den": "1"}),

@@ -6,8 +6,10 @@ scale) and a column scale (den_c of the coordinate), so span ranks run on
 the numerators and a determinant divides by the scales once.  The sample
 lattice only produces integer points of integer-coefficient charts; these
 tests take rational points (q > 1) and rational coefficients (den_c > 1)
-and compare against the Fraction oracles.  A guard keeps Fractions out of
-the elimination kernels on the command line's rank and determinant paths.
+and compare against the Fraction oracles.  Guards keep Fractions out of
+the elimination kernels on the command line's rank and determinant paths,
+and out of every span the analysis ranks; a span's exact generators,
+built on request, must equal the oracle vectors.
 """
 
 import io
@@ -18,18 +20,27 @@ from itertools import product
 
 import pytest
 
-from terracini import exactlin, secants
+from terracini import exactlin, gamma15, secants
 from terracini.catalog import make_random_variety, make_veronese
-from terracini.chart import Chart, contract_numerators, multi_indices, unit_vectors
+from terracini.chart import (
+    Chart,
+    CurvilinearJet,
+    contract_numerators,
+    multi_indices,
+    unit_vectors,
+)
 from terracini.cli import main
+from terracini.curvilinear import tangent_along
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
     _gamma15_columns,
     claim_coefficient_audit,
     gamma15_det,
     pi_constancy_check,
+    pi_space,
 )
-from oracles import brute_contract, gauss_det, rank_exact, symbolic_table
+from terracini.secants import osculating_space, tangent_space
+from oracles import brute_contract, gauss_det, jet_normalize, rank_exact, symbolic_table
 
 
 def rational_chart(rng, n, degree, r, dependent=False) -> Chart:
@@ -174,3 +185,102 @@ def test_pi_constancy_evaluates_each_sample_once(evaluations):
     evaluations.clear()
     pi_constancy_check(chart, [0, 1, 2])
     assert len(evaluations) == 3
+
+
+@pytest.fixture
+def span_entries(monkeypatch):
+    """Types of every entry reaching ``span_rank`` through secants and gamma15."""
+    seen = []
+
+    def recording(vectors):
+        vectors = list(vectors)
+        seen.extend({type(x) for row in vectors for x in row})
+        return span_rank(vectors)
+
+    monkeypatch.setattr(secants, "span_rank", recording)
+    monkeypatch.setattr(gamma15, "span_rank", recording)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze --variety random:2:4:8:2 --check speciality:2 --trials 2",
+    "analyze --variety random:2:4:8:2 --check speciality:3 --trials 2",
+    "analyze --variety random:2:4:8:2 --check pi-constancy",
+    "audit-theorem --variety random:2:4:8:2 --trials 2",
+], ids=["speciality-2", "speciality-3", "pi-constancy", "audit-theorem"])
+def test_spans_reach_span_rank_as_integer_rows(span_entries, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv.split()) == 0
+    assert '"precondition_failed": true' not in out.getvalue()
+    assert span_entries and set(span_entries) == {int}
+
+
+def along_generators(sym, n: int, width: int, mu, length: int) -> list[tuple]:
+    """The generators along a normalized jet (lambda = e_1), from their formulas."""
+    e = unit_vectors(n)
+    e1 = e[0]
+
+    def vec(*terms):
+        return brute_contract(sym, n, width, terms)
+
+    gens = [sym[()]] + [sym[(j,)] for j in range(n)]
+    gens += [vec((1, (e1, ej))) for ej in e] + [sym[(0, 0, 0)]]
+    if length == 3:
+        gens += [vec((2, (mu, eh)), (1, (e1, e1, eh))) for eh in e[1:]]
+        gens.append(vec((12, (mu, mu)), (12, (mu, e1, e1)), (1, (e1,) * 4)))
+        gens.append(vec((60, (e1, mu, mu)), (20, (e1, e1, e1, mu)), (1, (e1,) * 5)))
+    return gens
+
+
+def assert_scaled(span):
+    # a rational point and rational coefficients give row and column scales > 1
+    assert min(span.scales) > 1 and max(span.dens) > 1
+
+
+def test_span_generators_are_the_exact_vectors():
+    rng = random.Random(73)
+    n, r = 2, 8
+    for _ in range(2):
+        chart = rational_chart(rng, n, 5, r)
+        pt = rational_point(rng, n)
+        sym = symbolic_table(chart, pt, 3)
+        tangent = tangent_space(chart, pt)
+        assert_scaled(tangent)
+        assert tangent.generators == (sym[()],) + tuple(sym[(i,)] for i in range(n))
+        assert tangent.ambient == r + 1 and tangent.dim == n
+        osc = osculating_space(chart, pt, 3)
+        assert_scaled(osc)
+        assert osc.generators == tuple(sym[key] for key in multi_indices(n, 3))
+        for length in (2, 3):
+            jet = CurvilinearJet(pt, rational_point(rng, n), rational_point(rng, n), length)
+            tas = tangent_along(chart, jet)
+            assert_scaled(tas.span)
+            normalized, njet = jet_normalize(chart, jet)
+            ref = symbolic_table(normalized, (F(0),) * n, 5)
+            assert list(tas.span.generators) == along_generators(ref, n, r + 1, njet.mu, length)
+
+
+def test_pi_generators_are_the_exact_vectors():
+    rng = random.Random(74)
+    n, r = 2, 8  # r = 3n + 2; cubic, so the coordinate curves meet the precondition
+    chart = rational_chart(rng, n, 3, r)
+    u1 = F(3, 5)
+    pi = pi_space(chart, u1).span
+    assert_scaled(pi)
+    sym = symbolic_table(chart, (u1, F(0)), 4)
+    # x, x_i, x_1i, x_11i, x_1111
+    expected = [sym[()]] + [sym[key] for prefix in [(), (0,), (0, 0)] for key in
+                            [prefix + (i,) for i in range(n)]] + [sym[(0, 0, 0, 0)]]
+    assert list(pi.generators) == expected
+
+
+def test_contains_span_refuses_different_column_scales():
+    rng = random.Random(75)
+    chart = rational_chart(rng, 2, 3, 8)
+    halved = Chart("halved", 2, 8, (chart.coords[0] * F(1, 2),) + chart.coords[1:])
+    pt = rational_point(rng, 2)
+    span = tangent_space(chart, pt)
+    assert osculating_space(chart, pt, 2).contains_span(span)
+    with pytest.raises(ValueError, match="different column scales"):
+        span.contains_span(tangent_space(halved, pt))

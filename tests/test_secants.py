@@ -246,7 +246,7 @@ def test_osc_dim_rejects_bad_m():
 
 
 def test_linear_span_contains_span():
-    a = LinearSpan.of([(F(1), F(0), F(0)), (F(0), F(1), F(0))])
-    b = LinearSpan.of([(F(1), F(1), F(0))])
+    a = LinearSpan(((1, 0, 0), (0, 1, 0)), (1, 1), (1, 1, 1))
+    b = LinearSpan(((1, 1, 0),), (1,), (1, 1, 1))
     assert a.contains_span(b)
     assert not b.contains_span(a)
