@@ -19,7 +19,7 @@ from .chart import (
     save_chart,
 )
 from .curvilinear import generic_speciality, hyperplane_system, tangent_along
-from .exactlin import Matrix, MultiPoly, Rational
+from .exactlin import Matrix, MultiPoly
 from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
@@ -50,7 +50,6 @@ __all__ = [
     "LinearSpan",
     "Matrix",
     "MultiPoly",
-    "Rational",
     "curve_derivatives",
     "defect_pipeline",
     "equivalence_audit",

@@ -13,14 +13,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations_with_replacement
 
 from .chart import MAX_COORDINATES, Chart, project_generic
-from .exactlin import MultiPoly
-
-_F1 = Fraction(1)
 
 DATA_VERSION = "v1"
 
@@ -40,6 +36,7 @@ def _check_size(what: str, count: int) -> None:
 
 
 def _monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
+    """Exponents of total degree <= d, by degree; the constant comes first."""
     out = []
     for tot in range(d + 1):
         for pick in combinations_with_replacement(range(n), tot):
@@ -55,8 +52,8 @@ def make_veronese(n: int, d: int) -> Chart:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     _check_size(f"veronese(n={n}, d={d})", math.comb(n + d, d))
-    coords = tuple(MultiPoly.monomial(n, e, 1) for e in _monomials_upto(n, d))
-    return Chart(f"veronese-{n}-{d}", n, len(coords) - 1, coords)
+    forms = tuple((1, (1,), (e,)) for e in _monomials_upto(n, d))
+    return Chart(f"veronese-{n}-{d}", n, len(forms) - 1, forms)
 
 
 def make_segre(a: int, b: int) -> Chart:
@@ -67,11 +64,9 @@ def make_segre(a: int, b: int) -> Chart:
     n = a + b
     left = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(a)]
     right = [(0,) * n] + [tuple(1 if t == a + j else 0 for t in range(n)) for j in range(b)]
-    coords = []
-    for ea in left:
-        for eb in right:
-            coords.append(MultiPoly.monomial(n, tuple(x + y for x, y in zip(ea, eb)), 1))
-    return Chart(f"segre-{a}-{b}", n, len(coords) - 1, tuple(coords))
+    forms = tuple((1, (1,), (tuple(x + y for x, y in zip(ea, eb)),))
+                  for ea in left for eb in right)
+    return Chart(f"segre-{a}-{b}", n, len(forms) - 1, forms)
 
 
 def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
@@ -81,25 +76,19 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
     if n < 1 or degree < 1:
         raise ValueError("need n >= 1 and degree >= 1")
     _check_size(f"random(n={n}, degree={degree})", math.comb(n + degree, degree))
-    mons = _monomials_upto(n, degree)
+    mons = tuple(_monomials_upto(n, degree))
     if len(mons) < r + 1:
         raise ValueError(
             f"degree {degree} in {n} vars has only {len(mons)} monomials < r+1={r + 1}")
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
-        coords = []
-        for _ in range(r + 1):
-            terms = {}
-            for e in mons:
-                c = rng.randint(-9, 9)
-                if c:
-                    terms[e] = c
-            coords.append(MultiPoly(n, terms))
+        coeffs = [[rng.randint(-9, 9) for _ in mons] for _ in range(r + 1)]
         # arrange a usable base point: nonzero coordinate vector at 0
-        if all(p.coefficient((0,) * n) == 0 for p in coords):
-            coords[0] = coords[0] + _F1
-        cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r, tuple(coords))
-        if cand.is_smooth_at(tuple(Fraction(0) for _ in range(n))) and cand.is_nondegenerate():
+        if not any(cs[0] for cs in coeffs):
+            coeffs[0][0] = 1
+        cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r,
+                     tuple((1, tuple(cs), mons) for cs in coeffs))
+        if cand.is_smooth_at((0,) * n) and cand.is_nondegenerate():
             return cand
     raise SmoothnessFailureError(f"no smooth chart after retries (seed={seed})")
 

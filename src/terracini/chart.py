@@ -7,21 +7,22 @@ the derivative store, the contraction primitive, jet normalization,
 generic projection, and the derivatives of a curve through the chart up
 to fifth order.
 
-Derivatives come from integer forms.  Each coordinate is stored once with
-its denominators cleared (a common denominator and integer coefficients),
-and each mixed partial is derived from its prefix by integer
-differentiation.  A point is scaled to a common denominator q, one table
-of integer powers is built per point and shared by every multi-index of
-the request.  ``integer_table`` returns integers over a column scale
-den_c, the coordinate's denominator, times a row scale q^D, the point's;
-the two are kept apart, so rows of several points stack under one column
-scale.  Every derivative combination of the analysis is a list of terms
-that ``contract_numerators`` sums over one such table into integer
-numerators and one row scale, so ranks and determinants are taken of the
-numerators.  ``contract`` builds canonical ``Fraction``s from them only
-where exact values are kept: the curve derivatives and the symbolic
-columns of the claim audit.  ``derivative_vector`` reads a single
-multi-index as ``Fraction``s for the smoothness test.
+A chart is its integer forms: one (den, coefficients, exponents) per
+coordinate, in lowest terms, built from ints by the constructors, the
+projection and the chart-file reader.  Each mixed partial is derived from
+its prefix by integer differentiation.  A point is scaled to a common
+denominator q, one table of integer powers is built per point and shared
+by every multi-index of the request.  ``integer_table`` returns integers
+over a column scale den_c, the coordinate's denominator, times a row
+scale q^D, the point's; the two are kept apart, so rows of several
+points stack under one column scale.  Every derivative combination of the
+analysis is a list of terms that ``contract_numerators`` sums over one
+such table into integer numerators and one row scale, so ranks and
+determinants are taken of the numerators.  ``contract`` builds canonical
+``Fraction``s from them only where exact values are kept: the curve
+derivatives and the symbolic columns of the claim audit.
+``derivative_vector`` reads a single multi-index as ``Fraction``s for the
+smoothness test.
 
 ``integer_table`` is the one evaluator: it keeps the tables of the last
 point asked for, one per order, and starts afresh when the point changes.
@@ -56,12 +57,7 @@ from itertools import combinations_with_replacement, repeat
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .exactlin import (
-    BadIndexError,
-    MultiPoly,
-    Vector,
-    span_rank,
-)
+from .exactlin import BadIndexError, Vector, span_rank
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -107,11 +103,16 @@ def unit_vectors(n: int) -> list[tuple[int, ...]]:
     return [tuple(int(t == i) for t in range(n)) for i in range(n)]
 
 
-def _integer_form(p: MultiPoly) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(den, coefficients, exponents) with p = sum(c * u^e) / den, all ints."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return (den, tuple(c.numerator * (den // c.denominator) for c in p.terms.values()),
-            tuple(p.terms))
+def _lowest_terms(den: int, coeffs: Sequence[int], exps: Sequence[tuple[int, ...]]) -> tuple:
+    """The form (den, coefficients, exponents) of sum(c * u^e) / den in lowest terms.
+
+    Zero terms are dropped, the rest sorted by exponent, and den and the
+    coefficients divided by their gcd, so each polynomial has one form
+    (den = 1 for zero).
+    """
+    terms = sorted((e, c) for c, e in zip(coeffs, exps) if c)
+    g = math.gcd(den, *(c for _, c in terms))
+    return den // g, tuple(c // g for _, c in terms), tuple(e for e, _ in terms)
 
 
 def _partial_form(form: tuple, v: int) -> tuple:
@@ -166,12 +167,17 @@ class IntegerTable(NamedTuple):
 
 @dataclass(frozen=True)
 class Chart:
-    """Affine polynomial chart of an n-dimensional variety in P^r."""
+    """Affine polynomial chart of an n-dimensional variety in P^r.
+
+    ``forms`` holds per coordinate sum(c * u^e) / den as (den, coefficients,
+    exponents), den > 0 and exponents distinct, put in lowest terms by
+    ``_lowest_terms``.
+    """
 
     label: str
     n: int
     r: int
-    coords: tuple[MultiPoly, ...]
+    forms: tuple[tuple, ...]
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Chart degree D and, per variable, the highest exponent in any coordinate.
     _degree: int = field(default=0, init=False, repr=False, compare=False)
@@ -183,14 +189,17 @@ class Chart:
                         compare=False)
 
     def __post_init__(self):
-        if len(self.coords) != self.r + 1:
-            raise ValueError(f"chart needs r+1={self.r + 1} coords, got {len(self.coords)}")
-        for p in self.coords:
-            if p.num_vars != self.n:
-                raise ValueError("coordinate polynomial has wrong variable count")
-        self._dcache[()] = tuple(_integer_form(p) for p in self.coords)
-        object.__setattr__(self, "_dens", tuple(den for den, _, _ in self._dcache[()]))
-        exps = [e for p in self.coords for e in p.terms]
+        if len(self.forms) != self.r + 1:
+            raise ValueError(f"chart needs r+1={self.r + 1} forms, got {len(self.forms)}")
+        if any(den < 1 for den, _, _ in self.forms):
+            raise ValueError("form denominators must be positive")
+        forms = tuple(_lowest_terms(*f) for f in self.forms)
+        exps = [e for _, _, es in forms for e in es]
+        if any(len(e) != self.n for e in exps):
+            raise ValueError("coordinate form has wrong variable count")
+        object.__setattr__(self, "forms", forms)
+        self._dcache[()] = forms
+        object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
         object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
         object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
                                               for i in range(self.n)))
@@ -275,11 +284,11 @@ class Chart:
         return self.jacobian_rank(pt) == self.n
 
     def max_coord_degree(self) -> int:
-        return max((p.total_degree() for p in self.coords), default=-1)
+        return max((sum(e) for _, _, es in self.forms for e in es), default=-1)
 
     def is_nondegenerate(self) -> bool:
         """Coordinates linearly independent as polynomials (X spans P^r); ranks integer forms."""
-        forms = [dict(zip(es, cs)) for _, cs, es in self._dcache[()]]
+        forms = [dict(zip(es, cs)) for _, cs, es in self.forms]
         mons = sorted({e for f in forms for e in f})
         rows = [[f.get(e, 0) for e in mons] for f in forms]
         return span_rank(rows) == self.r + 1
@@ -459,8 +468,9 @@ def _normalized_frame(jet: CurvilinearJet) -> tuple[list[Vector], CurvilinearJet
 def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
     """Generic linear projection of the chart into P^{r_target}.
 
-    Coordinates are replaced by (r_target+1) seeded random rational linear
-    combinations; the result is checked to stay smooth and nondegenerate at
+    Coordinates are replaced by (r_target+1) seeded random integer linear
+    combinations, summed as integer forms over the lcm of the coordinate
+    denominators; the result is checked to stay smooth and nondegenerate at
     desk scale, retrying with derived seeds a bounded number of times.
     """
     if r_target == chart.r:
@@ -470,19 +480,21 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
             f"projection target {r_target} invalid for r={chart.r}, n={chart.n}")
     import random
 
+    den = math.lcm(*(d for d, _, _ in chart.forms))
+    scaled = [[(e, c * (den // d)) for c, e in zip(cs, es)] for d, cs, es in chart.forms]
     for attempt in range(20):
         rng = random.Random(seed + 7919 * attempt)
-        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(chart.r + 1)]
-                for _ in range(r_target + 1)]
-        coords = []
-        for row in rows:
-            p = MultiPoly.zero(chart.n)
-            for c, q in zip(row, chart.coords):
-                if c:
-                    p = p + q * c
-            coords.append(p)
+        forms = []
+        for _ in range(r_target + 1):
+            row = [rng.randint(-9, 9) for _ in range(chart.r + 1)]
+            acc: dict = {}
+            for a, terms in zip(row, scaled):
+                if a:
+                    for e, c in terms:
+                        acc[e] = acc.get(e, 0) + a * c
+            forms.append((den, tuple(acc.values()), tuple(acc)))
         cand = Chart(f"{chart.label}|proj{r_target}(seed={seed})", chart.n,
-                     r_target, tuple(coords))
+                     r_target, tuple(forms))
         test_pts = [tuple(_F0 for _ in range(chart.n)),
                     tuple(Fraction((i * 3 + 1) % 5 - 2) for i in range(chart.n))]
         if all(cand.is_smooth_at(pt) for pt in test_pts if chart.is_smooth_at(pt)) \
@@ -517,9 +529,9 @@ def chart_to_obj(chart: Chart) -> dict:
         "n": chart.n,
         "r": chart.r,
         "coords": [
-            [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-             for e, c in sorted(p.terms.items())]
-            for p in chart.coords
+            [{"exp": list(e), "num": str(q.numerator), "den": str(q.denominator)}
+             for e, q in zip(es, (Fraction(c, den) for c in cs))]
+            for den, cs, es in chart.forms
         ],
     }
 
@@ -544,7 +556,7 @@ def obj_to_chart(obj: dict) -> Chart:
     coords = obj["coords"]
     if not isinstance(coords, list) or len(coords) != r + 1:
         raise ChartFormatError(f"coords must be a list of r+1={r + 1} polynomials")
-    polys = []
+    forms = []
     for ci, terms in enumerate(coords):
         if not isinstance(terms, list):
             raise ChartFormatError(f"coords[{ci}] must be a list of terms")
@@ -569,9 +581,12 @@ def obj_to_chart(obj: dict) -> Chart:
                 raise ChartFormatError(f"{where} needs decimal-string num/den") from exc
             if den <= 0:
                 raise ChartFormatError(f"{where}.den must be positive")
-            tdict[tuple(exp)] = Fraction(num, den)
-        polys.append(MultiPoly(n, tdict))
-    return Chart(obj["label"], n, r, tuple(polys))
+            if tuple(exp) in tdict:
+                raise ChartFormatError(f"{where} repeats the exponent {exp} of an earlier term")
+            tdict[tuple(exp)] = num, den
+        den = math.lcm(*(d for _, d in tdict.values()))
+        forms.append((den, tuple(a * (den // d) for a, d in tdict.values()), tuple(tdict)))
+    return Chart(obj["label"], n, r, tuple(forms))
 
 
 def save_chart(chart: Chart, path) -> None:

@@ -14,9 +14,6 @@ rest.  ``integer_det`` is the last Bareiss pivot; ``Matrix.det`` divides
 it by the row multipliers once.  The ``Fraction`` ``Matrix`` remains for
 nullspaces.  Polynomials carry what the symbolic determinant audit
 (``poly_det``) needs; their reference routes live in ``tests/oracles.py``.
-
-The ground field type ``Rational`` is ``fractions.Fraction``, which
-guarantees the lowest-terms / positive-denominator invariants.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from typing import Callable, Iterable, Sequence
 
 from ._kernels import bareiss_echelon, mod_rank
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 # Mersenne prime used by the modular pre-screen.

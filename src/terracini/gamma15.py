@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -43,7 +42,6 @@ from .curvilinear import (
     tangent_along,
 )
 from .exactlin import (
-    Matrix,
     MultiPoly,
     SZResult,
     Vector,
@@ -123,11 +121,6 @@ class Gamma15Matrix:
     mu: Vector
     columns: LinearSpan
     column_labels: tuple[str, ...]
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        """The matrix over Q, built on first use."""
-        return Matrix.from_columns(self.columns.generators)
 
     def det(self) -> Fraction:
         return _det(self.columns)
@@ -325,6 +318,10 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
     equal rank and the union has the same rank.  Also records whether each
     dim lies in [3n, 3n+1]; the bound is reported, not enforced, so charts
     violating the regularity hypothesis still get a faithful report.
+
+    ``tangent_contained`` decides nothing: each Pi contains its own first
+    n+1 generators (x, x_i at its base) by construction.  ROADMAP.md item 3
+    plans the real test, one sample's tangent space against another's Pi.
     """
     if not samples:
         raise ValueError("need at least one sample")

@@ -7,6 +7,9 @@ ordered-tuple derivative contraction that ``chart.contract`` is checked
 against, and closed-form dimension counts that secant and osculating
 verdicts are checked against.
 
+Charts hold integer forms only; ``chart_polys`` and ``polys_chart`` turn
+them into coordinate polynomials and back, the latter through
+``integer_form``, the reference reduction of a polynomial to its form.
 The symbolic reference routes live here too, since only tests compare
 against them: derivative tables from a chain of formal partials evaluated
 term by term (``symbolic_table``), the 2-osculating criterion vectors as
@@ -145,6 +148,28 @@ def rank_modular(m: Matrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# coordinate polynomials of a chart
+# ---------------------------------------------------------------------------
+
+def integer_form(p: MultiPoly) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(den, coefficients, exponents) with p = sum(c * u^e) / den, all ints."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return (den, tuple(c.numerator * (den // c.denominator) for c in p.terms.values()),
+            tuple(p.terms))
+
+
+def chart_polys(chart: Chart) -> tuple[MultiPoly, ...]:
+    """The chart's coordinates as polynomials over Q, read from its integer forms."""
+    return tuple(MultiPoly(chart.n, {e: Fraction(c, den) for c, e in zip(cs, es)})
+                 for den, cs, es in chart.forms)
+
+
+def polys_chart(label: str, n: int, r: int, polys) -> Chart:
+    """The chart whose coordinates are the given polynomials, via ``integer_form``."""
+    return Chart(label, n, r, tuple(integer_form(p) for p in polys))
+
+
+# ---------------------------------------------------------------------------
 # symbolic derivatives and jet normalization
 # ---------------------------------------------------------------------------
 
@@ -162,7 +187,7 @@ def symbolic_table(chart: Chart, pt, h: int) -> dict:
     Each mixed partial is a chain of formal partials of the coordinate
     polynomials, evaluated term by term with ``MultiPoly.eval``.
     """
-    polys = {(): chart.coords}
+    polys = {(): chart_polys(chart)}
     out = {}
     for order in range(h + 1):
         for idx in combinations_with_replacement(range(chart.n), order):
@@ -223,8 +248,8 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
         return chart, jet
     frame, new_jet = _normalized_frame(jet)
     m = Matrix.from_columns(frame)
-    coords = tuple(substitute_affine(p, jet.base, m) for p in chart.coords)
-    return Chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
+    coords = [substitute_affine(p, jet.base, m) for p in chart_polys(chart)]
+    return polys_chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
 
 
 # ---------------------------------------------------------------------------
@@ -285,4 +310,4 @@ def curve_series(jet, order: int) -> list[tuple]:
 def composed_curve_series(chart: Chart, jet, order: int = 5) -> list[tuple]:
     """Coordinate-wise truncated series of t -> x(u(t)); the composition route."""
     curve = curve_series(jet, order)
-    return [poly_compose_curve(p, curve, order) for p in chart.coords]
+    return [poly_compose_curve(p, curve, order) for p in chart_polys(chart)]

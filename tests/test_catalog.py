@@ -20,7 +20,7 @@ def test_veronese_counts():
     assert make_veronese(2, 2).r == 5
     assert make_veronese(4, 2).r == 14
     c = make_veronese(2, 3)
-    assert len(c.coords) == 10 and c.n == 2
+    assert len(c.forms) == 10 and c.n == 2
 
 
 def test_segre_counts():
@@ -53,7 +53,7 @@ def test_random_variety_contract():
 def test_random_variety_is_seed_deterministic():
     a = make_random_variety(2, 3, 6, 5)
     b = make_random_variety(2, 3, 6, 5)
-    assert a.coords == b.coords
+    assert a.forms == b.forms
 
 
 def test_random_variety_rejects_impossible_requests():

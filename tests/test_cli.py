@@ -313,6 +313,21 @@ def test_oversized_chart_file_is_refused(capsys, tmp_path):
     assert f"{r + 1} coordinates, above the cap of {MAX_COORDINATES}" in err
 
 
+def test_chart_file_with_a_repeated_exponent_exits_1(capsys, tmp_path):
+    # the file states 1 + 2 as x_0; a reader keeping the last term would load 2
+    one = {"num": "1", "den": "1"}
+    doc = {"label": "repeated", "n": 1, "r": 2,
+           "coords": [[{"exp": [0], **one}, {"exp": [0], "num": "2", "den": "1"}],
+                      [{"exp": [1], **one}], [{"exp": [2], **one}]]}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--variety", f"file:{path}", "--check", "secant:1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("terracini: error:")
+    assert "coords[0][1] repeats the exponent [0] of an earlier term" in err
+
+
 def test_chart_file_of_excessive_degree_is_refused_before_any_work(tmp_path):
     # (1, u, u^100000): without the cap secant:1 grows past 1.5 GB resident
     doc = {"label": "steep-curve", "n": 1, "r": 2,

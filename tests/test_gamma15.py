@@ -27,14 +27,13 @@ from terracini.gamma15 import (
     pi_constancy_check,
     pi_space,
 )
-from oracles import jet_normalize, symbolic_table, vaccum
+from oracles import chart_polys, gauss_det, jet_normalize, polys_chart, symbolic_table, vaccum
 
 
 def degenerate_chart_p8() -> Chart:
     """Surface chart in P^8 contained in a hyperplane (mechanism-test fixture)."""
-    base = make_random_variety(2, 3, 7, 19)
-    extra = base.coords[0] + base.coords[1]
-    return Chart("degenerate-p8", 2, 8, base.coords + (extra,))
+    coords = chart_polys(make_random_variety(2, 3, 7, 19))
+    return polys_chart("degenerate-p8", 2, 8, coords + (coords[0] + coords[1],))
 
 
 def rand_fivejet(rng, n):
@@ -56,7 +55,8 @@ def test_matrix_shape_and_column_order_n1():
     c = make_veronese(1, 5)
     pt, lam, mu = (F(1),), (F(3),), (F(2),)
     gm = gamma15_matrix(c, pt, lam, mu)
-    assert gm.matrix.rows == gm.matrix.cols == 6
+    m = Matrix.from_columns(gm.columns.generators)
+    assert m.rows == m.cols == 6
     d = {k: c.derivative_vector(pt, k) for k in
          [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)]}
     expected_cols = [
@@ -69,7 +69,7 @@ def test_matrix_shape_and_column_order_n1():
         tuple(243 * a + 20 * 27 * 2 * b + 60 * 3 * 4 * c_
               for a, b, c_ in zip(d[(0, 0, 0, 0, 0)], d[(0, 0, 0, 0)], d[(0, 0, 0)])),
     ]
-    got_cols = [tuple(gm.matrix.entries[i][j] for i in range(6)) for j in range(6)]
+    got_cols = [tuple(m.entries[i][j] for i in range(6)) for j in range(6)]
     assert got_cols == expected_cols
     assert gm.column_labels[0] == "x" and "quintic" in gm.column_labels[-1]
 
@@ -82,7 +82,7 @@ def test_columns_reduce_to_coordinate_vectors_at_axis_jet():
     lam = (F(1), F(0))
     mu = (F(0), F(0))
     gm = gamma15_matrix(c, pt, lam, mu)
-    cols = [tuple(gm.matrix.entries[i][j] for i in range(9)) for j in range(9)]
+    cols = list(gm.columns.generators)
     d = symbolic_table(c, pt, 5)
     assert cols[0] == d[()]
     assert cols[1] == d[(0,)] and cols[2] == d[(1,)]
@@ -126,9 +126,8 @@ def test_quadratic_chart_has_zero_quintic_column_and_zero_det():
     c = make_veronese(4, 2)
     pt = (F(1), F(0), F(2), F(-1))
     gm = gamma15_matrix(c, pt, (F(1), F(2), F(3), F(4)), (F(0), F(1), F(-1), F(2)))
-    quintic = [gm.matrix.entries[i][-1] for i in range(15)]
-    assert all(x == 0 for x in quintic)
-    assert gm.matrix.det() == 0
+    assert all(x == 0 for x in gm.columns.generators[-1])  # the quintic column
+    assert gauss_det(gm.columns.generators) == 0  # the determinant of the transpose
 
 
 def test_quintic_curve_det_nonzero_generically():

@@ -40,7 +40,15 @@ from terracini.gamma15 import (
     pi_space,
 )
 from terracini.secants import osculating_space, tangent_space
-from oracles import brute_contract, gauss_det, jet_normalize, rank_exact, symbolic_table
+from oracles import (
+    brute_contract,
+    chart_polys,
+    gauss_det,
+    jet_normalize,
+    polys_chart,
+    rank_exact,
+    symbolic_table,
+)
 
 
 def rational_chart(rng, n, degree, r, dependent=False) -> Chart:
@@ -54,8 +62,8 @@ def rational_chart(rng, n, degree, r, dependent=False) -> Chart:
               for _ in range(r + 1)]
     if dependent:
         coords[-1] = coords[0] * F(2, 3) - coords[1] * F(5, 7)
-    chart = Chart("rational", n, r, tuple(coords))
-    assert any(c.denominator > 1 for p in chart.coords for c in p.terms.values())
+    chart = polys_chart("rational", n, r, coords)
+    assert any(den > 1 for den, _, _ in chart.forms)
     return chart
 
 
@@ -278,7 +286,8 @@ def test_pi_generators_are_the_exact_vectors():
 def test_contains_span_refuses_different_column_scales():
     rng = random.Random(75)
     chart = rational_chart(rng, 2, 3, 8)
-    halved = Chart("halved", 2, 8, (chart.coords[0] * F(1, 2),) + chart.coords[1:])
+    coords = chart_polys(chart)
+    halved = polys_chart("halved", 2, 8, (coords[0] * F(1, 2),) + coords[1:])
     pt = rational_point(rng, 2)
     span = tangent_space(chart, pt)
     assert osculating_space(chart, pt, 2).contains_span(span)

@@ -18,14 +18,14 @@ from terracini.secants import (
     secant_defect,
     tangent_space,
 )
-from oracles import osc2_vectors, rref_rank, symbolic_table
+from oracles import chart_polys, osc2_vectors, polys_chart, rref_rank, symbolic_table
 
 
 def hyperplane_bound_chart() -> Chart:
     """A surface chart inside a hyperplane of P^6 (degenerate by construction)."""
-    base = make_random_variety(2, 3, 5, 17)
-    extra = base.coords[0] + base.coords[1]  # forced linear relation
-    return Chart("hyperplane-bound", 2, 6, base.coords + (extra,))
+    coords = chart_polys(make_random_variety(2, 3, 5, 17))
+    extra = coords[0] + coords[1]  # forced linear relation
+    return polys_chart("hyperplane-bound", 2, 6, coords + (extra,))
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +48,7 @@ def test_tangent_space_dim_equals_n_on_smooth_points():
 
 def test_tangent_space_singular_point_raises():
     # cuspidal curve chart: (1, u^2, u^3); Jacobian drops rank at u = 0
-    c = Chart("cusp", 1, 2, (MultiPoly.constant(1, 1),
-                             MultiPoly.monomial(1, (2,), 1),
-                             MultiPoly.monomial(1, (3,), 1)))
+    c = Chart("cusp", 1, 2, ((1, (1,), ((0,),)), (1, (1,), ((2,),)), (1, (1,), ((3,),))))
     with pytest.raises(SingularPointError):
         tangent_space(c, (F(0),))
 
@@ -195,7 +193,7 @@ def test_coordinate_condition_reads_the_u1_curve():
     # x_11, x_111 and x_112 vanish at 0; read along u_2 the vectors have rank 7
     u1, u2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     coords = (MultiPoly.constant(2, 1), u1, u2, u1 * u2, u2 * u2, u1 * u2 * u2, u2 * u2 * u2)
-    c = Chart("curved-along-u2", 2, 6, coords)
+    c = polys_chart("curved-along-u2", 2, 6, coords)
     pt = (F(0), F(0))
     d = symbolic_table(c, pt, 3)
     ref = rref_rank([d[()], d[(0,)], d[(1,)], d[(0, 0)], d[(0, 1)], d[(0, 0, 0)],

@@ -1,5 +1,6 @@
 """Static checks of the package sources: no module imports a name it never
-uses, and no annotation names something the module never binds."""
+uses, no annotation names something the module never binds, and only the
+claim audit's modules import the polynomial ring."""
 
 import ast
 import builtins
@@ -70,6 +71,20 @@ def test_annotation_check_finds_unbound_names():
               "class Span:\n    rows: list[Vector]\n\n"
               "def f(x: Fraction, y: 'Table | None' = None) -> Span:\n    return x\n")
     assert unbound_annotation_names(source) == ["Table", "Vector"]
+
+
+def imported_names(source: str) -> set[str]:
+    """Every name a module's import statements bind, under its original name."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_only_the_claim_audit_imports_multipoly(path):
+    # a chart is its integer forms; MultiPoly is the ring of the symbolic
+    # determinant audit (gamma15's poly_det) and exactlin defines it
+    if path.name not in ("exactlin.py", "gamma15.py"):
+        assert "MultiPoly" not in imported_names(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
