@@ -1,17 +1,31 @@
 """Elimination kernels: fraction-free Bareiss echelon and rank modulo a prime.
 
 The two elimination loops, in pure Python: Bareiss echelon over Python
-integers and Gaussian elimination modulo a word-sized prime; ``BACKEND``
+integers and Gaussian elimination modulo a prime below 2^28; ``BACKEND``
 names the one implementation.  A compiled build gained about 1% end to
-end when elimination was under 1% of run time.  It is now about 42% of a
-wide-spans benchmark round (seed 1, cProfile self time) and ``mod_rank``
-tops jet-audit: see the ``kernels.*`` rows of a ``--trace 1`` benchmark
-run.  `tests/test_kernels.py` checks both against rational oracles.
+end when elimination was under 1% of run time.
+
+``mod_rank`` works on packed rows: row i mod p is one Python int whose
+64-bit slot j holds column j, so a row operation is one bigint
+multiply-add instead of one interpreted step per cell.  Every slot stays
+non-negative, so no borrow crosses a slot, and a row's slots are reduced
+mod p before they could carry into the next one.  After this packing the
+kernels take about 26% of a wide-spans benchmark round (seed 1, traced
+self time; it was about 42% with the per-cell loop, which is now the
+reference ``mod_rank_reference`` in ``tests/oracles.py``): see the
+``kernels.*`` rows of a ``--trace 1`` benchmark run.
+`tests/test_kernels.py` checks both kernels against the oracles.
 """
 
 from __future__ import annotations
 
+import array
+
 BACKEND = "python"
+
+# Bits per column in a packed row: one array("Q") item.
+_SLOT = 64
+_MASK = (1 << _SLOT) - 1
 
 
 def bareiss_echelon(rows):
@@ -57,34 +71,77 @@ def bareiss_echelon(rows):
     return m, pivots, sign
 
 
+def _scaled(y, width, p, c=1):
+    """The packed row ``y`` of ``width`` slots with every slot times ``c`` mod ``p``."""
+    slots = array.array("Q", y.to_bytes(8 * width, "little"))
+    return int.from_bytes(array.array("Q", [v * c % p for v in slots]).tobytes(), "little")
+
+
 def mod_rank(rows, p):
-    """Rank of an integer matrix reduced modulo the prime ``p``."""
+    """Rank of an integer matrix reduced modulo the prime ``p``.
+
+    Each row is packed into one int (column j in 64-bit slot j, entries
+    reduced mod p) and reduced against the pivot rows found so far, in
+    the order of its leading columns: a row whose leading column already
+    has a pivot row becomes ``(y >> 64) + t * neg``, where ``t`` is its
+    leading entry and ``neg`` the pivot row beyond its pivot, scaled once
+    by -1/pivot mod p on its first use.  A row whose leading column has
+    none becomes a pivot row.  Shifting the leading slot away keeps only
+    the columns still to be reduced, and a zero slot costs nothing, so
+    sparse rows touch only the columns where they are nonzero.
+
+    A slot starts below p and each multiply-add adds less than p*p to
+    it, so ``((1 << 64) - p) // p**2`` multiply-adds fit a slot before
+    any carry could cross it (256 for primes below 2^28, 4 for 2^31 - 1);
+    after that many the row's slots are reduced mod p.  A prime whose
+    square does not fit a slot is refused with ``ValueError``.
+    """
+    room = ((1 << _SLOT) - p) // (p * p)
+    if room < 1:
+        raise ValueError(f"modulus {p} too large: p*p must fit a {_SLOT}-bit slot")
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if nr == 0 or nc == 0:
         return 0
-    m = [[x % p for x in r] for r in rows]
+    row_bytes = 8 * nc
+    packed = memoryview(array.array("Q", [x % p for r in rows for x in r]).tobytes())
+    if len(packed) != nr * row_bytes:
+        raise ValueError("ragged rows")
+    # both keyed by the column after the pivot: pivot rows beyond their
+    # pivot, scaled by -1/pivot, and those not yet used, as (row, pivot)
+    scaled = {}
+    unused = {}
     rank = 0
-    for pc in range(nc):
-        if rank >= nr:
+    for start in range(0, len(packed), row_bytes):
+        y = int.from_bytes(packed[start:start + row_bytes], "little")
+        col = 0  # the column in slot 0 of y
+        adds = 0  # multiply-adds into y since its slots were last reduced
+        while y:
+            u = y & _MASK
+            if not u:
+                skip = ((y & -y).bit_length() - 1) // _SLOT
+                y >>= _SLOT * skip
+                col += skip
+                u = y & _MASK
+            y >>= _SLOT
+            col += 1
+            t = u % p
+            if not t:
+                continue
+            neg = scaled.get(col)
+            if neg is None:
+                pivot_row = unused.pop(col, None)
+                if pivot_row is None:
+                    unused[col] = (y, t)
+                    rank += 1
+                    break
+                neg = scaled[col] = _scaled(pivot_row[0], nc - col, p,
+                                            p - pow(pivot_row[1], -1, p))
+            y += t * neg
+            adds += 1
+            if adds == room:
+                y = _scaled(y, nc - col, p)
+                adds = 0
+        if rank == nc:
             break
-        sel = -1
-        for i in range(rank, nr):
-            if m[i][pc]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != rank:
-            m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][pc], -1, p)
-        mr = m[rank]
-        for i in range(rank + 1, nr):
-            t = m[i][pc]
-            if t:
-                f = (t * inv) % p
-                mi = m[i]
-                for j in range(pc, nc):
-                    mi[j] = (mi[j] - f * mr[j]) % p
-        rank += 1
     return rank

@@ -8,8 +8,9 @@ determinant run on integer rows.  Every span of the analysis reaches
 derivative tables, whose nonzero row and column scales rank ignores.
 Only the smoothness test still hands over ``Fraction`` rows, which are
 cleared per row with integer arithmetic first, as ``Matrix`` clears its
-own.  Rank has one route: elimination modulo a 31-bit prime, which can
-only underestimate, decides every full rank and fraction-free Bareiss the
+own.  Rank has one route: elimination modulo a 28-bit prime on packed
+rows (one int per row, see ``_kernels.mod_rank``), which can only
+underestimate, decides every full rank and fraction-free Bareiss the
 rest.  ``integer_det`` is the last Bareiss pivot; ``Matrix.det`` divides
 it by the row multipliers once.  The ``Fraction`` ``Matrix`` remains for
 nullspaces.  Polynomials carry what the symbolic determinant audit
@@ -28,8 +29,10 @@ from ._kernels import bareiss_echelon, mod_rank
 
 Vector = tuple[Fraction, ...]
 
-# Mersenne prime used by the modular pre-screen.
-SCREEN_PRIME = (1 << 31) - 1
+# Prime of the modular pre-screen: the largest below 2^28, so that a
+# packed row's 64-bit slot takes 256 multiply-adds between reductions.  A
+# rank it misses (probability about rank/p) only sends the span to Bareiss.
+SCREEN_PRIME = 268435399
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

@@ -21,6 +21,8 @@ None of them reads the chart's integer derivative store.
 ``rank_exact`` and ``rank_modular`` do call the package's elimination
 kernels, each on its own and without the modular screen that
 ``span_rank`` puts in front of Bareiss, so the two can be compared.
+``mod_rank_reference`` is the per-cell list elimination mod p that the
+packed ``mod_rank`` kernel is checked against.
 """
 
 from __future__ import annotations
@@ -145,6 +147,43 @@ def rank_modular(m: Matrix, p: int) -> int:
     """Rank of the entry-wise reduction mod p; no denominator may vanish mod p."""
     return mod_rank([[x.numerator * pow(x.denominator, -1, p) % p for x in r]
                      for r in m.entries], p)
+
+
+def mod_rank_reference(rows, p: int) -> int:
+    """Rank mod p by Gaussian elimination on lists, one reduction per cell.
+
+    The reference for the packed ``_kernels.mod_rank``: it keeps every
+    entry reduced, so it needs no slot bound and takes any prime.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return 0
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for pc in range(nc):
+        if rank >= nr:
+            break
+        sel = -1
+        for i in range(rank, nr):
+            if m[i][pc]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != rank:
+            m[rank], m[sel] = m[sel], m[rank]
+        inv = pow(m[rank][pc], -1, p)
+        mr = m[rank]
+        for i in range(rank + 1, nr):
+            t = m[i][pc]
+            if t:
+                f = (t * inv) % p
+                mi = m[i]
+                for j in range(pc, nc):
+                    mi[j] = (mi[j] - f * mr[j]) % p
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

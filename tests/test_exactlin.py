@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from terracini import exactlin
+from terracini._kernels import bareiss_echelon, mod_rank
 from terracini.exactlin import (
+    SCREEN_PRIME,
     BadIndexError,
     Matrix,
     MultiPoly,
@@ -82,6 +85,21 @@ def test_span_rank_agrees_with_rank():
         m = random_matrix(rng, nr, nc)
         assert span_rank(m.entries) == rank_exact(m)
         assert span_rank([[x.numerator for x in r] for r in m.entries]) == rank_exact(m)
+
+
+def test_span_rank_decides_a_screen_miss_by_bareiss(monkeypatch):
+    # full rank over Q, rank 1 modulo the screen prime
+    rows = [[SCREEN_PRIME, 0], [0, 1]]
+    assert mod_rank(rows, SCREEN_PRIME) == 1
+    calls = []
+
+    def recording(r):
+        calls.append(r)
+        return bareiss_echelon(r)
+
+    monkeypatch.setattr(exactlin, "bareiss_echelon", recording)
+    assert span_rank(rows) == 2
+    assert calls == [rows]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Static checks of the package sources: no module imports a name it never
-uses, no annotation names something the module never binds, and only the
-claim audit's modules import the polynomial ring."""
+uses, no annotation names something the module never binds, only the claim
+audit's modules import the polynomial ring, and the kernel module exposes
+its two kernels only."""
 
 import ast
 import builtins
 from pathlib import Path
 
 import pytest
+
+from terracini import _kernels
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "terracini"
 # the package __init__ imports names to re-export them; _kernels/__init__
@@ -95,3 +98,16 @@ def test_module_uses_every_name_it_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_binds_every_name_its_annotations_read(path):
     assert unbound_annotation_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_kernels_module_exposes_the_two_kernels_only():
+    # the benchmark's tracer wraps every public callable of _kernels, so a
+    # helper there must stay private; and rank mod p has one kernel in src
+    public = {name for name, obj in vars(_kernels).items()
+              if not name.startswith("_") and callable(obj)}
+    assert public == {"bareiss_echelon", "mod_rank"}
+    assert _kernels.BACKEND == "python"
+    rank_defs = [node.name for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef) and "mod" in node.name and "rank" in node.name]
+    assert rank_defs == ["mod_rank"]
