@@ -9,12 +9,12 @@ end when elimination was under 1% of run time.
 64-bit slot j holds column j, so a row operation is one bigint
 multiply-add instead of one interpreted step per cell.  Every slot stays
 non-negative, so no borrow crosses a slot, and a row's slots are reduced
-mod p before they could carry into the next one.  After this packing the
-kernels take about 26% of a wide-spans benchmark round (seed 1, traced
-self time; it was about 42% with the per-cell loop, which is now the
-reference ``mod_rank_reference`` in ``tests/oracles.py``): see the
-``kernels.*`` rows of a ``--trace 1`` benchmark run.
-`tests/test_kernels.py` checks both kernels against the oracles.
+mod p before they could carry into the next one.  In a traced wide-spans
+benchmark run (seed 1) the two kernels take 40% of the CLI time and
+``mod_rank`` 16%: see the ``kernels.*`` rows of a ``--trace 1`` benchmark
+run.  `tests/test_kernels.py` checks both kernels against the oracles,
+``mod_rank`` against the per-cell list elimination
+``oracles.mod_rank_reference``.
 """
 
 from __future__ import annotations
@@ -130,13 +130,12 @@ def mod_rank(rows, p):
                 continue
             neg = scaled.get(col)
             if neg is None:
-                pivot_row = unused.pop(col, None)
-                if pivot_row is None:
+                if col not in unused:
                     unused[col] = (y, t)
                     rank += 1
                     break
-                neg = scaled[col] = _scaled(pivot_row[0], nc - col, p,
-                                            p - pow(pivot_row[1], -1, p))
+                pivot_row, pivot = unused.pop(col)
+                neg = scaled[col] = _scaled(pivot_row, nc - col, p, p - pow(pivot, -1, p))
             y += t * neg
             adds += 1
             if adds == room:
