@@ -9,20 +9,26 @@ to fifth order.
 
 A chart is its integer forms: one (den, coefficients, exponents) per
 coordinate, in lowest terms, built from ints by the constructors, the
-projection and the chart-file reader.  Each mixed partial is derived from
-its prefix by integer differentiation.  A point is scaled to a common
-denominator q, one table of integer powers is built per point and shared
-by every multi-index of the request.  ``integer_table`` returns integers
-over a column scale den_c, the coordinate's denominator, times a row
-scale q^D, the point's; the two are kept apart, so rows of several
-points stack under one column scale.  Every derivative combination of the
+projection and the chart-file reader.  The derivative store holds each
+mixed partial flat: the terms of all coordinates in one coefficient list
+and one list of exponent codes, with one slice per coordinate, derived
+from its prefix's flat form in one pass of integer differentiation.  A
+point is scaled to a common denominator q, one table of integer powers is
+built per point and shared by every multi-index of the request, and each
+row is a few flat C-level passes: multiply the coefficients by the
+monomial values, then sum each coordinate's slice.  ``integer_table``
+returns integers over a column scale den_c, the coordinate's denominator,
+times a row scale q^D, the point's; the two are kept apart, so rows of
+several points stack under one column scale.  Every derivative combination of the
 analysis is a list of terms that ``contract_numerators`` sums over one
 such table into integer numerators and one row scale, so ranks and
 determinants are taken of the numerators.  ``contract`` builds canonical
 ``Fraction``s from them only where exact values are kept: the curve
 derivatives and the symbolic columns of the claim audit.
-``derivative_vector`` reads a single multi-index as ``Fraction``s for the
-smoothness test.
+``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
+smoothness test reads x through it and ranks the n first partials as the
+order-1 table's integer rows, which rank's indifference to row and column
+scales allows.
 
 ``integer_table`` is the one evaluator: it keeps the tables of the last
 point asked for, one per order, and starts afresh when the point changes.
@@ -53,8 +59,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, repeat
-from operator import add, mul
+from itertools import accumulate, combinations_with_replacement, compress, repeat
+from operator import add, attrgetter, floordiv, mod, mul, sub
 from typing import NamedTuple, Sequence
 
 from .exactlin import BadIndexError, Vector, span_rank
@@ -115,17 +121,30 @@ def _lowest_terms(den: int, coeffs: Sequence[int], exps: Sequence[tuple[int, ...
     return den // g, tuple(c // g for _, c in terms), tuple(e for e, _ in terms)
 
 
-def _partial_form(form: tuple, v: int) -> tuple:
-    """Integer form of the partial derivative in variable v; den is unchanged."""
-    den, cs, es = form
-    pairs = [(c * e[v], e[:v] + (e[v] - 1,) + e[v + 1:]) for c, e in zip(cs, es) if e[v]]
-    return den, tuple(c for c, _ in pairs), tuple(e for _, e in pairs)
+def _flat_partial(flat: tuple, v: int, base: int) -> tuple:
+    """Flat form of the partial derivative in variable v, in one pass over the terms.
+
+    A flat form is (coefficients, exponent codes, cuts): the terms of every
+    coordinate in one list, coordinate c's being ``coefficients[cuts[c]]``.
+    The code of u^e is sum(e_i * base^i) with base > every exponent, so the
+    exponent of u_v is read off the code and lowering it subtracts base^v.
+    The denominators are the chart's and do not change.
+    """
+    cs, es, cuts = flat
+    step = base ** v
+    ks = list(map(mod, map(floordiv, es, repeat(step)), repeat(base)))  # e_v per term
+    kept = list(accumulate(map(bool, ks), initial=0))
+    stops = list(map(kept.__getitem__, map(attrgetter("stop"), cuts)))
+    return (list(map(mul, compress(cs, ks), filter(None, ks))),
+            list(map(sub, compress(es, ks), repeat(step))),
+            tuple(map(slice, [0] + stops, stops)))
 
 
 class _Monomials(dict):
-    """q^(D - |e|) * prod A_i^e_i per exponent e at one point, filled on first use.
+    """q^(D - |e|) * prod A_i^e_i per exponent code of e at one point, filled on first use.
 
-    ``powers[i][k]`` is A_i^k and ``qpowers[k]`` is q^k for k <= D.
+    ``powers[i][k]`` is A_i^k and ``qpowers[k]`` is q^k for k <= D; codes
+    are in base D + 1, ``len(qpowers)``.
     """
 
     __slots__ = ("powers", "qpowers")
@@ -134,12 +153,15 @@ class _Monomials(dict):
         super().__init__()
         self.powers, self.qpowers = powers, qpowers
 
-    def __missing__(self, e: tuple[int, ...]) -> int:
-        v = self.qpowers[-1 - sum(e)]
-        for row, k in zip(self.powers, e):
+    def __missing__(self, code: int) -> int:
+        v, rest, deg = 1, code, 0
+        for row in self.powers:
+            rest, k = divmod(rest, len(self.qpowers))
             if k:
                 v *= row[k]
-        self[e] = v
+                deg += k
+        v *= self.qpowers[-1 - deg]
+        self[code] = v
         return v
 
 
@@ -178,6 +200,7 @@ class Chart:
     n: int
     r: int
     forms: tuple[tuple, ...]
+    # The derivative store: {sorted multi-index: flat form} (see ``_flat_partial``).
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Chart degree D and, per variable, the highest exponent in any coordinate.
     _degree: int = field(default=0, init=False, repr=False, compare=False)
@@ -198,22 +221,25 @@ class Chart:
         if any(len(e) != self.n for e in exps):
             raise ValueError("coordinate form has wrong variable count")
         object.__setattr__(self, "forms", forms)
-        self._dcache[()] = forms
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
         object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
+        weights = [(self._degree + 1) ** i for i in range(self.n)]  # exponent codes
+        stops = list(accumulate(len(cs) for _, cs, _ in forms))
+        self._dcache[()] = ([c for _, cs, _ in forms for c in cs],
+                            [sum(map(mul, e, weights)) for e in exps],
+                            tuple(map(slice, [0] + stops, stops)))
         object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
                                               for i in range(self.n)))
 
     # -- derivatives ---------------------------------------------------------
 
-    def _forms(self, key: tuple[int, ...]) -> tuple:
-        """Integer forms of the mixed partial at a sorted, valid multi-index."""
-        forms = self._dcache.get(key)
-        if forms is None:
-            v = key[-1]
-            forms = self._dcache[key] = tuple(_partial_form(f, v)
-                                              for f in self._forms(key[:-1]))
-        return forms
+    def _flat(self, key: tuple[int, ...]) -> tuple:
+        """Flat form of the mixed partial at a sorted, valid multi-index."""
+        flat = self._dcache.get(key)
+        if flat is None:
+            flat = self._dcache[key] = _flat_partial(self._flat(key[:-1]), key[-1],
+                                                     self._degree + 1)
+        return flat
 
     def _numerators(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]
                     ) -> tuple[list[tuple[int, ...]], int]:
@@ -236,9 +262,14 @@ class Chart:
         qpowers = [q ** k for k in range(self._degree + 1)]
         get = _Monomials(powers, qpowers).__getitem__
         zero = (0,) * len(self._dens)  # partials above the chart degree vanish
-        rows = [zero if len(key) > self._degree else
-                tuple(sum(map(mul, cs, map(get, es))) for _, cs, es in self._forms(key))
-                for key in keys]
+        rows = []
+        for key in keys:
+            if len(key) > self._degree:
+                rows.append(zero)
+                continue
+            cs, es, cuts = self._flat(key)
+            vals = list(map(mul, cs, map(get, es)))
+            rows.append(tuple(map(sum, map(vals.__getitem__, cuts))))
         return rows, qpowers[-1]
 
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
@@ -275,10 +306,15 @@ class Chart:
     # -- basic geometry -------------------------------------------------------
 
     def jacobian_rank(self, pt: Sequence[Fraction]) -> int:
-        return span_rank([self.derivative_vector(pt, (i,)) for i in range(self.n)])
+        """Rank of the n first partials, taken of the order-1 table's integer rows."""
+        return span_rank(self.integer_table(pt, 1).rows([(i,) for i in range(self.n)]))
 
     def is_smooth_at(self, pt: Sequence[Fraction]) -> bool:
-        """Chart smoothness: Jacobian rank n and a nonzero coordinate vector."""
+        """Chart smoothness: a nonzero coordinate vector and Jacobian rank n.
+
+        x is read through ``derivative_vector``, the rank from the integer
+        rows of the same order-1 table.
+        """
         if all(c == 0 for c in self.derivative_vector(pt, ())):
             return False
         return self.jacobian_rank(pt) == self.n

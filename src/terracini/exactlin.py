@@ -3,12 +3,12 @@
 Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
 all exact arithmetic over Q; no floating point anywhere.  Rank and
-determinant run on integer rows.  Every span of the analysis reaches
-``span_rank`` as rows of ``int``: the numerators read from a chart's
-derivative tables, whose nonzero row and column scales rank ignores.
-Only the smoothness test still hands over ``Fraction`` rows, which are
-cleared per row with integer arithmetic first, as ``Matrix`` clears its
-own.  Rank has one route: elimination modulo a 28-bit prime on packed
+determinant run on integer rows.  Every span of the analysis, and the
+Jacobian of the smoothness test, reaches ``span_rank`` as rows of
+``int``: the numerators read from a chart's derivative tables, whose
+nonzero row and column scales rank ignores.  A row holding anything else
+(``Fraction``s from a library caller) is cleared with integer arithmetic
+first, as ``Matrix`` clears its own.  Rank has one route: elimination modulo a 28-bit prime on packed
 rows (one int per row, see ``_kernels.mod_rank``), which can only
 underestimate, decides every full rank and fraction-free Bareiss the
 rest.  ``integer_det`` is the last Bareiss pivot; ``Matrix.det`` divides
@@ -123,10 +123,11 @@ class Matrix:
 def cleared_row(row: Sequence) -> tuple[Sequence[int], int]:
     """Integer row m * row and its multiplier m; a row of ints comes back as is.
 
-    For Fractions, m is the lcm of the denominators and each entry becomes
+    The type scan runs at C speed; a ``bool`` counts as not int.  For
+    Fractions, m is the lcm of the denominators and each entry becomes
     ``x.numerator * (m // x.denominator)``: integer arithmetic only.
     """
-    if all(type(x) is int for x in row):
+    if {*map(type, row)} <= {int}:
         return row, 1
     m = lcm(*(x.denominator for x in row))
     return [x.numerator * (m // x.denominator) for x in row], m

@@ -14,9 +14,11 @@ The symbolic reference routes live here too, since only tests compare
 against them: derivative tables from a chain of formal partials evaluated
 term by term (``symbolic_table``), the 2-osculating criterion vectors as
 Fractions from that table (``osc2_vectors``), jet normalization by substituting the
-affine frame into every coordinate (``jet_normalize``), and curve
-derivatives from truncated-series composition (``composed_curve_series``).
-None of them reads the chart's integer derivative store.
+affine frame into every coordinate (``jet_normalize``), curve derivatives
+from truncated-series composition (``composed_curve_series``), and the
+smoothness test on Fraction vectors ranked by ``rref_rank``
+(``smoothness_reference``).  None of them reads the chart's integer
+derivative store.
 
 ``rank_exact`` and ``rank_modular`` do call the package's elimination
 kernels, each on its own and without the modular screen that
@@ -234,6 +236,17 @@ def symbolic_table(chart: Chart, pt, h: int) -> dict:
                 polys[idx] = [partial(p, idx[-1]) for p in polys[idx[:-1]]]
             out[idx] = tuple(p.eval(pt) for p in polys[idx])
     return out
+
+
+def smoothness_reference(chart: Chart, pt) -> tuple[bool, int]:
+    """(chart smooth at pt, Jacobian rank at pt) from ``symbolic_table`` by ``rref_rank``.
+
+    The Fraction route of ``Chart.is_smooth_at`` and ``Chart.jacobian_rank``:
+    smooth means a nonzero coordinate vector and n independent first partials.
+    """
+    table = symbolic_table(chart, pt, 1)
+    rank = rref_rank([table[(i,)] for i in range(chart.n)])
+    return any(table[()]) and rank == chart.n, rank
 
 
 def osc2_vectors(chart: Chart, pt, lam, mu) -> list[tuple]:

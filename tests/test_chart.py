@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from terracini.chart import (
     chart_to_obj,
     contract,
     curve_derivatives,
+    fraction_vector,
     jet_terms,
     load_chart,
     multi_indices,
@@ -38,6 +40,7 @@ from oracles import (
     partial,
     poly_compose_curve,
     polys_chart,
+    smoothness_reference,
     symbolic_table,
 )
 
@@ -167,6 +170,35 @@ def test_table_memo_serves_the_point_and_order_asked_for():
     assert c.integer_table(a, 3).order == 3
     check(b, 1, refs[b])
     check(a, 5, refs[a])
+
+
+def flat_chart():
+    """Cubic chart: multi-term coordinates, a constant one and one free of u2."""
+    n = 2
+    coords = (
+        MultiPoly.constant(n, F(7, 3)),
+        MultiPoly(n, {(3, 0): F(-2, 5), (1, 0): F(4), (0, 0): F(1, 6)}),
+        MultiPoly(n, {(2, 1): F(5, 7), (0, 3): F(-1), (1, 1): F(3, 2), (0, 1): F(2)}),
+        MultiPoly(n, {(1, 2): F(1, 4), (2, 0): F(-9), (0, 0): F(-1, 2)}),
+    )
+    return polys_chart("flat", n, len(coords) - 1, coords)
+
+
+@pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7)), (F(5, 6), F(4, 9)), (F(-2), F(1, 10))])
+def test_flat_evaluation_matches_symbolic_reference(pt):
+    # each row sums one slice of the key's flat terms per coordinate: an
+    # empty slice (the constant coordinate, and d/du2 of the one free of
+    # u2) must read 0, keys above the chart degree must read zero rows, and
+    # the point's coordinates have different denominators
+    c = flat_chart()
+    t = c.integer_table(pt, 5)
+    cuts = c._flat((1,))[2]
+    assert [cut.stop - cut.start for cut in cuts] == [0, 0, 4, 1]
+    reference = symbolic_table(c, pt, 5)
+    assert max(map(len, reference)) == 5 and t.top == 3
+    zero = (0,) * (c.r + 1)
+    for key, ref in reference.items():
+        assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +373,54 @@ def test_projection_keeps_jacobian_rank():
     assert proj.r == 8
     for pt in [(F(0), F(0)), (F(2), F(-1)), (F(1), F(3))]:
         assert proj.jacobian_rank(pt) == 2
+
+
+def cusp_chart():
+    """(1, u^2, u^3), singular at u = 0 only."""
+    return Chart("cusp", 1, 2, tuple((1, (1,), ((k,),)) for k in (0, 2, 3)))
+
+
+def vanishing_partial_chart():
+    """Random rational chart with no constant term; its first coordinate is free of u1."""
+    rng = random.Random(44)
+
+    def form(*exps):
+        return rng.randint(1, 6), tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in exps), exps
+
+    return Chart("vanishing-partial", 2, 3, (form((0, 1), (0, 2)), form((1, 0), (2, 0), (1, 1)),
+                                             form((0, 1), (2, 1), (3, 0)),
+                                             form((2, 2), (0, 3), (1, 0))))
+
+
+SMOOTHNESS_CHARTS = {
+    "veronese": lambda: make_veronese(2, 3),
+    "projection": lambda: project_generic(make_veronese(2, 3), 6, seed=3),
+    "cusp": cusp_chart,
+    "vanishing-partial": vanishing_partial_chart,
+}
+
+
+@pytest.mark.parametrize("name", list(SMOOTHNESS_CHARTS))
+def test_smoothness_matches_the_fraction_route(name):
+    # every point of the sample lattice [-5, 5]^n
+    c = SMOOTHNESS_CHARTS[name]()
+    singular = []
+    for pt in product(map(F, range(-5, 6)), repeat=c.n):
+        smooth, rank = smoothness_reference(c, pt)
+        assert c.jacobian_rank(pt) == rank
+        assert c.is_smooth_at(pt) is smooth
+        if not smooth:
+            singular.append((pt, rank))
+    if name == "veronese":
+        assert singular == []
+    elif name == "projection":
+        assert all(es != ((0, 0),) for _, _, es in c.forms)  # no constant coordinate
+    elif name == "cusp":
+        assert singular == [((0,), 0)]
+    else:
+        # the first partials span at the origin, but x vanishes there
+        assert c.forms[0][2] == ((0, 1), (0, 2))
+        assert ((0, 0), 2) in singular
 
 
 def test_projection_preserves_span_ranks():

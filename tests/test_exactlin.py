@@ -13,6 +13,7 @@ from terracini.exactlin import (
     Matrix,
     MultiPoly,
     NotSquareError,
+    cleared_row,
     poly_det,
     span_rank,
     sz_zero_test,
@@ -85,6 +86,23 @@ def test_span_rank_agrees_with_rank():
         m = random_matrix(rng, nr, nc)
         assert span_rank(m.entries) == rank_exact(m)
         assert span_rank([[x.numerator for x in r] for r in m.entries]) == rank_exact(m)
+
+
+@pytest.mark.parametrize("row, cleared, m", [
+    ([3, -7, 0], [3, -7, 0], 1),
+    ([], [], 1),
+    ([0, F(1, 2)], [0, 1], 2),
+    ([F(2, 3), 5, F(-1, 4)], [8, 60, -3], 12),
+    ([True, 2], [1, 2], 1),
+    ([False, F(3)], [0, 3], 1),
+], ids=["ints", "empty", "int-and-fraction", "fractions", "bool", "bool-and-fraction"])
+def test_cleared_row_passes_only_all_int_rows_through(row, cleared, m):
+    out, mult = cleared_row(row)
+    assert out == cleared and mult == m
+    # a row of ints comes back as the same object; any other entry type,
+    # bool included, gets a new row of ints
+    assert (out is row) == all(type(x) is int for x in row)
+    assert all(type(x) is int for x in out)
 
 
 def test_span_rank_decides_a_screen_miss_by_bareiss(monkeypatch):

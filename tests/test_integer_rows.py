@@ -8,8 +8,9 @@ lattice only produces integer points of integer-coefficient charts; these
 tests take rational points (q > 1) and rational coefficients (den_c > 1)
 and compare against the Fraction oracles.  Guards keep Fractions out of
 the elimination kernels on the command line's rank and determinant paths,
-and out of every span the analysis ranks; a span's exact generators,
-built on request, must equal the oracle vectors.
+and out of every span the analysis ranks, the smoothness test's Jacobian
+included; a span's exact generators, built on request, must equal the
+oracle vectors.
 """
 
 import io
@@ -20,7 +21,7 @@ from itertools import product
 
 import pytest
 
-from terracini import exactlin, gamma15, secants
+from terracini import chart, exactlin, gamma15, secants
 from terracini.catalog import make_random_variety, make_veronese
 from terracini.chart import (
     Chart,
@@ -197,7 +198,7 @@ def test_pi_constancy_evaluates_each_sample_once(evaluations):
 
 @pytest.fixture
 def span_entries(monkeypatch):
-    """Types of every entry reaching ``span_rank`` through secants and gamma15."""
+    """Types of every entry reaching ``span_rank`` through chart, secants and gamma15."""
     seen = []
 
     def recording(vectors):
@@ -205,8 +206,8 @@ def span_entries(monkeypatch):
         seen.extend({type(x) for row in vectors for x in row})
         return span_rank(vectors)
 
-    monkeypatch.setattr(secants, "span_rank", recording)
-    monkeypatch.setattr(gamma15, "span_rank", recording)
+    for module in (chart, secants, gamma15):
+        monkeypatch.setattr(module, "span_rank", recording)
     return seen
 
 
@@ -215,7 +216,8 @@ def span_entries(monkeypatch):
     "analyze --variety random:2:4:8:2 --check speciality:3 --trials 2",
     "analyze --variety random:2:4:8:2 --check pi-constancy",
     "audit-theorem --variety random:2:4:8:2 --trials 2",
-], ids=["speciality-2", "speciality-3", "pi-constancy", "audit-theorem"])
+    "analyze --variety veronese:2:12 --check secant:3",
+], ids=["speciality-2", "speciality-3", "pi-constancy", "audit-theorem", "secant"])
 def test_spans_reach_span_rank_as_integer_rows(span_entries, argv):
     out = io.StringIO()
     with redirect_stdout(out):
