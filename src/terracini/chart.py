@@ -19,10 +19,10 @@ row is a few flat C-level passes: multiply the coefficients by the
 monomial values, then sum each coordinate's slice.  ``integer_table``
 returns integers over a column scale den_c, the coordinate's denominator,
 times a row scale q^D, the point's; the two are kept apart, so rows of
-several points stack under one column scale.  Every derivative combination of the
-analysis is a list of terms that ``contract_numerators`` sums over one
-such table into integer numerators and one row scale, so ranks and
-determinants are taken of the numerators.  ``contract`` builds canonical
+several points stack under one column scale.  Every derivative
+combination of the analysis is a list of terms that
+``contract_numerators`` sums over one such table into integer numerators
+and one row scale, so ranks and determinants are taken of the numerators.  ``contract`` builds canonical
 ``Fraction``s from them only where exact values are kept: the curve
 derivatives and the symbolic columns of the claim audit.
 ``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
