@@ -20,11 +20,14 @@ monomial values, then sum each coordinate's slice.  ``integer_table``
 returns integers over a column scale den_c, the coordinate's denominator,
 times a row scale q^D, the point's; the two are kept apart, so rows of
 several points stack under one column scale.  Every derivative
-combination of the analysis is a list of terms that
-``contract_numerators`` sums over one such table into integer numerators
-and one row scale, so ranks and determinants are taken of the numerators.  ``contract`` builds canonical
-``Fraction``s from them only where exact values are kept: the curve
-derivatives and the symbolic columns of the claim audit.
+combination of the analysis is a list of terms, and a span's lists are
+contracted together: ``contract_numerators`` sums every list of the span
+over one such table in one pass, into one row of integer numerators and
+one row scale per list, so ranks and determinants are taken of the
+numerators.  Exact values are built from the rows only where they are
+kept: the curve derivatives as canonical ``Fraction``s and the symbolic
+columns of the claim audit as ring elements.  ``contract`` is the span
+of a single list, read as one exact vector.
 ``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
 smoothness test reads x through it and ranks the n first partials as the
 order-1 table's integer rows, which rank's indifference to row and column
@@ -350,50 +353,77 @@ def _times(part: dict, v: Sequence) -> dict:
     return out
 
 
-def contract_numerators(table: IntegerTable, terms: Sequence[tuple]) -> tuple[tuple, int]:
-    """Numerator form (ints, scale) of ``contract``: entry c is ints[c] / (dens[c] * scale).
+def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple]]
+                        ) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """Numerator rows and row scales of ``contract`` for a span of term lists, in one pass.
 
-    ``dens`` is ``table.dens``.  Each product of linear forms is expanded
-    into {sorted multi-index: scalar}, merging keys at every step, so each
-    distinct derivative is read once, in one pass over the width.  Numeric
-    directions and coefficients are cleared to integers with one common
-    denominator, and ``scale`` is that denominator times the table's q^D;
-    ring scalars (the MultiPoly lambda, mu of the symbolic audit) go
-    through the same expansion and come back as ring elements over q^D.
-    Every vector contracted from one chart's tables is its numerators over
-    a row scale (``scale``) times a column scale (den_c), so ranks and
-    determinants can be taken of the numerators.
+    Entry c of vector i is ``rows[i][c] / (dens[c] * scales[i])``, ``dens``
+    being ``table.dens``.  Every term's order and direction length are
+    checked once, and terms above ``table.top`` are dropped (they read
+    zeros).  Numeric directions and coefficients are cleared to integers
+    with one common denominator s for the whole span: a term
+    c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] over
+    c.denominator * s^h, and a row's scale is the lcm of its terms' times
+    the table's q^D.  Each distinct product of directions is expanded once
+    per span into {sorted multi-index: scalar}, extending the expansion of
+    its prefix and merging keys at every step, and each row reads each
+    distinct derivative once, in one pass over the width.  Ring scalars
+    (the MultiPoly lambda, mu of the symbolic audit) go through the same
+    expansion and come back as ring elements over q^D.  Every vector
+    contracted from one chart's tables is its numerators over a row scale
+    times a column scale (den_c), so ranks and determinants can be taken
+    of the numerators.
     """
-    for _, vs in terms:
-        if len(vs) > table.order:
-            raise ValueError(f"term of order {len(vs)} above the table's order {table.order}")
-        if any(len(v) != table.n for v in vs):
-            raise ValueError(f"direction length differs from the chart's n={table.n}")
-    terms = [(c, vs) for c, vs in terms if len(vs) <= table.top]  # the rest read zeros
-    vecs = {id(v): v for _, vs in terms for v in vs}
-    if all(isinstance(x, (int, Fraction)) for v in vecs.values() for x in v):
-        s = math.lcm(*(x.denominator for v in vecs.values() for x in v))
-        vecs = {k: tuple(x.numerator * (s // x.denominator) for x in v)
-                for k, v in vecs.items()}
-        # term c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] / (c.denominator s^h)
-        dens = [c.denominator * s ** len(vs) for c, vs in terms]
-        scale = math.lcm(*dens)
-        mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
+    for terms in term_lists:
+        for _, vs in terms:
+            if len(vs) > table.order:
+                raise ValueError(f"term of order {len(vs)} above the table's order {table.order}")
+            if any(len(v) != table.n for v in vs):
+                raise ValueError(f"direction length differs from the chart's n={table.n}")
+    lists = [[(c, vs) for c, vs in terms if len(vs) <= table.top] for terms in term_lists]
+    # one slot per distinct direction object, numbered by first appearance
+    slots: dict = {}
+    for terms in lists:
+        for _, vs in terms:
+            for v in vs:
+                slots.setdefault(id(v), (len(slots), v))
+    vecs = [v for _, v in slots.values()]
+    if all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
+        s = math.lcm(*(x.denominator for v in vecs for x in v))
+        vecs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vecs]
     else:
-        scale, mults = 1, [c for c, _ in terms]
-    coeffs: dict = {}
-    for m, (_, vs) in zip(mults, terms):
-        part = {(): m}
-        for v in vs:
-            part = _times(part, vecs[id(v)])
-        for key, x in part.items():
-            coeffs[key] = coeffs.get(key, 0) + x
-    acc: list = [0] * len(table.dens)
-    for key, x in coeffs.items():
-        row = table.nums.get(key)
-        if row is not None:
-            acc = list(map(add, acc, map(mul, row, repeat(x))))
-    return tuple(acc), scale * table.scale
+        s = None
+    # expansions keyed by slots in decreasing order, so that directions first
+    # seen late (a curve's lam, mu after the unit vectors) lead and share prefixes
+    expansions: dict = {(): {(): 1}}
+
+    def expand(key: tuple) -> dict:
+        part = expansions.get(key)
+        if part is None:
+            part = expansions[key] = _times(expand(key[:-1]), vecs[key[-1]])
+        return part
+
+    rows, scales = [], []
+    for terms in lists:
+        if s is None:
+            scale, mults = 1, [c for c, _ in terms]
+        else:
+            dens = [c.denominator * s ** len(vs) for c, vs in terms]
+            scale = math.lcm(*dens)
+            mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
+        coeffs: dict = {}
+        for m, (_, vs) in zip(mults, terms):
+            key = tuple(sorted((slots[id(v)][0] for v in vs), reverse=True))
+            for k, x in expand(key).items():
+                coeffs[k] = coeffs.get(k, 0) + m * x
+        acc: list = [0] * len(table.dens)
+        for k, x in coeffs.items():
+            row = table.nums.get(k)
+            if row is not None:
+                acc = list(map(add, acc, map(mul, row, repeat(x))))
+        rows.append(tuple(acc))
+        scales.append(scale * table.scale)
+    return tuple(rows), tuple(scales)
 
 
 def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
@@ -403,7 +433,7 @@ def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
     indices.  Numeric terms give canonical Fractions, built from
     ``contract_numerators``; ring scalars give ring elements.
     """
-    acc, scale = contract_numerators(table, terms)
+    (acc,), (scale,) = contract_numerators(table, [terms])
     if all(type(a) is int for a in acc):
         return fraction_vector(acc, table.dens, scale)
     return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
@@ -546,13 +576,15 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
 
-    ``jet_terms`` over the chart's order-5 derivative table at the jet's
-    base; independently equal to k! times the t^k coefficients of the
-    composed curve (the composition oracle in tests).
+    ``jet_terms`` contracted as one span over the chart's order-5
+    derivative table at the jet's base; independently equal to k! times
+    the t^k coefficients of the composed curve (the composition oracle in
+    tests).
     """
     t = chart.integer_table(jet.base, 5)
     coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
-    return tuple(contract(t, jet_terms(k, coeffs)) for k in range(1, 6))
+    rows, scales = contract_numerators(t, [jet_terms(k, coeffs) for k in range(1, 6)])
+    return tuple(fraction_vector(row, t.dens, s) for row, s in zip(rows, scales))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ Jacobian of the smoothness test, reaches ``span_rank`` as rows of
 ``int``: the numerators read from a chart's derivative tables, whose
 nonzero row and column scales rank ignores.  A row holding anything else
 (``Fraction``s from a library caller) is cleared with integer arithmetic
-first, as ``Matrix`` clears its own.  Rank has one route: elimination modulo a 28-bit prime on packed
-rows (one int per row, see ``_kernels.mod_rank``), which can only
-underestimate, decides every full rank and fraction-free Bareiss the
-rest.  ``integer_det`` is the last Bareiss pivot; ``Matrix.det`` divides
-it by the row multipliers once.  The ``Fraction`` ``Matrix`` remains for
-nullspaces.  Polynomials carry what the symbolic determinant audit
-(``poly_det``) needs; their reference routes live in ``tests/oracles.py``.
+first, as ``Matrix`` clears its own.  Rank has one route: elimination
+modulo a 28-bit prime on packed rows (one int per row, see
+``_kernels.mod_rank``), which can only underestimate, decides every full
+rank and fraction-free Bareiss the rest.  ``integer_det`` is 0 before any
+elimination when a row is zero, which is exact (on a quadratic chart the
+quintic column of every ``gamma15`` determinant is), and the last Bareiss
+pivot otherwise; ``Matrix.det`` divides it by the row multipliers once.
+The ``Fraction`` ``Matrix`` remains for nullspaces.  Polynomials carry
+what the symbolic determinant audit (``poly_det``) needs; their reference
+routes live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -155,12 +158,14 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: the last fraction-free pivot."""
+    """Determinant of a square integer matrix: 0 at a zero row, else the last Bareiss pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotSquareError(f"{n}-row matrix is not square")
     if n == 0:
         return 1
+    if not all(map(any, rows)):  # a zero row: exact, no elimination
+        return 0
     ech, pivots, sign = bareiss_echelon(rows)
     return sign * ech[n - 1][pivots[-1]] if len(pivots) == n else 0
 

@@ -4,8 +4,9 @@ For an n-fold in P^{3n+2}, the existence of a 3(n-1)-dimensional family of
 (1,5)-quasi-asymptotic curves (one through each general length-3
 curvilinear scheme) is equivalent to the identical vanishing, in the jet
 coefficients (lambda, mu), of the determinant D of a fixed (3n+3)-square
-matrix of derivative contractions.  This module builds that matrix (each
-column one ``chart.contract`` call over a single derivative table),
+matrix of derivative contractions.  This module builds that matrix (its
+columns contracted in one ``chart.contract_numerators`` pass over a
+single derivative table),
 decides D == 0 by seeded Schwartz-Zippel testing (exact symbolic expansion
 is available for n <= 3 as a certifying mode), audits the five-jet rank
 condition, the constancy of the span Pi along coordinate curves, and the
@@ -31,7 +32,7 @@ from .chart import (
     Chart,
     DegenerateJetError,
     FiveJet,
-    contract,
+    contract_numerators,
     jet_terms,
     unit_vectors,
 )
@@ -201,13 +202,12 @@ def gamma15_identically_zero(chart: Chart, trials: int = 20,
     bound, _ = gamma15_degree_bound(chart)
 
     def evaluator(coords: tuple[int, ...]) -> Fraction:
-        pt = tuple(Fraction(c) for c in coords[:n])
-        lam = tuple(Fraction(c) for c in coords[n:2 * n])
-        mu = tuple(Fraction(c) for c in coords[2 * n:])
-        if all(c == 0 for c in lam):
+        # ints go through as they are: gamma15_matrix converts them once
+        lam = coords[n:2 * n]
+        if not any(lam):
             # legitimate zero of D (the Hessian contraction columns vanish)
             return _F0
-        return gamma15_det(chart, pt, lam, mu)
+        return gamma15_det(chart, coords[:n], lam, coords[2 * n:])
 
     sz = sz_zero_test(evaluator, 3 * n, bound, trials=trials, seed=seed)
     if sz.identically_zero:
@@ -378,7 +378,9 @@ def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
     lam = [MultiPoly.variable(nv, i) for i in range(n)]
     mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
     t = chart.integer_table(pt, 5)
-    cols = [contract(t, terms) for _, terms in _gamma15_columns(n, lam, mu)]
+    nums, scales = contract_numerators(t, [terms for _, terms in _gamma15_columns(n, lam, mu)])
+    # column j's entry c is nums[j][c] / (dens[c] * scales[j]), a ring element or 0
+    cols = [[a * Fraction(1, d * s) for a, d in zip(col, t.dens)] for col, s in zip(nums, scales)]
     rows = [[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
             for row in zip(*cols)]
     sym = poly_det(rows)

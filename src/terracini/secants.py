@@ -69,8 +69,7 @@ class LinearSpan:
     @classmethod
     def contracted(cls, t: IntegerTable, term_lists: Sequence[Sequence[tuple]]) -> "LinearSpan":
         """Span of the vectors that ``contract`` gives for each term list over table t."""
-        rows, scales = zip(*(contract_numerators(t, terms) for terms in term_lists))
-        return cls(rows, scales, t.dens)
+        return cls(*contract_numerators(t, term_lists), t.dens)
 
     @cached_property
     def rank(self) -> int:

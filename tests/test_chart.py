@@ -18,6 +18,7 @@ from terracini.chart import (
     FiveJet,
     chart_to_obj,
     contract,
+    contract_numerators,
     curve_derivatives,
     fraction_vector,
     jet_terms,
@@ -259,6 +260,69 @@ def test_contract_rejects_orders_above_the_table_and_wrong_lengths():
         contract(itable, [(1, (LAM,) * 4)])
     with pytest.raises(ValueError, match="n=3"):
         contract(itable, [(1, (LAM, (F(1), F(0))))])
+
+
+# ---------------------------------------------------------------------------
+# the span contraction: all term lists of a span in one pass
+# ---------------------------------------------------------------------------
+
+LAM2 = (F(1, 5), F(0), F(-2, 9))  # denominators 5 and 9, which no other direction has
+SPAN = [
+    CONTRACTIONS["quintic"],  # LAM and MU are shared with the lists below
+    [],
+    [(F(3, 7), (LAM, MU)), (2, (E[1], LAM)), (1, ())],
+    [(1, (LAM2, LAM2)), (F(-1, 2), (LAM2, E[0], MU))],  # the only list reading LAM2
+    CONTRACTIONS["e3^3"] + [(5, (E[0], E[2]))],
+    CONTRACTIONS["quartic"],
+]
+
+
+@pytest.mark.parametrize("make", [rational_chart, lambda: make_veronese(3, 2)],
+                         ids=["quintic", "quadratic"])
+def test_span_contraction_matches_the_oracle_per_term_list(make):
+    # on the quadratic chart (top = 2) the terms of order 3 to 5 are dropped
+    c = make()
+    pt = (F(5, 3), F(-5, 6), F(1, 4))
+    table = symbolic_table(c, pt, 5)
+    itable = c.integer_table(pt, 5)
+    rows, scales = contract_numerators(itable, SPAN)
+    assert len(rows) == len(scales) == len(SPAN)
+    for row, scale, terms in zip(rows, scales, SPAN):
+        assert all(type(a) is int for a in row)
+        assert fraction_vector(row, itable.dens, scale) == brute_contract(table, 3, c.r + 1, terms)
+        assert contract(itable, terms) == brute_contract(table, 3, c.r + 1, terms)
+    assert not any(rows[1]) and scales[1] == itable.scale
+    assert any(rows[0]) == (itable.top == 5)
+
+
+def test_span_contraction_with_symbolic_scalars_evaluates_per_term_list():
+    c = make_random_variety(3, 5, 9, 5)
+    pt = (F(5, 3), F(-5, 6), F(1, 4))
+    itable = c.integer_table(pt, 5)
+    lam = [MultiPoly.variable(6, i) for i in range(3)]
+    mu = [MultiPoly.variable(6, 3 + i) for i in range(3)]
+    ring = {id(LAM): lam, id(MU): mu}
+    numeric = [terms for terms in SPAN if all(v is not LAM2 for _, vs in terms for v in vs)]
+    symbolic = [[(k, tuple(ring.get(id(v), v) for v in vs)) for k, vs in terms]
+                for terms in numeric]
+    rows, scales = contract_numerators(itable, symbolic)
+    assert any(isinstance(a, MultiPoly) for row in rows for a in row)
+    for row, scale, terms in zip(rows, scales, numeric):
+        values = [a.eval(LAM + MU) if isinstance(a, MultiPoly) else a for a in row]
+        assert fraction_vector(values, itable.dens, scale) == contract(itable, terms)
+
+
+@pytest.mark.parametrize("at", range(3))
+def test_span_contraction_checks_every_term_list(at):
+    c = rational_chart()
+    itable = c.integer_table((F(1), F(2), F(3)), 3)
+    good = [[(1, (LAM,) * 3)], [], [(2, (MU, E[0]))]]
+    for bad, message in [((1, (LAM,) * 4), "above the table's order 3"),
+                         ((1, (LAM, (F(1), F(0)))), "n=3")]:
+        lists = [list(terms) for terms in good]
+        lists[at].append(bad)
+        with pytest.raises(ValueError, match=message):
+            contract_numerators(itable, lists)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,43 @@ def test_det_not_square():
         Matrix([[F(1), F(2)]]).det()
 
 
+def refuse_elimination(rows):
+    raise AssertionError("bareiss_echelon called")
+
+
+@pytest.mark.parametrize("at", range(5))
+def test_zero_row_determinant_skips_elimination(monkeypatch, at):
+    rng = random.Random(27 + at)
+    ints = [[rng.choice([-7, -2, 1, 3, 8]) for _ in range(5)] for _ in range(5)]
+    ints[at] = [0] * 5
+    rationals = [[F(x, rng.randint(1, 6)) for x in row] for row in ints]
+    monkeypatch.setattr(exactlin, "bareiss_echelon", refuse_elimination)
+    assert exactlin.integer_det(ints) == gauss_det(ints) == 0
+    assert Matrix(rationals).det() == gauss_det(rationals) == 0
+
+
+def test_determinants_without_a_zero_row_match_the_oracle(monkeypatch):
+    # Bareiss decides every one of them, singular ones (a repeated row) included
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_echelon(rows)
+
+    monkeypatch.setattr(exactlin, "bareiss_echelon", counted)
+    rng = random.Random(28)
+    for size in range(2, 7):
+        for _ in range(4):
+            ints = [[rng.choice([-9, -4, -1, 1, 2, 5, 9]) for _ in range(size)]
+                    for _ in range(size)]
+            rationals = [[F(x, rng.randint(1, 7)) for x in row] for row in ints]
+            assert exactlin.integer_det(ints) == gauss_det(ints)
+            assert Matrix(rationals).det() == gauss_det(rationals)
+        ints[-1] = ints[0]
+        assert exactlin.integer_det(ints) == 0
+    assert calls == [size for size in range(2, 7) for _ in range(9)]
+
+
 # ---------------------------------------------------------------------------
 # nullspace
 # ---------------------------------------------------------------------------

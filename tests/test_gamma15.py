@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from terracini.catalog import load_catalog, make_random_variety, make_veronese
-from terracini.chart import Chart, CurvilinearJet, FiveJet, contract
+from terracini import secants
+from terracini.chart import Chart, CurvilinearJet, FiveJet, contract, contract_numerators
 from terracini.curvilinear import generic_speciality
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
@@ -72,6 +73,20 @@ def test_matrix_shape_and_column_order_n1():
     got_cols = [tuple(m.entries[i][j] for i in range(6)) for j in range(6)]
     assert got_cols == expected_cols
     assert gm.column_labels[0] == "x" and "quintic" in gm.column_labels[-1]
+
+
+def test_matrix_is_contracted_in_one_call(monkeypatch):
+    # the 3n+3 columns share one pass of the span contraction
+    calls = []
+
+    def counted(table, term_lists):
+        calls.append(len(term_lists))
+        return contract_numerators(table, term_lists)
+
+    monkeypatch.setattr(secants, "contract_numerators", counted)
+    c = make_random_variety(2, 3, 8, 1)
+    gamma15_matrix(c, (F(1), F(-2)), (F(3), F(1, 2)), (F(-1), F(2, 3)))
+    assert calls == [9]
 
 
 def test_columns_reduce_to_coordinate_vectors_at_axis_jet():

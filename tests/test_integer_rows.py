@@ -94,7 +94,7 @@ def test_scaled_numerator_rows_rank_like_the_fraction_vectors(points, dependent)
                 vectors.append(sym[key])
             # rational directions and weights add the contraction's own row scale
             terms = [(F(3, 2), (lam, e[0])), (2, (lam,)), (F(1, 3), ())]
-            rows.append(contract_numerators(t, terms)[0])
+            rows.append(contract_numerators(t, [terms])[0][0])
             vectors.append(brute_contract(sym, n, r + 1, terms))
         row_scales = [rng.choice([-5, -3, -1, 1, 2, 7]) for _ in rows]
         col_scales = [rng.choice([-4, -1, 1, 3, 6]) for _ in range(r + 1)]
@@ -139,13 +139,33 @@ def kernel_entries(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     "analyze --variety veronese:2:12 --check secant:14 --trials 2",
-    "analyze --variety veronese:4:2 --check gamma15",
+    "analyze --variety veronese:4:2 --check audit",
     "analyze --variety veronese:1:5 --check gamma15",
-], ids=["secant", "gamma15-zero", "gamma15-witness"])
+], ids=["secant", "audit", "gamma15-witness"])
 def test_elimination_kernels_receive_only_ints(kernel_entries, argv):
     with redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0
     assert kernel_entries and set(kernel_entries) == {int}
+
+
+def test_identically_zero_gamma15_reaches_no_kernel(monkeypatch):
+    # on a quadratic chart the quintic column of every trial's matrix is zero,
+    # so integer_det settles each determinant before any elimination
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("mod_rank", "bareiss_echelon"):
+        monkeypatch.setattr(exactlin, name, counted(getattr(exactlin, name)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main("analyze --variety veronese:4:2 --check gamma15".split()) == 0
+    assert '"identically_zero": true' in out.getvalue()
+    assert calls == []
 
 
 @pytest.fixture
