@@ -207,6 +207,14 @@ def test_claim_audit_evaluates_its_point_once(evaluations):
     assert evaluations == [(1, 2)]
 
 
+def test_claim_audit_expands_at_a_rational_point():
+    # the row scales (q^D > 1 here) divide the symbolic columns too
+    rng = random.Random(76)
+    chart = rational_chart(rng, 2, 3, 8)
+    rep = claim_coefficient_audit(chart, rational_point(rng, 2), evaluations=3)
+    assert rep.evaluations_match and not rep.identically_zero
+
+
 def test_pi_constancy_evaluates_each_sample_once(evaluations):
     # the five-jet check, its curve derivatives and the span Pi share the
     # order-5 table at each sample
