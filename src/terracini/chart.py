@@ -9,25 +9,28 @@ to fifth order.
 
 A chart is its integer forms: one (den, coefficients, exponents) per
 coordinate, in lowest terms, built from ints by the constructors, the
-projection and the chart-file reader.  The derivative store holds each
-mixed partial flat: the terms of all coordinates in one coefficient list
-and one list of exponent codes, with one slice per coordinate, derived
+projection and the chart-file reader.  Each monomial that a built
+derivative reads enters the chart's monomial list once, decoded once into
+its exponent of each variable and its total degree.  The derivative store
+holds each mixed partial flat, its monomials referred to by index, derived
 from its prefix's flat form in one pass of integer differentiation.  A
-point is scaled to a common denominator q, one table of integer powers is
-built per point and shared by every multi-index of the request, and each
-row is a few flat C-level passes: multiply the coefficients by the
-monomial values, then sum each coordinate's slice.  ``integer_table``
-returns integers over a column scale den_c, the coordinate's denominator,
-times a row scale q^D, the point's; the two are kept apart, so rows of
-several points stack under one column scale.  Every derivative
-combination of the analysis is a list of terms, and a span's lists are
-contracted together: ``contract_numerators`` sums every list of the span
-over one such table in one pass, into one row of integer numerators and
-one row scale per list, so ranks and determinants are taken of the
-numerators.  Exact values are built from the rows only where they are
-kept: the curve derivatives as canonical ``Fraction``s and the symbolic
-columns of the claim audit as ring elements.  ``contract`` is the span
-of a single list, read as one exact vector.
+partial with at most one term per coordinate (every partial of a Veronese
+or Segre chart, the top-order partials of a dense chart) is one
+coefficient and one index per coordinate; any other keeps the terms of
+all coordinates in one list, with one slice per coordinate.  A point is
+scaled to a common denominator q, the whole monomial list is evaluated
+in one C-level pass per variable (and one of q powers when q != 1), and
+a row is one gather pass, or one multiply pass and one sum per slice.
+``integer_table`` returns integers over a column scale den_c, the
+coordinate's denominator, times a row scale q^D, the point's; the two are
+kept apart, so rows of several points stack under one column scale.
+Every derivative combination of the analysis is a list of terms, and a
+span's lists are contracted together: ``contract_numerators`` sums every
+list of the span over one such table in one pass, into one row of integer
+numerators and one row scale per list, so ranks and determinants are
+taken of the numerators.  Exact values are built from the rows only where
+they are kept: the curve derivatives as canonical ``Fraction``s and the
+symbolic columns of the claim audit as ring elements.
 ``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
 smoothness test reads x through it and ranks the n first partials as the
 order-1 table's integer rows, which rank's indifference to row and column
@@ -46,7 +49,7 @@ modify them.
 curve derivatives, the generators along a jet, the 2-osculating criterion
 vectors, the determinant columns and Pi are each x or a first partial of
 x differentiated m times along one curve u(t) = base + sum_k c_k t^k, and
-``jet_terms`` gives their ``contract`` terms.  A jet is normalized through
+``jet_terms`` gives their contraction terms.  A jet is normalized through
 its affine frame (chain rule, no polynomial arithmetic): the partials
 along the frame's columns are contracted from the chart's own table at
 the jet's base.  The symbolic routes that tests compare against (a formal
@@ -63,13 +66,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, compress, repeat
-from operator import add, attrgetter, floordiv, mod, mul, sub
+from operator import add, attrgetter, mul, sub
 from typing import NamedTuple, Sequence
 
-from .exactlin import BadIndexError, Vector, span_rank
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .exactlin import _F0, _F1, BadIndexError, Vector, span_rank
 
 # Largest coordinate count r + 1 that the catalog constructors build (checked
 # before any polynomial exists) and that a chart file may declare.
@@ -108,7 +108,7 @@ def multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 def unit_vectors(n: int) -> list[tuple[int, ...]]:
-    """e_1..e_n as integer tuples, the coordinate directions of ``contract``."""
+    """e_1..e_n as integer tuples, the coordinate directions of a contraction term."""
     return [tuple(int(t == i) for t in range(n)) for i in range(n)]
 
 
@@ -124,48 +124,62 @@ def _lowest_terms(den: int, coeffs: Sequence[int], exps: Sequence[tuple[int, ...
     return den // g, tuple(c // g for _, c in terms), tuple(e for e, _ in terms)
 
 
-def _flat_partial(flat: tuple, v: int, base: int) -> tuple:
-    """Flat form of the partial derivative in variable v, in one pass over the terms.
+class _MonomialList(dict):
+    """A chart's monomials, {exponent code: index}, entered on first use.
 
-    A flat form is (coefficients, exponent codes, cuts): the terms of every
-    coordinate in one list, coordinate c's being ``coefficients[cuts[c]]``.
-    The code of u^e is sum(e_i * base^i) with base > every exponent, so the
-    exponent of u_v is read off the code and lowering it subtracts base^v.
-    The denominators are the chart's and do not change.
-    """
-    cs, es, cuts = flat
-    step = base ** v
-    ks = list(map(mod, map(floordiv, es, repeat(step)), repeat(base)))  # e_v per term
-    kept = list(accumulate(map(bool, ks), initial=0))
-    stops = list(map(kept.__getitem__, map(attrgetter("stop"), cuts)))
-    return (list(map(mul, compress(cs, ks), filter(None, ks))),
-            list(map(sub, compress(es, ks), repeat(step))),
-            tuple(map(slice, [0] + stops, stops)))
-
-
-class _Monomials(dict):
-    """q^(D - |e|) * prod A_i^e_i per exponent code of e at one point, filled on first use.
-
-    ``powers[i][k]`` is A_i^k and ``qpowers[k]`` is q^k for k <= D; codes
-    are in base D + 1, ``len(qpowers)``.
+    The code of u^e is sum(e_i * base^i) with base > every exponent.  Entry
+    i has code ``codes[i]``, exponent ``cols[v][i]`` of u_v and total degree
+    ``degs[i]``, decoded once, when it enters.  Entry 0 is u^0.
     """
 
-    __slots__ = ("powers", "qpowers")
+    __slots__ = ("base", "codes", "cols", "degs")
 
-    def __init__(self, powers: list[list[int]], qpowers: list[int]):
+    def __init__(self, n: int, base: int):
         super().__init__()
-        self.powers, self.qpowers = powers, qpowers
+        self.base, self.codes, self.cols, self.degs = base, [], tuple([] for _ in range(n)), []
+        self.__missing__(0)
 
     def __missing__(self, code: int) -> int:
-        v, rest, deg = 1, code, 0
-        for row in self.powers:
-            rest, k = divmod(rest, len(self.qpowers))
-            if k:
-                v *= row[k]
-                deg += k
-        v *= self.qpowers[-1 - deg]
-        self[code] = v
-        return v
+        i = self[code] = len(self.codes)
+        self.codes.append(code)
+        for col in self.cols:
+            code, e = divmod(code, self.base)
+            col.append(e)
+        self.degs.append(sum(col[-1] for col in self.cols))
+        return i
+
+
+def _flat_form(cs: list, ids: list, stops: list) -> tuple:
+    """Flat form (coefficients, monomial indices, cuts) of the terms cs, ids.
+
+    Coordinate c holds the terms before ``stops[c]``.  With at most one term
+    per coordinate it is a gather form: one coefficient and index per
+    coordinate, 0 and 0 (u^0) where it has none, and cuts None; otherwise
+    coordinate c's terms are ``cs[cuts[c]]``.
+    """
+    starts = [0] + stops
+    if max(map(sub, stops, starts), default=0) < 2:
+        pick = [a if b > a else -1 for a, b in zip(starts, stops)]  # -1: the appended zero term
+        return (list(map((cs + [0]).__getitem__, pick)), list(map((ids + [0]).__getitem__, pick)),
+                None)
+    return cs, ids, tuple(map(slice, starts, stops))
+
+
+def _flat_partial(flat: tuple, v: int, mons: _MonomialList) -> tuple:
+    """Flat form of the partial derivative in variable v, in one pass over the terms.
+
+    The exponent of u_v of each term is read from the list's column v, and
+    lowering it subtracts base^v from the term's exponent code.  A gather
+    form's empty coordinates read u^0, so they drop out like the terms free
+    of u_v.  The denominators are the chart's and do not change.
+    """
+    cs, ids, cuts = flat
+    ks = list(map(mons.cols[v].__getitem__, ids))  # e_v per term
+    kept = list(accumulate(map(bool, ks), initial=0))
+    stops = kept[1:] if cuts is None else list(map(kept.__getitem__, map(attrgetter("stop"), cuts)))
+    lowered = map(sub, map(mons.codes.__getitem__, compress(ids, ks)), repeat(mons.base ** v))
+    return _flat_form(list(map(mul, compress(cs, ks), filter(None, ks))),
+                      list(map(mons.__getitem__, lowered)), stops)
 
 
 class IntegerTable(NamedTuple):
@@ -203,8 +217,10 @@ class Chart:
     n: int
     r: int
     forms: tuple[tuple, ...]
-    # The derivative store: {sorted multi-index: flat form} (see ``_flat_partial``).
+    # The derivative store: {sorted multi-index: flat form} (see ``_flat_form``).
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The monomials that the flat forms read, by index.
+    _mons: _MonomialList = field(default=None, init=False, repr=False, compare=False)
     # Chart degree D and, per variable, the highest exponent in any coordinate.
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     _top: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -226,11 +242,11 @@ class Chart:
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
         object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
+        object.__setattr__(self, "_mons", _MonomialList(self.n, self._degree + 1))
         weights = [(self._degree + 1) ** i for i in range(self.n)]  # exponent codes
-        stops = list(accumulate(len(cs) for _, cs, _ in forms))
-        self._dcache[()] = ([c for _, cs, _ in forms for c in cs],
-                            [sum(map(mul, e, weights)) for e in exps],
-                            tuple(map(slice, [0] + stops, stops)))
+        self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
+                                      [self._mons[sum(map(mul, e, weights))] for e in exps],
+                                      list(accumulate(len(cs) for _, cs, _ in forms)))
         object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
                                               for i in range(self.n)))
 
@@ -240,8 +256,7 @@ class Chart:
         """Flat form of the mixed partial at a sorted, valid multi-index."""
         flat = self._dcache.get(key)
         if flat is None:
-            flat = self._dcache[key] = _flat_partial(self._flat(key[:-1]), key[-1],
-                                                     self._degree + 1)
+            flat = self._dcache[key] = _flat_partial(self._flat(key[:-1]), key[-1], self._mons)
         return flat
 
     def _numerators(self, pt: Sequence[Fraction], keys: Sequence[tuple[int, ...]]
@@ -250,30 +265,29 @@ class Chart:
 
         With q the common denominator of pt and A_i = q * pt_i, a monomial
         u^e with |e| <= D is q^(D - |e|) A^e / q^D, so coordinate c of every
-        derivative is an integer combination of one table of integer
-        monomial values over den_c * q^D, den_c the coordinate's denominator.
+        derivative is an integer combination of these values of the monomial
+        list over den_c * q^D, den_c the coordinate's denominator.  The keys'
+        flat forms are built first, so that the list holds all they read.
         """
         if len(pt) != self.n:
             raise ValueError("point has wrong length")
+        flats = [self._flat(key) for key in keys]
         q = math.lcm(*(x.denominator for x in pt))
-        powers = []
-        for x, top in zip(pt, self._top):
-            a, row = x.numerator * (q // x.denominator), [1]
-            for _ in range(top):
-                row.append(row[-1] * a)
-            powers.append(row)
-        qpowers = [q ** k for k in range(self._degree + 1)]
-        get = _Monomials(powers, qpowers).__getitem__
-        zero = (0,) * len(self._dens)  # partials above the chart degree vanish
+        vals = [1] * len(self._mons.codes)
+        for x, col, top in zip(pt, self._mons.cols, self._top):
+            if top:
+                powers = list(accumulate(repeat(x.numerator * (q // x.denominator), top), mul,
+                                         initial=1))
+                vals = list(map(mul, vals, map(powers.__getitem__, col)))
+        if q != 1:
+            qpowers = list(accumulate(repeat(q, self._degree), mul, initial=1))[::-1]
+            vals = list(map(mul, vals, map(qpowers.__getitem__, self._mons.degs)))
         rows = []
-        for key in keys:
-            if len(key) > self._degree:
-                rows.append(zero)
-                continue
-            cs, es, cuts = self._flat(key)
-            vals = list(map(mul, cs, map(get, es)))
-            rows.append(tuple(map(sum, map(vals.__getitem__, cuts))))
-        return rows, qpowers[-1]
+        for cs, ids, cuts in flats:
+            terms = list(map(mul, cs, map(vals.__getitem__, ids)))
+            rows.append(tuple(terms) if cuts is None  # a gather form
+                        else tuple(map(sum, map(terms.__getitem__, cuts))))
+        return rows, q ** self._degree
 
     def derivative_vector(self, pt: Sequence[Fraction], idx: Sequence[int]) -> Vector:
         """Value at pt of the mixed partial, as canonical Fractions; symmetric in idx.
@@ -288,7 +302,7 @@ class Chart:
         return fraction_vector(t.nums.get(key, (0,) * len(t.dens)), t.dens, t.scale)
 
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
-        """Derivatives of order <= h at pt as integer numerators; what ``contract`` reads.
+        """Derivatives of order <= h at pt as integer numerators; what contractions read.
 
         The tables of the last point asked for are kept, one per order.
         Points match by value, so ints and equal Fractions share them; the
@@ -299,7 +313,8 @@ class Chart:
             self._memo[:] = pt, {}
         tables = self._memo[1]
         if h not in tables:
-            keys = multi_indices(self.n, h)
+            # partials above the chart degree vanish
+            keys = multi_indices(self.n, min(h, self._degree))
             rows, scale = self._numerators(pt, keys)
             nums = {key: row for key, row in zip(keys, rows) if any(row)}
             tables[h] = IntegerTable(nums, self._dens, scale, self.n, h,
@@ -355,10 +370,13 @@ def _times(part: dict, v: Sequence) -> dict:
 
 def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple]]
                         ) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """Numerator rows and row scales of ``contract`` for a span of term lists, in one pass.
+    """Numerator rows and row scales of a span of term lists, contracted in one pass.
 
-    Entry c of vector i is ``rows[i][c] / (dens[c] * scales[i])``, ``dens``
-    being ``table.dens``.  Every term's order and direction length are
+    Term list i stands for the vector sum of c * D^h x[v_1, ..., v_h] over
+    its terms (c, (v_1, ..., v_h)), where D^h x[v_1, ..., v_h] sums
+    v_1[i_1] ... v_h[i_h] x_{i_1...i_h} over ordered indices.  Entry c of
+    vector i is ``rows[i][c] / (dens[c] * scales[i])``, ``dens`` being
+    ``table.dens``.  Every term's order and direction length are
     checked once, and terms above ``table.top`` are dropped (they read
     zeros).  Numeric directions and coefficients are cleared to integers
     with one common denominator s for the whole span: a term
@@ -426,19 +444,6 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
     return tuple(rows), tuple(scales)
 
 
-def contract(table: IntegerTable, terms: Sequence[tuple]) -> Vector:
-    """Sum of c * D^h x[v_1, ..., v_h] over ``terms`` (c, (v_1, ..., v_h)).
-
-    D^h x[v_1, ..., v_h] sums v_1[i_1] ... v_h[i_h] x_{i_1...i_h} over ordered
-    indices.  Numeric terms give canonical Fractions, built from
-    ``contract_numerators``; ring scalars give ring elements.
-    """
-    (acc,), (scale,) = contract_numerators(table, [terms])
-    if all(type(a) is int for a in acc):
-        return fraction_vector(acc, table.dens, scale)
-    return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
-
-
 @cache
 def _partitions(m: int, largest: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(m! / prod(multiplicity!), P) per multiset P of part sizes <= largest summing to m."""
@@ -449,7 +454,7 @@ def _partitions(m: int, largest: int) -> tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def jet_terms(m: int, coeffs: Sequence, along: tuple = ()) -> list[tuple]:
-    """``contract`` terms of d_along (d/dt)^m x(u(t)) at t = 0 (Faa di Bruno).
+    """Contraction terms of d_along (d/dt)^m x(u(t)) at t = 0 (Faa di Bruno).
 
     u(t) = base + sum_k coeffs[k-1] t^k and ``along`` is a tuple of
     directions of partial derivatives taken before the curve is followed.

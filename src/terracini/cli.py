@@ -48,6 +48,11 @@ DEFAULT_TRIALS = 5
 # Largest --trials accepted; the shipped tests and benchmark use at most 5,
 # and every trial adds work and an entry to the report's trial lists.
 MAX_TRIALS = 10_000
+# Largest estimated work of a secant check, in order-1 table entries (see
+# ``check_secant_work``).  The shipped tests and benchmark estimate at most
+# 22k (the wide-spans templates 9k-22k); random:2:3:8:1 --check secant:120
+# evaluates about 150k entries a second on a 2-core x86-64 host.
+MAX_SECANT_WORK = 5_000_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 KNOWN_CHECKS = ("secant", "osc", "speciality", "gamma15", "pi-constancy", "audit")
@@ -177,6 +182,25 @@ def check_table_size(chart: Chart, what: str, order: int) -> None:
                          f" = {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
 
 
+def check_secant_work(chart: Chart, token: str, k: int, trials: int) -> None:
+    """Refuse a secant check whose estimated work is above ``MAX_SECANT_WORK``.
+
+    A sample draws points of the lattice of L = 11^n points until k+1 are
+    distinct, L (H_L - H_{L-k-1}) draws in expectation (H_m the m-th
+    harmonic number), and each draw evaluates one order-1 table of
+    (n+1)(r+1) entries; the estimate is trials times both.
+    """
+    lattice, entries = sample_lattice_size(chart.n), (chart.n + 1) * (chart.r + 1)
+    draws, about = k + 1, "at least"  # one draw per point; past the cap, sum no further
+    if trials * draws * entries <= MAX_SECANT_WORK:
+        draws, about = sum(lattice / (lattice - j) for j in range(k + 1)), "about"
+    work = trials * draws * entries
+    if work > MAX_SECANT_WORK:
+        raise InputError(f"check {token} with --trials {trials} draws {about} {trials * draws:,.0f}"
+                         f" sample points of {entries} order-1 table entries each, {work:,.0f}"
+                         f" entries in all, above the cap of {MAX_SECANT_WORK:,}")
+
+
 def run_check(chart: Chart, name: str, arg: int | None, trials: int, seed: int) -> dict:
     if name == "secant":
         rec = secant_defect(chart, arg, samples=trials, seed=seed)
@@ -235,6 +259,8 @@ def cmd_analyze(args) -> int:
             raise InputError(f"check {token} needs k+1 = {arg + 1} distinct sample points, but"
                              f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only"
                              f" {sample_lattice_size(chart.n)}")
+        if name == "secant":
+            check_secant_work(chart, token, arg, args.trials)
     results = []
     consistent = True
     for name, arg in checks:

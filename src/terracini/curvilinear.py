@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .chart import (
@@ -23,11 +22,8 @@ from .chart import (
     _normalized_frame,
     jet_terms,
 )
-from .exactlin import Matrix, Vector
+from .exactlin import _F0, _F1, Matrix, Vector
 from .secants import LinearSpan, sample_point, sample_smooth_point
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def expected_tangent_dim(n: int, k: int, r: int) -> int:

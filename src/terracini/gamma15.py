@@ -43,6 +43,8 @@ from .curvilinear import (
     tangent_along,
 )
 from .exactlin import (
+    _F0,
+    _F1,
     MultiPoly,
     SZResult,
     Vector,
@@ -53,9 +55,6 @@ from .exactlin import (
 )
 from .secants import (DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, sample_point,
                       secant_defect)
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 CONVENTION_NOTE = ("quintic column uses the five-index symmetric derivative "
                    "tensor x_ijklm contracted with lambda^5")
@@ -85,7 +84,7 @@ def _require_square_ambient(chart: Chart) -> None:
 # ---------------------------------------------------------------------------
 
 def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
-    """Labelled ``contract`` terms of the determinant matrix's columns.
+    """Labelled contraction terms of the determinant matrix's columns.
 
     The columns are derivatives along the curve pt + lam t + mu t^2, in a
     fixed order: x; x_1..x_n; the n Hessian contractions

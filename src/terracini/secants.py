@@ -31,10 +31,7 @@ from .chart import (
     multi_indices,
     unit_vectors,
 )
-from .exactlin import Vector, span_rank
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .exactlin import _F0, _F1, Vector, span_rank
 
 COORD_RADIUS = 5  # sample coordinates drawn from [-5, 5]
 
@@ -68,7 +65,7 @@ class LinearSpan:
 
     @classmethod
     def contracted(cls, t: IntegerTable, term_lists: Sequence[Sequence[tuple]]) -> "LinearSpan":
-        """Span of the vectors that ``contract`` gives for each term list over table t."""
+        """Span of the vectors that ``contract_numerators`` contracts from table t."""
         return cls(*contract_numerators(t, term_lists), t.dens)
 
     @cached_property

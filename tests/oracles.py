@@ -3,8 +3,8 @@
 These deliberately avoid the package's kernel path: a plain
 Fraction-arithmetic Gaussian elimination serving as the second, separate
 implementation that rank/determinant results are checked against, an
-ordered-tuple derivative contraction that ``chart.contract`` is checked
-against, and closed-form dimension counts that secant and osculating
+ordered-tuple derivative contraction that the package's contraction is
+checked against, and closed-form dimension counts that secant and osculating
 verdicts are checked against.
 
 Charts hold integer forms only; ``chart_polys`` and ``polys_chart`` turn
@@ -35,7 +35,16 @@ from math import lcm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
-from terracini.chart import Chart, CurvilinearJet, _normalized_frame, jet_terms, unit_vectors
+from terracini.chart import (
+    Chart,
+    CurvilinearJet,
+    IntegerTable,
+    _normalized_frame,
+    contract_numerators,
+    fraction_vector,
+    jet_terms,
+    unit_vectors,
+)
 from terracini.exactlin import BadIndexError, Matrix, MultiPoly
 
 F0 = Fraction(0)
@@ -126,6 +135,19 @@ def brute_contract(table, n: int, width: int, terms) -> tuple:
                 coeff *= v[i]
             parts.append((coeff, table[tuple(sorted(idx))]))
     return vaccum(width, parts)
+
+
+def contract(table: IntegerTable, terms) -> tuple:
+    """One term list contracted by ``chart.contract_numerators``, read as an exact vector.
+
+    Not a second route: tests read single vectors of the package's
+    contraction through it, to compare them with ``brute_contract``.
+    Numeric terms give canonical Fractions, ring scalars ring elements.
+    """
+    (acc,), (scale,) = contract_numerators(table, [terms])
+    if all(type(a) is int for a in acc):
+        return fraction_vector(acc, table.dens, scale)
+    return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
 
 
 def dot(a, b) -> Fraction:

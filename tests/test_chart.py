@@ -17,7 +17,6 @@ from terracini.chart import (
     DegenerateJetError,
     FiveJet,
     chart_to_obj,
-    contract,
     contract_numerators,
     curve_derivatives,
     fraction_vector,
@@ -35,6 +34,7 @@ from terracini.secants import osculating_space
 from oracles import (
     brute_contract,
     chart_polys,
+    contract,
     composed_curve_series,
     is_normalized,
     jet_normalize,
@@ -187,18 +187,86 @@ def flat_chart():
 
 @pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7)), (F(5, 6), F(4, 9)), (F(-2), F(1, 10))])
 def test_flat_evaluation_matches_symbolic_reference(pt):
-    # each row sums one slice of the key's flat terms per coordinate: an
-    # empty slice (the constant coordinate, and d/du2 of the one free of
-    # u2) must read 0, keys above the chart degree must read zero rows, and
-    # the point's coordinates have different denominators
+    # a coordinate with no term in a partial (the constant one, and d/du2 of
+    # the one free of u2) must read 0, keys above the chart degree must read
+    # zero rows, and the point's coordinates have different denominators
     c = flat_chart()
     t = c.integer_table(pt, 5)
-    cuts = c._flat((1,))[2]
-    assert [cut.stop - cut.start for cut in cuts] == [0, 0, 4, 1]
     reference = symbolic_table(c, pt, 5)
     assert max(map(len, reference)) == 5 and t.top == 3
+    for key in (1,), (1, 1):
+        assert reference[key][:2] == (0, 0) and all(reference[key][2:])
     zero = (0,) * (c.r + 1)
     for key, ref in reference.items():
+        assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
+
+
+def partial_polys(c, max_order):
+    """{sorted multi-index: coordinate polynomials of the partial}, by formal partials."""
+    polys = {(): chart_polys(c)}
+    for key in multi_indices(c.n, max_order)[1:]:
+        polys[key] = [partial(p, key[-1]) for p in polys[key[:-1]]]
+    return polys
+
+
+def sparse_chart():
+    """Sparse chart of degree 12, whose partials read monomials its coordinates lack."""
+    n = 3
+    coords = (
+        MultiPoly.constant(n, F(1)),
+        MultiPoly(n, {(9, 2, 0): F(3, 4), (0, 0, 7): F(-5, 6)}),
+        MultiPoly(n, {(3, 5, 4): F(2, 9), (1, 0, 0): F(1)}),
+        MultiPoly(n, {(0, 6, 6): F(-7, 2), (0, 1, 0): F(1)}),
+        MultiPoly(n, {(0, 0, 1): F(1), (12, 0, 0): F(1, 11)}),
+    )
+    return polys_chart("sparse", n, len(coords) - 1, coords)
+
+
+@pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7), F(5, 4)), (F(2, 9), F(-1), F(4, 3))])
+def test_higher_order_table_after_order_one_at_the_same_point(pt):
+    # the order-5 partials read monomials that neither the coordinates nor
+    # their first partials have, so the chart meets them only after the
+    # point's order-1 table was built; the point's coordinates have different
+    # denominators, so every monomial value carries a power of q
+    c = sparse_chart()
+    monomials = {h: {e for key, polys in partial_polys(c, 5).items() if len(key) == h
+                     for p in polys for e in p.terms} for h in (0, 1, 5)}
+    assert monomials[5] - monomials[1] - monomials[0]
+    low, high = c.integer_table(pt, 1), c.integer_table(pt, 5)
+    assert low == sparse_chart().integer_table(pt, 1)
+    assert high == sparse_chart().integer_table(pt, 5)
+    zero = (0,) * (c.r + 1)
+    for key, ref in symbolic_table(c, pt, 5).items():
+        assert fraction_vector(high.nums.get(key, zero), high.dens, high.scale) == ref
+    # another point's order-1 table, read after the order-5 one
+    other = (F(-1, 3), F(2), F(1, 2))
+    assert c.integer_table(other, 1) == sparse_chart().integer_table(other, 1)
+
+
+def mixed_chart():
+    """Quartic chart whose partials have one term on some coordinates and two on others."""
+    n = 2
+    coords = (
+        MultiPoly.constant(n, F(1)),
+        MultiPoly(n, {(1, 0): F(1)}),
+        MultiPoly(n, {(2, 1): F(3, 5), (1, 3): F(-2)}),
+        MultiPoly(n, {(0, 2): F(1, 3), (0, 1): F(4)}),
+        MultiPoly(n, {(2, 2): F(7)}),
+    )
+    return polys_chart("mixed", n, len(coords) - 1, coords)
+
+
+@pytest.mark.parametrize("pt", [(F(1, 2), F(-3, 7)), (F(5, 6), F(4)), (F(-2), F(1, 10))])
+def test_table_mixing_one_term_and_multi_term_partials(pt):
+    # some partials have at most one term on every coordinate (d^2/du1^2,
+    # d^2/du2^2), others two on some coordinate (x, d/du1, d^2/du1du2), and
+    # one table holds both kinds
+    c = mixed_chart()
+    widest = {key: max(len(p.terms) for p in polys) for key, polys in partial_polys(c, 4).items()}
+    assert widest[(0, 0)] == widest[(1, 1)] == 1 and widest[()] == widest[(0, 1)] == 2
+    t = c.integer_table(pt, 4)
+    zero = (0,) * (c.r + 1)
+    for key, ref in symbolic_table(c, pt, 4).items():
         assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
 
 

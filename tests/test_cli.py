@@ -13,7 +13,10 @@ import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
 from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart, save_chart
-from terracini.cli import MAX_TRIALS, main
+from fractions import Fraction
+
+from terracini import cli
+from terracini.cli import MAX_SECANT_WORK, MAX_TRIALS, main
 
 
 def run(capsys, *argv):
@@ -272,6 +275,33 @@ def test_secant_beyond_the_sample_lattice_is_refused(variety, k, points):
     assert f"k+1 = {k + 1} distinct sample points" in proc.stderr
     assert f"holds only {points}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_oversized_secant_work_is_refused_before_any_work(capsys, monkeypatch):
+    # k+1 = 121 is the whole 11x11 lattice, about 121 H_121 = 651 draws per
+    # sample; 10,000 samples of them would run for hours
+    monkeypatch.setattr(cli, "secant_defect", None)  # any call would raise
+    code, out, err = run(capsys, "analyze", "--variety", "random:2:3:8:1",
+                         "--check", "secant:120", "--trials", "10000")
+    assert code == 1 and out == ""
+    assert err.startswith("terracini: error: check secant:120 with --trials 10000 draws at least")
+    assert err.rstrip().endswith(f"above the cap of {MAX_SECANT_WORK:,}")
+    code, _, err = run(capsys, "analyze", "--variety", "random:2:3:8:1",
+                       "--check", "secant:120", "--trials", "1000")
+    assert code == 1 and "draws about 650,633 sample points of 27" in err
+
+
+def test_secant_work_estimate_meets_the_cap_exactly(capsys, monkeypatch):
+    # one sample of 121 distinct points of 121 takes 121 H_121 draws in
+    # expectation, each an order-1 table of (2+1)(8+1) = 27 entries
+    work = 121 * sum(Fraction(1, m) for m in range(1, 122)) * 27
+    argv = ("analyze", "--variety", "random:2:3:8:1", "--check", "secant:120", "--trials", "1")
+    monkeypatch.setattr(cli, "MAX_SECANT_WORK", int(work))
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and f"{round(work):,} entries in all" in err
+    monkeypatch.setattr(cli, "MAX_SECANT_WORK", int(work) + 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"][0]["observed"] == 8
 
 
 @pytest.mark.parametrize("k, code", [(10, 1), (9, 0)])

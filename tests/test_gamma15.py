@@ -7,7 +7,7 @@ import pytest
 
 from terracini.catalog import load_catalog, make_random_variety, make_veronese
 from terracini import secants
-from terracini.chart import Chart, CurvilinearJet, FiveJet, contract, contract_numerators
+from terracini.chart import Chart, CurvilinearJet, FiveJet, contract_numerators
 from terracini.curvilinear import generic_speciality
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
@@ -28,7 +28,8 @@ from terracini.gamma15 import (
     pi_constancy_check,
     pi_space,
 )
-from oracles import chart_polys, gauss_det, jet_normalize, polys_chart, symbolic_table, vaccum
+from oracles import (chart_polys, contract, gauss_det, jet_normalize, polys_chart,
+                     symbolic_table, vaccum)
 
 
 def degenerate_chart_p8() -> Chart:
