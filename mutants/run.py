@@ -3,11 +3,11 @@
     python3 mutants/run.py            # every mutant
     python3 mutants/run.py ID [ID...] # the named mutants
 
-A mutant is a file, an anchor that occurs exactly once in it, the text
-that replaces the anchor, and the test files expected to fail with it.
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
-temporary directory and first runs the named test files on the unmutated
-copy.  Then it applies one mutant at a time and runs only that mutant's
+A mutant is an id, a file, an anchor that occurs exactly once in it, the
+text that replaces the anchor, the test files expected to fail with it,
+and what the change breaks.  The runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory and first runs the named test
+files on the unmutated copy.  Then it applies one mutant at a time and runs only that mutant's
 test files, in one pytest subprocess at a time, restoring the file after.
 A mutant is killed when pytest reports a failure or a collection error, or
 runs past the timeout.  The runner prints one line per mutant and the kill

@@ -9,10 +9,9 @@ end when elimination was under 1% of run time.
 64-bit slot j holds column j, so a row operation is one bigint
 multiply-add instead of one interpreted step per cell.  Every slot stays
 non-negative, so no borrow crosses a slot, and a row's slots are reduced
-mod p before they could carry into the next one.  In a traced wide-spans
-benchmark run (seed 1) the two kernels take 40% of the CLI time and
-``mod_rank`` 16%: see the ``kernels.*`` rows of a ``--trace 1`` benchmark
-run.  `tests/test_kernels.py` checks both kernels against the oracles,
+mod p before they could carry into the next one.  The kernels' share of the
+CLI time is in the ``kernels.*`` rows of a ``--trace 1`` benchmark run.
+`tests/test_kernels.py` checks both kernels against the oracles,
 ``mod_rank`` against the per-cell list elimination
 ``oracles.mod_rank_reference``.
 """

@@ -4,8 +4,8 @@ These deliberately avoid the package's kernel path: a plain
 Fraction-arithmetic Gaussian elimination serving as the second, separate
 implementation that rank/determinant results are checked against, an
 ordered-tuple derivative contraction that the package's contraction is
-checked against, and closed-form dimension counts that secant and osculating
-verdicts are checked against.
+checked against, and closed-form dimension counts that secant and
+osculating verdicts are checked against.
 
 Charts hold integer forms only; ``chart_polys`` and ``polys_chart`` turn
 them into coordinate polynomials and back, the latter through
