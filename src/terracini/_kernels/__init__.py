@@ -5,14 +5,25 @@ integers and Gaussian elimination modulo a prime below 2^28; ``BACKEND``
 names the one implementation.  A compiled build gained about 1% end to
 end when elimination was under 1% of run time.
 
+``bareiss_echelon`` does only the work that changes a value.  At step k a
+row with t = 0 in the pivot column is only scaled by piv_k/prev_k, and
+prev_{k+1} = piv_k, so the scalings of the steps it sits out telescope to
+prev/stamp, its stamp being the divisor at which it was last up to date
+(it moves with the row in a swap).  So the row waits until it is touched:
+as the pivot row it is multiplied by prev/stamp, and when t != 0 the update
+divides by its stamp instead of prev.  Both divisions are exact, as they
+give the Bareiss values; pivot search reads only zero against nonzero; and
+rows left below the rank are zero.  So the output is that of the loop that
+scales every row.  A cell whose two operands are zero is not touched.
+
 ``mod_rank`` works on packed rows: row i mod p is one Python int whose
 64-bit slot j holds column j, so a row operation is one bigint
 multiply-add instead of one interpreted step per cell.  Every slot stays
 non-negative, so no borrow crosses a slot, and a row's slots are reduced
 mod p before they could carry into the next one.  The kernels' share of the
 CLI time is in the ``kernels.*`` rows of a ``--trace 1`` benchmark run.
-`tests/test_kernels.py` checks both kernels against the oracles,
-``mod_rank`` against the per-cell list elimination
+`tests/test_kernels.py` checks both kernels against the oracles and
+against the plain loops ``oracles.bareiss_reference`` and
 ``oracles.mod_rank_reference``.
 """
 
@@ -34,11 +45,13 @@ def bareiss_echelon(rows):
     eliminated matrix (list of lists of int), ``pivot_cols`` the pivot
     column indices in order, and ``sign`` tracks row swaps.  For a square
     matrix of full rank, ``sign * echelon[-1][pivot_cols[-1]]`` is the
-    determinant (every intermediate division below is exact).
+    determinant (every intermediate division below is exact).  ``stamp[i]``
+    is the divisor prev at which row i was last brought up to date.
     """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
+    stamp = [1] * nr
     pivots = []
     sign = 1
     prev = 1
@@ -55,15 +68,25 @@ def bareiss_echelon(rows):
             continue
         if sel != pr:
             m[pr], m[sel] = m[sel], m[pr]
+            stamp[pr], stamp[sel] = stamp[sel], stamp[pr]
             sign = -sign
-        piv = m[pr][pc]
         mp = m[pr]
+        if stamp[pr] != prev:
+            s = stamp[pr]
+            mp = m[pr] = [x * prev // s for x in mp]
+        piv = mp[pc]
         for i in range(pr + 1, nr):
             mi = m[i]
             t = mi[pc]
+            if not t:
+                continue
+            s = stamp[i]
             for j in range(pc + 1, nc):
-                mi[j] = (piv * mi[j] - t * mp[j]) // prev
+                a, b = mi[j], mp[j]
+                if a or b:
+                    mi[j] = (piv * a - t * b) // s
             mi[pc] = 0
+            stamp[i] = piv
         pivots.append(pc)
         prev = piv
         pr += 1

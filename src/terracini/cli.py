@@ -53,6 +53,13 @@ MAX_TRIALS = 10_000
 # 22k (the wide-spans templates 9k-22k); random:2:3:8:1 --check secant:120
 # evaluates about 150k entries a second on a 2-core x86-64 host.
 MAX_SECANT_WORK = 5_000_000
+# Largest estimated work of the other sampled checks (osc:M, speciality:LEN,
+# audit, audit-theorem), in derivative-table entries: trials x the entries of
+# the order-h table the check reads (see ``check_sampled_work``).  The shipped
+# tests and benchmark estimate at most 9,450 (veronese:4:2 speciality:3,
+# audit and audit-theorem at 5 trials); on a 2-core x86-64 host these checks
+# run at 0.2-2.7 million estimated entries a second (v_12(P^2) osc:2 0.56M).
+MAX_SAMPLED_WORK = 5_000_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 KNOWN_CHECKS = ("secant", "osc", "speciality", "gamma15", "pi-constancy", "audit")
@@ -175,8 +182,13 @@ def derivative_order(name: str, arg: int | None) -> int:
     return orders.get(name, 5)
 
 
+def table_entries(chart: Chart, order: int) -> int:
+    """Entries of the chart's derivative table of order ``order``: C(n+h, h) x (r+1)."""
+    return math.comb(chart.n + order, order) * (chart.r + 1)
+
+
 def check_table_size(chart: Chart, what: str, order: int) -> None:
-    entries = math.comb(chart.n + order, order) * (chart.r + 1)
+    entries = table_entries(chart, order)
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"{what} reads derivative tables of C(n+{order}, {order}) x (r+1)"
                          f" = {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
@@ -199,6 +211,21 @@ def check_secant_work(chart: Chart, token: str, k: int, trials: int) -> None:
         raise InputError(f"check {token} with --trials {trials} draws {about} {trials * draws:,.0f}"
                          f" sample points of {entries} order-1 table entries each, {work:,.0f}"
                          f" entries in all, above the cap of {MAX_SECANT_WORK:,}")
+
+
+def check_sampled_work(chart: Chart, what: str, order: int, trials: int) -> None:
+    """Refuse a sampled check whose estimated work is above ``MAX_SAMPLED_WORK``.
+
+    Each trial of ``osc``, ``speciality``, ``audit`` or ``audit-theorem``
+    reads a fixed number of derivative tables of order at most ``order``;
+    the estimate is trials times the entries of one such table.
+    """
+    entries = table_entries(chart, order)
+    work = trials * entries
+    if work > MAX_SAMPLED_WORK:
+        raise InputError(f"{what} with --trials {trials} is estimated at {work:,} table entries"
+                         f" ({trials:,} trials x {entries:,} entries of an order-{order} table),"
+                         f" above the cap of {MAX_SAMPLED_WORK:,}")
 
 
 def run_check(chart: Chart, name: str, arg: int | None, trials: int, seed: int) -> dict:
@@ -254,13 +281,16 @@ def cmd_analyze(args) -> int:
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
     for token, (name, arg) in zip(args.check, checks):
-        check_table_size(chart, f"check {token}", derivative_order(name, arg))
+        order = derivative_order(name, arg)
+        check_table_size(chart, f"check {token}", order)
         if name == "secant" and arg + 1 > sample_lattice_size(chart.n):
             raise InputError(f"check {token} needs k+1 = {arg + 1} distinct sample points, but"
                              f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only"
                              f" {sample_lattice_size(chart.n)}")
         if name == "secant":
             check_secant_work(chart, token, arg, args.trials)
+        elif name in ("osc", "speciality", "audit"):
+            check_sampled_work(chart, f"check {token}", order, args.trials)
     results = []
     consistent = True
     for name, arg in checks:
@@ -295,6 +325,7 @@ def cmd_audit_theorem(args) -> int:
     chart = parse_variety(args.variety)
     chart = apply_projection(chart, args.project, args.seed)
     check_table_size(chart, "audit-theorem", 5)
+    check_sampled_work(chart, "audit-theorem", 5, args.trials)
     try:
         rep = defect_pipeline(chart, trials=args.trials, samples=args.trials,
                               seed=args.seed)

@@ -11,7 +11,11 @@ nonzero row and column scales rank ignores.  A row holding anything else
 first, as ``Matrix`` clears its own.  Rank has one route: elimination
 modulo a 28-bit prime on packed rows (one int per row, see
 ``_kernels.mod_rank``), which can only underestimate, decides every full
-rank and fraction-free Bareiss the rest.  ``integer_det`` is 0 before any
+rank and fraction-free Bareiss the rest.  Bareiss brings a row up to date
+only when it is next touched, since the scalings of the steps a row sits
+out telescope to one factor, and skips cells whose operands are both zero
+(see ``_kernels``): on the sparse, rank-deficient secant spans of a
+defective Veronese that is half its work.  ``integer_det`` is 0 before any
 elimination when a row is zero, which is exact (on a quadratic chart the
 quintic column of every ``gamma15`` determinant is), and the last Bareiss
 pivot otherwise; ``Matrix.det`` divides it by the row multipliers once.

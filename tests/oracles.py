@@ -24,7 +24,9 @@ derivative store.
 kernels, each on its own and without the modular screen that
 ``span_rank`` puts in front of Bareiss, so the two can be compared.
 ``mod_rank_reference`` is the per-cell list elimination mod p that the
-packed ``mod_rank`` kernel is checked against.
+packed ``mod_rank`` kernel is checked against, and ``bareiss_reference``
+the textbook Bareiss loop, which scales every row at every step, that the
+lazily scaled ``bareiss_echelon`` must match output for output.
 """
 
 from __future__ import annotations
@@ -208,6 +210,47 @@ def mod_rank_reference(rows, p: int) -> int:
                     mi[j] = (mi[j] - f * mr[j]) % p
         rank += 1
     return rank
+
+
+def bareiss_reference(rows):
+    """Fraction-free echelon ``(echelon, pivot_cols, sign)``, every row updated at every step.
+
+    The reference for ``_kernels.bareiss_echelon``: each row below the
+    pivot becomes (piv * row - t * pivot_row) // prev at each step, even
+    when t = 0 or both operands of a cell are zero.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    pr = 0
+    for pc in range(nc):
+        if pr >= nr:
+            break
+        sel = -1
+        for i in range(pr, nr):
+            if m[i][pc] != 0:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != pr:
+            m[pr], m[sel] = m[sel], m[pr]
+            sign = -sign
+        piv = m[pr][pc]
+        mp = m[pr]
+        for i in range(pr + 1, nr):
+            mi = m[i]
+            t = mi[pc]
+            for j in range(pc + 1, nc):
+                mi[j] = (piv * mi[j] - t * mp[j]) // prev
+            mi[pc] = 0
+        pivots.append(pc)
+        prev = piv
+        pr += 1
+    return m, pivots, sign
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart, save_char
 from fractions import Fraction
 
 from terracini import cli
-from terracini.cli import MAX_SECANT_WORK, MAX_TRIALS, main
+from terracini.cli import MAX_SAMPLED_WORK, MAX_SECANT_WORK, MAX_TRIALS, main
 
 
 def run(capsys, *argv):
@@ -302,6 +302,53 @@ def test_secant_work_estimate_meets_the_cap_exactly(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_SECANT_WORK", int(work) + 1)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"][0]["observed"] == 8
+
+
+SAMPLED_CHECKS = ("osc_variety_dim", "osc2_regular", "generic_speciality",
+                  "equivalence_audit", "defect_pipeline")
+
+
+@pytest.mark.parametrize("argv, what, work", [
+    # 10,000 trials of v_12(P^2) osc:2 ran for about 20 s, of v_2(P^10) osc:2
+    # for about 2 min; the estimate is trials x C(n+h, h) x (r+1)
+    (("analyze", "--variety", "veronese:2:12", "--check", "osc:2"), "check osc:2", 9_100_000),
+    (("analyze", "--variety", "veronese:10:2", "--check", "osc:2"), "check osc:2", 188_760_000),
+    (("analyze", "--variety", "veronese:2:12", "--check", "speciality:3"),
+     "check speciality:3", 19_110_000),
+    (("analyze", "--variety", "veronese:4:2", "--check", "audit"), "check audit", 18_900_000),
+    (("audit-theorem", "--variety", "veronese:4:2"), "audit-theorem", 18_900_000),
+], ids=["osc-v2-12", "osc-v10-2", "speciality", "audit", "audit-theorem"])
+def test_oversized_sampled_work_is_refused_before_any_work(capsys, monkeypatch, argv, what, work):
+    for name in SAMPLED_CHECKS:
+        monkeypatch.setattr(cli, name, None)  # any call would raise
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--trials", "10000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith(f"terracini: error: {what} with --trials 10000 is estimated at"
+                          f" {work:,} table entries")
+    assert err.rstrip().endswith(f"above the cap of {MAX_SAMPLED_WORK:,}")
+
+
+def test_sampled_work_below_the_cap_runs(capsys):
+    # 100 trials of the refused v_12(P^2) osc:2 probe estimate 91,000 entries
+    code, out, _ = run(capsys, "analyze", "--variety", "veronese:2:12", "--check", "osc:2",
+                       "--trials", "100")
+    assert code == 0 and json.loads(out)["results"][0]["dim"] == 6
+
+
+@pytest.mark.parametrize("argv, work", [
+    # 3 trials x C(2+3, 3) x (9+1) and 3 x C(1+5, 5) x (5+1)
+    (("analyze", "--variety", "veronese:2:3", "--check", "osc:2", "--trials", "3"), 300),
+    (("audit-theorem", "--variety", "veronese:1:5", "--trials", "3"), 108),
+], ids=["osc", "audit-theorem"])
+def test_sampled_work_estimate_meets_the_cap_exactly(capsys, monkeypatch, argv, work):
+    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", work - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and f"estimated at {work:,} table entries" in err
+    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", work)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]
 
 
 @pytest.mark.parametrize("k, code", [(10, 1), (9, 0)])

@@ -6,8 +6,10 @@ import pytest
 
 from terracini import _kernels
 from terracini._kernels import BACKEND
+from terracini.catalog import make_veronese
 from terracini.exactlin import SCREEN_PRIME
-from oracles import gauss_det, mod_rank_reference, rref_rank
+from terracini.secants import _tangent_numerators, sample_smooth_point
+from oracles import bareiss_reference, gauss_det, mod_rank_reference, rref_rank
 
 # Slots of a packed row take 256 multiply-adds between reductions for the
 # screen prime, 4 for 2^31 - 1 and 1 for 2^32 - 5, the largest prime whose
@@ -152,3 +154,103 @@ def test_mod_rank_refuses_a_prime_whose_square_overflows_a_slot(p):
 def test_mod_rank_refuses_ragged_rows():
     with pytest.raises(ValueError, match="ragged"):
         _kernels.mod_rank([[1, 2, 3], [4, 5]], SCREEN_PRIME)
+
+
+# bareiss_echelon scales a row only when it is next touched and skips cells
+# whose operands are both zero; its whole output must match the reference
+# loop, which updates every row and cell at every step.
+
+def sparse_int_matrix(rng, nr, nc, density, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)]
+
+
+def assert_bareiss_matches_reference(m):
+    assert _kernels.bareiss_echelon(m) == bareiss_reference(m), m
+
+
+@pytest.mark.parametrize("density", [0.15, 0.4, 0.7, 1.0])
+def test_bareiss_output_matches_reference_on_random_matrices(density):
+    rng = random.Random(110)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 10), rng.randint(1, 10)
+        assert_bareiss_matches_reference(sparse_int_matrix(rng, nr, nc, density))
+
+
+def test_bareiss_output_matches_reference_on_rank_deficient_matrices():
+    rng = random.Random(111)
+    for _ in range(150):
+        nr, nc, r = rng.randint(2, 10), rng.randint(2, 10), rng.randint(1, 4)
+        a = sparse_int_matrix(rng, nr, r, 0.6, -4, 4)
+        b = sparse_int_matrix(rng, r, nc, 0.6, -4, 4)
+        m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)]
+             for i in range(nr)]
+        assert_bareiss_matches_reference(m)
+
+
+def test_bareiss_output_matches_reference_with_zero_rows_and_columns():
+    rng = random.Random(112)
+    for _ in range(100):
+        nr, nc = rng.randint(2, 8), rng.randint(2, 8)
+        m = sparse_int_matrix(rng, nr, nc, 0.6)
+        for i in rng.sample(range(nr), rng.randint(1, nr - 1)):
+            m[i] = [0] * nc
+        for j in rng.sample(range(nc), rng.randint(1, nc - 1)):
+            for row in m:
+                row[j] = 0
+        assert_bareiss_matches_reference(m)
+    assert_bareiss_matches_reference([[0] * 5 for _ in range(4)])
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (2, 12), (12, 2)],
+                         ids=["one-row", "one-column", "one-entry", "flat", "tall"])
+def test_bareiss_output_matches_reference_on_edge_shapes(shape):
+    rng = random.Random(113)
+    nr, nc = shape
+    for density in (0.3, 1.0):
+        for _ in range(20):
+            assert_bareiss_matches_reference(sparse_int_matrix(rng, nr, nc, density))
+    assert _kernels.bareiss_echelon([]) == bareiss_reference([]) == ([], [], 1)
+
+
+def test_bareiss_output_matches_reference_on_entries_near_10_to_the_12():
+    rng = random.Random(114)
+    big = 10 ** 12
+    for _ in range(60):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        m = [[rng.choice((0, big, -big, big - 1, 1 - big, big + rng.randint(-99, 99)))
+              for _ in range(nc)] for _ in range(nr)]
+        assert_bareiss_matches_reference(m)
+
+
+def test_bareiss_brings_a_stale_row_up_to_date_when_swapped_in_as_pivot():
+    # step 0 (pivot 2) leaves row 2 unscaled, since it has t = 0 there; at
+    # step 1 row 1 is zero in column 1, so row 2 is swapped in and becomes
+    # the pivot row at its up-to-date value 2/1 * (0, 3, 1, 1); the row it
+    # displaces is stale in turn (stamp 2, prev 6) when it becomes the
+    # last pivot row
+    m = [[2, 1, 1, 1], [4, 2, 3, 1], [0, 3, 1, 1]]
+    expected = ([[2, 1, 1, 1], [0, 6, 2, 2], [0, 0, 6, -6]], [0, 1, 2], -1)
+    assert bareiss_reference(m) == expected
+    assert _kernels.bareiss_echelon(m) == expected
+
+
+def test_bareiss_output_matches_reference_on_a_defective_secant_span():
+    # the span that veronese:10:2 --check secant:4 ranks: 5 tangent spaces
+    # of v_2(P^10), 55 rows of 66 columns, of rank 45 (symmetric 11x11
+    # matrices of rank 5); the modular screen comes up short on it, so
+    # Bareiss decides its rank
+    chart = make_veronese(10, 2)
+    rng = random.Random(1000)
+    pts = []
+    while len(pts) < 5:
+        pt = sample_smooth_point(chart, rng)[0]
+        if pt not in pts:
+            pts.append(pt)
+    rows = [row for pt in pts
+            for row in _tangent_numerators(chart, chart.integer_table(pt, 1), pt)]
+    assert (len(rows), len(rows[0])) == (55, 66)
+    assert _kernels.mod_rank(rows, SCREEN_PRIME) < 55
+    echelon, pivots, sign = _kernels.bareiss_echelon(rows)
+    assert len(pivots) == 45
+    assert (echelon, pivots, sign) == bareiss_reference(rows)
