@@ -56,9 +56,9 @@ MAX_SECANT_WORK = 5_000_000
 # Largest estimated work of the other sampled checks (osc:M, speciality:LEN,
 # audit, audit-theorem), in derivative-table entries: trials x the entries of
 # the order-h table the check reads (see ``check_sampled_work``).  The shipped
-# tests and benchmark estimate at most 9,450 (veronese:4:2 speciality:3,
-# audit and audit-theorem at 5 trials); on a 2-core x86-64 host these checks
-# run at 0.2-2.7 million estimated entries a second (v_12(P^2) osc:2 0.56M).
+# tests and benchmark estimate at most 45,500 (50 trials of v_12(P^2) osc:2;
+# the rest at most 9,450); on a 2-core x86-64 host these checks run at
+# 0.2-2.7 million estimated entries a second (v_12(P^2) osc:2 0.56M).
 MAX_SAMPLED_WORK = 5_000_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 

@@ -331,9 +331,9 @@ def test_oversized_sampled_work_is_refused_before_any_work(capsys, monkeypatch, 
 
 
 def test_sampled_work_below_the_cap_runs(capsys):
-    # 100 trials of the refused v_12(P^2) osc:2 probe estimate 91,000 entries
+    # 50 trials of the refused v_12(P^2) osc:2 probe estimate 45,500 entries
     code, out, _ = run(capsys, "analyze", "--variety", "veronese:2:12", "--check", "osc:2",
-                       "--trials", "100")
+                       "--trials", "50")
     assert code == 0 and json.loads(out)["results"][0]["dim"] == 6
 
 
