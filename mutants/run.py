@@ -5,7 +5,8 @@
 
 A mutant is an id, a file, an anchor that occurs exactly once in it, the
 text that replaces the anchor, the test files expected to fail with it,
-and what the change breaks.  The runner copies ``src/``, ``tests/`` and
+and what the change breaks.  The runner copies ``src/``, ``tests/``,
+``perfbench/`` (the golden reports read its templates and digests) and
 ``pyproject.toml`` to a temporary directory and first runs the named test
 files on the unmutated copy.  Then it applies one mutant at a time and runs only that mutant's
 test files, in one pytest subprocess at a time, restoring the file after.
@@ -66,9 +67,9 @@ def main(argv=None) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         named = sorted({t for m in mutants for t in m["tests"]})
         if run_tests(copy, named) != "passed":

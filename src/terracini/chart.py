@@ -221,7 +221,8 @@ class Chart:
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The monomials that the flat forms read, by index.
     _mons: _MonomialList = field(default=None, init=False, repr=False, compare=False)
-    # Chart degree D and, per variable, the highest exponent in any coordinate.
+    # Chart degree (-1 if zero), D = max(it, 0), and per variable the top exponent.
+    _coord_degree: int = field(default=-1, init=False, repr=False, compare=False)
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     _top: tuple = field(default=(), init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
@@ -241,7 +242,8 @@ class Chart:
             raise ValueError("coordinate form has wrong variable count")
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
-        object.__setattr__(self, "_degree", max(self.max_coord_degree(), 0))
+        object.__setattr__(self, "_coord_degree", max((sum(e) for e in exps), default=-1))
+        object.__setattr__(self, "_degree", max(self._coord_degree, 0))
         object.__setattr__(self, "_mons", _MonomialList(self.n, self._degree + 1))
         weights = [(self._degree + 1) ** i for i in range(self.n)]  # exponent codes
         self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
@@ -338,7 +340,7 @@ class Chart:
         return self.jacobian_rank(pt) == self.n
 
     def max_coord_degree(self) -> int:
-        return max((sum(e) for _, _, es in self.forms for e in es), default=-1)
+        return self._coord_degree
 
     def is_nondegenerate(self) -> bool:
         """Coordinates linearly independent as polynomials (X spans P^r); ranks integer forms."""

@@ -5,8 +5,8 @@ For an n-fold in P^{3n+2}, the existence of a 3(n-1)-dimensional family of
 curvilinear scheme) is equivalent to the identical vanishing, in the jet
 coefficients (lambda, mu), of the determinant D of a fixed (3n+3)-square
 matrix of derivative contractions.  This module builds that matrix (its
-columns contracted in one ``chart.contract_numerators`` pass over a
-single derivative table),
+columns contracted in one ``chart.contract_numerators`` pass on first use;
+a column of partials above the chart degree gives D = 0 uncontracted),
 decides D == 0 by seeded Schwartz-Zippel testing (exact symbolic expansion
 is available for n <= 3 as a certifying mode), audits the five-jet rank
 condition, the constancy of the span Pi along coordinate curves, and the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -114,15 +115,23 @@ def _det(columns: LinearSpan) -> Fraction:
 
 @dataclass(frozen=True)
 class Gamma15Matrix:
-    """The determinant matrix; its columns are held as a span of integer rows."""
+    """The determinant matrix: per column its contraction terms, contracted on first use."""
 
+    chart: Chart
     pt: Vector
     lam: Vector
     mu: Vector
-    columns: LinearSpan
+    terms: tuple[list, ...]
     column_labels: tuple[str, ...]
 
+    @cached_property
+    def columns(self) -> LinearSpan:
+        return LinearSpan.contracted(self.chart.integer_table(self.pt, 5), self.terms)
+
     def det(self) -> Fraction:
+        d = self.chart.max_coord_degree()  # partials above it vanish
+        if any(all(len(vs) > d for _, vs in terms) for terms in self.terms):
+            return _F0  # a zero column
         return _det(self.columns)
 
 
@@ -135,10 +144,10 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     if all(c == 0 for c in lam):
         raise DegenerateJetError("lambda = 0")
     pt = tuple(Fraction(x) for x in pt)
-    groups = _gamma15_columns(chart.n, lam, mu)
-    columns = LinearSpan.contracted(chart.integer_table(pt, 5), [terms for _, terms in groups])
-    return Gamma15Matrix(pt=pt, lam=lam, mu=mu, columns=columns,
-                         column_labels=tuple(label for label, _ in groups))
+    if any(len(v) != chart.n for v in (pt, lam, mu)):
+        raise ValueError(f"point, lambda and mu need length n={chart.n}")
+    labels, terms = zip(*_gamma15_columns(chart.n, lam, mu))
+    return Gamma15Matrix(chart=chart, pt=pt, lam=lam, mu=mu, terms=terms, column_labels=labels)
 
 
 def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],

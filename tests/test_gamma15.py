@@ -12,9 +12,11 @@ from terracini.curvilinear import generic_speciality
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
     AmbientMismatchError,
+    Gamma15Matrix,
     PreconditionFailedError,
     TooLargeError,
     _coordinate_five_jet,
+    _det,
     _gamma15_columns,
     claim_coefficient_audit,
     defect_pipeline,
@@ -86,7 +88,7 @@ def test_matrix_is_contracted_in_one_call(monkeypatch):
 
     monkeypatch.setattr(secants, "contract_numerators", counted)
     c = make_random_variety(2, 3, 8, 1)
-    gamma15_matrix(c, (F(1), F(-2)), (F(3), F(1, 2)), (F(-1), F(2, 3)))
+    gamma15_matrix(c, (F(1), F(-2)), (F(3), F(1, 2)), (F(-1), F(2, 3))).columns
     assert calls == [9]
 
 
@@ -111,6 +113,28 @@ def test_columns_reduce_to_coordinate_vectors_at_axis_jet():
 def test_matrix_requires_square_ambient():
     with pytest.raises(AmbientMismatchError):
         gamma15_matrix(make_veronese(2, 2), (F(0), F(0)), (F(1), F(0)), (F(0), F(0)))
+
+
+@pytest.mark.parametrize("chart", [make_veronese(4, 2), make_veronese(1, 5)],
+                         ids=["quadratic", "quintic"])
+@pytest.mark.parametrize("which", range(3))
+def test_matrix_rejects_wrong_length_vectors(chart, which):
+    # checked when the matrix is built, also where det() contracts nothing
+    vecs = [[F(1)] * chart.n for _ in range(3)]
+    vecs[which].append(F(1))
+    with pytest.raises(ValueError, match="length"):
+        gamma15_matrix(chart, *vecs)
+
+
+def _counted_contractions(monkeypatch) -> list:
+    calls = []
+
+    def counted(table, term_lists):
+        calls.append(len(term_lists))
+        return contract_numerators(table, term_lists)
+
+    monkeypatch.setattr(secants, "contract_numerators", counted)
+    return calls
 
 
 def test_symbolic_column_degrees():
@@ -144,6 +168,45 @@ def test_quadratic_chart_has_zero_quintic_column_and_zero_det():
     gm = gamma15_matrix(c, pt, (F(1), F(2), F(3), F(4)), (F(0), F(1), F(-1), F(2)))
     assert all(x == 0 for x in gm.columns.generators[-1])  # the quintic column
     assert gauss_det(gm.columns.generators) == 0  # the determinant of the transpose
+
+
+@pytest.mark.parametrize("chart", [make_veronese(4, 2)]
+                         + [make_random_variety(4, 2, 14, s) for s in (1, 2, 3)],
+                         ids=["veronese:4:2"] + [f"random:4:2:14:{s}" for s in (1, 2, 3)])
+def test_quadratic_det_is_read_off_a_zero_column(chart, monkeypatch):
+    calls = _counted_contractions(monkeypatch)
+    rng = random.Random(62)
+    for _ in range(5):
+        pt, lam, mu = (tuple(F(rng.randint(-4, 4)) for _ in range(4)) for _ in range(3))
+        gm = gamma15_matrix(chart, pt, (F(1),) + lam[1:], mu)
+        assert gm.det() == 0 and calls == []  # no table, no contraction
+        assert _det(gm.columns) == gauss_det(gm.columns.generators) == 0
+        calls.clear()
+
+
+def test_identity_test_on_quadratic_chart_contracts_nothing(monkeypatch):
+    c = make_veronese(4, 2)
+    with monkeypatch.context() as m:
+        # the contracting determinant, as before the zero-column test
+        m.setattr(Gamma15Matrix, "det", lambda self: _det(self.columns))
+        contracting = gamma15_identically_zero(c, seed=1)
+    calls = _counted_contractions(monkeypatch)
+    assert gamma15_identically_zero(c, seed=1) == contracting
+    assert calls == [] and contracting.identically_zero and contracting.sz.trials == 20
+
+
+@pytest.mark.parametrize("chart, pt, lam, mu, value", [
+    (make_veronese(1, 5), (F(2),), (F(3),), (F(-1),), -18366600960),
+    (make_random_variety(2, 3, 8, 1), (F(1), F(-2)), (F(3), F(1, 2)), (F(-1), F(2, 3)),
+     186438043940512500),
+], ids=["veronese:1:5", "random:2:3:8:1"])
+def test_det_of_cubic_or_higher_chart_contracts_once(chart, pt, lam, mu, value, monkeypatch):
+    # the quintic column has terms of order 3, which a cubic chart does not kill
+    calls = _counted_contractions(monkeypatch)
+    gm = gamma15_matrix(chart, pt, lam, mu)
+    assert calls == []
+    assert gm.det() == value == gauss_det(gm.columns.generators)
+    assert calls == [3 * chart.n + 3]
 
 
 def test_quintic_curve_det_nonzero_generically():
