@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import catalog as cat
 from .chart import (
@@ -77,6 +78,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache  # one parser per process, built on first use: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="terracini", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

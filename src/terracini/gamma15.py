@@ -5,13 +5,14 @@ For an n-fold in P^{3n+2}, the existence of a 3(n-1)-dimensional family of
 curvilinear scheme) is equivalent to the identical vanishing, in the jet
 coefficients (lambda, mu), of the determinant D of a fixed (3n+3)-square
 matrix of derivative contractions.  This module builds that matrix (its
-columns contracted in one ``chart.contract_numerators`` pass on first use;
-a column of partials above the chart degree gives D = 0 uncontracted),
-decides D == 0 by seeded Schwartz-Zippel testing (exact symbolic expansion
-is available for n <= 3 as a certifying mode), audits the five-jet rank
-condition, the constancy of the span Pi along coordinate curves, and the
-equivalence of the determinant verdict with curvilinear speciality, and
-runs the end-to-end 2-defectivity pipeline.
+column structure once per n, its terms contracted in one
+``chart.contract_numerators`` pass on first use; a column of partials above
+the chart degree gives D = 0 with no term built), decides D == 0 by seeded
+Schwartz-Zippel testing (exact symbolic expansion is available for n <= 3
+as a certifying mode), audits the five-jet rank condition, the constancy of
+the span Pi along coordinate curves, and the equivalence of the determinant
+verdict with curvilinear speciality, and runs the end-to-end 2-defectivity
+pipeline.
 
 Convention note (recorded in every report): the fifth-order tangential
 column contracts the order-5 symmetric derivative tensor x_{ijklm} against
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import prod
 from typing import Sequence
@@ -33,6 +34,7 @@ from .chart import (
     Chart,
     DegenerateJetError,
     FiveJet,
+    _partitions,
     contract_numerators,
     jet_terms,
     unit_vectors,
@@ -84,23 +86,32 @@ def _require_square_ambient(chart: Chart) -> None:
 # the (3n+3)-square determinant matrix
 # ---------------------------------------------------------------------------
 
-def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
-    """Labelled contraction terms of the determinant matrix's columns.
+@cache
+def _gamma15_spec(n: int) -> tuple[tuple[str, int, tuple], ...]:
+    """(label, m, along) per column of the determinant matrix; it depends on n alone.
 
-    The columns are derivatives along the curve pt + lam t + mu t^2, in a
-    fixed order: x; x_1..x_n; the n Hessian contractions
-    d_j x' = sum_i x_ij lam_i; the quartic combination x^(4); the n cubic
-    combinations d_k x'' = 2 sum_i x_ik mu_i + sum_ij x_ijk lam_i lam_j;
-    the quintic combination x^(5).  Callers contract the terms over one
-    order-5 table: Fraction scalars give numeric columns, MultiPoly
-    scalars the symbolic expansion.
+    Column j is d_along (d/dt)^m x along the curve pt + lam t + mu t^2: x;
+    x_1..x_n; the n Hessian contractions d_j x' = sum_i x_ij lam_i; the
+    quartic x^(4); the n cubic combinations d_k x'' = 2 sum_i x_ik mu_i +
+    sum_ij x_ijk lam_i lam_j; the quintic x^(5).
     """
     e = list(enumerate(unit_vectors(n), 1))
     spec = [("x", 0, ())] + [(f"x_{i}", 0, (ei,)) for i, ei in e]
     spec += [(f"sum_i x_i{j} lam_i", 1, (ej,)) for j, ej in e] + [("quartic combination", 4, ())]
     spec += [(f"cubic combination k={k}", 2, (ek,)) for k, ek in e]
-    return [(label, jet_terms(m, (lam, mu), along))
-            for label, m, along in spec + [("quintic combination", 5, ())]]
+    return tuple(spec + [("quintic combination", 5, ())])
+
+
+@cache
+def _lowest_orders(n: int) -> tuple[int, ...]:
+    """Per column, the lowest order of partials its terms read: len(along) + fewest parts of m."""
+    return tuple(len(along) + min(len(p) for _, p in _partitions(m, 2))
+                 for _, m, along in _gamma15_spec(n))
+
+
+def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
+    """Labelled contraction terms of the columns: Fraction or MultiPoly scalars."""
+    return [(label, jet_terms(m, (lam, mu), along)) for label, m, along in _gamma15_spec(n)]
 
 
 def _det(columns: LinearSpan) -> Fraction:
@@ -115,23 +126,28 @@ def _det(columns: LinearSpan) -> Fraction:
 
 @dataclass(frozen=True)
 class Gamma15Matrix:
-    """The determinant matrix: per column its contraction terms, contracted on first use."""
+    """The determinant matrix at (pt, lam, mu): terms built and contracted on first use."""
 
     chart: Chart
     pt: Vector
     lam: Vector
     mu: Vector
-    terms: tuple[list, ...]
-    column_labels: tuple[str, ...]
+
+    @property
+    def column_labels(self) -> tuple[str, ...]:
+        return tuple(label for label, _, _ in _gamma15_spec(self.chart.n))
+
+    @cached_property
+    def terms(self) -> tuple[list, ...]:
+        return tuple(terms for _, terms in _gamma15_columns(self.chart.n, self.lam, self.mu))
 
     @cached_property
     def columns(self) -> LinearSpan:
         return LinearSpan.contracted(self.chart.integer_table(self.pt, 5), self.terms)
 
     def det(self) -> Fraction:
-        d = self.chart.max_coord_degree()  # partials above it vanish
-        if any(all(len(vs) > d for _, vs in terms) for terms in self.terms):
-            return _F0  # a zero column
+        if max(_lowest_orders(self.chart.n)) > self.chart.max_coord_degree():
+            return _F0  # a column of partials above the chart degree is zero
         return _det(self.columns)
 
 
@@ -146,8 +162,7 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     pt = tuple(Fraction(x) for x in pt)
     if any(len(v) != chart.n for v in (pt, lam, mu)):
         raise ValueError(f"point, lambda and mu need length n={chart.n}")
-    labels, terms = zip(*_gamma15_columns(chart.n, lam, mu))
-    return Gamma15Matrix(chart=chart, pt=pt, lam=lam, mu=mu, terms=terms, column_labels=labels)
+    return Gamma15Matrix(chart=chart, pt=pt, lam=lam, mu=mu)
 
 
 def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],

@@ -15,9 +15,10 @@ against them: derivative tables from a chain of formal partials evaluated
 term by term (``symbolic_table``), the 2-osculating criterion vectors as
 Fractions from that table (``osc2_vectors``), jet normalization by substituting the
 affine frame into every coordinate (``jet_normalize``), curve derivatives
-from truncated-series composition (``composed_curve_series``), and the
+from truncated-series composition (``composed_curve_series``), the
 smoothness test on Fraction vectors ranked by ``rref_rank``
-(``smoothness_reference``).  None of them reads the chart's integer
+(``smoothness_reference``), and the structurally zero columns of the
+determinant matrix read term by term (``zero_columns``).  None of them reads the chart's integer
 derivative store.
 
 ``rank_exact`` and ``rank_modular`` do call the package's elimination
@@ -150,6 +151,16 @@ def contract(table: IntegerTable, terms) -> tuple:
     if all(type(a) is int for a in acc):
         return fraction_vector(acc, table.dens, scale)
     return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
+
+
+def zero_columns(term_lists, d: int) -> list[bool]:
+    """Per term list, whether every term reads partials of order above d.
+
+    Such a column is zero on a chart of coordinate degree d.  This is the
+    per-term reading that ``Gamma15Matrix.det`` replaced by orders it
+    computes from n alone.
+    """
+    return [all(len(vs) > d for _, vs in terms) for terms in term_lists]
 
 
 def dot(a, b) -> Fraction:

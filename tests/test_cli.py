@@ -432,6 +432,47 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+REENTRY_ARGVS = [
+    ("analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--check", "osc:1",
+     "--seed", "7", "--trials", "2", "--format", "markdown"),
+    ("analyze", "--variety", "veronese:2:2", "--check", "secant:1"),
+    ("audit-theorem", "--variety", "veronese:1:5", "--trials", "1"),
+    ("catalog-list",),
+]
+
+
+def test_one_parser_serves_alternating_calls(capsys):
+    # main() reuses one parser per process, so no --check list, flag value or
+    # default may carry over from one call to the next
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    fresh = []
+    for argv in REENTRY_ARGVS:
+        proc = subprocess.run([sys.executable, "-m", "terracini.cli", *argv], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(2):
+        for argv, report in zip(REENTRY_ARGVS, fresh):
+            assert run(capsys, *argv) == report, argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["analyze", "--help"], 0),
+    (["analyze", "--check", "secant:1"], 1),  # missing --variety
+    (["catalog-list", "--format", "yaml"], 1),
+])
+def test_help_and_usage_errors_repeat_in_one_process(capsys, argv, code):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: terracini")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["analyze", "--variety", "veronese:4:2", "--check", "secant:2",
             "--check", "speciality:3", "--seed", "7"]

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from terracini.catalog import load_catalog, make_random_variety, make_veronese
-from terracini import secants
-from terracini.chart import Chart, CurvilinearJet, FiveJet, contract_numerators
+from terracini import gamma15, secants
+from terracini.chart import Chart, CurvilinearJet, FiveJet, contract_numerators, jet_terms
 from terracini.curvilinear import generic_speciality
 from terracini.exactlin import Matrix, MultiPoly, span_rank
 from terracini.gamma15 import (
@@ -18,6 +18,8 @@ from terracini.gamma15 import (
     _coordinate_five_jet,
     _det,
     _gamma15_columns,
+    _gamma15_spec,
+    _lowest_orders,
     claim_coefficient_audit,
     defect_pipeline,
     equivalence_audit,
@@ -31,7 +33,7 @@ from terracini.gamma15 import (
     pi_space,
 )
 from oracles import (chart_polys, contract, gauss_det, jet_normalize, polys_chart,
-                     symbolic_table, vaccum)
+                     symbolic_table, vaccum, zero_columns)
 
 
 def degenerate_chart_p8() -> Chart:
@@ -191,8 +193,40 @@ def test_identity_test_on_quadratic_chart_contracts_nothing(monkeypatch):
         m.setattr(Gamma15Matrix, "det", lambda self: _det(self.columns))
         contracting = gamma15_identically_zero(c, seed=1)
     calls = _counted_contractions(monkeypatch)
+    term_lists, matrices = [], []
+    monkeypatch.setattr(gamma15, "jet_terms",
+                        lambda *args: term_lists.append(args) or jet_terms(*args))
+    monkeypatch.setattr(gamma15, "gamma15_matrix",
+                        lambda *args: matrices.append(args) or gamma15_matrix(*args))
     assert gamma15_identically_zero(c, seed=1) == contracting
     assert calls == [] and contracting.identically_zero and contracting.sz.trials == 20
+    assert term_lists == [] and len(matrices) == 20  # no term list built, one matrix a trial
+
+
+def _monomial_chart(n: int, d: int) -> Chart:
+    """u_1^d and 3n+2 zero coordinates: a chart in P^{3n+2} of coordinate degree d (-1: zero)."""
+    first = (1, (1,), ((d,) + (0,) * (n - 1),)) if d >= 0 else (1, (), ())
+    return Chart(f"u1^{d}", n, 3 * n + 2, (first,) + ((1, (), ()),) * (3 * n + 2))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_structural_zero_matches_the_per_term_oracle(n, monkeypatch):
+    calls = _counted_contractions(monkeypatch)
+    rng = random.Random(64 + n)
+    for _ in range(2):
+        # lam and mu with zero entries: term orders do not depend on the values
+        lam = (F(1),) + tuple(F(rng.choice((0, 0, 1, -2, 3))) for _ in range(n - 1))
+        mu = tuple(F(rng.choice((0, 0, -1, 2))) for _ in range(n))
+        assert [terms for _, terms in _gamma15_columns(n, lam, mu)] == [
+            jet_terms(m, (lam, mu), along) for _, m, along in _gamma15_spec(n)]
+        for d in range(-1, 7):
+            gm = gamma15_matrix(_monomial_chart(n, d), (F(1),) * n, lam, mu)
+            gm.det()
+            zero = zero_columns(gm.terms, d)
+            assert [order > d for order in _lowest_orders(n)] == zero
+            assert (calls == []) == any(zero), (n, d)  # det() contracts unless a column is zero
+            calls.clear()
+            assert list(zip(gm.column_labels, gm.terms)) == _gamma15_columns(n, lam, mu)
 
 
 @pytest.mark.parametrize("chart, pt, lam, mu, value", [
