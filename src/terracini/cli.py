@@ -380,10 +380,7 @@ def main(argv=None) -> int:
             return cmd_audit_theorem(args)
         if args.command == "catalog-list":
             return cmd_catalog_list(args)
-    except InputError as exc:
-        print(f"terracini: error: {exc}", file=sys.stderr)
-        return 1
-    except ChartFormatError as exc:
+    except (InputError, ChartFormatError) as exc:
         print(f"terracini: error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -3,13 +3,11 @@
 Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
 all exact arithmetic over Q; no floating point anywhere.  Rank and
-determinant run on integer rows.  Every span of the analysis, and the
+determinant take integer rows.  Every span of the analysis, and the
 Jacobian of the smoothness test, reaches ``span_rank`` as rows of
 ``int``: the numerators read from a chart's derivative tables, whose
-nonzero row and column scales rank ignores.  A row holding anything else
-(``Fraction``s from a library caller) is cleared with integer arithmetic
-first, as ``Matrix`` clears its own.  Rank has one route: elimination
-modulo a 28-bit prime on packed rows (one int per row, see
+nonzero row and column scales rank ignores.  Rank has one route:
+elimination modulo a 28-bit prime on packed rows (one int per row, see
 ``_kernels.mod_rank``), which can only underestimate, decides every full
 rank and fraction-free Bareiss the rest.  Bareiss brings a row up to date
 only when it is next touched, since the scalings of the steps a row sits
@@ -18,10 +16,11 @@ out telescope to one factor, and skips cells whose operands are both zero
 defective Veronese that is half its work.  ``integer_det`` is 0 before any
 elimination when a row is zero, which is exact (on a quadratic chart the
 quintic column of every ``gamma15`` determinant is), and the last Bareiss
-pivot otherwise; ``Matrix.det`` divides it by the row multipliers once.
-The ``Fraction`` ``Matrix`` remains for nullspaces.  Polynomials carry
-what the symbolic determinant audit (``poly_det``) needs; their reference
-routes live in ``tests/oracles.py``.
+pivot otherwise.  The ``Fraction`` ``Matrix`` remains for nullspaces, the
+one place where ``Fraction``s meet elimination: it clears each row by the
+lcm of its denominators first.  Polynomials carry what the symbolic
+determinant audit (``poly_det``) needs; their reference routes live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -78,31 +77,6 @@ class Matrix:
     def from_rows(cls, rows: Iterable[Sequence[Fraction]]) -> "Matrix":
         return cls(list(rows))
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Fraction]]) -> "Matrix":
-        cols = list(cols)
-        if not cols:
-            return cls([])
-        height = len(cols[0])
-        return cls([[col[i] for col in cols] for i in range(height)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def det(self) -> Fraction:
-        """Exact determinant: Bareiss on the cleared rows, over their multipliers."""
-        if self.rows != self.cols:
-            raise NotSquareError(f"{self.rows}x{self.cols} matrix has no determinant")
-        ints, scale = [], 1
-        for r in self.entries:
-            row, m = cleared_row(r)
-            ints.append(row)
-            scale *= m
-        return Fraction(integer_det(ints), scale)
-
     def right_nullspace(self) -> list[Vector]:
         """Basis of {v : M v = 0}, one vector per non-pivot column."""
         if self.cols == 0:
@@ -110,7 +84,11 @@ class Matrix:
         if self.rows == 0:
             return [tuple(_F1 if i == j else _F0 for i in range(self.cols))
                     for j in range(self.cols)]
-        ech, pivots, _ = bareiss_echelon([cleared_row(r)[0] for r in self.entries])
+        ints = []
+        for r in self.entries:
+            m = lcm(*(x.denominator for x in r))
+            ints.append([x.numerator * (m // x.denominator) for x in r])
+        ech, pivots, _ = bareiss_echelon(ints)
         pivot_set = set(pivots)
         free_cols = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
@@ -127,30 +105,17 @@ class Matrix:
         return basis
 
 
-def cleared_row(row: Sequence) -> tuple[Sequence[int], int]:
-    """Integer row m * row and its multiplier m; a row of ints comes back as is.
+def span_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of the span of a family of integer rows (modular pre-screen enabled).
 
-    The type scan runs at C speed; a ``bool`` counts as not int.  For
-    Fractions, m is the lcm of the denominators and each entry becomes
-    ``x.numerator * (m // x.denominator)``: integer arithmetic only.
+    Rank does not change under nonzero row and column scales, so rows of
+    integer numerators read from derivative tables of one chart (entry c
+    over den_c times a per-row factor) can be ranked as they are.  If the
+    reduction mod SCREEN_PRIME has full rank, that is the exact rank
+    (modular rank never exceeds it); otherwise fraction-free elimination
+    decides.  A row of anything but ints is refused (``TypeError``).
     """
-    if {*map(type, row)} <= {int}:
-        return row, 1
-    m = lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row], m
-
-
-def span_rank(vectors: Sequence[Sequence]) -> int:
-    """Rank of the span of a family of vectors (modular pre-screen enabled).
-
-    Entries are ints or Fractions.  Rank does not change under nonzero row
-    and column scales, so rows of integer numerators read from derivative
-    tables of one chart (entry c over den_c times a per-row factor) can be
-    ranked as they are.  If the reduction mod SCREEN_PRIME has full rank,
-    that is the exact rank (modular rank never exceeds it); otherwise
-    fraction-free elimination decides.
-    """
-    rows = [cleared_row(v)[0] for v in vectors]
+    rows = list(vectors)
     if not rows or not rows[0]:
         return 0
     if any(len(r) != len(rows[0]) for r in rows):
@@ -219,10 +184,6 @@ class MultiPoly:
         e = [0] * num_vars
         e[i] = 1
         return cls(num_vars, {tuple(e): _F1})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exp: Sequence[int], c=1) -> "MultiPoly":
-        return cls(num_vars, {tuple(exp): Fraction(c)})
 
     # -- predicates / measurements ------------------------------------------
 

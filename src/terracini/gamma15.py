@@ -171,33 +171,21 @@ def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
 
 
 def gamma15_degree_bound(chart: Chart) -> tuple[int, dict[str, int]]:
-    """Upper bound for the total degree of D in (pt, lambda, mu) jointly.
+    """Upper bound for the total degree of D in (pt, lambda, mu) jointly, and per column label.
 
-    Per column: the (lambda, mu)-degree is exact (n columns of degree 1,
-    one of degree 4, n of degree 2, one of degree 5, totalling 3n+9) and
-    the point degree is bounded by the coordinate degree minus the lowest
-    derivative order appearing in the column.
+    Per column: the (lambda, mu)-degree is at most its m, and the point
+    degree at most the coordinate degree minus the lowest derivative order
+    the column reads.
     """
-    n = chart.n
     d = max(chart.max_coord_degree(), 0)
-
-    def udeg(order: int) -> int:
-        return max(d - order, 0)
-
-    per = {
-        "x": udeg(0),
-        "x_i": n * udeg(1),
-        "hessian contractions": n * (udeg(2) + 1),
-        "quartic combination": udeg(2) + 4,
-        "cubic combinations": n * (udeg(2) + 2),
-        "quintic combination": udeg(3) + 5,
-    }
+    per = {label: m + max(d - low, 0)
+           for (label, m, _), low in zip(_gamma15_spec(chart.n), _lowest_orders(chart.n))}
     return sum(per.values()), per
 
 
 def gamma15_lamu_degree(n: int) -> int:
-    """Exact (lambda, mu)-degree bound of D: n*1 + 4 + n*2 + 5 = 3n + 9."""
-    return 3 * n + 9
+    """(lambda, mu)-degree bound of D: the sum of the columns' m, 3n + 9."""
+    return sum(m for _, m, _ in _gamma15_spec(n))
 
 
 @dataclass(frozen=True)

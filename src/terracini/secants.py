@@ -73,10 +73,6 @@ class LinearSpan:
         return span_rank(self.rows)
 
     @property
-    def ambient(self) -> int:
-        return len(self.dens)
-
-    @property
     def dim(self) -> int:
         """Projective dimension (rank - 1; -1 for the zero span)."""
         return self.rank - 1

@@ -375,7 +375,7 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
     if is_normalized(jet) and not any(jet.base):
         return chart, jet
     frame, new_jet = _normalized_frame(jet)
-    m = Matrix.from_columns(frame)
+    m = Matrix(list(zip(*frame)))
     coords = [substitute_affine(p, jet.base, m) for p in chart_polys(chart)]
     return polys_chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
 

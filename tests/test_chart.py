@@ -409,17 +409,18 @@ def test_taylor_block_h0():
 def test_taylor_block_count_and_smooth_rank():
     c = make_random_variety(3, 3, 9, 4)
     pt = (F(0), F(0), F(0))
-    block = osculating_space(c, pt, 2).generators
+    span = osculating_space(c, pt, 2)
+    block = span.generators
     assert len(block) == math.comb(3 + 2, 2)
     assert block == tuple(symbolic_table(c, pt, 2).values())
-    order1 = block[:4]  # multi-indices come by order: (), (0,), (1,), (2,), ...
+    order1 = span.rows[:4]  # multi-indices come by order: (), (0,), (1,), (2,), ...
     assert span_rank(order1) == 4  # n+1 on a smooth chart
 
 
 def test_quadratic_veronese_fills_ambient_at_order_2():
     c = make_veronese(4, 2)
     pt = (F(1), F(-2), F(3), F(1))
-    block = osculating_space(c, pt, 2).generators
+    block = osculating_space(c, pt, 2).rows
     assert len(block) == 15 and span_rank(block) == 15
 
 
@@ -563,8 +564,8 @@ def test_projection_preserves_span_ranks():
     proj = project_generic(c, 8, seed=7)
     for _ in range(5):
         pt = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-        before = osculating_space(c, pt, 2).generators
-        after = osculating_space(proj, pt, 2).generators
+        before = osculating_space(c, pt, 2).rows
+        after = osculating_space(proj, pt, 2).rows
         assert span_rank(before) >= span_rank(after)
         # a generic projection to P^8 cannot lose a 6-dimensional span
         assert span_rank(after) == min(span_rank(before), 9)

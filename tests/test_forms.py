@@ -46,14 +46,14 @@ def assert_same_forms(chart, polys):
 # ---------------------------------------------------------------------------
 
 def veronese_polys(n, d):
-    return [MultiPoly.monomial(n, e, 1) for e in _monomials_upto(n, d)]
+    return [MultiPoly(n, {e: 1}) for e in _monomials_upto(n, d)]
 
 
 def segre_polys(a, b):
     n = a + b
     left = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(a)]
     right = [(0,) * n] + [tuple(1 if t == a + j else 0 for t in range(n)) for j in range(b)]
-    return [MultiPoly.monomial(n, tuple(x + y for x, y in zip(ea, eb)), 1)
+    return [MultiPoly(n, {tuple(x + y for x, y in zip(ea, eb)): 1})
             for ea in left for eb in right]
 
 

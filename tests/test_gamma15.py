@@ -9,7 +9,7 @@ from terracini.catalog import load_catalog, make_random_variety, make_veronese
 from terracini import gamma15, secants
 from terracini.chart import Chart, CurvilinearJet, FiveJet, contract_numerators, jet_terms
 from terracini.curvilinear import generic_speciality
-from terracini.exactlin import Matrix, MultiPoly, span_rank
+from terracini.exactlin import MultiPoly
 from terracini.gamma15 import (
     AmbientMismatchError,
     Gamma15Matrix,
@@ -33,7 +33,7 @@ from terracini.gamma15 import (
     pi_space,
 )
 from oracles import (chart_polys, contract, gauss_det, jet_normalize, polys_chart,
-                     symbolic_table, vaccum, zero_columns)
+                     rref_rank, symbolic_table, vaccum, zero_columns)
 
 
 def degenerate_chart_p8() -> Chart:
@@ -61,8 +61,8 @@ def test_matrix_shape_and_column_order_n1():
     c = make_veronese(1, 5)
     pt, lam, mu = (F(1),), (F(3),), (F(2),)
     gm = gamma15_matrix(c, pt, lam, mu)
-    m = Matrix.from_columns(gm.columns.generators)
-    assert m.rows == m.cols == 6
+    got_cols = list(gm.columns.generators)
+    assert len(got_cols) == 6 and all(len(col) == 6 for col in got_cols)
     d = {k: c.derivative_vector(pt, k) for k in
          [(), (0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0)]}
     expected_cols = [
@@ -75,7 +75,6 @@ def test_matrix_shape_and_column_order_n1():
         tuple(243 * a + 20 * 27 * 2 * b + 60 * 3 * 4 * c_
               for a, b, c_ in zip(d[(0, 0, 0, 0, 0)], d[(0, 0, 0, 0)], d[(0, 0, 0)])),
     ]
-    got_cols = [tuple(m.entries[i][j] for i in range(6)) for j in range(6)]
     assert got_cols == expected_cols
     assert gm.column_labels[0] == "x" and "quintic" in gm.column_labels[-1]
 
@@ -281,13 +280,26 @@ def test_identically_zero_reports_error_bound():
     v = gamma15_identically_zero(make_veronese(4, 2), trials=12, seed=2)
     assert v.sz.trials == 12
     assert 0 < v.sz.error_bound < F(1, 32) ** 12 * F(2)
-    bound, per_column = gamma15_degree_bound(make_veronese(4, 2))
+    chart = make_veronese(4, 2)
+    bound, per_column = gamma15_degree_bound(chart)
     # degree 2, n = 4: 2 + 4*1 + 4*1 + 4 + 4*2 + 5
     assert v.degree_bound == bound == sum(per_column.values()) == 27
     assert bound >= gamma15_lamu_degree(4)
-    assert set(per_column) == {"x", "x_i", "hessian contractions",
-                               "quartic combination", "cubic combinations",
-                               "quintic combination"}
+    ones = (F(1),) * 4
+    assert list(per_column) == list(gamma15_matrix(chart, ones, ones, ones).column_labels)
+    assert per_column["x"] == 2 and per_column["quintic combination"] == 5
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 1), (2, 3), (3, 2), (4, 2)])
+def test_degree_bound_matches_the_closed_form(n, d):
+    # each column's m plus its point degree d - (lowest order), clamped at 0
+    def udeg(order):
+        return max(d - order, 0)
+
+    closed = (udeg(0) + n * udeg(1) + n * (udeg(2) + 1) + udeg(2) + 4
+              + n * (udeg(2) + 2) + udeg(3) + 5)
+    assert gamma15_degree_bound(make_veronese(n, d))[0] == closed
+    assert gamma15_lamu_degree(n) == 3 * n + 9
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +375,7 @@ def test_cubic_vector_lies_in_documented_span_across_catalog():
                                    for i in range(n) for j in range(n)
                                    for k in range(n)))
             documented = x_i + a_vecs + c_vecs
-            assert span_rank(documented + [cubic]) == span_rank(documented)
+            assert rref_rank(documented + [cubic]) == rref_rank(documented)
             # sharper: the explicit combination sum lam_k C_k - 2 sum mu_i A_i
             combo = vaccum(width, [(lam[k], c_vecs[k]) for k in range(n)]
                            + [(-2 * mu[i], a_vecs[i]) for i in range(n)])

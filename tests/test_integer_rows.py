@@ -286,7 +286,7 @@ def test_span_generators_are_the_exact_vectors():
         tangent = tangent_space(chart, pt)
         assert_scaled(tangent)
         assert tangent.generators == (sym[()],) + tuple(sym[(i,)] for i in range(n))
-        assert tangent.ambient == r + 1 and tangent.dim == n
+        assert len(tangent.dens) == r + 1 and tangent.dim == n
         osc = osculating_space(chart, pt, 3)
         assert_scaled(osc)
         assert osc.generators == tuple(sym[key] for key in multi_indices(n, 3))
