@@ -21,6 +21,10 @@ smoothness test on Fraction vectors ranked by ``rref_rank``
 determinant matrix read term by term (``zero_columns``).  None of them reads the chart's integer
 derivative store.
 
+``secant_defect_reference`` and ``osc_variety_dim_reference`` rank every
+trial, with no rank ceiling, by ``rref_rank``; they share the package's
+draws and integer tables, so their results must match the package's.
+
 ``rank_exact`` and ``rank_modular`` do call the package's elimination
 kernels, each on its own and without the modular screen that
 ``span_rank`` puts in front of Bareiss, so the two can be compared.
@@ -32,9 +36,10 @@ lazily scaled ``bareiss_echelon`` must match output for output.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm
+from math import lcm, perm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
@@ -46,9 +51,18 @@ from terracini.chart import (
     contract_numerators,
     fraction_vector,
     jet_terms,
+    multi_indices,
     unit_vectors,
 )
 from terracini.exactlin import BadIndexError, Matrix, MultiPoly
+from terracini.secants import (
+    COORD_RADIUS,
+    DefectRecord,
+    SingularPointError,
+    _require_smooth_lattice_points,
+    sample_point,
+    sample_smooth_point,
+)
 
 F0 = Fraction(0)
 
@@ -336,6 +350,71 @@ def osc2_vectors(chart: Chart, pt, lam, mu) -> list[tuple]:
     e = unit_vectors(chart.n)
     return [brute_contract(sym, chart.n, chart.r + 1, jet_terms(h, (lam, mu), along))
             for h, along in [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]]
+
+
+def secant_defect_reference(chart: Chart, k: int, samples: int, seed: int) -> DefectRecord:
+    """``secants.secant_defect`` with no rank ceiling, each rank by ``rref_rank``.
+
+    It makes the same draws in the same order, checks each point's tangent
+    rank before ranking every trial's union, and keeps the first union of
+    maximal rank as the witness.
+    """
+    rng = random.Random(seed)
+    lattice = (2 * COORD_RADIUS + 1) ** chart.n
+    best, witness, resamples = -1, (), 0
+    for _ in range(samples):
+        pts, rows, repeats = [], [], 0
+        while len(pts) < k + 1:
+            pt, extra = sample_smooth_point(chart, rng)
+            resamples += extra
+            if pt in pts:
+                resamples += 1
+                repeats += 1
+                if repeats == lattice:
+                    _require_smooth_lattice_points(chart, k + 1)
+                continue
+            pts.append(pt)
+            repeats = 0
+        for pt in pts:
+            point_rows = chart.integer_table(pt, 1).rows(multi_indices(chart.n, 1))
+            rank = rref_rank(point_rows)
+            if rank < chart.n + 1:
+                raise SingularPointError(f"tangent rank {rank} < n+1 at"
+                                         f" ({', '.join(map(str, pt))}) on {chart.label}")
+            rows += point_rows
+        observed = rref_rank(rows) - 1
+        if observed > best:
+            best, witness = observed, tuple(pts)
+    expected = min(chart.r, k * chart.n + chart.n + k)
+    return DefectRecord(k=k, expected=expected, observed=best, defect=expected - best,
+                        witness_points=(witness,), samples=samples, resamples=resamples,
+                        seed=seed)
+
+
+def osc_variety_dim_reference(chart: Chart, m: int, samples: int, seed: int) -> int:
+    """``secants.osc_variety_dim`` with no rank ceiling: every trial's span by ``rref_rank``."""
+    n = chart.n
+    e = unit_vectors(n)
+    rng = random.Random(seed)
+    best = -1
+    for _ in range(samples):
+        pt, _ = sample_smooth_point(chart, rng)
+        lam = (Fraction(1),) + sample_point(rng, n - 1)
+        mu = (F0,) + sample_point(rng, n - 1)
+        alpha = Fraction(rng.randint(1, COORD_RADIUS))
+        beta = Fraction(rng.randint(1, COORD_RADIUS))
+        weights = (1, alpha, beta)[:m + 1]
+
+        def dy(s: int, along: tuple = ()) -> list:
+            return [(w * perm(h, s) * c, vs) for h, w in enumerate(weights) if h >= s
+                    for c, vs in jet_terms(h - s, (lam, mu), along)]
+
+        terms = [dy(0)] + [dy(0, (ek,)) for ek in e]
+        terms += [dy(s, (ej,)) for s in range(1, m + 1) for ej in e[1:]]
+        terms += [jet_terms(h, (lam, mu)) for h in range(1, m + 1)]
+        rows, _ = contract_numerators(chart.integer_table(pt, m + 1), terms)
+        best = max(best, rref_rank(rows) - 1)
+    return best
 
 
 def _power(cache: list, base, k: int, times):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from terracini.catalog import make_random_variety, make_segre, make_veronese
+from terracini import secants
+from terracini.catalog import load_catalog, make_random_variety, make_segre, make_veronese
 from terracini.chart import AmbientTooSmallError, Chart
 from terracini.exactlin import MultiPoly
 from terracini.secants import (
@@ -18,7 +19,15 @@ from terracini.secants import (
     secant_defect,
     tangent_space,
 )
-from oracles import chart_polys, osc2_vectors, polys_chart, rref_rank, symbolic_table
+from oracles import (
+    chart_polys,
+    osc2_vectors,
+    osc_variety_dim_reference,
+    polys_chart,
+    rref_rank,
+    secant_defect_reference,
+    symbolic_table,
+)
 
 
 def hyperplane_bound_chart() -> Chart:
@@ -26,6 +35,31 @@ def hyperplane_bound_chart() -> Chart:
     coords = chart_polys(make_random_variety(2, 3, 5, 17))
     extra = coords[0] + coords[1]  # forced linear relation
     return polys_chart("hyperplane-bound", 2, 6, coords + (extra,))
+
+
+def tangent_through_x_chart() -> Chart:
+    """A space curve (u, u^2-u+1, u^3-2u+2, u^4-3u+3) whose x equals x_1 at u = 1.
+
+    x_1 never vanishes, so every point passes the smoothness test, but the
+    tangent rank drops to 1 at u = 1 and nowhere else.
+    """
+    return Chart("tangent-through-x", 1, 3, (
+        (1, (1,), ((1,),)), (1, (1, -1, 1), ((2,), (1,), (0,))),
+        (1, (1, -2, 2), ((3,), (1,), (0,))), (1, (1, -3, 3), ((4,), (1,), (0,)))))
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The row count of every ``span_rank`` call made from ``secants``, in call order."""
+    sizes = []
+    span_rank = secants.span_rank
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return span_rank(rows)
+
+    monkeypatch.setattr(secants, "span_rank", counted)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +146,49 @@ def test_secant_needs_no_more_points_than_the_sample_lattice():
     assert secant_defect(make_veronese(1, 3), 10, samples=1, seed=0).observed == 3
     with pytest.raises(ValueError, match="exceeds the 11 sample points"):
         secant_defect(make_veronese(1, 3), 11, samples=1, seed=0)
+
+
+def test_no_union_is_ranked_after_a_trial_reaches_expected(ranked):
+    # two tangent lines of the rational normal quartic always span P^3 =
+    # expected: the first union (4 rows) is of full row rank, so it stands
+    # for both points' tangent checks; later trials rank only those (2 rows)
+    rec = secant_defect(make_veronese(1, 4), 1, samples=5, seed=0)
+    assert (rec.expected, rec.observed) == (3, 3)
+    assert ranked == [4] + [2] * 8
+
+
+def test_a_union_below_expected_is_ranked_in_every_trial(ranked):
+    # v_2(P^2) stays at 4 < expected 5, so every trial ranks its union (6
+    # rows) and, the union being short, both points' tangent rows (3 each)
+    rec = secant_defect(make_veronese(2, 2), 1, samples=3, seed=0)
+    assert (rec.expected, rec.observed) == (5, 4)
+    assert ranked == [6, 3, 3] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1], ids=["first-trial", "later-trial"])
+def test_a_singular_tangent_is_raised_with_or_without_a_union_rank(seed):
+    # seed 0 draws u = 1 in the first trial, whose union is short; seed 1
+    # reaches expected first and draws u = 1 in a trial whose union is skipped
+    c = tangent_through_x_chart()
+    if seed == 1:
+        assert secant_defect(c, 1, samples=1, seed=seed).observed == 3
+    with pytest.raises(SingularPointError) as ref:
+        secant_defect_reference(c, 1, 6, seed)
+    with pytest.raises(SingularPointError) as got:
+        secant_defect(c, 1, samples=6, seed=seed)
+    assert str(got.value) == str(ref.value) == "tangent rank 1 < n+1 at (1) on tangent-through-x"
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.id)
+def test_secant_and_osc_dims_match_the_ceiling_free_reference(entry):
+    chart = entry.build()
+    for seed in (0, 1, 2):
+        for k in sorted({1} | {kd.k for kd in entry.known_defects}):
+            assert secant_defect(chart, k, samples=3, seed=seed) == \
+                secant_defect_reference(chart, k, 3, seed)
+        for m in (1, 2):
+            assert osc_variety_dim(chart, m, samples=3, seed=seed) == \
+                osc_variety_dim_reference(chart, m, 3, seed)
 
 
 def test_secant_witness_points_are_recorded():
@@ -236,6 +313,16 @@ def test_osc_dim_matches_criterion_verdict():
         verdict = osc2_regular(c, trials=4, seed=6)
         assert (dim == 3 * c.n) == verdict.regular
         assert dim == verdict.max_rank - 1
+
+
+@pytest.mark.parametrize("chart, dim, ranks", [(make_veronese(1, 5), 3, 1),
+                                                (make_veronese(4, 2), 11, 4)],
+                         ids=["reaches-3n", "stays-below-3n"])
+def test_osc_dim_ranks_no_span_after_a_trial_reaches_its_ceiling(ranked, chart, dim, ranks):
+    # the span has 3n+1 rows: the quintic curve reaches dim 3n in its first
+    # trial, while the quadratic fourfold stays at 11 < 12 and ranks every trial
+    assert osc_variety_dim(chart, 2, samples=4, seed=0) == dim
+    assert len(ranked) == ranks
 
 
 def test_osc_dim_rejects_bad_m():
