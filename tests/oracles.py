@@ -60,6 +60,7 @@ from terracini.secants import (
     DefectRecord,
     SingularPointError,
     _require_smooth_lattice_points,
+    sample_lattice_size,
     sample_point,
     sample_smooth_point,
 )
@@ -360,7 +361,7 @@ def secant_defect_reference(chart: Chart, k: int, samples: int, seed: int) -> De
     maximal rank as the witness.
     """
     rng = random.Random(seed)
-    lattice = (2 * COORD_RADIUS + 1) ** chart.n
+    lattice = sample_lattice_size(chart.n)
     best, witness, resamples = -1, (), 0
     for _ in range(samples):
         pts, rows, repeats = [], [], 0
