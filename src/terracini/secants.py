@@ -93,20 +93,20 @@ class LinearSpan:
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
-def _require_tangent_rank(chart: Chart, rows: Sequence[tuple[int, ...]],
-                          pt: Sequence[Fraction]) -> None:
-    """SingularPointError unless the rows of x, x_1..x_n at pt have rank n+1."""
+def _tangent_numerators(chart: Chart, t: IntegerTable, pt: Sequence[Fraction]) -> tuple:
+    """Rows of x, x_1..x_n from the order-1 table t at pt; SingularPointError below rank n+1."""
+    rows = t.rows(multi_indices(chart.n, 1))
     rank = span_rank(rows)
     if rank < chart.n + 1:
         raise SingularPointError(f"tangent rank {rank} < n+1 at"
                                  f" ({', '.join(map(str, pt))}) on {chart.label}")
+    return rows
 
 
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
     """Projective tangent space: span of x and the first derivatives at a smooth point."""
-    span = osculating_space(chart, pt, 1)
-    _require_tangent_rank(chart, span.rows, pt)
-    return span
+    _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
+    return osculating_space(chart, pt, 1)
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
@@ -186,14 +186,12 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
         raise ValueError(f"k+1 = {k + 1} exceeds the {sample_lattice_size(chart.n)} sample points")
     rng = random.Random(seed)
     expected = min(chart.r, k * chart.n + chart.n + k)
-    full = (k + 1) * (chart.n + 1)  # rows of a union
-    tangent = multi_indices(chart.n, 1)
     best = -1
     witness: tuple[Vector, ...] = ()
     resamples = 0
     for _ in range(samples):
         pts: list[Vector] = []
-        point_rows: list[tuple[tuple[int, ...], ...]] = []
+        tables: list[IntegerTable] = []
         repeats = 0
         while len(pts) < k + 1:
             pt, extra = sample_smooth_point(chart, rng)
@@ -206,19 +204,16 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
                 continue
             pts.append(pt)
             # the smoothness test just evaluated pt's order-1 table
-            point_rows.append(chart.integer_table(pt, 1).rows(tangent))
+            tables.append(chart.integer_table(pt, 1))
             repeats = 0
-        # no union passes expected = min(r, full - 1), so once a trial reaches it no
-        # later rank can change the report; numerator rows share the column scales den_c
-        rank = span_rank([row for rows in point_rows for row in rows]) if best < expected else -1
-        # a union of full row rank proves rank n+1 at each point; otherwise (and when
-        # skipped) each point is checked in draw order
-        if rank < full:
-            for pt, rows in zip(pts, point_rows):
-                _require_tangent_rank(chart, rows, pt)
-        if rank - 1 > best:
-            best = rank - 1
-            witness = tuple(pts)
+        # numerator rows of every point share the column scales den_c
+        rows = [row for pt, t in zip(pts, tables) for row in _tangent_numerators(chart, t, pt)]
+        # no union passes expected, so once a trial reaches it no later rank can change the report
+        if best < expected:
+            observed = span_rank(rows) - 1
+            if observed > best:
+                best = observed
+                witness = tuple(pts)
     return DefectRecord(k=k, expected=expected, observed=best,
                         defect=expected - best, witness_points=(witness,),
                         samples=samples, resamples=resamples, seed=seed)
@@ -324,8 +319,6 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     n = chart.n
     e = unit_vectors(n)
     rng = random.Random(seed)
-    # the span has (m+1)n + 1 rows, so once a trial reaches this no later one can pass it
-    ceiling = min(chart.r, (m + 1) * n)
     best = -1
     for _ in range(samples):
         pt, _ = sample_smooth_point(chart, rng)
@@ -333,8 +326,6 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
         mu = (_F0,) + sample_point(rng, n - 1)
         alpha = Fraction(rng.randint(1, COORD_RADIUS))
         beta = Fraction(rng.randint(1, COORD_RADIUS))
-        if best == ceiling:  # the draws above still run, so the rng sequence is unchanged
-            continue
         weights = (1, alpha, beta)[:m + 1]
 
         def dy(s: int, along: tuple = ()) -> list:

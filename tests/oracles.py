@@ -21,9 +21,9 @@ smoothness test on Fraction vectors ranked by ``rref_rank``
 determinant matrix read term by term (``zero_columns``).  None of them reads the chart's integer
 derivative store.
 
-``secant_defect_reference`` and ``osc_variety_dim_reference`` rank every
-trial, with no rank ceiling, by ``rref_rank``; they share the package's
-draws and integer tables, so their results must match the package's.
+``secant_defect_reference`` ranks every trial, with no rank ceiling, by
+``rref_rank``; it shares the package's draws and integer tables, so its
+records must match the package's.
 
 ``rank_exact`` and ``rank_modular`` do call the package's elimination
 kernels, each on its own and without the modular screen that
@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import lcm, perm
+from math import lcm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
@@ -56,12 +56,10 @@ from terracini.chart import (
 )
 from terracini.exactlin import BadIndexError, Matrix, MultiPoly
 from terracini.secants import (
-    COORD_RADIUS,
     DefectRecord,
     SingularPointError,
     _require_smooth_lattice_points,
     sample_lattice_size,
-    sample_point,
     sample_smooth_point,
 )
 
@@ -390,32 +388,6 @@ def secant_defect_reference(chart: Chart, k: int, samples: int, seed: int) -> De
     return DefectRecord(k=k, expected=expected, observed=best, defect=expected - best,
                         witness_points=(witness,), samples=samples, resamples=resamples,
                         seed=seed)
-
-
-def osc_variety_dim_reference(chart: Chart, m: int, samples: int, seed: int) -> int:
-    """``secants.osc_variety_dim`` with no rank ceiling: every trial's span by ``rref_rank``."""
-    n = chart.n
-    e = unit_vectors(n)
-    rng = random.Random(seed)
-    best = -1
-    for _ in range(samples):
-        pt, _ = sample_smooth_point(chart, rng)
-        lam = (Fraction(1),) + sample_point(rng, n - 1)
-        mu = (F0,) + sample_point(rng, n - 1)
-        alpha = Fraction(rng.randint(1, COORD_RADIUS))
-        beta = Fraction(rng.randint(1, COORD_RADIUS))
-        weights = (1, alpha, beta)[:m + 1]
-
-        def dy(s: int, along: tuple = ()) -> list:
-            return [(w * perm(h, s) * c, vs) for h, w in enumerate(weights) if h >= s
-                    for c, vs in jet_terms(h - s, (lam, mu), along)]
-
-        terms = [dy(0)] + [dy(0, (ek,)) for ek in e]
-        terms += [dy(s, (ej,)) for s in range(1, m + 1) for ej in e[1:]]
-        terms += [jet_terms(h, (lam, mu)) for h in range(1, m + 1)]
-        rows, _ = contract_numerators(chart.integer_table(pt, m + 1), terms)
-        best = max(best, rref_rank(rows) - 1)
-    return best
 
 
 def _power(cache: list, base, k: int, times):

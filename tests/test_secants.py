@@ -22,7 +22,6 @@ from terracini.secants import (
 from oracles import (
     chart_polys,
     osc2_vectors,
-    osc_variety_dim_reference,
     polys_chart,
     rref_rank,
     secant_defect_reference,
@@ -150,24 +149,24 @@ def test_secant_needs_no_more_points_than_the_sample_lattice():
 
 def test_no_union_is_ranked_after_a_trial_reaches_expected(ranked):
     # two tangent lines of the rational normal quartic always span P^3 =
-    # expected: the first union (4 rows) is of full row rank, so it stands
-    # for both points' tangent checks; later trials rank only those (2 rows)
+    # expected: the first trial ranks both points' tangent rows (2 each) and
+    # their union (4), the later trials only the points' tangent rows
     rec = secant_defect(make_veronese(1, 4), 1, samples=5, seed=0)
     assert (rec.expected, rec.observed) == (3, 3)
-    assert ranked == [4] + [2] * 8
+    assert ranked == [2, 2, 4] + [2] * 8
 
 
 def test_a_union_below_expected_is_ranked_in_every_trial(ranked):
-    # v_2(P^2) stays at 4 < expected 5, so every trial ranks its union (6
-    # rows) and, the union being short, both points' tangent rows (3 each)
+    # v_2(P^2) stays at 4 < expected 5, so every trial ranks both points'
+    # tangent rows (3 each) and their union (6 rows)
     rec = secant_defect(make_veronese(2, 2), 1, samples=3, seed=0)
     assert (rec.expected, rec.observed) == (5, 4)
-    assert ranked == [6, 3, 3] * 3
+    assert ranked == [3, 3, 6] * 3
 
 
 @pytest.mark.parametrize("seed", [0, 1], ids=["first-trial", "later-trial"])
 def test_a_singular_tangent_is_raised_with_or_without_a_union_rank(seed):
-    # seed 0 draws u = 1 in the first trial, whose union is short; seed 1
+    # seed 0 draws u = 1 in the first trial, whose union is ranked; seed 1
     # reaches expected first and draws u = 1 in a trial whose union is skipped
     c = tangent_through_x_chart()
     if seed == 1:
@@ -180,15 +179,12 @@ def test_a_singular_tangent_is_raised_with_or_without_a_union_rank(seed):
 
 
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.id)
-def test_secant_and_osc_dims_match_the_ceiling_free_reference(entry):
+def test_secant_defect_matches_the_ceiling_free_reference(entry):
     chart = entry.build()
     for seed in (0, 1, 2):
         for k in sorted({1} | {kd.k for kd in entry.known_defects}):
             assert secant_defect(chart, k, samples=3, seed=seed) == \
                 secant_defect_reference(chart, k, 3, seed)
-        for m in (1, 2):
-            assert osc_variety_dim(chart, m, samples=3, seed=seed) == \
-                osc_variety_dim_reference(chart, m, 3, seed)
 
 
 def test_secant_witness_points_are_recorded():
@@ -313,16 +309,6 @@ def test_osc_dim_matches_criterion_verdict():
         verdict = osc2_regular(c, trials=4, seed=6)
         assert (dim == 3 * c.n) == verdict.regular
         assert dim == verdict.max_rank - 1
-
-
-@pytest.mark.parametrize("chart, dim, ranks", [(make_veronese(1, 5), 3, 1),
-                                                (make_veronese(4, 2), 11, 4)],
-                         ids=["reaches-3n", "stays-below-3n"])
-def test_osc_dim_ranks_no_span_after_a_trial_reaches_its_ceiling(ranked, chart, dim, ranks):
-    # the span has 3n+1 rows: the quintic curve reaches dim 3n in its first
-    # trial, while the quadratic fourfold stays at 11 < 12 and ranks every trial
-    assert osc_variety_dim(chart, 2, samples=4, seed=0) == dim
-    assert len(ranked) == ranks
 
 
 def test_osc_dim_rejects_bad_m():
