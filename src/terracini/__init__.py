@@ -18,8 +18,8 @@ from .chart import (
     project_generic,
     save_chart,
 )
-from .curvilinear import generic_speciality, hyperplane_system, tangent_along
-from .exactlin import Matrix, MultiPoly
+from .curvilinear import generic_speciality, tangent_along
+from .exactlin import Matrix
 from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
@@ -33,7 +33,6 @@ from .gamma15 import (
 from .secants import (
     LinearSpan,
     osc2_regular,
-    osc2_regular_coordinate,
     osc_variety_dim,
     osculating_space,
     secant_defect,
@@ -49,7 +48,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "LinearSpan",
     "Matrix",
-    "MultiPoly",
     "curve_derivatives",
     "defect_pipeline",
     "equivalence_audit",
@@ -58,13 +56,11 @@ __all__ = [
     "gamma15_identically_zero",
     "gamma15_matrix",
     "generic_speciality",
-    "hyperplane_system",
     "load_chart",
     "make_random_variety",
     "make_segre",
     "make_veronese",
     "osc2_regular",
-    "osc2_regular_coordinate",
     "osc_variety_dim",
     "osculating_space",
     "pi_constancy_check",

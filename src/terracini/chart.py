@@ -29,8 +29,7 @@ span's lists are contracted together: ``contract_numerators`` sums every
 list of the span over one such table in one pass, into one row of integer
 numerators and one row scale per list, so ranks and determinants are
 taken of the numerators.  Exact values are built from the rows only where
-they are kept: the curve derivatives as canonical ``Fraction``s and the
-symbolic columns of the claim audit as ring elements.
+they are kept, as the curve derivatives' canonical ``Fraction``s.
 ``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
 smoothness test reads x through it and ranks the n first partials as the
 order-1 table's integer rows, which rank's indifference to row and column
@@ -380,16 +379,14 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
     vector i is ``rows[i][c] / (dens[c] * scales[i])``, ``dens`` being
     ``table.dens``.  Every term's order and direction length are
     checked once, and terms above ``table.top`` are dropped (they read
-    zeros).  Numeric directions and coefficients are cleared to integers
-    with one common denominator s for the whole span: a term
-    c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] over
+    zeros).  The int or ``Fraction`` directions and coefficients are
+    cleared to integers with one common denominator s for the whole span:
+    a term c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] over
     c.denominator * s^h, and a row's scale is the lcm of its terms' times
     the table's q^D.  Each distinct product of directions is expanded once
     per span into {sorted multi-index: scalar}, extending the expansion of
     its prefix and merging keys at every step, and each row reads each
-    distinct derivative once, in one pass over the width.  Ring scalars
-    (the MultiPoly lambda, mu of the symbolic audit) go through the same
-    expansion and come back as ring elements over q^D.  Every vector
+    distinct derivative once, in one pass over the width.  Every vector
     contracted from one chart's tables is its numerators over a row scale
     times a column scale (den_c), so ranks and determinants can be taken
     of the numerators.
@@ -408,11 +405,8 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
             for v in vs:
                 slots.setdefault(id(v), (len(slots), v))
     vecs = [v for _, v in slots.values()]
-    if all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
-        s = math.lcm(*(x.denominator for v in vecs for x in v))
-        vecs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vecs]
-    else:
-        s = None
+    s = math.lcm(*(x.denominator for v in vecs for x in v))
+    vecs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vecs]
     # expansions keyed by slots in decreasing order, so that directions first
     # seen late (a curve's lam, mu after the unit vectors) lead and share prefixes
     expansions: dict = {(): {(): 1}}
@@ -425,12 +419,9 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
 
     rows, scales = [], []
     for terms in lists:
-        if s is None:
-            scale, mults = 1, [c for c, _ in terms]
-        else:
-            dens = [c.denominator * s ** len(vs) for c, vs in terms]
-            scale = math.lcm(*dens)
-            mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
+        dens = [c.denominator * s ** len(vs) for c, vs in terms]
+        scale = math.lcm(*dens)
+        mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
         coeffs: dict = {}
         for m, (_, vs) in zip(mults, terms):
             key = tuple(sorted((slots[id(v)][0] for v in vs), reverse=True))

@@ -6,7 +6,9 @@ of an explicit generator list of chart derivatives at the normalized jet.
 Through the normalizing frame each generator is a curve derivative of x
 or of one of its partials, whose ``jet_terms`` are contracted from one
 integer derivative table at the jet's base.  The scheme is special when
-that span falls short of the expected dimension min{r, k(n+1)-1}.
+that span falls short of the expected dimension min{r, k(n+1)-1}.  The
+dual route, a covector basis of that hyperplane system, is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .chart import (
     _normalized_frame,
     jet_terms,
 )
-from .exactlin import _F0, _F1, Matrix, Vector
+from .exactlin import _F0, _F1
 from .secants import LinearSpan, sample_point, sample_smooth_point
 
 
@@ -85,35 +87,6 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
     return TangentAlongScheme(jet=njet, span=span, expected=expected,
                               special=span.dim < expected, zero_generators=zeros,
                               generator_labels=tuple(label for label, _ in gens))
-
-
-# ---------------------------------------------------------------------------
-# the dual hyperplane system
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HyperplaneSystem:
-    """Hyperplanes singular along the scheme: annihilator of the tangent span."""
-
-    covectors: tuple[Vector, ...]
-    dim: int                   # projective dimension of the system
-    tangent_dim: int
-    speciality_threshold: int  # system dim > threshold exactly when special
-    special: bool
-
-
-def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
-    """Covector basis of the hyperplanes whose section is singular along the jet."""
-    tas = tangent_along(chart, jet)
-    m = Matrix.from_rows(tas.span.generators)
-    covs = tuple(m.right_nullspace())
-    for a in covs:  # nullspace contract: every covector kills every generator
-        assert not any(sum(map(mul, a, v)) for v in tas.span.generators)
-    threshold = chart.r - jet.length * (chart.n + 1)
-    sys_dim = len(covs) - 1
-    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=tas.dim,
-                            speciality_threshold=threshold,
-                            special=sys_dim > threshold)
 
 
 # ---------------------------------------------------------------------------

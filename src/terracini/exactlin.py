@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and sparse multivariate polynomials.
+"""Exact rational linear algebra and polynomial identity testing.
 
 Every verdict produced by the higher modules (defects, speciality,
 regularity, determinant vanishing) is a rank condition, so this layer is
@@ -18,9 +18,10 @@ elimination when a row is zero, which is exact (on a quadratic chart the
 quintic column of every ``gamma15`` determinant is), and the last Bareiss
 pivot otherwise.  The ``Fraction`` ``Matrix`` remains for nullspaces, the
 one place where ``Fraction``s meet elimination: it clears each row by the
-lcm of its denominators first.  Polynomials carry what the symbolic
-determinant audit (``poly_det``) needs; their reference routes live in
-``tests/oracles.py``.
+lcm of its denominators first.  No polynomial arithmetic is shipped: the
+polynomial ring and the symbolic determinant audit built on it live in
+``tests/oracles.py``, and ``sz_zero_test`` decides identities by
+evaluation alone.
 """
 
 from __future__ import annotations
@@ -137,206 +138,6 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
         return 0
     ech, pivots, sign = bareiss_echelon(rows)
     return sign * ech[n - 1][pivots[-1]] if len(pivots) == n else 0
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q
-# ---------------------------------------------------------------------------
-
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
-
-
-class MultiPoly:
-    """Sparse polynomial in ``num_vars`` variables: {exponent tuple: coefficient}.
-
-    Zero coefficients are never stored.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.num_vars = num_vars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != num_vars:
-                    raise ValueError(f"exponent {e} has wrong length for {num_vars} vars")
-                c = Fraction(c)
-                if c != 0:
-                    clean[tuple(e)] = c
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "MultiPoly":
-        return cls(num_vars, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, c) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, num_vars: int, i: int) -> "MultiPoly":
-        if not 0 <= i < num_vars:
-            raise BadIndexError(f"variable index {i} out of range for {num_vars} vars")
-        e = [0] * num_vars
-        e[i] = 1
-        return cls(num_vars, {tuple(e): _F1})
-
-    # -- predicates / measurements ------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
-                and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(f"u{i}^{k}" if k > 1 else f"u{i}"
-                            for i, k in enumerate(e) if k)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "MultiPoly(" + " + ".join(bits) + ")"
-
-    # -- ring operations -----------------------------------------------------
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.num_vars != self.num_vars:
-                raise ValueError("mixed variable counts")
-            return other
-        return MultiPoly.constant(self.num_vars, other)
-
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nv = out.get(e, _F0) + c
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.num_vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            c = Fraction(other)
-            if c == 0:
-                return MultiPoly.zero(self.num_vars)
-            return MultiPoly(self.num_vars, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nv = out.get(e, _F0) + c1 * c2
-                if nv:
-                    out[e] = nv
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.num_vars, out)
-
-    __rmul__ = __mul__
-
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        total = _F0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
-
-    def divexact(self, d: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises ArithmeticError if d does not divide self."""
-        d = self._coerce(d)
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
-        dlead = max(d.terms, key=_grlex_key)
-        dc = d.terms[dlead]
-        while rem:
-            lead = max(rem, key=_grlex_key)
-            e = tuple(a - b for a, b in zip(lead, dlead))
-            if any(x < 0 for x in e):
-                raise ArithmeticError("not divisible")
-            c = rem[lead] / dc
-            out[e] = c
-            for de, dcf in d.terms.items():
-                ke = tuple(a + b for a, b in zip(e, de))
-                nv = rem.get(ke, _F0) - c * dcf
-                if nv:
-                    rem[ke] = nv
-                else:
-                    rem.pop(ke, None)
-        return MultiPoly(self.num_vars, out)
-
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), _F0)
-
-
-def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials.
-
-    Fraction-free Bareiss over the polynomial ring: every division is by the
-    previous pivot and is exact.  Pivots are chosen as the nonzero candidate
-    with the fewest terms (ties by row order) to keep intermediate
-    polynomials small.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nv = rows[0][0].num_vars
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise NotSquareError("polynomial matrix is not square")
-    one = MultiPoly.constant(nv, 1)
-    zero = MultiPoly.zero(nv)
-    sign = 1
-    prev = one
-    for c in range(n):
-        cand = [(len(m[i][c].terms), i) for i in range(c, n) if not m[i][c].is_zero()]
-        if not cand:
-            return zero
-        _, piv = min(cand)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            t = m[i][c]
-            for j in range(c + 1, n):
-                m[i][j] = (p * m[i][j] - t * m[c][j]).divexact(prev)
-            m[i][c] = zero
-        prev = p
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ matrix of derivative contractions.  This module builds that matrix (its
 column structure once per n, its terms contracted in one
 ``chart.contract_numerators`` pass on first use; a column of partials above
 the chart degree gives D = 0 with no term built), decides D == 0 by seeded
-Schwartz-Zippel testing (exact symbolic expansion is available for n <= 3
-as a certifying mode), audits the five-jet rank condition, the constancy of
-the span Pi along coordinate curves, and the equivalence of the determinant
-verdict with curvilinear speciality, and runs the end-to-end 2-defectivity
-pipeline.
+Schwartz-Zippel testing (the exact symbolic expansion of D for n <= 3 is
+a test oracle in ``tests/oracles.py``), audits the five-jet rank condition,
+the constancy of the span Pi along coordinate curves, and the equivalence
+of the determinant verdict with curvilinear speciality, and runs the
+end-to-end 2-defectivity pipeline.
 
 Convention note (recorded in every report): the fifth-order tangential
 column contracts the order-5 symmetric derivative tensor x_{ijklm} against
@@ -22,7 +22,6 @@ convention forced by Taylor's theorem.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -35,7 +34,6 @@ from .chart import (
     DegenerateJetError,
     FiveJet,
     _partitions,
-    contract_numerators,
     jet_terms,
     unit_vectors,
 )
@@ -48,16 +46,13 @@ from .curvilinear import (
 from .exactlin import (
     _F0,
     _F1,
-    MultiPoly,
     SZResult,
     Vector,
     integer_det,
-    poly_det,
     span_rank,
     sz_zero_test,
 )
-from .secants import (DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, sample_point,
-                      secant_defect)
+from .secants import DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, secant_defect
 
 CONVENTION_NOTE = ("quintic column uses the five-index symmetric derivative "
                    "tensor x_ijklm contracted with lambda^5")
@@ -69,10 +64,6 @@ class AmbientMismatchError(ValueError):
 
 class PreconditionFailedError(ValueError):
     """Coordinate curve fails the quasi-asymptotic rank condition."""
-
-
-class TooLargeError(ValueError):
-    """Symbolic expansion requested beyond the supported dimension."""
 
 
 def _require_square_ambient(chart: Chart) -> None:
@@ -110,7 +101,7 @@ def _lowest_orders(n: int) -> tuple[int, ...]:
 
 
 def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
-    """Labelled contraction terms of the columns: Fraction or MultiPoly scalars."""
+    """Labelled contraction terms of the columns, in the jet coefficients lam and mu."""
     return [(label, jet_terms(m, (lam, mu), along)) for label, m, along in _gamma15_spec(n)]
 
 
@@ -181,11 +172,6 @@ def gamma15_degree_bound(chart: Chart) -> tuple[int, dict[str, int]]:
     per = {label: m + max(d - low, 0)
            for (label, m, _), low in zip(_gamma15_spec(chart.n), _lowest_orders(chart.n))}
     return sum(per.values()), per
-
-
-def gamma15_lamu_degree(n: int) -> int:
-    """(lambda, mu)-degree bound of D: the sum of the columns' m, 3n + 9."""
-    return sum(m for _, m, _ in _gamma15_spec(n))
 
 
 @dataclass(frozen=True)
@@ -350,87 +336,6 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
                              constant=constant, tangent_contained=contained,
                              dim_lower=lo, dim_upper=hi,
                              dims_within_bounds=all(lo <= d <= hi for d in dims))
-
-
-# ---------------------------------------------------------------------------
-# symbolic expansion audit (small n)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClaimAuditReport:
-    """Exact symbolic expansion of D in (lambda, mu) at a fixed point.
-
-    For n >= 2 also extracts the two determinant-relation coefficients
-    (lam_1^{3n+7} mu_2 and lam_1^{3n+6} lam_2 mu_1) and the derived
-    determinant |S x_1111 x_111 ... x_11n x_1112| whose vanishing they
-    force whenever D == 0.
-    """
-
-    n: int
-    identically_zero: bool
-    total_degree: int
-    degree_bound: int
-    degree_bound_ok: bool
-    evaluations_match: bool
-    evaluations: int
-    coeff_lam_high_mu2: Fraction | None
-    coeff_lam_high_lam2_mu1: Fraction | None
-    derived_det: Fraction | None
-
-
-def claim_coefficient_audit(chart: Chart, pt: Sequence[Fraction],
-                            evaluations: int = 10, seed: int = 0) -> ClaimAuditReport:
-    """Expand D symbolically (n <= 3) and audit its monomial coefficients."""
-    _require_square_ambient(chart)
-    n = chart.n
-    if n > 3:
-        raise TooLargeError(f"symbolic expansion supported for n <= 3, got n={n}")
-    nv = 2 * n  # variables: lam_1..lam_n, mu_1..mu_n
-    lam = [MultiPoly.variable(nv, i) for i in range(n)]
-    mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
-    t = chart.integer_table(pt, 5)
-    nums, scales = contract_numerators(t, [terms for _, terms in _gamma15_columns(n, lam, mu)])
-    # column j's entry c is nums[j][c] / (dens[c] * scales[j]), a ring element or 0
-    cols = [[a * Fraction(1, d * s) for a, d in zip(col, t.dens)] for col, s in zip(nums, scales)]
-    rows = [[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
-            for row in zip(*cols)]
-    sym = poly_det(rows)
-
-    rng = random.Random(seed)
-    match = True
-    for _ in range(evaluations):
-        lam_v = sample_point(rng, n)
-        if all(c == 0 for c in lam_v):
-            lam_v = (_F1,) * n
-        mu_v = sample_point(rng, n)
-        if sym.eval(lam_v + mu_v) != gamma15_det(chart, pt, lam_v, mu_v):
-            match = False
-
-    coeff1 = coeff2 = derived = None
-    if n >= 2:
-        e1 = [0] * nv
-        e1[0] = 3 * n + 7          # lam_1^{3n+7}
-        e1[n + 1] = 1              # mu_2
-        coeff1 = sym.coefficient(tuple(e1))
-        e2 = [0] * nv
-        e2[0] = 3 * n + 6          # lam_1^{3n+6}
-        e2[1] = 1                  # lam_2
-        e2[n] = 1                  # mu_1
-        coeff2 = sym.coefficient(tuple(e2))
-        # x, x_i, x_1j, x_1111, x_11k, x_1112: derivatives along the u_1 line
-        e = unit_vectors(n)
-        groups = [(0, ())] + [(0, (ei,)) for ei in e] + [(1, (ej,)) for ej in e] + [(4, ())]
-        groups += [(2, (ek,)) for ek in e] + [(3, (e[1],))]
-        derived = _det(LinearSpan.contracted(t, [jet_terms(h, e[:1], along)
-                                                 for h, along in groups]))
-
-    bound = gamma15_lamu_degree(n)
-    deg = sym.total_degree()
-    return ClaimAuditReport(n=n, identically_zero=sym.is_zero(), total_degree=deg,
-                            degree_bound=bound, degree_bound_ok=(deg <= bound),
-                            evaluations_match=match, evaluations=evaluations,
-                            coeff_lam_high_mu2=coeff1, coeff_lam_high_lam2_mu1=coeff2,
-                            derived_det=derived)
 
 
 # ---------------------------------------------------------------------------

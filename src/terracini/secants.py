@@ -278,28 +278,6 @@ def osc2_regular(chart: Chart, trials: int = 5, seed: int = 0) -> Osc2Verdict:
                        seed=seed)
 
 
-@dataclass(frozen=True)
-class Osc2CoordinateVerdict:
-    """Sufficient condition along a coordinate curve: True implies regular."""
-
-    sufficient: bool
-    rank: int
-    needed: int
-
-
-def osc2_regular_coordinate(chart: Chart, pt: Sequence[Fraction]) -> Osc2CoordinateVerdict:
-    """Independence of x, x_i, x_1i, x_11i implies 2-osculating regularity.
-
-    A False result is inconclusive (it is the criterion vectors at the
-    special value lam = e_1, mu = 0, whose rank can drop below the generic
-    one).
-    """
-    n = chart.n
-    rank = _osc2_rank(chart, pt, unit_vectors(n)[0], (0,) * n)
-    return Osc2CoordinateVerdict(sufficient=(rank == 3 * n + 1), rank=rank,
-                                 needed=3 * n + 1)
-
-
 # ---------------------------------------------------------------------------
 # osculating-variety dimension via its parametrization
 # ---------------------------------------------------------------------------

@@ -18,8 +18,19 @@ affine frame into every coordinate (``jet_normalize``), curve derivatives
 from truncated-series composition (``composed_curve_series``), the
 smoothness test on Fraction vectors ranked by ``rref_rank``
 (``smoothness_reference``), and the structurally zero columns of the
-determinant matrix read term by term (``zero_columns``).  None of them reads the chart's integer
-derivative store.
+determinant matrix read term by term (``zero_columns``).  None of them
+reads the chart's integer derivative store.  ``MultiPoly`` is the sparse
+polynomial ring over Q these routes compute in, and ``poly_det`` its
+fraction-free determinant.
+
+The second routes that no command-line check reaches live here too:
+``claim_coefficient_audit`` expands the determinant D symbolically for
+n <= 3 (its columns ``brute_contract``ed with ring-variable lambda and mu)
+and checks it against the package's numeric ``gamma15_det``;
+``hyperplane_system`` reads the dual of a tangent space along a jet as a
+nullspace; and ``osc2_regular_coordinate`` ranks the 2-osculating
+criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
+``osc2_regular``.
 
 ``secant_defect_reference`` ranks every trial, with no rank ceiling, by
 ``rref_rank``; it shares the package's draws and integer tables, so its
@@ -37,6 +48,7 @@ lazily scaled ``bareiss_echelon`` must match output for output.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import lcm
@@ -54,16 +66,21 @@ from terracini.chart import (
     multi_indices,
     unit_vectors,
 )
-from terracini.exactlin import BadIndexError, Matrix, MultiPoly
+from terracini.curvilinear import tangent_along
+from terracini.exactlin import BadIndexError, Matrix, NotSquareError, Vector
+from terracini.gamma15 import _gamma15_columns, _gamma15_spec, _require_square_ambient, gamma15_det
 from terracini.secants import (
     DefectRecord,
     SingularPointError,
+    _osc2_rank,
     _require_smooth_lattice_points,
     sample_lattice_size,
+    sample_point,
     sample_smooth_point,
 )
 
 F0 = Fraction(0)
+F1 = Fraction(1)
 
 
 def rref_rank(rows) -> int:
@@ -158,12 +175,9 @@ def contract(table: IntegerTable, terms) -> tuple:
 
     Not a second route: tests read single vectors of the package's
     contraction through it, to compare them with ``brute_contract``.
-    Numeric terms give canonical Fractions, ring scalars ring elements.
     """
     (acc,), (scale,) = contract_numerators(table, [terms])
-    if all(type(a) is int for a in acc):
-        return fraction_vector(acc, table.dens, scale)
-    return tuple(a * Fraction(1, d * scale) for a, d in zip(acc, table.dens))
+    return fraction_vector(acc, table.dens, scale)
 
 
 def zero_columns(term_lists, d: int) -> list[bool]:
@@ -275,6 +289,195 @@ def bareiss_reference(rows):
         prev = piv
         pr += 1
     return m, pivots, sign
+
+
+# ---------------------------------------------------------------------------
+# sparse multivariate polynomials over Q
+# ---------------------------------------------------------------------------
+
+def _grlex_key(exp: tuple[int, ...]) -> tuple:
+    return (sum(exp), exp)
+
+
+class MultiPoly:
+    """Sparse polynomial in ``num_vars`` variables: {exponent tuple: coefficient}.
+
+    Zero coefficients are never stored.  Instances are treated as immutable.
+    """
+
+    __slots__ = ("num_vars", "terms")
+
+    def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+        self.num_vars = num_vars
+        clean: dict[tuple[int, ...], Fraction] = {}
+        if terms:
+            for e, c in terms.items():
+                if len(e) != num_vars:
+                    raise ValueError(f"exponent {e} has wrong length for {num_vars} vars")
+                c = Fraction(c)
+                if c != 0:
+                    clean[tuple(e)] = c
+        self.terms = clean
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, num_vars: int) -> "MultiPoly":
+        return cls(num_vars, {})
+
+    @classmethod
+    def constant(cls, num_vars: int, c) -> "MultiPoly":
+        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
+
+    @classmethod
+    def variable(cls, num_vars: int, i: int) -> "MultiPoly":
+        if not 0 <= i < num_vars:
+            raise BadIndexError(f"variable index {i} out of range for {num_vars} vars")
+        e = [0] * num_vars
+        e[i] = 1
+        return cls(num_vars, {tuple(e): F1})
+
+    # -- predicates / measurements ------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
+                and self.terms == other.terms)
+
+    def __repr__(self) -> str:
+        return f"MultiPoly({self.num_vars}, {self.terms})"
+
+    # -- ring operations -----------------------------------------------------
+
+    def _coerce(self, other) -> "MultiPoly":
+        if isinstance(other, MultiPoly):
+            if other.num_vars != self.num_vars:
+                raise ValueError("mixed variable counts")
+            return other
+        return MultiPoly.constant(self.num_vars, other)
+
+    def __add__(self, other) -> "MultiPoly":
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            nv = out.get(e, F0) + c
+            if nv:
+                out[e] = nv
+            else:
+                out.pop(e, None)
+        return MultiPoly(self.num_vars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "MultiPoly":
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            c = Fraction(other)
+            if c == 0:
+                return MultiPoly.zero(self.num_vars)
+            return MultiPoly(self.num_vars, {e: c * v for e, v in self.terms.items()})
+        other = self._coerce(other)
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                nv = out.get(e, F0) + c1 * c2
+                if nv:
+                    out[e] = nv
+                else:
+                    out.pop(e, None)
+        return MultiPoly(self.num_vars, out)
+
+    __rmul__ = __mul__
+
+    def eval(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != self.num_vars:
+            raise ValueError("point has wrong length")
+        total = F0
+        for e, c in self.terms.items():
+            v = c
+            for x, k in zip(point, e):
+                if k:
+                    v *= Fraction(x) ** k
+            total += v
+        return total
+
+    def divexact(self, d: "MultiPoly") -> "MultiPoly":
+        """Exact division; raises ArithmeticError if d does not divide self."""
+        d = self._coerce(d)
+        if d.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        rem = dict(self.terms)
+        out: dict[tuple[int, ...], Fraction] = {}
+        dlead = max(d.terms, key=_grlex_key)
+        dc = d.terms[dlead]
+        while rem:
+            lead = max(rem, key=_grlex_key)
+            e = tuple(a - b for a, b in zip(lead, dlead))
+            if any(x < 0 for x in e):
+                raise ArithmeticError("not divisible")
+            c = rem[lead] / dc
+            out[e] = c
+            for de, dcf in d.terms.items():
+                ke = tuple(a + b for a, b in zip(e, de))
+                nv = rem.get(ke, F0) - c * dcf
+                if nv:
+                    rem[ke] = nv
+                else:
+                    rem.pop(ke, None)
+        return MultiPoly(self.num_vars, out)
+
+    def coefficient(self, exp: Sequence[int]) -> Fraction:
+        return self.terms.get(tuple(exp), F0)
+
+
+def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Exact determinant of a square matrix of polynomials.
+
+    Fraction-free Bareiss over the polynomial ring: every division is by the
+    previous pivot and is exact.  Pivots are chosen as the nonzero candidate
+    with the fewest terms (ties by row order) to keep intermediate
+    polynomials small.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    nv = rows[0][0].num_vars
+    m = [list(r) for r in rows]
+    if any(len(r) != n for r in m):
+        raise NotSquareError("polynomial matrix is not square")
+    one = MultiPoly.constant(nv, 1)
+    zero = MultiPoly.zero(nv)
+    sign = 1
+    prev = one
+    for c in range(n):
+        cand = [(len(m[i][c].terms), i) for i in range(c, n) if not m[i][c].is_zero()]
+        if not cand:
+            return zero
+        _, piv = min(cand)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        p = m[c][c]
+        for i in range(c + 1, n):
+            t = m[i][c]
+            for j in range(c + 1, n):
+                m[i][j] = (p * m[i][j] - t * m[c][j]).divexact(prev)
+            m[i][c] = zero
+        prev = p
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +694,135 @@ def composed_curve_series(chart: Chart, jet, order: int = 5) -> list[tuple]:
     """Coordinate-wise truncated series of t -> x(u(t)); the composition route."""
     curve = curve_series(jet, order)
     return [poly_compose_curve(p, curve, order) for p in chart_polys(chart)]
+
+
+# ---------------------------------------------------------------------------
+# library-only second routes: the symbolic D audit, the dual hyperplane
+# system and the coordinate-curve osc2 condition
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClaimAuditReport:
+    """Exact symbolic expansion of D in (lambda, mu) at a fixed point.
+
+    For n >= 2 also extracts the two determinant-relation coefficients
+    (lam_1^{3n+7} mu_2 and lam_1^{3n+6} lam_2 mu_1) and the derived
+    determinant |S x_1111 x_111 ... x_11n x_1112| whose vanishing they
+    force whenever D == 0.
+    """
+
+    n: int
+    identically_zero: bool
+    total_degree: int
+    degree_bound: int
+    degree_bound_ok: bool
+    evaluations_match: bool
+    evaluations: int
+    coeff_lam_high_mu2: Fraction | None
+    coeff_lam_high_lam2_mu1: Fraction | None
+    derived_det: Fraction | None
+
+
+def gamma15_lamu_degree(n: int) -> int:
+    """(lambda, mu)-degree bound of D: the sum of the columns' m, 3n + 9."""
+    return sum(m for _, m, _ in _gamma15_spec(n))
+
+
+def claim_coefficient_audit(chart: Chart, pt, evaluations: int = 10,
+                            seed: int = 0) -> ClaimAuditReport:
+    """Expand D symbolically (n <= 3) and audit its monomial coefficients.
+
+    The columns are ``brute_contract``ed from ``symbolic_table`` with lambda
+    and mu the ring's variables, and D is their ``poly_det``; it is checked
+    against the package's numeric ``gamma15_det`` at ``evaluations`` seeded
+    (lambda, mu).
+    """
+    _require_square_ambient(chart)
+    n = chart.n
+    if n > 3:
+        raise ValueError(f"symbolic expansion supported for n <= 3, got n={n}")
+    nv = 2 * n  # variables: lam_1..lam_n, mu_1..mu_n
+    lam = [MultiPoly.variable(nv, i) for i in range(n)]
+    mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
+    table = symbolic_table(chart, pt, 5)
+    cols = [brute_contract(table, n, chart.r + 1, terms)
+            for _, terms in _gamma15_columns(n, lam, mu)]
+    sym = poly_det([[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
+                    for row in zip(*cols)])
+
+    rng = random.Random(seed)
+    match = True
+    for _ in range(evaluations):
+        lam_v = sample_point(rng, n)
+        if all(c == 0 for c in lam_v):
+            lam_v = (F1,) * n
+        mu_v = sample_point(rng, n)
+        if sym.eval(lam_v + mu_v) != gamma15_det(chart, pt, lam_v, mu_v):
+            match = False
+
+    coeff1 = coeff2 = derived = None
+    if n >= 2:
+        # exponents over (lam_1..lam_n, mu_1..mu_n): lam_1^{3n+7} mu_2, lam_1^{3n+6} lam_2 mu_1
+        coeff1 = sym.coefficient((3 * n + 7,) + (0,) * n + (1,) + (0,) * (n - 2))
+        coeff2 = sym.coefficient((3 * n + 6, 1) + (0,) * (n - 2) + (1,) + (0,) * (n - 1))
+        # x, x_i, x_1j, x_1111, x_11k, x_1112: derivatives along the u_1 line
+        e = unit_vectors(n)
+        groups = [(0, ())] + [(0, (ei,)) for ei in e] + [(1, (ej,)) for ej in e] + [(4, ())]
+        groups += [(2, (ek,)) for ek in e] + [(3, (e[1],))]
+        derived = gauss_det([brute_contract(table, n, chart.r + 1, jet_terms(h, e[:1], along))
+                             for h, along in groups])
+
+    bound = gamma15_lamu_degree(n)
+    deg = sym.total_degree()
+    return ClaimAuditReport(n=n, identically_zero=sym.is_zero(), total_degree=deg,
+                            degree_bound=bound, degree_bound_ok=(deg <= bound),
+                            evaluations_match=match, evaluations=evaluations,
+                            coeff_lam_high_mu2=coeff1, coeff_lam_high_lam2_mu1=coeff2,
+                            derived_det=derived)
+
+
+@dataclass(frozen=True)
+class HyperplaneSystem:
+    """Hyperplanes singular along the scheme: annihilator of the tangent span."""
+
+    covectors: tuple[Vector, ...]
+    dim: int                   # projective dimension of the system
+    tangent_dim: int
+    speciality_threshold: int  # system dim > threshold exactly when special
+    special: bool
+
+
+def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
+    """Covector basis of the hyperplanes whose section is singular along the jet."""
+    tas = tangent_along(chart, jet)
+    m = Matrix.from_rows(tas.span.generators)
+    covs = tuple(m.right_nullspace())
+    for a in covs:  # nullspace contract: every covector kills every generator
+        assert not any(sum(map(mul, a, v)) for v in tas.span.generators)
+    threshold = chart.r - jet.length * (chart.n + 1)
+    sys_dim = len(covs) - 1
+    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=tas.dim,
+                            speciality_threshold=threshold,
+                            special=sys_dim > threshold)
+
+
+@dataclass(frozen=True)
+class Osc2CoordinateVerdict:
+    """Sufficient condition along a coordinate curve: True implies regular."""
+
+    sufficient: bool
+    rank: int
+    needed: int
+
+
+def osc2_regular_coordinate(chart: Chart, pt) -> Osc2CoordinateVerdict:
+    """Independence of x, x_i, x_1i, x_11i implies 2-osculating regularity.
+
+    A False result is inconclusive (it is the criterion vectors at the
+    special value lam = e_1, mu = 0, whose rank can drop below the generic
+    one).
+    """
+    n = chart.n
+    rank = _osc2_rank(chart, pt, unit_vectors(n)[0], (0,) * n)
+    return Osc2CoordinateVerdict(sufficient=(rank == 3 * n + 1), rank=rank,
+                                 needed=3 * n + 1)

@@ -28,7 +28,6 @@ from terracini.cli import main as cli_main
 from terracini.curvilinear import (
     expected_tangent_dim,
     generic_speciality,
-    hyperplane_system,
     random_jet,
     tangent_along,
 )
@@ -41,6 +40,7 @@ from terracini.gamma15 import (
 from terracini.secants import osc2_regular, secant_defect
 from oracles import (
     composed_curve_series,
+    hyperplane_system,
     rank_exact,
     rank_modular,
     rref_rank,

@@ -29,9 +29,10 @@ from terracini.chart import (
     unit_vectors,
 )
 from terracini.curvilinear import tangent_along
-from terracini.exactlin import BadIndexError, MultiPoly, span_rank
+from terracini.exactlin import BadIndexError, span_rank
 from terracini.secants import osculating_space
 from oracles import (
+    MultiPoly,
     brute_contract,
     chart_polys,
     contract,
@@ -305,22 +306,6 @@ def test_contract_matches_ordered_tuple_oracle(make, pt):
     assert any(contract(itable, CONTRACTIONS["quintic"]))
 
 
-def test_contract_symbolic_scalars_evaluate_to_numeric_contraction():
-    c = make_random_variety(3, 5, 9, 5)
-    pt = (F(5, 3), F(-5, 6), F(1, 4))
-    itable = c.integer_table(pt, 5)
-    lam = [MultiPoly.variable(6, i) for i in range(3)]
-    mu = [MultiPoly.variable(6, 3 + i) for i in range(3)]
-    terms = [(1, (lam,) * 5), (20, (lam, lam, lam, mu)), (60, (lam, mu, mu)),
-             (2, (mu, E[1])), (F(1, 3), (lam, E[0]))]
-    numeric = [(k, tuple(LAM if v is lam else MU if v is mu else v for v in vs))
-               for k, vs in terms]
-    symbolic = contract(itable, terms)
-    assert any(isinstance(x, MultiPoly) and not x.is_zero() for x in symbolic)
-    values = [x.eval(LAM + MU) if isinstance(x, MultiPoly) else x for x in symbolic]
-    assert tuple(values) == contract(itable, numeric)
-
-
 def test_contract_rejects_orders_above_the_table_and_wrong_lengths():
     c = rational_chart()
     itable = c.integer_table((F(1), F(2), F(3)), 3)
@@ -361,25 +346,6 @@ def test_span_contraction_matches_the_oracle_per_term_list(make):
         assert fraction_vector(row, itable.dens, scale) == expected == contract(itable, terms)
     assert not any(rows[1]) and scales[1] == itable.scale
     assert any(rows[0]) == (itable.top == 5)
-
-
-def test_span_contraction_with_symbolic_scalars_evaluates_per_term_list():
-    c = make_random_variety(3, 5, 9, 5)
-    pt = (F(5, 3), F(-5, 6), F(1, 4))
-    table = symbolic_table(c, pt, 5)
-    itable = c.integer_table(pt, 5)
-    lam = [MultiPoly.variable(6, i) for i in range(3)]
-    mu = [MultiPoly.variable(6, 3 + i) for i in range(3)]
-    ring = {id(LAM): lam, id(MU): mu}
-    numeric = [terms for terms in SPAN if all(v is not LAM2 for _, vs in terms for v in vs)]
-    symbolic = [[(k, tuple(ring.get(id(v), v) for v in vs)) for k, vs in terms]
-                for terms in numeric]
-    rows, scales = contract_numerators(itable, symbolic)
-    assert any(isinstance(a, MultiPoly) for row in rows for a in row)
-    for row, scale, terms in zip(rows, scales, numeric):
-        values = [a.eval(LAM + MU) if isinstance(a, MultiPoly) else a for a in row]
-        assert fraction_vector(values, itable.dens, scale) == \
-            brute_contract(table, 3, c.r + 1, terms)
 
 
 @pytest.mark.parametrize("at", range(3))

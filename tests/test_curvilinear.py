@@ -10,12 +10,11 @@ from terracini.chart import AmbientTooSmallError, CurvilinearJet
 from terracini.curvilinear import (
     expected_tangent_dim,
     generic_speciality,
-    hyperplane_system,
     random_jet,
     special_position_jets,
     tangent_along,
 )
-from oracles import dot
+from oracles import dot, hyperplane_system
 
 
 def make_jet(rng, n, length):

@@ -11,19 +11,19 @@ from terracini.exactlin import (
     SCREEN_PRIME,
     BadIndexError,
     Matrix,
-    MultiPoly,
     NotSquareError,
     integer_det,
-    poly_det,
     span_rank,
     sz_zero_test,
 )
 from oracles import (
+    MultiPoly,
     OrderMismatchError,
     dot,
     gauss_det,
     partial,
     poly_compose_curve,
+    poly_det,
     rank_exact,
     rank_modular,
     rref_rank,

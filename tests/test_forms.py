@@ -28,8 +28,7 @@ from terracini.chart import (
     project_generic,
     save_chart,
 )
-from terracini.exactlin import MultiPoly
-from oracles import chart_polys, integer_form, polys_chart
+from oracles import MultiPoly, chart_polys, integer_form, polys_chart
 
 
 def keyed(forms) -> list:

@@ -32,18 +32,19 @@ from terracini.chart import (
 )
 from terracini.cli import main
 from terracini.curvilinear import tangent_along
-from terracini.exactlin import Matrix, MultiPoly, span_rank
+from terracini.exactlin import Matrix, span_rank
 from terracini.gamma15 import (
     _gamma15_columns,
-    claim_coefficient_audit,
     gamma15_det,
     pi_constancy_check,
     pi_space,
 )
 from terracini.secants import osculating_space, tangent_space
 from oracles import (
+    MultiPoly,
     brute_contract,
     chart_polys,
+    claim_coefficient_audit,
     gauss_det,
     jet_normalize,
     polys_chart,
@@ -199,7 +200,7 @@ def test_secant_defect_evaluates_each_draw_once(monkeypatch, evaluations):
 
 
 def test_claim_audit_evaluates_its_point_once(evaluations):
-    # the symbolic expansion and the numeric determinants it is compared
+    # the numeric determinants that the symbolic expansion is compared
     # with all read the one order-5 table at the audit point
     chart = make_random_variety(2, 3, 8, 1)
     evaluations.clear()
@@ -208,7 +209,7 @@ def test_claim_audit_evaluates_its_point_once(evaluations):
 
 
 def test_claim_audit_expands_at_a_rational_point():
-    # the row scales (q^D > 1 here) divide the symbolic columns too
+    # the package's row scales (q^D > 1 here) divide its numeric determinants
     rng = random.Random(76)
     chart = rational_chart(rng, 2, 3, 8)
     rep = claim_coefficient_audit(chart, rational_point(rng, 2), evaluations=3)

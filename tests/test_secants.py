@@ -7,20 +7,20 @@ import pytest
 from terracini import secants
 from terracini.catalog import load_catalog, make_random_variety, make_segre, make_veronese
 from terracini.chart import AmbientTooSmallError, Chart
-from terracini.exactlin import MultiPoly
 from terracini.secants import (
     LinearSpan,
     SingularPointError,
     _osc2_rank,
     osc2_regular,
-    osc2_regular_coordinate,
     osc_variety_dim,
     osculating_space,
     secant_defect,
     tangent_space,
 )
 from oracles import (
+    MultiPoly,
     chart_polys,
+    osc2_regular_coordinate,
     osc2_vectors,
     polys_chart,
     rref_rank,

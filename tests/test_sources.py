@@ -1,7 +1,7 @@
 """Static checks of the package sources: no module imports a name it never
-uses, no annotation names something the module never binds, only the claim
-audit's modules import the polynomial ring, and the kernel module exposes
-its two kernels only."""
+uses, no annotation names something the module never binds, none defines or
+imports the polynomial ring, and the kernel module exposes its two kernels
+only."""
 
 import ast
 import builtins
@@ -76,18 +76,25 @@ def test_annotation_check_finds_unbound_names():
     assert unbound_annotation_names(source) == ["Table", "Vector"]
 
 
-def imported_names(source: str) -> set[str]:
-    """Every name a module's import statements bind, under its original name."""
-    return {a.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+def defined_or_imported_names(source: str) -> set[str]:
+    """Every name a module defines (class, function) or imports, under its original name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+    return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_only_the_claim_audit_imports_multipoly(path):
-    # a chart is its integer forms; MultiPoly is the ring of the symbolic
-    # determinant audit (gamma15's poly_det) and exactlin defines it
-    if path.name not in ("exactlin.py", "gamma15.py"):
-        assert "MultiPoly" not in imported_names(path.read_text(encoding="utf-8"))
+    # a chart is its integer forms and D is decided by evaluation; the ring
+    # and its determinant serve the symbolic claim audit, which lives in
+    # tests/oracles.py, so no package module defines or imports either
+    names = defined_or_imported_names(path.read_text(encoding="utf-8"))
+    assert not names & {"MultiPoly", "poly_det"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
