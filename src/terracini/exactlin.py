@@ -18,7 +18,9 @@ elimination when a row is zero, which is exact (on a quadratic chart the
 quintic column of every ``gamma15`` determinant is), and the last Bareiss
 pivot otherwise.  The ``Fraction`` ``Matrix`` remains for nullspaces, the
 one place where ``Fraction``s meet elimination: it clears each row by the
-lcm of its denominators first.  No polynomial arithmetic is shipped: the
+lcm of its denominators first.  No package path reads it: the duality
+oracle of the tests does, and the benchmark's tracer looks the class up.
+No polynomial arithmetic is shipped: the
 polynomial ring and the symbolic determinant audit built on it live in
 ``tests/oracles.py``, and ``sz_zero_test`` decides identities by
 evaluation alone.
