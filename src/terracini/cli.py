@@ -15,6 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import Callable, NamedTuple
 
 from . import catalog as cat
 from .chart import (
@@ -50,24 +51,84 @@ DEFAULT_TRIALS = 5
 # and every trial adds work and an entry to the report's trial lists.
 MAX_TRIALS = 10_000
 # Largest estimated work of a secant check, in order-1 table entries (see
-# ``check_secant_work``).  The shipped tests and benchmark estimate at most
+# ``check_work``).  The shipped tests and benchmark estimate at most
 # 22k (the wide-spans templates 9k-22k); random:2:3:8:1 --check secant:120
 # evaluates about 150k entries a second on a 2-core x86-64 host.
 MAX_SECANT_WORK = 5_000_000
 # Largest estimated work of the other sampled checks (osc:M, speciality:LEN,
 # audit, audit-theorem), in derivative-table entries: trials x the entries of
-# the order-h table the check reads (see ``check_sampled_work``).  The shipped
+# the order-h table the check reads (see ``check_work``).  The shipped
 # tests and benchmark estimate at most 45,500 (50 trials of v_12(P^2) osc:2;
 # the rest at most 9,450); on a 2-core x86-64 host these checks run at
 # 0.2-2.7 million estimated entries a second (v_12(P^2) osc:2 0.56M).
 MAX_SAMPLED_WORK = 5_000_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
-KNOWN_CHECKS = ("secant", "osc", "speciality", "gamma15", "pi-constancy", "audit")
-
 
 class InputError(Exception):
     """User input problem: bad flag value, bad file, bad variety spec."""
+
+
+class Check(NamedTuple):
+    """One row of ``CHECKS``: what a check reads, what it may cost, how it runs.
+
+    ``order(arg)`` is the highest derivative order the check reads; ``cap`` is
+    the work estimate checked before any check runs ("secant", "sampled", or
+    None for fixed work); ``run(chart, arg, trials, seed)`` returns the result
+    fields.  With a ``metavar`` the check takes an integer that ``allowed``
+    accepts, else ``refusal`` (``{token}`` filled in) is the error.  ``--check``
+    names only the rows of ``command`` analyze.
+    """
+
+    order: Callable[[int | None], int]
+    cap: str | None
+    run: Callable[[Chart, int | None, int, int], dict]
+    metavar: str | None = None
+    allowed: Callable[[int], bool] | None = None
+    refusal: str = ""
+    command: str = "analyze"
+
+
+# The runners name the library functions at call time, so a rebinding of the
+# module's names (by a test or a tracer) reaches them.
+def _run_osc(chart: Chart, m: int, trials: int, seed: int) -> dict:
+    dim = osc_variety_dim(chart, m, samples=trials, seed=seed)
+    out = {"dim": dim, "bound": min((m + 1) * chart.n, chart.r)}
+    if m == 2:
+        verdict = osc2_regular(chart, trials=trials, seed=seed)
+        out["criterion"] = to_jsonable(verdict)
+        out["routes_agree"] = (dim == 3 * chart.n) == verdict.regular
+    return out
+
+
+def _run_pi_constancy(chart: Chart, _, trials: int, seed: int) -> dict:
+    try:
+        rep = pi_constancy_check(chart, PI_SAMPLES)
+    except PreconditionFailedError as exc:
+        return {"precondition_failed": True, "detail": str(exc)}
+    return {"precondition_failed": False, **to_jsonable(rep)}
+
+
+# One row per check, in --check help order.
+CHECKS = {
+    "secant": Check(lambda k: 1, "secant", lambda chart, k, trials, seed: to_jsonable(
+                        secant_defect(chart, k, samples=trials, seed=seed)),
+                    "K", lambda k: k >= 1, "secant check needs k >= 1, got {token!r}"),
+    "osc": Check(lambda m: m + 1, "sampled", _run_osc,
+                 "M", (1, 2).__contains__, "osc check supports m = 1 or 2"),
+    "speciality": Check(lambda length: 3 if length == 2 else 5, "sampled",
+                        lambda chart, length, trials, seed: to_jsonable(
+                            generic_speciality(chart, length, trials=trials, seed=seed)),
+                        "LEN", (2, 3).__contains__, "speciality check supports length 2 or 3"),
+    "gamma15": Check(lambda _: 5, None, lambda chart, _, trials, seed: to_jsonable(
+                         gamma15_identically_zero(chart, seed=seed))),
+    "pi-constancy": Check(lambda _: 5, None, _run_pi_constancy),
+    "audit": Check(lambda _: 5, "sampled", lambda chart, _, trials, seed: to_jsonable(
+                       equivalence_audit(chart, trials=trials, seed=seed))),
+    "defect-pipeline": Check(lambda _: 5, "sampled", lambda chart, _, trials, seed: to_jsonable(
+                                 defect_pipeline(chart, trials=trials, samples=trials, seed=seed)),
+                             command="audit-theorem"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variety_flags(analyze)
     analyze.add_argument("--check", action="append", required=True,
                          metavar="CHECK",
-                         help="secant:K | osc:M | speciality:LEN | gamma15 |"
-                              " pi-constancy | audit (repeatable)")
+                         help=" | ".join(name if c.metavar is None else f"{name}:{c.metavar}"
+                                         for name, c in CHECKS.items()
+                                         if c.command == "analyze") + " (repeatable)")
     _add_common_flags(analyze)
 
     audit = sub.add_parser("audit-theorem",
@@ -159,157 +221,86 @@ def apply_projection(chart: Chart, project: str | None, seed: int) -> Chart:
 
 def parse_check(token: str) -> tuple[str, int | None]:
     name, _, arg = token.partition(":")
-    if name not in KNOWN_CHECKS:
+    check = CHECKS.get(name)
+    if check is None or check.command != "analyze":
         raise InputError(f"unknown check {token!r}")
-    if name in ("secant", "osc", "speciality"):
-        try:
-            value = int(arg)
-        except ValueError as exc:
-            raise InputError(f"check {name} needs an integer argument, got {token!r}") from exc
-        if name == "secant" and value < 1:
-            raise InputError(f"secant check needs k >= 1, got {token!r}")
-        if name == "osc" and value not in (1, 2):
-            raise InputError("osc check supports m = 1 or 2")
-        if name == "speciality" and value not in (2, 3):
-            raise InputError("speciality check supports length 2 or 3")
-        return name, value
-    if arg:
-        raise InputError(f"check {name} takes no argument, got {token!r}")
-    return name, None
+    if check.metavar is None:
+        if arg:
+            raise InputError(f"check {name} takes no argument, got {token!r}")
+        return name, None
+    try:
+        value = int(arg)
+    except ValueError as exc:
+        raise InputError(f"check {name} needs an integer argument, got {token!r}") from exc
+    if not check.allowed(value):
+        raise InputError(check.refusal.format(token=token))
+    return name, value
 
 
-def derivative_order(name: str, arg: int | None) -> int:
-    """Highest derivative order a check reads; gamma15, pi-constancy, audit read 5."""
-    orders = {"secant": 1, "osc": (arg or 0) + 1, "speciality": 3 if arg == 2 else 5}
-    return orders.get(name, 5)
+def check_work(chart: Chart, what: str, name: str, arg: int | None, trials: int) -> None:
+    """Refuse a check whose derivative tables or estimated work pass their caps.
 
-
-def table_entries(chart: Chart, order: int) -> int:
-    """Entries of the chart's derivative table of order ``order``: C(n+h, h) x (r+1)."""
-    return math.comb(chart.n + order, order) * (chart.r + 1)
-
-
-def check_table_size(chart: Chart, what: str, order: int) -> None:
-    entries = table_entries(chart, order)
+    One table of the highest order h the check reads holds C(n+h, h)(r+1)
+    entries.  Each trial of a sampled check reads a fixed number of tables of
+    order at most h; its estimate is trials times one table.  A secant sample
+    draws points of the lattice of L = 11^n points until k+1 are distinct,
+    L (H_L - H_{L-k-1}) draws in expectation (H_m the m-th harmonic number),
+    each evaluating one order-1 table; its estimate is trials times both.
+    """
+    check = CHECKS[name]
+    order = check.order(arg)
+    entries = math.comb(chart.n + order, order) * (chart.r + 1)
     if entries > MAX_TABLE_ENTRIES:
         raise InputError(f"{what} reads derivative tables of C(n+{order}, {order}) x (r+1)"
                          f" = {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
+    if check.cap == "sampled":
+        work = trials * entries
+        if work > MAX_SAMPLED_WORK:
+            raise InputError(f"{what} with --trials {trials} is estimated at {work:,} table"
+                             f" entries ({trials:,} trials x {entries:,} entries of an"
+                             f" order-{order} table), above the cap of {MAX_SAMPLED_WORK:,}")
+    elif check.cap == "secant":
+        lattice = sample_lattice_size(chart.n)
+        if arg + 1 > lattice:
+            raise InputError(f"{what} needs k+1 = {arg + 1} distinct sample points, but"
+                             f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only {lattice}")
+        draws, about = arg + 1, "at least"  # one draw per point; past the cap, sum no further
+        if trials * draws * entries <= MAX_SECANT_WORK:
+            draws, about = sum(lattice / (lattice - j) for j in range(arg + 1)), "about"
+        work = trials * draws * entries
+        if work > MAX_SECANT_WORK:
+            raise InputError(f"{what} with --trials {trials} draws {about} {trials * draws:,.0f}"
+                             f" sample points of {entries} order-1 table entries each,"
+                             f" {work:,.0f} entries in all, above the cap of {MAX_SECANT_WORK:,}")
 
 
-def check_secant_work(chart: Chart, token: str, k: int, trials: int) -> None:
-    """Refuse a secant check whose estimated work is above ``MAX_SECANT_WORK``.
-
-    A sample draws points of the lattice of L = 11^n points until k+1 are
-    distinct, L (H_L - H_{L-k-1}) draws in expectation (H_m the m-th
-    harmonic number), and each draw evaluates one order-1 table of
-    (n+1)(r+1) entries; the estimate is trials times both.
-    """
-    lattice, entries = sample_lattice_size(chart.n), (chart.n + 1) * (chart.r + 1)
-    draws, about = k + 1, "at least"  # one draw per point; past the cap, sum no further
-    if trials * draws * entries <= MAX_SECANT_WORK:
-        draws, about = sum(lattice / (lattice - j) for j in range(k + 1)), "about"
-    work = trials * draws * entries
-    if work > MAX_SECANT_WORK:
-        raise InputError(f"check {token} with --trials {trials} draws {about} {trials * draws:,.0f}"
-                         f" sample points of {entries} order-1 table entries each, {work:,.0f}"
-                         f" entries in all, above the cap of {MAX_SECANT_WORK:,}")
-
-
-def check_sampled_work(chart: Chart, what: str, order: int, trials: int) -> None:
-    """Refuse a sampled check whose estimated work is above ``MAX_SAMPLED_WORK``.
-
-    Each trial of ``osc``, ``speciality``, ``audit`` or ``audit-theorem``
-    reads a fixed number of derivative tables of order at most ``order``;
-    the estimate is trials times the entries of one such table.
-    """
-    entries = table_entries(chart, order)
-    work = trials * entries
-    if work > MAX_SAMPLED_WORK:
-        raise InputError(f"{what} with --trials {trials} is estimated at {work:,} table entries"
-                         f" ({trials:,} trials x {entries:,} entries of an order-{order} table),"
-                         f" above the cap of {MAX_SAMPLED_WORK:,}")
-
-
-def run_check(chart: Chart, name: str, arg: int | None, trials: int, seed: int) -> dict:
-    if name == "secant":
-        rec = secant_defect(chart, arg, samples=trials, seed=seed)
-        return {"check": f"secant:{arg}", **to_jsonable(rec)}
-    if name == "osc":
-        dim = osc_variety_dim(chart, arg, samples=trials, seed=seed)
-        out = {"check": f"osc:{arg}", "dim": dim,
-               "bound": min((arg + 1) * chart.n, chart.r)}
-        if arg == 2:
-            verdict = osc2_regular(chart, trials=trials, seed=seed)
-            out["criterion"] = to_jsonable(verdict)
-            out["routes_agree"] = (dim == 3 * chart.n) == verdict.regular
-        return out
-    if name == "speciality":
-        verdict = generic_speciality(chart, arg, trials=trials, seed=seed)
-        return {"check": f"speciality:{arg}", **to_jsonable(verdict)}
-    if name == "gamma15":
-        verdict = gamma15_identically_zero(chart, seed=seed)
-        return {"check": "gamma15", **to_jsonable(verdict)}
-    if name == "pi-constancy":
-        try:
-            rep = pi_constancy_check(chart, PI_SAMPLES)
-        except PreconditionFailedError as exc:
-            return {"check": "pi-constancy", "precondition_failed": True,
-                    "detail": str(exc)}
-        return {"check": "pi-constancy", "precondition_failed": False,
-                **to_jsonable(rep)}
-    if name == "audit":
-        rep = equivalence_audit(chart, trials=trials, seed=seed)
-        return {"check": "audit", **to_jsonable(rep)}
-    raise InputError(f"unknown check {name}")
-
-
-def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(render_json(doc))
-    else:
-        sys.stdout.write(render_markdown(doc))
-
-
-def check_trials(trials: int) -> None:
-    if trials < 1:
-        raise InputError(f"--trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise InputError(f"--trials {trials} is above the cap of {MAX_TRIALS}")
-
-
-def cmd_analyze(args) -> int:
-    check_trials(args.trials)
-    checks = [parse_check(token) for token in args.check]
-    chart = parse_variety(args.variety)
-    chart = apply_projection(chart, args.project, args.seed)
-    for token, (name, arg) in zip(args.check, checks):
-        order = derivative_order(name, arg)
-        check_table_size(chart, f"check {token}", order)
-        if name == "secant" and arg + 1 > sample_lattice_size(chart.n):
-            raise InputError(f"check {token} needs k+1 = {arg + 1} distinct sample points, but"
-                             f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only"
-                             f" {sample_lattice_size(chart.n)}")
-        if name == "secant":
-            check_secant_work(chart, token, arg, args.trials)
-        elif name in ("osc", "speciality", "audit"):
-            check_sampled_work(chart, f"check {token}", order, args.trials)
+def run_checks(args) -> int:
+    """Run ``analyze`` or ``audit-theorem``: every cap first, then each check in turn."""
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise InputError(f"--trials {args.trials} is above the cap of {MAX_TRIALS}")
+    analyze = args.command == "analyze"
+    # (what the cap messages name, check name, argument), in run order
+    jobs = ([(f"check {token}", *parse_check(token)) for token in args.check] if analyze else
+            [(args.command, name, None) for name, c in CHECKS.items() if c.command == args.command])
+    chart = apply_projection(parse_variety(args.variety), args.project, args.seed)
+    for what, name, arg in jobs:
+        check_work(chart, what, name, arg, args.trials)
     results = []
-    consistent = True
-    for name, arg in checks:
+    for _, name, arg in jobs:
         try:
-            result = run_check(chart, name, arg, args.trials, args.seed)
+            fields = CHECKS[name].run(chart, arg, args.trials, args.seed)
         except (AmbientMismatchError, AmbientTooSmallError, SingularPointError) as exc:
-            raise InputError(f"check {name}: {exc}") from exc
-        results.append(result)
-        if result.get("consistent") is False or result.get("routes_agree") is False:
-            consistent = False
+            raise InputError(f"check {name}: {exc}" if analyze else str(exc)) from exc
+        results.append({"check": name if arg is None else f"{name}:{arg}", **fields})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": "terracini",
         "config": {
-            "command": "analyze",
+            "command": args.command,
             "variety": args.variety,
-            "checks": list(args.check),
+            **({"checks": list(args.check)} if analyze else {}),
             "trials": args.trials,
             "seed": args.seed,
             "project": args.project,
@@ -318,37 +309,10 @@ def cmd_analyze(args) -> int:
         "chart": {"label": chart.label, "n": chart.n, "r": chart.r},
         "results": results,
     }
-    _emit(doc, args.format)
-    return 0 if consistent else 2
-
-
-def cmd_audit_theorem(args) -> int:
-    check_trials(args.trials)
-    chart = parse_variety(args.variety)
-    chart = apply_projection(chart, args.project, args.seed)
-    check_table_size(chart, "audit-theorem", 5)
-    check_sampled_work(chart, "audit-theorem", 5, args.trials)
-    try:
-        rep = defect_pipeline(chart, trials=args.trials, samples=args.trials,
-                              seed=args.seed)
-    except (AmbientMismatchError, AmbientTooSmallError, SingularPointError) as exc:
-        raise InputError(str(exc)) from exc
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "terracini",
-        "config": {
-            "command": "audit-theorem",
-            "variety": args.variety,
-            "trials": args.trials,
-            "seed": args.seed,
-            "project": args.project,
-            "format": args.format,
-        },
-        "chart": {"label": chart.label, "n": chart.n, "r": chart.r},
-        "results": [{"check": "defect-pipeline", **to_jsonable(rep)}],
-    }
-    _emit(doc, args.format)
-    return 2 if rep.theorem_violated else 0
+    sys.stdout.write(render_json(doc) if args.format == "json" else render_markdown(doc))
+    failed = any(r.get("consistent") is False or r.get("routes_agree") is False
+                 or r.get("theorem_violated") is True for r in results)
+    return 2 if failed else 0
 
 
 def cmd_catalog_list(args) -> int:
@@ -374,16 +338,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "audit-theorem":
-            return cmd_audit_theorem(args)
         if args.command == "catalog-list":
             return cmd_catalog_list(args)
+        return run_checks(args)
     except (InputError, ChartFormatError) as exc:
         print(f"terracini: error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

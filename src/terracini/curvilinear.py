@@ -25,12 +25,7 @@ from .chart import (
     jet_terms,
 )
 from .exactlin import _F0, _F1
-from .secants import LinearSpan, sample_point, sample_smooth_point
-
-
-def expected_tangent_dim(n: int, k: int, r: int) -> int:
-    """tau_{n,k} = min{r, k(n+1) - 1}."""
-    return min(r, k * (n + 1) - 1)
+from .secants import LinearSpan, expected_tangent_dim, sample_point, sample_smooth_point
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,11 @@ def sample_lattice_size(n: int) -> int:
     return (2 * COORD_RADIUS + 1) ** n
 
 
+def expected_tangent_dim(n: int, k: int, r: int) -> int:
+    """tau_{n,k} = min{r, k(n+1) - 1}."""
+    return min(r, k * (n + 1) - 1)
+
+
 class SingularPointError(ValueError):
     """Tangent space requested where the chart is not smooth."""
 
@@ -140,7 +145,11 @@ def sample_smooth_point(chart: Chart, rng: random.Random,
 
 @dataclass(frozen=True)
 class DefectRecord:
-    """Observed k-secant dimension against the expected min{r, kn+n+k}."""
+    """Observed k-secant dimension against the expected tau_{n,k+1}.
+
+    The k-secant variety is swept by the spans of k+1 points, so its expected
+    dimension is tau_{n,k+1} = min{r, (k+1)(n+1) - 1} (``expected_tangent_dim``).
+    """
 
     k: int
     expected: int
@@ -185,7 +194,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     if k + 1 > sample_lattice_size(chart.n):
         raise ValueError(f"k+1 = {k + 1} exceeds the {sample_lattice_size(chart.n)} sample points")
     rng = random.Random(seed)
-    expected = min(chart.r, k * chart.n + chart.n + k)
+    expected = expected_tangent_dim(chart.n, k + 1, chart.r)
     best = -1
     witness: tuple[Vector, ...] = ()
     resamples = 0

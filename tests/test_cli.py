@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -94,6 +95,32 @@ def test_audit_theorem_positive_and_negative(capsys):
     code, out, _ = run(capsys, "audit-theorem", "--variety", "veronese:1:5")
     assert code == 0
     assert json.loads(out)["results"][0]["secant"]["defect"] == 0
+
+
+@pytest.mark.parametrize("argv, name, change, key, value", [
+    (("analyze", "--variety", "random:2:5:8:7", "--check", "audit"), "equivalence_audit",
+     lambda rep: dataclasses.replace(rep, consistent=False), "consistent", False),
+    (("analyze", "--variety", "veronese:1:5", "--check", "osc:2"), "osc2_regular",
+     lambda v: dataclasses.replace(v, regular=not v.regular), "routes_agree", False),
+    (("audit-theorem", "--variety", "veronese:1:5"), "defect_pipeline",
+     lambda rep: dataclasses.replace(rep, theorem_violated=True), "theorem_violated", True),
+], ids=["audit-inconsistent", "osc2-routes-disagree", "theorem-violated"])
+def test_consistency_failure_exits_2_and_prints_the_report(capsys, monkeypatch, argv, name,
+                                                           change, key, value):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+    code, out, err = run(capsys, *argv, "--trials", "1")
+    assert code == 2 and err == ""
+    assert json.loads(out)["results"][0][key] is value
+
+
+def test_catalog_variety_reports_as_its_constructor(capsys):
+    # catalog:ID builds the entry's chart; only config.variety may tell them apart
+    argv = ("analyze", "--check", "secant:1", "--trials", "2", "--variety")
+    code, via_catalog, _ = run(capsys, *argv, "catalog:veronese-2-2")
+    assert code == 0
+    assert run(capsys, *argv, "veronese:2:2")[1] == via_catalog.replace(
+        '"variety": "catalog:veronese-2-2"', '"variety": "veronese:2:2"')
 
 
 def test_catalog_list_formats_agree(capsys):
