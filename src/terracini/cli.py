@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -126,7 +127,7 @@ CHECKS = {
     "audit": Check(lambda _: 5, "sampled", lambda chart, _, trials, seed: to_jsonable(
                        equivalence_audit(chart, trials=trials, seed=seed))),
     "defect-pipeline": Check(lambda _: 5, "sampled", lambda chart, _, trials, seed: to_jsonable(
-                                 defect_pipeline(chart, trials=trials, samples=trials, seed=seed)),
+                                 defect_pipeline(chart, trials=trials, seed=seed)),
                              command="audit-theorem"),
 }
 
@@ -179,17 +180,24 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="generically project the chart first: '3n+2' or an integer")
 
 
+def _int(text: str) -> int:
+    """``int(text)`` of ASCII digits after an optional minus; ``int`` also reads 1_0, +2, ' 2'."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
 def parse_variety(spec: str) -> Chart:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "veronese":
-            n, d = (int(x) for x in rest.split(":"))
+            n, d = (_int(x) for x in rest.split(":"))
             return cat.make_veronese(n, d)
         if kind == "segre":
-            a, b = (int(x) for x in rest.split(":"))
+            a, b = (_int(x) for x in rest.split(":"))
             return cat.make_segre(a, b)
         if kind == "random":
-            n, d, r, seed = (int(x) for x in rest.split(":"))
+            n, d, r, seed = (_int(x) for x in rest.split(":"))
             return cat.make_random_variety(n, d, r, seed)
         if kind == "catalog":
             return cat.get_entry(rest).build()
@@ -207,7 +215,7 @@ def apply_projection(chart: Chart, project: str | None, seed: int) -> Chart:
         target = 3 * chart.n + 2
     else:
         try:
-            target = int(project)
+            target = _int(project)
         except ValueError as exc:
             raise InputError(f"bad --project value {project!r}") from exc
     if target > chart.r:
@@ -229,7 +237,7 @@ def parse_check(token: str) -> tuple[str, int | None]:
             raise InputError(f"check {name} takes no argument, got {token!r}")
         return name, None
     try:
-        value = int(arg)
+        value = _int(arg)
     except ValueError as exc:
         raise InputError(f"check {name} needs an integer argument, got {token!r}") from exc
     if not check.allowed(value):

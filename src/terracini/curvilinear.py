@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 
 from .chart import (
     AmbientTooSmallError,
@@ -121,19 +121,13 @@ def generic_speciality(chart: Chart, length: int, trials: int = 5,
         raise ValueError("trials >= 1")
     rng = random.Random(seed)
     expected = expected_tangent_dim(chart.n, length, chart.r)
-    dims: list[int] = []
-    best = -1
-    witness = None
-    for _ in range(trials):
-        jet = random_jet(chart, rng, length)
-        tas = tangent_along(chart, jet)
-        dims.append(tas.dim)
-        if tas.dim > best:
-            best = tas.dim
-            witness = jet
+    # each trial's tables are read right after its draw, while the chart's memo holds them
+    jets = (random_jet(chart, rng, length) for _ in range(trials))
+    pairs = [(tangent_along(chart, jet).dim, jet) for jet in jets]
+    best, witness = max(pairs, key=itemgetter(0))
     return SpecialityVerdict(length=length, special=(best < expected),
                              expected=expected, best_dim=best,
-                             trial_dims=tuple(dims), witness=witness,
+                             trial_dims=tuple(dim for dim, _ in pairs), witness=witness,
                              trials=trials, seed=seed)
 
 

@@ -14,16 +14,16 @@ only when it is next touched, since the scalings of the steps a row sits
 out telescope to one factor, and skips cells whose operands are both zero
 (see ``_kernels``): on the sparse, rank-deficient secant spans of a
 defective Veronese that is half its work.  ``integer_det`` is 0 before any
-elimination when a row is zero, which is exact (on a quadratic chart the
-quintic column of every ``gamma15`` determinant is), and the last Bareiss
-pivot otherwise.  The ``Fraction`` ``Matrix`` remains for nullspaces, the
-one place where ``Fraction``s meet elimination: it clears each row by the
-lcm of its denominators first.  No package path reads it: the duality
-oracle of the tests does, and the benchmark's tracer looks the class up.
-No polynomial arithmetic is shipped: the
-polynomial ring and the symbolic determinant audit built on it live in
-``tests/oracles.py``, and ``sz_zero_test`` decides identities by
-evaluation alone.
+elimination when a row is zero, which is exact, and the last Bareiss pivot
+otherwise; on a quadratic chart ``Gamma15Matrix.det`` reads its zero off
+the column structure and never calls it.  The ``Fraction`` ``Matrix``
+remains for nullspaces, the one place where ``Fraction``s meet
+elimination: it clears each row by the lcm of its denominators first.  No
+package path reads it: the duality oracle of the tests does, and the
+benchmark's tracer looks the class up.  No polynomial arithmetic is
+shipped: the polynomial ring and the symbolic determinant audit built on
+it live in ``tests/oracles.py``, and ``sz_zero_test`` decides identities
+by evaluation alone.
 """
 
 from __future__ import annotations

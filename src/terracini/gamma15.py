@@ -56,6 +56,7 @@ from .secants import DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, secant
 
 CONVENTION_NOTE = ("quintic column uses the five-index symmetric derivative "
                    "tensor x_ijklm contracted with lambda^5")
+SPOT_CHECKS = 4  # special-position jets per defect_pipeline run
 
 
 class AmbientMismatchError(ValueError):
@@ -317,7 +318,7 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
     violating the regularity hypothesis still get a faithful report.
 
     ``tangent_contained`` decides nothing: each Pi contains its own first
-    n+1 generators (x, x_i at its base) by construction.  ROADMAP.md item 3
+    n+1 generators (x, x_i at its base) by construction.  ROADMAP.md item 4
     plans the real test, one sample's tangent space against another's Pi.
     """
     if not samples:
@@ -381,8 +382,7 @@ class DefectReport:
     note: str = CONVENTION_NOTE
 
 
-def defect_pipeline(chart: Chart, trials: int = 5, samples: int = 5,
-                    seed: int = 0, spot_checks: int = 4) -> DefectReport:
+def defect_pipeline(chart: Chart, trials: int = 5, seed: int = 0) -> DefectReport:
     """Run the full 2-defectivity audit on a chart with r >= 3n+2.
 
     Speciality is tested generically plus on special-position jets (mu = 0,
@@ -394,12 +394,12 @@ def defect_pipeline(chart: Chart, trials: int = 5, samples: int = 5,
         raise AmbientTooSmallError(
             f"pipeline needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}")
     spec = generic_speciality(chart, 3, trials=trials, seed=seed)
-    spots = special_position_jets(chart, spot_checks, seed=seed + 1)
+    spots = special_position_jets(chart, SPOT_CHECKS, seed=seed + 1)
     spot_dims = tuple(tangent_along(chart, jet).dim for jet in spots)
     spot_special = all(dim < spec.expected for dim in spot_dims)
     osc2 = osc2_regular(chart, trials=trials, seed=seed + 2)
     hyp = spec.special and spot_special and osc2.regular
-    rec = secant_defect(chart, 2, samples=samples, seed=seed + 3)
+    rec = secant_defect(chart, 2, samples=trials, seed=seed + 3)
     return DefectReport(chart_label=chart.label, n=chart.n, r=chart.r,
                         speciality=spec, spot_dims=spot_dims,
                         spot_all_special=spot_special, osc2=osc2,

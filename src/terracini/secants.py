@@ -8,7 +8,9 @@ maximal rank attained is a certified lower bound for the generic rank,
 which is exactly what the statements being audited quantify over.
 Every span is a ``LinearSpan`` of integer numerator rows read from one
 chart's derivative tables, and it is ranked as such; its exact vectors
-are built only when ``generators`` is read.
+are built only when ``generators`` is read.  Curve trials are drawn by
+``sample_curve``; a sampled verdict is the largest value over its trials,
+witnessed by the first trial that attains it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import perm
+from operator import itemgetter
 from typing import Sequence
 
 from .chart import (
@@ -34,6 +37,7 @@ from .chart import (
 from .exactlin import _F0, _F1, Vector, span_rank
 
 COORD_RADIUS = 5  # sample coordinates drawn from [-5, 5]
+SMOOTH_TRIES = 60  # draws before sample_smooth_point gives up
 
 
 def sample_lattice_size(n: int) -> int:
@@ -129,14 +133,19 @@ def sample_point(rng: random.Random, n: int) -> Vector:
     return tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS)) for _ in range(n))
 
 
-def sample_smooth_point(chart: Chart, rng: random.Random,
-                        max_tries: int = 60) -> tuple[Vector, int]:
+def sample_smooth_point(chart: Chart, rng: random.Random) -> tuple[Vector, int]:
     """Random smooth chart point plus the number of resamples it took."""
-    for tries in range(max_tries):
+    for tries in range(SMOOTH_TRIES):
         pt = sample_point(rng, chart.n)
         if chart.is_smooth_at(pt):
             return pt, tries
     raise SingularPointError(f"no smooth sample found on {chart.label}")
+
+
+def sample_curve(chart: Chart, rng: random.Random) -> tuple[Vector, Vector, Vector]:
+    """(pt, lam, mu) of a curve pt + lam t + mu t^2: pt smooth, lam_1 = 1, mu_1 = 0."""
+    pt, _ = sample_smooth_point(chart, rng)
+    return pt, (_F1,) + sample_point(rng, chart.n - 1), (_F0,) + sample_point(rng, chart.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +209,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     resamples = 0
     for _ in range(samples):
         pts: list[Vector] = []
-        tables: list[IntegerTable] = []
+        rows: list[tuple[int, ...]] = []
         repeats = 0
         while len(pts) < k + 1:
             pt, extra = sample_smooth_point(chart, rng)
@@ -212,11 +221,9 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
                     _require_smooth_lattice_points(chart, k + 1)
                 continue
             pts.append(pt)
-            # the smoothness test just evaluated pt's order-1 table
-            tables.append(chart.integer_table(pt, 1))
+            # the order-1 table the smoothness test just evaluated; all rows share den_c
+            rows += _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
             repeats = 0
-        # numerator rows of every point share the column scales den_c
-        rows = [row for pt, t in zip(pts, tables) for row in _tangent_numerators(chart, t, pt)]
         # no union passes expected, so once a trial reaches it no later rank can change the report
         if best < expected:
             observed = span_rank(rows) - 1
@@ -270,21 +277,13 @@ def osc2_regular(chart: Chart, trials: int = 5, seed: int = 0) -> Osc2Verdict:
         raise AmbientTooSmallError(f"r={chart.r} < 3n={3 * n}")
     rng = random.Random(seed)
     needed = 3 * n + 1
-    ranks: list[int] = []
-    best = -1
-    witness = None
-    for _ in range(trials):
-        pt, _ = sample_smooth_point(chart, rng)
-        lam = (_F1,) + sample_point(rng, n - 1)
-        mu = (_F0,) + sample_point(rng, n - 1)
-        rank = _osc2_rank(chart, pt, lam, mu)
-        ranks.append(rank)
-        if rank > best:
-            best = rank
-            witness = (pt, lam, mu)
+    # each trial's tables are read right after its draw, while the chart's memo holds them
+    curves = (sample_curve(chart, rng) for _ in range(trials))
+    pairs = [(_osc2_rank(chart, *curve), curve) for curve in curves]
+    best, witness = max(pairs, key=itemgetter(0), default=(-1, None))
     return Osc2Verdict(regular=(best == needed), max_rank=best, needed=needed,
-                       trial_ranks=tuple(ranks), witness=witness, trials=trials,
-                       seed=seed)
+                       trial_ranks=tuple(rank for rank, _ in pairs), witness=witness,
+                       trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +302,11 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
-    n = chart.n
-    e = unit_vectors(n)
+    e = unit_vectors(chart.n)
     rng = random.Random(seed)
     best = -1
     for _ in range(samples):
-        pt, _ = sample_smooth_point(chart, rng)
-        lam = (_F1,) + sample_point(rng, n - 1)
-        mu = (_F0,) + sample_point(rng, n - 1)
+        pt, lam, mu = sample_curve(chart, rng)
         alpha = Fraction(rng.randint(1, COORD_RADIUS))
         beta = Fraction(rng.randint(1, COORD_RADIUS))
         weights = (1, alpha, beta)[:m + 1]

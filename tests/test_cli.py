@@ -162,6 +162,10 @@ def test_input_errors_exit_1(capsys):
       "--trials", "0"), "--trials must be >= 1"),
     (("audit-theorem", "--variety", "random:2:3:8:1", "--trials", "0"),
      "--trials must be >= 1"),
+    (("analyze", "--variety", "veronese:-1:3", "--check", "secant:1"),
+     "bad variety spec 'veronese:-1:3': need n >= 1 and d >= 1"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--project", "-1"),
+     "projection target -1 invalid for r=5, n=2"),
 ])
 def test_bad_counts_exit_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -169,6 +173,26 @@ def test_bad_counts_exit_1_with_message(capsys, argv, message):
     assert out == ""
     assert err.startswith("terracini: error:") and message in err
     assert "Traceback" not in err
+
+
+# int() also reads these, so secant:1_0 would run secant:10 under a config echoing 1_0
+@pytest.mark.parametrize("token", ["1_0", "+2", " 2", "2\n", "\u0662"],
+                         ids=["underscore", "plus", "space", "newline", "arabic-indic"])
+@pytest.mark.parametrize("argv, message", [
+    (("--variety", "veronese:1:3", "--check", "secant:{}"),
+     "check secant needs an integer argument, got {!r}"),
+    (("--variety", "veronese:{}:3", "--check", "secant:1"), "bad variety spec {!r}"),
+    (("--variety", "segre:1:{}", "--check", "secant:1"), "bad variety spec {!r}"),
+    (("--variety", "random:2:3:8:{}", "--check", "secant:1"), "bad variety spec {!r}"),
+    (("--variety", "veronese:2:2", "--check", "secant:1", "--project", "{}"),
+     "bad --project value {!r}"),
+], ids=["check", "veronese", "segre", "random", "project"])
+def test_integers_other_than_ascii_digits_exit_1(capsys, token, argv, message):
+    argv = [arg.format(token) for arg in argv]
+    code, out, err = run(capsys, "analyze", *argv)
+    spelled = next(arg for arg in argv if token in arg)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"terracini: error: {message.format(spelled)}")
 
 
 def _monomial_chart(label, exps):

@@ -168,6 +168,15 @@ def test_speciality_witness_and_trials_recorded():
     assert tangent_along(make_veronese(4, 2), v.witness).dim == v.best_dim
 
 
+def test_speciality_witness_is_the_first_trial_at_the_maximum():
+    chart = make_veronese(4, 2)
+    v = generic_speciality(chart, 3, trials=4, seed=9)
+    rng = random.Random(9)
+    jets = [random_jet(chart, rng, 3) for _ in range(4)]
+    assert v.trial_dims == (11,) * 4  # every trial ties at the maximum
+    assert v.witness == jets[0] != jets[1]
+
+
 def test_random_jet_respects_chart_dimensions():
     rng = random.Random(55)
     c = make_veronese(2, 3)

@@ -464,7 +464,7 @@ def test_equivalence_audit_on_degenerate_chart():
 
 
 def test_defect_pipeline_quadratic_veronese():
-    rep = defect_pipeline(make_veronese(4, 2), trials=4, samples=4, seed=1)
+    rep = defect_pipeline(make_veronese(4, 2), trials=4, seed=1)
     assert rep.speciality.special
     assert rep.spot_all_special
     assert not rep.osc2.regular  # quadratic charts cap the criterion rank at 3n
@@ -476,7 +476,7 @@ def test_defect_pipeline_quadratic_veronese():
 
 def test_defect_pipeline_negative_controls():
     for chart in [make_veronese(1, 5), make_random_variety(2, 5, 8, 7)]:
-        rep = defect_pipeline(chart, trials=4, samples=4, seed=1)
+        rep = defect_pipeline(chart, trials=4, seed=1)
         assert not rep.speciality.special
         assert not rep.hypotheses_hold
         assert rep.secant.defect == 0
@@ -488,7 +488,7 @@ def test_defect_pipeline_never_reports_violation_across_catalog():
     for entry in load_catalog():
         if entry.r < 3 * entry.n + 2:
             continue
-        rep = defect_pipeline(entry.build(), trials=3, samples=3, seed=4)
+        rep = defect_pipeline(entry.build(), trials=3, seed=4)
         assert not rep.theorem_violated, entry.id
 
 

@@ -1,5 +1,6 @@
 """Tangent/osculating spaces, secant defects and 2-osculating regularity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,9 @@ from terracini.secants import (
     osc2_regular,
     osc_variety_dim,
     osculating_space,
+    sample_curve,
+    sample_point,
+    sample_smooth_point,
     secant_defect,
     tangent_space,
 )
@@ -238,6 +242,29 @@ def test_osc2_numerator_rank_matches_fraction_vectors(chart):
     mu = tuple(F(v, 3) for v in (0, 3, 5, -2)[:chart.n])
     pt = tuple(F(v, 2) for v in (3, -1, 4, 1)[:chart.n])
     assert _osc2_rank(chart, pt, lam, mu) == rref_rank(osc2_vectors(chart, pt, lam, mu))
+
+
+def test_sample_curve_draws_a_smooth_point_then_lam_then_mu():
+    chart = make_veronese(3, 2)
+    got, ref = random.Random(5), random.Random(5)
+    pt, lam, mu = sample_curve(chart, got)
+    assert pt == sample_smooth_point(chart, ref)[0]
+    assert lam == (1,) + sample_point(ref, 2) and mu == (0,) + sample_point(ref, 2)
+    assert got.getstate() == ref.getstate()
+
+
+def test_osc2_witness_is_the_first_trial_at_the_maximum():
+    chart = make_veronese(4, 2)
+    verdict = osc2_regular(chart, trials=4, seed=3)
+    rng = random.Random(3)
+    curves = [sample_curve(chart, rng) for _ in range(4)]
+    assert verdict.trial_ranks == (12,) * 4  # every trial ties at the maximum
+    assert verdict.witness == curves[0] != curves[1]
+
+
+def test_osc2_with_no_trials_has_no_witness():
+    verdict = osc2_regular(make_veronese(4, 2), trials=0)
+    assert verdict.max_rank == -1 and verdict.witness is None and verdict.trial_ranks == ()
 
 
 def test_chart_in_hyperplane_is_never_regular():
