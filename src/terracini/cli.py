@@ -51,18 +51,14 @@ DEFAULT_TRIALS = 5
 # Largest --trials accepted; the shipped tests and benchmark use at most 5,
 # and every trial adds work and an entry to the report's trial lists.
 MAX_TRIALS = 10_000
-# Largest estimated work of a secant check, in order-1 table entries (see
-# ``check_work``).  The shipped tests and benchmark estimate at most
-# 22k (the wide-spans templates 9k-22k); random:2:3:8:1 --check secant:120
-# evaluates about 150k entries a second on a 2-core x86-64 host.
-MAX_SECANT_WORK = 5_000_000
-# Largest estimated work of the other sampled checks (osc:M, speciality:LEN,
-# audit, audit-theorem), in derivative-table entries: trials x the entries of
-# the order-h table the check reads (see ``check_work``).  The shipped
-# tests and benchmark estimate at most 45,500 (50 trials of v_12(P^2) osc:2;
-# the rest at most 9,450); on a 2-core x86-64 host these checks run at
-# 0.2-2.7 million estimated entries a second (v_12(P^2) osc:2 0.56M).
-MAX_SAMPLED_WORK = 5_000_000
+# Largest estimated work of a secant or sampled check, in derivative-table
+# entries (see ``check_work``).  The shipped tests and benchmark estimate at
+# most 22k for secant checks (the wide-spans templates 9k-22k) and 45,500 for
+# the others (50 trials of v_12(P^2) osc:2; the rest at most 9,450).  On a
+# 2-core x86-64 host random:2:3:8:1 --check secant:120 evaluates about 150k
+# entries a second, and the sampled checks run at 0.2-2.7 million estimated
+# entries a second (v_12(P^2) osc:2 0.56M).
+MAX_WORK = 5_000_000
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
@@ -171,9 +167,9 @@ def _add_variety_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    p.add_argument("--trials", type=_int, default=DEFAULT_TRIALS,
                    help="trials/samples per randomized check (default %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED,
                    help="seed for all randomized draws (default %(default)s)")
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--project", default=None, metavar="TARGET",
@@ -185,6 +181,9 @@ def _int(text: str) -> int:
     if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+_int.__name__ = "int"  # argparse names a flag's type by it: "invalid int value: 'abc'"
 
 
 def parse_variety(spec: str) -> Chart:
@@ -263,23 +262,21 @@ def check_work(chart: Chart, what: str, name: str, arg: int | None, trials: int)
                          f" = {entries} entries, above the cap of {MAX_TABLE_ENTRIES}")
     if check.cap == "sampled":
         work = trials * entries
-        if work > MAX_SAMPLED_WORK:
-            raise InputError(f"{what} with --trials {trials} is estimated at {work:,} table"
-                             f" entries ({trials:,} trials x {entries:,} entries of an"
-                             f" order-{order} table), above the cap of {MAX_SAMPLED_WORK:,}")
+        detail = (f"is estimated at {work:,} table entries ({trials:,} trials x {entries:,}"
+                  f" entries of an order-{order} table)")
     elif check.cap == "secant":
         lattice = sample_lattice_size(chart.n)
         if arg + 1 > lattice:
             raise InputError(f"{what} needs k+1 = {arg + 1} distinct sample points, but"
                              f" [-{COORD_RADIUS}, {COORD_RADIUS}]^{chart.n} holds only {lattice}")
         draws, about = arg + 1, "at least"  # one draw per point; past the cap, sum no further
-        if trials * draws * entries <= MAX_SECANT_WORK:
+        if trials * draws * entries <= MAX_WORK:
             draws, about = sum(lattice / (lattice - j) for j in range(arg + 1)), "about"
         work = trials * draws * entries
-        if work > MAX_SECANT_WORK:
-            raise InputError(f"{what} with --trials {trials} draws {about} {trials * draws:,.0f}"
-                             f" sample points of {entries} order-1 table entries each,"
-                             f" {work:,.0f} entries in all, above the cap of {MAX_SECANT_WORK:,}")
+        detail = (f"draws {about} {trials * draws:,.0f} sample points of {entries} order-1"
+                  f" table entries each, {work:,.0f} entries in all")
+    if check.cap and work > MAX_WORK:
+        raise InputError(f"{what} with --trials {trials} {detail}, above the cap of {MAX_WORK:,}")
 
 
 def run_checks(args) -> int:

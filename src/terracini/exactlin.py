@@ -13,17 +13,16 @@ rank and fraction-free Bareiss the rest.  Bareiss brings a row up to date
 only when it is next touched, since the scalings of the steps a row sits
 out telescope to one factor, and skips cells whose operands are both zero
 (see ``_kernels``): on the sparse, rank-deficient secant spans of a
-defective Veronese that is half its work.  ``integer_det`` is 0 before any
-elimination when a row is zero, which is exact, and the last Bareiss pivot
-otherwise; on a quadratic chart ``Gamma15Matrix.det`` reads its zero off
-the column structure and never calls it.  The ``Fraction`` ``Matrix``
-remains for nullspaces, the one place where ``Fraction``s meet
-elimination: it clears each row by the lcm of its denominators first.  No
-package path reads it: the duality oracle of the tests does, and the
-benchmark's tracer looks the class up.  No polynomial arithmetic is
-shipped: the polynomial ring and the symbolic determinant audit built on
-it live in ``tests/oracles.py``, and ``sz_zero_test`` decides identities
-by evaluation alone.
+defective Veronese that is half its work.  ``integer_det`` is the last
+Bareiss pivot, and 0 below full rank; on a quadratic chart
+``Gamma15Matrix.det`` reads its zero off the column structure and never
+calls it.  The ``Fraction`` ``Matrix`` remains for nullspaces, the one
+place where ``Fraction``s meet elimination: it clears each row by the lcm
+of its denominators first.  No package path reads it: the duality oracle
+of the tests does, and the benchmark's tracer looks the class up.  No
+polynomial arithmetic is shipped: the polynomial ring and the symbolic
+determinant audit built on it live in ``tests/oracles.py``, and
+``sz_zero_test`` decides identities by evaluation alone.
 """
 
 from __future__ import annotations
@@ -130,14 +129,12 @@ def span_rank(vectors: Sequence[Sequence[int]]) -> int:
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: 0 at a zero row, else the last Bareiss pivot."""
+    """Determinant of a square integer matrix: the last Bareiss pivot, 0 below full rank."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotSquareError(f"{n}-row matrix is not square")
     if n == 0:
         return 1
-    if not all(map(any, rows)):  # a zero row: exact, no elimination
-        return 0
     ech, pivots, sign = bareiss_echelon(rows)
     return sign * ech[n - 1][pivots[-1]] if len(pivots) == n else 0
 
@@ -166,7 +163,7 @@ class SZResult:
 
 
 def sz_zero_test(evaluator: Callable[[tuple[int, ...]], Fraction], num_vars: int,
-                 degree_bound: int, trials: int = 20, seed: int = 0) -> SZResult:
+                 degree_bound: int, trials: int, seed: int = 0) -> SZResult:
     """Decide whether a degree-bounded polynomial function is identically zero.
 
     Samples integer points with coordinates in [-B, B], B = 16 * degree_bound,

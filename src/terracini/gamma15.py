@@ -57,6 +57,7 @@ from .secants import DefectRecord, LinearSpan, Osc2Verdict, osc2_regular, secant
 CONVENTION_NOTE = ("quintic column uses the five-index symmetric derivative "
                    "tensor x_ijklm contracted with lambda^5")
 SPOT_CHECKS = 4  # special-position jets per defect_pipeline run
+SZ_TRIALS = 20  # Schwartz-Zippel trials per gamma15_identically_zero run
 
 
 class AmbientMismatchError(ValueError):
@@ -187,9 +188,8 @@ class Gamma15Verdict:
     note: str = CONVENTION_NOTE
 
 
-def gamma15_identically_zero(chart: Chart, trials: int = 20,
-                             seed: int = 0) -> Gamma15Verdict:
-    """Schwartz-Zippel identity test of D over (pt, lambda, mu) jointly.
+def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
+    """Schwartz-Zippel identity test of D over (pt, lambda, mu) jointly, SZ_TRIALS trials.
 
     D identically zero in all 3n variables is the same as D identically
     zero in (lambda, mu) at a general point, which is the family-existence
@@ -207,7 +207,7 @@ def gamma15_identically_zero(chart: Chart, trials: int = 20,
             return _F0
         return gamma15_det(chart, coords[:n], lam, coords[2 * n:])
 
-    sz = sz_zero_test(evaluator, 3 * n, bound, trials=trials, seed=seed)
+    sz = sz_zero_test(evaluator, 3 * n, bound, trials=SZ_TRIALS, seed=seed)
     if sz.identically_zero:
         return Gamma15Verdict(True, None, None, None, None, bound, sz)
     w = sz.witness
@@ -255,18 +255,6 @@ def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
 # the span Pi along coordinate curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiSpace:
-    """Span of x, x_1..x_n, x_11..x_1n, x_111..x_11n, x_1111 along the u_1-curve."""
-
-    u1: Fraction
-    span: LinearSpan
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-
 def _coordinate_five_jet(chart: Chart, u1: Fraction) -> FiveJet:
     n = chart.n
     zero = tuple(_F0 for _ in range(n))
@@ -275,11 +263,12 @@ def _coordinate_five_jet(chart: Chart, u1: Fraction) -> FiveJet:
     return FiveJet(base=base, lam=e1, mu=zero, nu=zero, rho=zero, sigma=zero)
 
 
-def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
+def pi_space(chart: Chart, u1: Fraction) -> LinearSpan:
     """Pi at a sample of the u_1 coordinate curve (other parameters at 0).
 
-    Precondition: the coordinate curve satisfies the quasi-asymptotic rank
-    condition at the sample (checked through five_jet_rank_check).
+    Its rows are x, x_1..x_n, x_11..x_1n, x_111..x_11n and x_1111, in that
+    order.  Precondition: the coordinate curve satisfies the quasi-asymptotic
+    rank condition at the sample (checked through five_jet_rank_check).
     """
     _require_square_ambient(chart)
     n = chart.n
@@ -293,8 +282,7 @@ def pi_space(chart: Chart, u1: Fraction) -> PiSpace:
     # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     e = unit_vectors(n)
     groups = [(0, ())] + [(h, (ei,)) for h in (0, 1, 2) for ei in e] + [(4, ())]
-    span = LinearSpan.contracted(t, [jet_terms(h, e[:1], along) for h, along in groups])
-    return PiSpace(u1=Fraction(u1), span=span)
+    return LinearSpan.contracted(t, [jet_terms(h, e[:1], along) for h, along in groups])
 
 
 @dataclass(frozen=True)
@@ -326,12 +314,12 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
     spaces = [pi_space(chart, u1) for u1 in samples]
     dims = tuple(s.dim for s in spaces)
     # one chart, so every span's rows share the column scales den_c
-    union = [row for s in spaces for row in s.span.rows]
-    constant = len(set(dims)) == 1 and span_rank(union) == spaces[0].span.rank
+    union = [row for s in spaces for row in s.rows]
+    constant = len(set(dims)) == 1 and span_rank(union) == spaces[0].rank
     # the tangent space at the base is spanned by Pi's first n+1 rows, x and x_i
     k = chart.n + 1
-    contained = all(s.span.contains_span(LinearSpan(s.span.rows[:k], s.span.scales[:k],
-                                                    s.span.dens)) for s in spaces)
+    contained = all(s.contains_span(LinearSpan(s.rows[:k], s.scales[:k], s.dens))
+                    for s in spaces)
     lo, hi = 3 * chart.n, 3 * chart.n + 1
     return PiConstancyReport(samples=tuple(Fraction(s) for s in samples), dims=dims,
                              constant=constant, tangent_contained=contained,

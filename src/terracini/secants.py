@@ -102,20 +102,13 @@ class LinearSpan:
 # tangent / osculating spaces at a point
 # ---------------------------------------------------------------------------
 
-def _tangent_numerators(chart: Chart, t: IntegerTable, pt: Sequence[Fraction]) -> tuple:
-    """Rows of x, x_1..x_n from the order-1 table t at pt; SingularPointError below rank n+1."""
-    rows = t.rows(multi_indices(chart.n, 1))
-    rank = span_rank(rows)
-    if rank < chart.n + 1:
-        raise SingularPointError(f"tangent rank {rank} < n+1 at"
-                                 f" ({', '.join(map(str, pt))}) on {chart.label}")
-    return rows
-
-
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
-    """Projective tangent space: span of x and the first derivatives at a smooth point."""
-    _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
-    return osculating_space(chart, pt, 1)
+    """Projective tangent space: span of x and x_1..x_n; SingularPointError below rank n+1."""
+    span = osculating_space(chart, pt, 1)
+    if span.rank < chart.n + 1:
+        raise SingularPointError(f"tangent rank {span.rank} < n+1 at"
+                                 f" ({', '.join(map(str, pt))}) on {chart.label}")
+    return span
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
@@ -222,7 +215,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
                 continue
             pts.append(pt)
             # the order-1 table the smoothness test just evaluated; all rows share den_c
-            rows += _tangent_numerators(chart, chart.integer_table(pt, 1), pt)
+            rows += tangent_space(chart, pt).rows
             repeats = 0
         # no union passes expected, so once a trial reaches it no later rank can change the report
         if best < expected:

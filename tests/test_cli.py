@@ -17,7 +17,7 @@ from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart, save_char
 from fractions import Fraction
 
 from terracini import cli
-from terracini.cli import MAX_SAMPLED_WORK, MAX_SECANT_WORK, MAX_TRIALS, main
+from terracini.cli import MAX_TRIALS, MAX_WORK, main
 
 
 def run(capsys, *argv):
@@ -195,6 +195,26 @@ def test_integers_other_than_ascii_digits_exit_1(capsys, token, argv, message):
     assert err.startswith(f"terracini: error: {message.format(spelled)}")
 
 
+# int() also reads the first three, so --trials 1_0 would run 10 trials
+@pytest.mark.parametrize("token", ["1_0", " +7", "\u0662", "abc"],
+                         ids=["underscore", "space-plus", "arabic-indic", "letters"])
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_trials_and_seed_take_ascii_digits_only(capsys, flag, token):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--variety", "veronese:1:3", "--check", "secant:1", flag, token])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "")
+    assert err.startswith("usage: terracini analyze")
+    assert err.endswith(f"terracini analyze: error: argument {flag}:"
+                        f" invalid int value: {token!r}\n")
+
+
+def test_negative_seed_is_read_and_echoed(capsys):
+    code, out, _ = run(capsys, "analyze", "--variety", "veronese:1:3", "--check", "secant:1",
+                       "--trials", "2", "--seed", "-7")
+    assert code == 0 and json.loads(out)["config"]["seed"] == -7
+
+
 def _monomial_chart(label, exps):
     """Chart document whose coordinates are the monomials u^e, e in exps."""
     return {"label": label, "n": 2, "r": len(exps) - 1,
@@ -336,7 +356,7 @@ def test_oversized_secant_work_is_refused_before_any_work(capsys, monkeypatch):
                          "--check", "secant:120", "--trials", "10000")
     assert code == 1 and out == ""
     assert err.startswith("terracini: error: check secant:120 with --trials 10000 draws at least")
-    assert err.rstrip().endswith(f"above the cap of {MAX_SECANT_WORK:,}")
+    assert err.rstrip().endswith(f"above the cap of {MAX_WORK:,}")
     code, _, err = run(capsys, "analyze", "--variety", "random:2:3:8:1",
                        "--check", "secant:120", "--trials", "1000")
     assert code == 1 and "draws about 650,633 sample points of 27" in err
@@ -347,10 +367,10 @@ def test_secant_work_estimate_meets_the_cap_exactly(capsys, monkeypatch):
     # expectation, each an order-1 table of (2+1)(8+1) = 27 entries
     work = 121 * sum(Fraction(1, m) for m in range(1, 122)) * 27
     argv = ("analyze", "--variety", "random:2:3:8:1", "--check", "secant:120", "--trials", "1")
-    monkeypatch.setattr(cli, "MAX_SECANT_WORK", int(work))
+    monkeypatch.setattr(cli, "MAX_WORK", int(work))
     code, _, err = run(capsys, *argv)
     assert code == 1 and f"{round(work):,} entries in all" in err
-    monkeypatch.setattr(cli, "MAX_SECANT_WORK", int(work) + 1)
+    monkeypatch.setattr(cli, "MAX_WORK", int(work) + 1)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"][0]["observed"] == 8
 
@@ -378,7 +398,7 @@ def test_oversized_sampled_work_is_refused_before_any_work(capsys, monkeypatch, 
     assert code == 1 and out == ""
     assert err.startswith(f"terracini: error: {what} with --trials 10000 is estimated at"
                           f" {work:,} table entries")
-    assert err.rstrip().endswith(f"above the cap of {MAX_SAMPLED_WORK:,}")
+    assert err.rstrip().endswith(f"above the cap of {MAX_WORK:,}")
 
 
 def test_sampled_work_below_the_cap_runs(capsys):
@@ -394,10 +414,10 @@ def test_sampled_work_below_the_cap_runs(capsys):
     (("audit-theorem", "--variety", "veronese:1:5", "--trials", "3"), 108),
 ], ids=["osc", "audit-theorem"])
 def test_sampled_work_estimate_meets_the_cap_exactly(capsys, monkeypatch, argv, work):
-    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", work - 1)
+    monkeypatch.setattr(cli, "MAX_WORK", work - 1)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and f"estimated at {work:,} table entries" in err
-    monkeypatch.setattr(cli, "MAX_SAMPLED_WORK", work)
+    monkeypatch.setattr(cli, "MAX_WORK", work)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"]
 

@@ -10,6 +10,7 @@ from terracini import gamma15, secants
 from terracini.chart import Chart, CurvilinearJet, FiveJet, contract_numerators, jet_terms
 from terracini.curvilinear import generic_speciality
 from terracini.gamma15 import (
+    SZ_TRIALS,
     AmbientMismatchError,
     Gamma15Matrix,
     PreconditionFailedError,
@@ -274,9 +275,10 @@ def test_identically_zero_verdicts():
 
 
 def test_identically_zero_reports_error_bound():
-    v = gamma15_identically_zero(make_veronese(4, 2), trials=12, seed=2)
-    assert v.sz.trials == 12
-    assert 0 < v.sz.error_bound < F(1, 32) ** 12 * F(2)
+    v = gamma15_identically_zero(make_veronese(4, 2), seed=2)
+    assert v.sz.trials == SZ_TRIALS == 20
+    # each trial errs with probability at most 27/(2 * 16 * 27 + 1) < 1/32
+    assert v.sz.error_bound == F(27, 865) ** 20 < F(1, 32) ** 20
     chart = make_veronese(4, 2)
     bound, per_column = gamma15_degree_bound(chart)
     # degree 2, n = 4: 2 + 4*1 + 4*1 + 4 + 4*2 + 5

@@ -151,7 +151,7 @@ def test_elimination_kernels_receive_only_ints(kernel_entries, argv):
 
 def test_identically_zero_gamma15_reaches_no_kernel(monkeypatch):
     # on a quadratic chart the quintic column of every trial's matrix is zero,
-    # so integer_det settles each determinant before any elimination
+    # so Gamma15Matrix.det returns 0 before any contraction or determinant
     calls = []
 
     def counted(kernel):
@@ -305,7 +305,7 @@ def test_pi_generators_are_the_exact_vectors():
     n, r = 2, 8  # r = 3n + 2; cubic, so the coordinate curves meet the precondition
     chart = rational_chart(rng, n, 3, r)
     u1 = F(3, 5)
-    pi = pi_space(chart, u1).span
+    pi = pi_space(chart, u1)
     assert_scaled(pi)
     sym = symbolic_table(chart, (u1, F(0)), 4)
     # x, x_i, x_1i, x_11i, x_1111

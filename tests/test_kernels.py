@@ -8,7 +8,7 @@ from terracini import _kernels
 from terracini._kernels import BACKEND
 from terracini.catalog import make_veronese
 from terracini.exactlin import SCREEN_PRIME
-from terracini.secants import _tangent_numerators, sample_smooth_point
+from terracini.secants import sample_smooth_point, tangent_space
 from oracles import bareiss_reference, gauss_det, mod_rank_reference, rref_rank
 
 # Slots of a packed row take 256 multiply-adds between reductions for the
@@ -247,8 +247,7 @@ def test_bareiss_output_matches_reference_on_a_defective_secant_span():
         pt = sample_smooth_point(chart, rng)[0]
         if pt not in pts:
             pts.append(pt)
-    rows = [row for pt in pts
-            for row in _tangent_numerators(chart, chart.integer_table(pt, 1), pt)]
+    rows = [row for pt in pts for row in tangent_space(chart, pt).rows]
     assert (len(rows), len(rows[0])) == (55, 66)
     assert _kernels.mod_rank(rows, SCREEN_PRIME) < 55
     echelon, pivots, sign = _kernels.bareiss_echelon(rows)
