@@ -13,10 +13,8 @@ from .chart import (
     Chart,
     CurvilinearJet,
     FiveJet,
-    curve_derivatives,
     load_chart,
     project_generic,
-    save_chart,
 )
 from .curvilinear import generic_speciality, tangent_along
 from .exactlin import Matrix
@@ -48,7 +46,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "LinearSpan",
     "Matrix",
-    "curve_derivatives",
     "defect_pipeline",
     "equivalence_audit",
     "five_jet_rank_check",
@@ -66,7 +63,6 @@ __all__ = [
     "pi_constancy_check",
     "pi_space",
     "project_generic",
-    "save_chart",
     "secant_defect",
     "tangent_space",
 ]

@@ -3,58 +3,59 @@
 A chart is an affine polynomial parametrization u -> x(u) of an n-fold in
 P^r: r+1 coordinate polynomials over Q.  Everything downstream consumes
 derivative vectors of the chart at rational points, so this module owns
-the derivative store, the contraction primitive, jet normalization,
-generic projection, and the derivatives of a curve through the chart up
-to fifth order.
+the derivative store, the contraction primitive, jet normalization and
+generic projection.
 
 A chart is its integer forms: one (den, coefficients, exponents) per
 coordinate, in lowest terms, built from ints by the constructors, the
 projection and the chart-file reader.  Each monomial that a built
 derivative reads enters the chart's monomial list once, decoded once into
-its exponent of each variable and its total degree.  The derivative store
-holds each mixed partial flat, its monomials referred to by index, derived
-from its prefix's flat form in one pass of integer differentiation.  A
-partial with at most one term per coordinate (every partial of a Veronese
-or Segre chart, the top-order partials of a dense chart) is one
-coefficient and one index per coordinate; any other keeps the terms of
-all coordinates in one list, with one slice per coordinate.  A point is
-scaled to a common denominator q, the whole monomial list is evaluated
-in one C-level pass per variable (and one of q powers when q != 1), and
-a row is one gather pass, or one multiply pass and one sum per slice.
-``integer_table`` returns integers over a column scale den_c, the
-coordinate's denominator, times a row scale q^D, the point's; the two are
-kept apart, so rows of several points stack under one column scale.
-Every derivative combination of the analysis is a list of terms, and a
-span's lists are contracted together: ``contract_numerators`` sums every
-list of the span over one such table in one pass, into one row of integer
-numerators and one row scale per list, so ranks and determinants are
-taken of the numerators.  Exact values are built from the rows only where
-they are kept, as the curve derivatives' canonical ``Fraction``s.
-``derivative_vector`` reads a single multi-index as ``Fraction``s.  The
-smoothness test reads x through it and ranks the n first partials as the
-order-1 table's integer rows, which rank's indifference to row and column
-scales allows.
+its exponent of each variable and its total degree, and recorded as one
+step from a parent entered before it: u^e is its parent times one u_v.
+The derivative store holds each mixed partial flat, its monomials
+referred to by index, derived from its prefix's flat form in one pass of
+integer differentiation.  A partial with at most one term per coordinate
+(every partial of a Veronese or Segre chart, the top-order partials of a
+dense chart) is one coefficient and one index per coordinate; any other
+keeps the terms of all coordinates in one list, with one slice per
+coordinate.  A point is scaled to a common denominator q, the monomial
+list is evaluated in index order with one multiply per monomial (its
+parent's value times one scaled coordinate), then one pass of q powers
+when q != 1, and a row is one gather pass, or one multiply pass and one
+sum per slice.  ``integer_table`` returns integers over a column scale
+den_c, the coordinate's denominator, times a row scale q^D, the point's;
+the two are kept apart, so rows of several points stack under one column
+scale.  Every derivative combination of the analysis is a list of terms,
+and a span's lists are contracted together: ``contract_numerators`` sums
+every list of the span over one such table in one pass, into one row of
+integer numerators and one row scale per list, so ranks and determinants
+are taken of the numerators.  Exact values are built from the rows only
+where they are kept, as canonical ``Fraction``s (``fraction_vector``,
+with no gcd when both scales are 1, as at an integer point of an
+integer-coefficient chart).  ``derivative_vector`` reads a single
+multi-index as ``Fraction``s.  The smoothness test reads x through it and
+ranks the n first partials as the order-1 table's integer rows, which
+rank's indifference to row and column scales allows.
 
 ``integer_table`` is the one evaluator: it keeps the tables of the last
 point asked for, one per order, and starts afresh when the point changes.
 A point is drawn, tested for smoothness (x and the n first partials) and
-its tangent space is read, all from one order-1 evaluation; the curve
-derivatives, the five-jet check and the span Pi at a jet's base share one
-order-5 evaluation.  ``derivative_vector`` reads a key of order h from the
-order-max(1, h) table.  Memoized tables are shared, so callers must not
-modify them.
+its tangent space is read, all from one order-1 evaluation; the five-jet
+check and the span Pi at a jet's base share one order-5 evaluation.
+``derivative_vector`` reads a key of order h from the order-max(1, h)
+table.  Memoized tables are shared, so callers must not modify them.
 
 ``jet_terms`` is the one place that holds Faa di Bruno coefficients.  The
-curve derivatives, the generators along a jet, the 2-osculating criterion
-vectors, the determinant columns and Pi are each x or a first partial of
-x differentiated m times along one curve u(t) = base + sum_k c_k t^k, and
-``jet_terms`` gives their contraction terms.  A jet is normalized through
-its affine frame (chain rule, no polynomial arithmetic): the partials
-along the frame's columns are contracted from the chart's own table at
-the jet's base.  The symbolic routes that tests compare against (a formal
-partial chain evaluated term by term, substitution of the frame into every
-coordinate, composition with the curve's truncated series) live in
-``tests/oracles.py``.
+generators along a jet, the 2-osculating criterion vectors, the
+determinant columns, the five-jet vectors and Pi are each x or a first
+partial of x differentiated m times along one curve u(t) = base + sum_k
+c_k t^k, and ``jet_terms`` gives their contraction terms.  A jet is
+normalized through its affine frame (chain rule, no polynomial
+arithmetic): the partials along the frame's columns are contracted from
+the chart's own table at the jet's base.  The symbolic routes that tests
+compare against (a formal partial chain evaluated term by term,
+substitution of the frame into every coordinate, composition with the
+curve's truncated series) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -128,24 +129,38 @@ class _MonomialList(dict):
 
     The code of u^e is sum(e_i * base^i) with base > every exponent.  Entry
     i has code ``codes[i]``, exponent ``cols[v][i]`` of u_v and total degree
-    ``degs[i]``, decoded once, when it enters.  Entry 0 is u^0.
+    ``degs[i]``, decoded once, when it enters.  Entry 0 is u^0; entry i > 0
+    is its parent times u_v, ``steps[i - 1] = (parent index, v)``, with v
+    the lowest variable of positive exponent.  Missing parents are entered
+    first, so a parent's index is below its child's.
     """
 
-    __slots__ = ("base", "codes", "cols", "degs")
+    __slots__ = ("base", "codes", "cols", "degs", "steps")
 
     def __init__(self, n: int, base: int):
-        super().__init__()
-        self.base, self.codes, self.cols, self.degs = base, [], tuple([] for _ in range(n)), []
-        self.__missing__(0)
+        super().__init__({0: 0})
+        self.base, self.codes, self.cols = base, [0], tuple([0] for _ in range(n))
+        self.degs, self.steps = [0], []
 
     def __missing__(self, code: int) -> int:
-        i = self[code] = len(self.codes)
-        self.codes.append(code)
-        for col in self.cols:
-            code, e = divmod(code, self.base)
-            col.append(e)
-        self.degs.append(sum(col[-1] for col in self.cols))
-        return i
+        chain = []  # (code, exponents, v) of code and its missing ancestors, youngest first
+        while code not in self:
+            es, rest = [], code
+            for _ in self.cols:
+                rest, e = divmod(rest, self.base)
+                es.append(e)
+            v = next(i for i, e in enumerate(es) if e)
+            chain.append((code, es, v))
+            code -= self.base ** v
+        parent = self[code]
+        for code, es, v in reversed(chain):
+            self.steps.append((parent, v))
+            parent = self[code] = len(self.codes)
+            self.codes.append(code)
+            for col, e in zip(self.cols, es):
+                col.append(e)
+            self.degs.append(sum(es))
+        return parent
 
 
 def _flat_form(cs: list, ids: list, stops: list) -> tuple:
@@ -220,10 +235,9 @@ class Chart:
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The monomials that the flat forms read, by index.
     _mons: _MonomialList = field(default=None, init=False, repr=False, compare=False)
-    # Chart degree (-1 if zero), D = max(it, 0), and per variable the top exponent.
+    # Chart degree (-1 if zero) and D = max(it, 0).
     _coord_degree: int = field(default=-1, init=False, repr=False, compare=False)
     _degree: int = field(default=0, init=False, repr=False, compare=False)
-    _top: tuple = field(default=(), init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
     # The last point given to ``integer_table`` and its tables, {order: table}.
@@ -248,8 +262,6 @@ class Chart:
         self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
                                       [self._mons[sum(map(mul, e, weights))] for e in exps],
                                       list(accumulate(len(cs) for _, cs, _ in forms)))
-        object.__setattr__(self, "_top", tuple(max((e[i] for e in exps), default=0)
-                                              for i in range(self.n)))
 
     # -- derivatives ---------------------------------------------------------
 
@@ -268,18 +280,17 @@ class Chart:
         u^e with |e| <= D is q^(D - |e|) A^e / q^D, so coordinate c of every
         derivative is an integer combination of these values of the monomial
         list over den_c * q^D, den_c the coordinate's denominator.  The keys'
-        flat forms are built first, so that the list holds all they read.
+        flat forms are built first, so that the list holds all they read;
+        then A^e is its parent's value times one A_v, in index order.
         """
         if len(pt) != self.n:
             raise ValueError("point has wrong length")
         flats = [self._flat(key) for key in keys]
         q = math.lcm(*(x.denominator for x in pt))
-        vals = [1] * len(self._mons.codes)
-        for x, col, top in zip(pt, self._mons.cols, self._top):
-            if top:
-                powers = list(accumulate(repeat(x.numerator * (q // x.denominator), top), mul,
-                                         initial=1))
-                vals = list(map(mul, vals, map(powers.__getitem__, col)))
+        a = [x.numerator * (q // x.denominator) for x in pt]
+        vals = [1]
+        for p, v in self._mons.steps:
+            vals.append(vals[p] * a[v])
         if q != 1:
             qpowers = list(accumulate(repeat(q, self._degree), mul, initial=1))[::-1]
             vals = list(map(mul, vals, map(qpowers.__getitem__, self._mons.degs)))
@@ -354,7 +365,12 @@ class Chart:
 # ---------------------------------------------------------------------------
 
 def fraction_vector(nums: Sequence[int], dens: Sequence[int], scale: int) -> Vector:
-    """The exact vector of a numerator form: entry c is nums[c] / (dens[c] * scale)."""
+    """The exact vector of a numerator form: entry c is nums[c] / (dens[c] * scale).
+
+    An integral form (scale 1, every den_c 1) needs no gcd.
+    """
+    if scale == 1 and dens.count(1) == len(dens):
+        return tuple(map(Fraction, nums))
     return tuple(Fraction(a, d * scale) if a else _F0 for a, d in zip(nums, dens))
 
 
@@ -504,10 +520,6 @@ class FiveJet:
         if len(sizes) != 1:
             raise ValueError("jet coefficient vectors have mixed lengths")
 
-    @property
-    def n(self) -> int:
-        return len(self.base)
-
 
 def _normalized_frame(jet: CurvilinearJet) -> tuple[list[Vector], CurvilinearJet]:
     """Columns M e_j of the affine frame M, and the normalized jet (lambda = e_1, mu_1 = 0).
@@ -568,39 +580,8 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
 
 
 # ---------------------------------------------------------------------------
-# curve derivatives through a chart (orders 1..5)
-# ---------------------------------------------------------------------------
-
-def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
-    """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0.
-
-    ``jet_terms`` contracted as one span over the chart's order-5
-    derivative table at the jet's base; independently equal to k! times
-    the t^k coefficients of the composed curve (the composition oracle in
-    tests).
-    """
-    t = chart.integer_table(jet.base, 5)
-    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
-    rows, scales = contract_numerators(t, [jet_terms(k, coeffs) for k in range(1, 6)])
-    return tuple(fraction_vector(row, t.dens, s) for row, s in zip(rows, scales))
-
-
-# ---------------------------------------------------------------------------
 # chart file format (exact JSON)
 # ---------------------------------------------------------------------------
-
-def chart_to_obj(chart: Chart) -> dict:
-    return {
-        "label": chart.label,
-        "n": chart.n,
-        "r": chart.r,
-        "coords": [
-            [{"exp": list(e), "num": str(q.numerator), "den": str(q.denominator)}
-             for e, q in zip(es, (Fraction(c, den) for c in cs))]
-            for den, cs, es in chart.forms
-        ],
-    }
-
 
 def obj_to_chart(obj: dict) -> Chart:
     if not isinstance(obj, dict):
@@ -653,12 +634,6 @@ def obj_to_chart(obj: dict) -> Chart:
         den = math.lcm(*(d for _, d in tdict.values()))
         forms.append((den, tuple(a * (den // d) for a, d in tdict.values()), tuple(tdict)))
     return Chart(obj["label"], n, r, tuple(forms))
-
-
-def save_chart(chart: Chart, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chart_to_obj(chart), fh, indent=2)
-        fh.write("\n")
 
 
 def load_chart(path) -> Chart:

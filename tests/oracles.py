@@ -28,9 +28,12 @@ The second routes that no command-line check reaches live here too:
 n <= 3 (its columns ``brute_contract``ed with ring-variable lambda and mu)
 and checks it against the package's numeric ``gamma15_det``;
 ``hyperplane_system`` reads the dual of a tangent space along a jet as a
-nullspace; and ``osc2_regular_coordinate`` ranks the 2-osculating
+nullspace; ``osc2_regular_coordinate`` ranks the 2-osculating
 criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
-``osc2_regular``.
+``osc2_regular``; and ``curve_derivatives`` contracts x', ..., x^(5) along
+a ``FiveJet`` from the order-5 table, the assembly route that
+``composed_curve_series`` is checked against.  Only tests write chart
+files, through ``chart_to_obj`` and ``save_chart``.
 
 ``secant_defect_reference`` ranks every trial, with no rank ceiling, by
 ``rref_rank``; it shares the package's draws and integer tables, so its
@@ -47,6 +50,7 @@ lazily scaled ``bareiss_echelon`` must match output for output.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +62,7 @@ from terracini._kernels import bareiss_echelon, mod_rank
 from terracini.chart import (
     Chart,
     CurvilinearJet,
+    FiveJet,
     IntegerTable,
     _normalized_frame,
     contract_numerators,
@@ -502,6 +507,27 @@ def polys_chart(label: str, n: int, r: int, polys) -> Chart:
     return Chart(label, n, r, tuple(integer_form(p) for p in polys))
 
 
+def chart_to_obj(chart: Chart) -> dict:
+    """The chart-file document of a chart, the inverse of ``chart.obj_to_chart``."""
+    return {
+        "label": chart.label,
+        "n": chart.n,
+        "r": chart.r,
+        "coords": [
+            [{"exp": list(e), "num": str(q.numerator), "den": str(q.denominator)}
+             for e, q in zip(es, (Fraction(c, den) for c in cs))]
+            for den, cs, es in chart.forms
+        ],
+    }
+
+
+def save_chart(chart: Chart, path) -> None:
+    """Write the chart as a chart file that ``chart.load_chart`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(chart_to_obj(chart), fh, indent=2)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # symbolic derivatives and jet normalization
 # ---------------------------------------------------------------------------
@@ -687,13 +713,26 @@ def curve_series(jet, order: int) -> list[tuple]:
     """Component series of u(t) = base + lam t + ... + sigma t^5, truncated at order."""
     coeffs = [jet.base, jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma]
     return [tuple(coeffs[k][i] if k < len(coeffs) else F0 for k in range(order + 1))
-            for i in range(jet.n)]
+            for i in range(len(jet.base))]
 
 
 def composed_curve_series(chart: Chart, jet, order: int = 5) -> list[tuple]:
     """Coordinate-wise truncated series of t -> x(u(t)); the composition route."""
     curve = curve_series(jet, order)
     return [poly_compose_curve(p, curve, order) for p in chart_polys(chart)]
+
+
+def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vector, Vector, Vector]:
+    """Derivative vectors x', x'', ..., x''''' of t -> x(u(t)) at t = 0; the assembly route.
+
+    ``jet_terms`` contracted as one span over the chart's order-5
+    derivative table at the jet's base; independently equal to k! times
+    the t^k coefficients of ``composed_curve_series``.
+    """
+    t = chart.integer_table(jet.base, 5)
+    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
+    rows, scales = contract_numerators(t, [jet_terms(k, coeffs) for k in range(1, 6)])
+    return tuple(fraction_vector(row, t.dens, s) for row, s in zip(rows, scales))
 
 
 # ---------------------------------------------------------------------------

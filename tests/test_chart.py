@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from terracini.catalog import make_random_variety, make_veronese
+from terracini.catalog import make_random_variety, make_segre, make_veronese
 from terracini.chart import (
     MAX_DEGREE,
     BadTargetError,
@@ -16,16 +16,13 @@ from terracini.chart import (
     CurvilinearJet,
     DegenerateJetError,
     FiveJet,
-    chart_to_obj,
     contract_numerators,
-    curve_derivatives,
     fraction_vector,
     jet_terms,
     load_chart,
     multi_indices,
     obj_to_chart,
     project_generic,
-    save_chart,
     unit_vectors,
 )
 from terracini.curvilinear import tangent_along
@@ -35,13 +32,16 @@ from oracles import (
     MultiPoly,
     brute_contract,
     chart_polys,
+    chart_to_obj,
     contract,
     composed_curve_series,
+    curve_derivatives,
     is_normalized,
     jet_normalize,
     partial,
     poly_compose_curve,
     polys_chart,
+    save_chart,
     smoothness_reference,
     symbolic_table,
 )
@@ -269,6 +269,71 @@ def test_table_mixing_one_term_and_multi_term_partials(pt):
     zero = (0,) * (c.r + 1)
     for key, ref in symbolic_table(c, pt, 4).items():
         assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
+
+
+# the benchmark's chart kinds, each with the table order its checks read
+BENCHMARK_CHARTS = {
+    "segre:6:7": (lambda: make_segre(6, 7), 1),
+    "veronese:10:2": (lambda: make_veronese(10, 2), 1),
+    "veronese:2:12": (lambda: make_veronese(2, 12), 1),
+    "random:4:3:14:3": (lambda: make_random_variety(4, 3, 14, 3), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_CHARTS))
+def test_benchmark_charts_match_symbolic_reference(name):
+    # two integer points (q = 1, where each monomial value is its parent's
+    # times one coordinate) and one rational point (the q-power pass too)
+    make, h = BENCHMARK_CHARTS[name]
+    c = make()
+    rng = random.Random(26)
+    pts = [tuple(F(rng.randint(-5, 5)) for _ in range(c.n)) for _ in range(2)]
+    pts.append(tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(c.n)))
+    assert math.lcm(*(x.denominator for x in pts[-1])) > 1
+    zero = (0,) * (c.r + 1)
+    for pt in pts:
+        t = c.integer_table(pt, h)
+        for key, ref in symbolic_table(c, pt, h).items():
+            assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_CHARTS) + ["sparse", "degree cap"])
+def test_each_monomial_steps_from_an_earlier_parent(name):
+    # entry i > 0 is its parent times u_v, v its lowest variable of positive
+    # exponent, and the parent is entered first; the sparse and degree-cap
+    # charts enter long chains of parents that no coordinate holds
+    if name == "sparse":
+        c, h = sparse_chart(), 5
+    elif name == "degree cap":
+        c, h = Chart("cap", 2, 2, ((1, (1,), ((0, 0),)), (1, (1,), ((1, 0),)),
+                                   (1, (2,), ((1, MAX_DEGREE - 1),)))), 1
+    else:
+        make, h = BENCHMARK_CHARTS[name]
+        c = make()
+    c.integer_table((F(1),) * c.n, h)
+    mons = c._mons
+    assert len(mons) == len(mons.codes) == len(mons.steps) + 1 and mons.codes[0] == 0
+    for i, (p, v) in enumerate(mons.steps, start=1):
+        assert p < i and mons.cols[v][i] > 0
+        assert all(mons.cols[w][i] == 0 for w in range(v))
+        assert mons.codes[p] == mons.codes[i] - mons.base ** v
+        assert mons[mons.codes[i]] == i
+
+
+def test_integral_fast_path_needs_unit_row_and_column_scales():
+    # x and its partials are built without gcds only where every entry is an
+    # integer: an integer-coefficient chart at an integer point.  A rational
+    # point (row scale q^D > 1) and a fractional coefficient (a column scale
+    # den_c > 1) must each still divide
+    cases = [(make_veronese(2, 3), (F(2), F(-3)), lambda t: t.scale == 1 == max(t.dens)),
+             (make_veronese(2, 3), (F(1, 2), F(-3, 5)), lambda t: t.scale > 1 == max(t.dens)),
+             (flat_chart(), (F(2), F(-1)), lambda t: t.scale == 1 < min(t.dens))]
+    for c, pt, scales in cases:
+        assert scales(c.integer_table(pt, 1))
+        for key, ref in symbolic_table(c, pt, 1).items():
+            vec = c.derivative_vector(pt, key)
+            assert vec == ref
+            assert all(type(x) is F for x in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart, save_chart
+from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart
 from fractions import Fraction
 
 from terracini import cli
 from terracini.cli import MAX_TRIALS, MAX_WORK, main
+from oracles import save_chart
 
 
 def run(capsys, *argv):

@@ -21,14 +21,8 @@ from terracini.catalog import (
     make_segre,
     make_veronese,
 )
-from terracini.chart import (
-    chart_to_obj,
-    load_chart,
-    obj_to_chart,
-    project_generic,
-    save_chart,
-)
-from oracles import MultiPoly, chart_polys, integer_form, polys_chart
+from terracini.chart import load_chart, obj_to_chart, project_generic
+from oracles import MultiPoly, chart_polys, chart_to_obj, integer_form, polys_chart, save_chart
 
 
 def keyed(forms) -> list:

@@ -1,7 +1,7 @@
 """Static checks of the package sources: no module imports a name it never
 uses, no annotation names something the module never binds, none defines or
-imports the polynomial ring, and the kernel module exposes its two kernels
-only."""
+imports the polynomial ring or a helper that only tests use, and the kernel
+module exposes its two kernels only."""
 
 import ast
 import builtins
@@ -95,6 +95,21 @@ def test_only_the_claim_audit_imports_multipoly(path):
     # tests/oracles.py, so no package module defines or imports either
     names = defined_or_imported_names(path.read_text(encoding="utf-8"))
     assert not names & {"MultiPoly", "poly_det"}
+
+
+# no command-line run enters these, so they live in tests/oracles.py
+TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart"}
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_test_only_helpers_stay_in_the_oracles(path):
+    source = path.read_text(encoding="utf-8")
+    assert not defined_or_imported_names(source) & TEST_ONLY
+    five_jets = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ClassDef) and node.name == "FiveJet"]
+    assert not [f for cls in five_jets for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name == "n"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
