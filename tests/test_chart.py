@@ -297,19 +297,20 @@ def test_benchmark_charts_match_symbolic_reference(name):
             assert fraction_vector(t.nums.get(key, zero), t.dens, t.scale) == ref
 
 
-@pytest.mark.parametrize("name", list(BENCHMARK_CHARTS) + ["sparse", "degree cap"])
+def degree_cap_chart():
+    """A chart of total degree MAX_DEGREE, 2 u1 u2^998 beside 1 and u1."""
+    return Chart("cap", 2, 2, ((1, (1,), ((0, 0),)), (1, (1,), ((1, 0),)),
+                               (1, (2,), ((1, MAX_DEGREE - 1),))))
+
+
+@pytest.mark.parametrize("name", [*BENCHMARK_CHARTS, "sparse", "degree cap"])
 def test_each_monomial_steps_from_an_earlier_parent(name):
     # entry i > 0 is its parent times u_v, v its lowest variable of positive
     # exponent, and the parent is entered first; the sparse and degree-cap
     # charts enter long chains of parents that no coordinate holds
-    if name == "sparse":
-        c, h = sparse_chart(), 5
-    elif name == "degree cap":
-        c, h = Chart("cap", 2, 2, ((1, (1,), ((0, 0),)), (1, (1,), ((1, 0),)),
-                                   (1, (2,), ((1, MAX_DEGREE - 1),)))), 1
-    else:
-        make, h = BENCHMARK_CHARTS[name]
-        c = make()
+    make, h = {**BENCHMARK_CHARTS, "sparse": (sparse_chart, 5),
+               "degree cap": (degree_cap_chart, 1)}[name]
+    c = make()
     c.integer_table((F(1),) * c.n, h)
     mons = c._mons
     assert len(mons) == len(mons.codes) == len(mons.steps) + 1 and mons.codes[0] == 0
