@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations_with_replacement
 
-from .chart import MAX_COORDINATES, Chart, project_generic
+from .chart import MAX_COORDINATES, Chart
+from .exactlin import randints
 
 DATA_VERSION = "v1"
 
@@ -82,12 +83,12 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
             f"degree {degree} in {n} vars has only {len(mons)} monomials < r+1={r + 1}")
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
-        coeffs = [[rng.randint(-9, 9) for _ in mons] for _ in range(r + 1)]
+        coeffs = randints(rng, -9, 9, (r + 1) * len(mons))  # row by row
         # arrange a usable base point: nonzero coordinate vector at 0
-        if not any(cs[0] for cs in coeffs):
-            coeffs[0][0] = 1
-        cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r,
-                     tuple((1, tuple(cs), mons) for cs in coeffs))
+        if not any(coeffs[::len(mons)]):
+            coeffs[0] = 1
+        cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r, tuple(
+            (1, tuple(coeffs[i:i + len(mons)]), mons) for i in range(0, len(coeffs), len(mons))))
         if cand.is_smooth_at((0,) * n) and cand.is_nondegenerate():
             return cand
     raise SmoothnessFailureError(f"no smooth chart after retries (seed={seed})")
@@ -133,13 +134,6 @@ class CatalogEntry:
             raise ValueError(
                 f"catalog entry {self.id}: built chart has (n,r)=({chart.n},{chart.r}),"
                 f" expected ({self.n},{self.r})")
-        return chart
-
-    def build_for_length3(self, seed: int = 0) -> Chart:
-        """Chart projected to the recorded target (when one is needed)."""
-        chart = self.build()
-        if self.projection_target is not None:
-            chart = project_generic(chart, self.projection_target, seed)
         return chart
 
 

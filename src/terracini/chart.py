@@ -69,7 +69,7 @@ from itertools import accumulate, combinations_with_replacement, compress, repea
 from operator import add, attrgetter, mul, sub
 from typing import NamedTuple, Sequence
 
-from .exactlin import _F0, _F1, BadIndexError, Vector, span_rank
+from .exactlin import _F0, _F1, BadIndexError, Vector, randints, span_rank
 
 # Largest coordinate count r + 1 that the catalog constructors build (checked
 # before any polynomial exists) and that a chart file may declare.
@@ -251,16 +251,18 @@ class Chart:
             raise ValueError("form denominators must be positive")
         forms = tuple(_lowest_terms(*f) for f in self.forms)
         exps = [e for _, _, es in forms for e in es]
-        if any(len(e) != self.n for e in exps):
+        distinct = dict.fromkeys(exps)  # a random chart repeats its monomials in every coordinate
+        if any(len(e) != self.n for e in distinct):
             raise ValueError("coordinate form has wrong variable count")
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
-        object.__setattr__(self, "_coord_degree", max((sum(e) for e in exps), default=-1))
+        object.__setattr__(self, "_coord_degree", max(map(sum, distinct), default=-1))
         object.__setattr__(self, "_degree", max(self._coord_degree, 0))
         object.__setattr__(self, "_mons", _MonomialList(self.n, self._degree + 1))
         weights = [(self._degree + 1) ** i for i in range(self.n)]  # exponent codes
+        index = {e: self._mons[sum(map(mul, e, weights))] for e in distinct}
         self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
-                                      [self._mons[sum(map(mul, e, weights))] for e in exps],
+                                      list(map(index.__getitem__, exps)),
                                       list(accumulate(len(cs) for _, cs, _ in forms)))
 
     # -- derivatives ---------------------------------------------------------
@@ -562,7 +564,7 @@ def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:
         rng = random.Random(seed + 7919 * attempt)
         forms = []
         for _ in range(r_target + 1):
-            row = [rng.randint(-9, 9) for _ in range(chart.r + 1)]
+            row = randints(rng, -9, 9, chart.r + 1)
             acc: dict = {}
             for a, terms in zip(row, scaled):
                 if a:

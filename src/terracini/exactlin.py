@@ -22,7 +22,8 @@ of its denominators first.  No package path reads it: the duality oracle
 of the tests does, and the benchmark's tracer looks the class up.  No
 polynomial arithmetic is shipped: the polynomial ring and the symbolic
 determinant audit built on it live in ``tests/oracles.py``, and
-``sz_zero_test`` decides identities by evaluation alone.
+``sz_zero_test`` decides identities by evaluation alone.  Every seeded
+draw of the package, point, trial or coefficient, is one ``randints`` call.
 """
 
 from __future__ import annotations
@@ -140,8 +141,21 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# randomized polynomial identity testing (Schwartz-Zippel)
+# seeded draws and randomized polynomial identity testing (Schwartz-Zippel)
 # ---------------------------------------------------------------------------
+
+def randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` draws from [lo, hi], the stream of as many ``rng.randint(lo, hi)`` calls."""
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k, bits, out = n.bit_length(), rng.getrandbits, []
+    while len(out) < count:  # CPython 3.11's randrange loop: k bits, drawn again until below n
+        x = bits(k)
+        if x < n:
+            out.append(lo + x)
+    return out
+
 
 @dataclass(frozen=True)
 class SZResult:
@@ -173,7 +187,7 @@ def sz_zero_test(evaluator: Callable[[tuple[int, ...]], Fraction], num_vars: int
     per_trial = Fraction(degree_bound, 2 * radius + 1)
     rng = random.Random(seed)
     for _ in range(trials):
-        pt = tuple(rng.randint(-radius, radius) for _ in range(num_vars))
+        pt = tuple(randints(rng, -radius, radius, num_vars))
         value = evaluator(pt)
         if value != 0:
             return SZResult(False, pt, value, trials, degree_bound, radius,

@@ -126,10 +126,6 @@ class Gamma15Matrix:
     lam: Vector
     mu: Vector
 
-    @property
-    def column_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _, _ in _gamma15_spec(self.chart.n))
-
     @cached_property
     def terms(self) -> tuple[list, ...]:
         return tuple(terms for _, terms in _gamma15_columns(self.chart.n, self.lam, self.mu))

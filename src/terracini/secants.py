@@ -7,10 +7,11 @@ max-rank over a seeded batch of random small-height rational draws: the
 maximal rank attained is a certified lower bound for the generic rank,
 which is exactly what the statements being audited quantify over.
 Every span is a ``LinearSpan`` of integer numerator rows read from one
-chart's derivative tables, and it is ranked as such; its exact vectors
-are built only when ``generators`` is read.  Curve trials are drawn by
-``sample_curve``; a sampled verdict is the largest value over its trials,
-witnessed by the first trial that attains it.
+chart's derivative tables, and it is ranked as such.  Every draw is one
+``exactlin.randints`` call; a point's draws index ``_LATTICE``, so they
+build no ``Fraction``.  Curve trials are drawn by ``sample_curve``; a
+sampled verdict is the largest value over its trials, witnessed by the
+first trial that attains it.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .chart import (
     Chart,
     IntegerTable,
     contract_numerators,
-    fraction_vector,
     jet_terms,
     multi_indices,
     unit_vectors,
 )
-from .exactlin import _F0, _F1, Vector, span_rank
+from .exactlin import _F0, _F1, Vector, randints, span_rank
 
 COORD_RADIUS = 5  # sample coordinates drawn from [-5, 5]
+_LATTICE = tuple(Fraction(v) for v in range(-COORD_RADIUS, COORD_RADIUS + 1))
 SMOOTH_TRIES = 60  # draws before sample_smooth_point gives up
 
 
@@ -64,8 +65,7 @@ class LinearSpan:
 
     Entry c of vector i is ``rows[i][c] / (scales[i] * dens[c])``: a row
     scale (q^D of the point times the contraction's own scale) and the
-    chart's column scale den_c.  Rank ignores both, so it is taken of the
-    rows; the exact vectors are built only when ``generators`` is read.
+    chart's column scale den_c.  Rank ignores both, so it is taken of the rows.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -85,11 +85,6 @@ class LinearSpan:
     def dim(self) -> int:
         """Projective dimension (rank - 1; -1 for the zero span)."""
         return self.rank - 1
-
-    @cached_property
-    def generators(self) -> tuple[Vector, ...]:
-        """The exact vectors, built on first use."""
-        return tuple(fraction_vector(row, self.dens, s) for row, s in zip(self.rows, self.scales))
 
     def contains_span(self, other: "LinearSpan") -> bool:
         # stacked numerator rows span the stacked vectors only under one column scale
@@ -123,7 +118,7 @@ def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan
 # ---------------------------------------------------------------------------
 
 def sample_point(rng: random.Random, n: int) -> Vector:
-    return tuple(Fraction(rng.randint(-COORD_RADIUS, COORD_RADIUS)) for _ in range(n))
+    return tuple(map(_LATTICE.__getitem__, randints(rng, 0, 2 * COORD_RADIUS, n)))
 
 
 def sample_smooth_point(chart: Chart, rng: random.Random) -> tuple[Vector, int]:
@@ -300,8 +295,7 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
     best = -1
     for _ in range(samples):
         pt, lam, mu = sample_curve(chart, rng)
-        alpha = Fraction(rng.randint(1, COORD_RADIUS))
-        beta = Fraction(rng.randint(1, COORD_RADIUS))
+        alpha, beta = map(Fraction, randints(rng, 1, COORD_RADIUS, 2))
         weights = (1, alpha, beta)[:m + 1]
 
         def dy(s: int, along: tuple = ()) -> list:

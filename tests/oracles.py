@@ -33,7 +33,9 @@ criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
 ``osc2_regular``; and ``curve_derivatives`` contracts x', ..., x^(5) along
 a ``FiveJet`` from the order-5 table, the assembly route that
 ``composed_curve_series`` is checked against.  Only tests write chart
-files, through ``chart_to_obj`` and ``save_chart``.
+files, through ``chart_to_obj`` and ``save_chart``, read a span's exact
+vectors (``generators``) or the determinant matrix's ``column_labels``, or
+project a catalog chart to its recorded target (``build_for_length3``).
 
 ``secant_defect_reference`` ranks every trial, with no rank ceiling, by
 ``rref_rank``; it shares the package's draws and integer tables, so its
@@ -69,13 +71,22 @@ from terracini.chart import (
     fraction_vector,
     jet_terms,
     multi_indices,
+    project_generic,
     unit_vectors,
 )
+from terracini.catalog import CatalogEntry
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, Matrix, NotSquareError, Vector
-from terracini.gamma15 import _gamma15_columns, _gamma15_spec, _require_square_ambient, gamma15_det
+from terracini.gamma15 import (
+    Gamma15Matrix,
+    _gamma15_columns,
+    _gamma15_spec,
+    _require_square_ambient,
+    gamma15_det,
+)
 from terracini.secants import (
     DefectRecord,
+    LinearSpan,
     SingularPointError,
     _osc2_rank,
     _require_smooth_lattice_points,
@@ -528,6 +539,24 @@ def save_chart(chart: Chart, path) -> None:
         fh.write("\n")
 
 
+def build_for_length3(entry: CatalogEntry, seed: int = 0) -> Chart:
+    """The entry's chart, projected to its recorded target when it has one."""
+    chart = entry.build()
+    if entry.projection_target is not None:
+        chart = project_generic(chart, entry.projection_target, seed)
+    return chart
+
+
+def generators(span: LinearSpan) -> tuple[Vector, ...]:
+    """The span's exact vectors: row i's entry c over scales[i] * dens[c]."""
+    return tuple(fraction_vector(row, span.dens, s) for row, s in zip(span.rows, span.scales))
+
+
+def column_labels(gm: Gamma15Matrix) -> tuple[str, ...]:
+    """The labels of the determinant matrix's columns, in column order."""
+    return tuple(label for label, _, _ in _gamma15_spec(gm.chart.n))
+
+
 # ---------------------------------------------------------------------------
 # symbolic derivatives and jet normalization
 # ---------------------------------------------------------------------------
@@ -834,10 +863,10 @@ class HyperplaneSystem:
 def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
     """Covector basis of the hyperplanes whose section is singular along the jet."""
     tas = tangent_along(chart, jet)
-    m = Matrix.from_rows(tas.span.generators)
+    m = Matrix.from_rows(generators(tas.span))
     covs = tuple(m.right_nullspace())
     for a in covs:  # nullspace contract: every covector kills every generator
-        assert not any(sum(map(mul, a, v)) for v in tas.span.generators)
+        assert not any(sum(map(mul, a, v)) for v in generators(tas.span))
     threshold = chart.r - jet.length * (chart.n + 1)
     sys_dim = len(covs) - 1
     return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=tas.dim,

@@ -39,6 +39,7 @@ from terracini.gamma15 import (
 )
 from terracini.secants import osc2_regular, secant_defect
 from oracles import (
+    build_for_length3,
     composed_curve_series,
     curve_derivatives,
     hyperplane_system,
@@ -141,7 +142,7 @@ def test_criterion_04_equivalence_across_catalog():
     eligible = [e for e in load_catalog() if e.equivalence_eligible]
     verdicts = {}
     for entry in eligible:
-        chart = entry.build_for_length3(seed=SEED)
+        chart = build_for_length3(entry, seed=SEED)
         rep = equivalence_audit(chart, trials=5, seed=SEED)
         verdicts[entry.id] = rep.consistent
     clauses = {"catalog has >= 6 eligible entries": len(eligible) >= 6}

@@ -12,7 +12,7 @@ from terracini.catalog import (
     make_veronese,
 )
 from terracini.secants import secant_defect
-from oracles import symmetric_rank_locus_dim
+from oracles import build_for_length3, symmetric_rank_locus_dim
 
 
 def test_veronese_counts():
@@ -111,7 +111,7 @@ def test_projection_targets_are_consistent():
     for entry in load_catalog():
         if entry.projection_target is not None:
             assert entry.projection_target == 3 * entry.n + 2
-            chart = entry.build_for_length3(seed=1)
+            chart = build_for_length3(entry, seed=1)
             assert chart.r == entry.projection_target
         elif entry.equivalence_eligible:
             assert entry.r == 3 * entry.n + 2

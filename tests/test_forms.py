@@ -22,7 +22,8 @@ from terracini.catalog import (
     make_veronese,
 )
 from terracini.chart import load_chart, obj_to_chart, project_generic
-from oracles import MultiPoly, chart_polys, chart_to_obj, integer_form, polys_chart, save_chart
+from oracles import (MultiPoly, build_for_length3, chart_polys, chart_to_obj, integer_form,
+                     polys_chart, save_chart)
 
 
 def keyed(forms) -> list:
@@ -159,7 +160,7 @@ def test_catalog_forms(entry):
     assert_same_forms(entry.build(), polys)
     target = entry.projection_target
     if target is not None:
-        assert_same_forms(entry.build_for_length3(),
+        assert_same_forms(build_for_length3(entry),
                           projected_polys(polys, entry.n, target, 0))
 
 
