@@ -83,8 +83,8 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
             f"degree {degree} in {n} vars has only {len(mons)} monomials < r+1={r + 1}")
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
-        coeffs = randints(rng, -9, 9, (r + 1) * len(mons))  # row by row
-        # arrange a usable base point: nonzero coordinate vector at 0
+        coeffs = randints(rng, -9, 9, (r + 1) * len(mons))  # coordinate by coordinate
+        # arrange a usable base point: some coordinate's constant term nonzero
         if not any(coeffs[::len(mons)]):
             coeffs[0] = 1
         cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r, tuple(

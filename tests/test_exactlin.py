@@ -13,6 +13,7 @@ from terracini.exactlin import (
     Matrix,
     NotSquareError,
     integer_det,
+    randints,
     span_rank,
     sz_zero_test,
 )
@@ -409,3 +410,71 @@ def test_sz_sampling_is_seed_deterministic():
     sz_zero_test(lambda pt: calls_a.append(pt) or F(0), 2, 3, trials=5, seed=9)
     sz_zero_test(lambda pt: calls_b.append(pt) or F(0), 2, 3, trials=5, seed=9)
     assert calls_a == calls_b
+
+
+# ---------------------------------------------------------------------------
+# the seeded draw
+# ---------------------------------------------------------------------------
+
+# (lo, hi, seed): the first 12 draws, then the next getrandbits(16), which
+# pins how many bits the draws took.  Widths 1 and 16 separate k =
+# bit_length(n) from bit_length(n - 1); every width the package draws is odd.
+PINNED_DRAWS = {
+    (3, 3, 0): ([3] * 12, 9158),
+    (3, 3, 1009): ([3] * 12, 12861),
+    (1, 5, 0): ([4, 4, 1, 3, 5, 4, 4, 3, 4, 3, 5, 2], 33075),
+    (1, 5, 1009): ([2, 1, 4, 1, 5, 4, 2, 5, 2, 2, 3, 1], 2071),
+    (-5, 5, 0): ([1, 1, -5, -1, 3, 2, 1, -1, 2, 0, 4, -2], 33075),
+    (-5, 5, 1009): ([-3, -5, 2, -4, 3, 2, -3, 3, -2, -2, -1, -4], 2071),
+    (0, 15, 0): ([12, 13, 1, 8, 15, 12, 9, 15, 11, 6, 4, 9], 9158),
+    (0, 15, 1009): ([5, 0, 15, 2, 15, 5, 7, 6, 8, 2, 1, 6], 12861),
+    (-9, 9, 0): ([3, 4, -8, -1, 7, 6, 3, 0, 6, 2, 9, -3], 33075),
+    (-9, 9, 1009): ([-4, -9, 6, -7, 7, 6, -4, 7, -2, -3, -1, -7], 2071),
+}
+
+
+@pytest.mark.parametrize("lo, hi, seed", list(PINNED_DRAWS), ids=str)
+def test_randints_draws_the_pinned_stream(lo, hi, seed):
+    rng = random.Random(seed)
+    draws, next_bits = PINNED_DRAWS[lo, hi, seed]
+    assert randints(rng, lo, hi, 12) == draws
+    assert rng.getrandbits(16) == next_bits
+
+
+def test_sz_zero_test_draws_the_pinned_points():
+    seen = []
+    res = sz_zero_test(lambda pt: seen.append(pt) or F(0), 3, degree_bound=27, trials=3, seed=5)
+    assert res.sample_radius == 432
+    assert seen == [(205, -171, 327), (-65, 382, 275), (429, 325, 235)]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (1, 5), (-5, 5), (0, 10), (0, 15), (-9, 9),
+                                    (-432, 432), (-(2 ** 40), 2 ** 40 + 3)])
+def test_randints_equals_randint_calls(lo, hi):
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        count = seed % 7 * 9
+        draws = randints(ours, lo, hi, count)
+        assert draws == [theirs.randint(lo, hi) for _ in range(count)]
+        assert all(lo <= x <= hi for x in draws)
+        assert ours.getstate() == theirs.getstate()  # no draw taken beyond the count
+
+
+def test_randints_stays_in_range_over_many_draws():
+    # a width of 16 draws 5 bits, so about one draw in 32 is exactly 16 and must be redrawn
+    for lo, hi in [(0, 15), (-5, 5), (-9, 9)]:
+        draws = randints(random.Random(3), lo, hi, 3000)
+        assert min(draws) == lo and max(draws) == hi
+
+
+def test_randints_of_no_draws_takes_nothing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert randints(rng, -5, 5, 0) == []
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 0), (5, -5), (0, -1)])
+def test_randints_refuses_an_empty_range(lo, hi):
+    with pytest.raises(ValueError, match="empty range"):
+        randints(random.Random(1), lo, hi, 3)

@@ -254,6 +254,34 @@ def test_sample_curve_draws_a_smooth_point_then_lam_then_mu():
     assert got.getstate() == ref.getstate()
 
 
+def test_sample_point_draws_the_randint_stream():
+    got, ref = random.Random(11), random.Random(11)
+    for n in (1, 2, 3, 5, 8):
+        pt = sample_point(got, n)
+        assert pt == tuple(F(ref.randint(-5, 5)) for _ in range(n))
+        assert all(type(x) is F for x in pt)
+    assert got.getstate() == ref.getstate()
+    assert {x for _ in range(200) for x in sample_point(got, 3)} == set(map(F, range(-5, 6)))
+
+
+def test_osc_variety_dim_draws_two_weights_after_each_curve(monkeypatch):
+    chart = make_veronese(2, 3)
+    states = []
+
+    def recorded(chart, rng):
+        states.append(rng.getstate())
+        return sample_curve(chart, rng)
+
+    monkeypatch.setattr(secants, "sample_curve", recorded)
+    osc_variety_dim(chart, 2, samples=3, seed=4)
+    ref = random.Random(4)
+    for state in states:  # alpha and beta are two randint(1, 5) draws after the curve
+        assert ref.getstate() == state
+        sample_curve(chart, ref)
+        ref.randint(1, 5), ref.randint(1, 5)
+    assert len(states) == 3
+
+
 def test_osc2_witness_is_the_first_trial_at_the_maximum():
     chart = make_veronese(4, 2)
     verdict = osc2_regular(chart, trials=4, seed=3)

@@ -1,7 +1,8 @@
 """Static checks of the package sources: no module imports a name it never
 uses, no annotation names something the module never binds, none defines or
-imports the polynomial ring or a helper that only tests use, and the kernel
-module exposes its two kernels only."""
+imports the polynomial ring or a helper that only tests use, none draws but
+through ``exactlin.randints``, and the kernel module exposes its two kernels
+only."""
 
 import ast
 import builtins
@@ -98,7 +99,8 @@ def test_only_the_claim_audit_imports_multipoly(path):
 
 
 # no command-line run enters these, so they live in tests/oracles.py
-TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart"}
+TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_length3",
+             "column_labels", "generators"}
 
 
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
@@ -110,6 +112,26 @@ def test_test_only_helpers_stay_in_the_oracles(path):
                  if isinstance(node, ast.ClassDef) and node.name == "FiveJet"]
     assert not [f for cls in five_jets for f in cls.body
                 if isinstance(f, ast.FunctionDef) and f.name == "n"]
+
+
+def stray_draws(source: str) -> list[str]:
+    """Calls of ``randint``, ``randrange`` or ``choice``, which bypass ``exactlin.randints``."""
+    return sorted(name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+                  if name in {"randint", "randrange", "choice"})
+
+
+def test_stray_draw_check_finds_other_draws():
+    source = ("import random\nfrom random import choice\n\n"
+              "def f(rng):\n    return rng.randint(0, 1), choice([1]), random.randrange(3)\n")
+    assert stray_draws(source) == ["choice", "randint", "randrange"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_every_draw_goes_through_randints(path):
+    # randints pins the CPython 3.11 randint stream; a direct call would follow
+    # whatever randint does on the running Python
+    assert stray_draws(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
