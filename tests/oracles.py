@@ -61,6 +61,7 @@ from math import lcm
 from operator import mul
 
 from terracini._kernels import bareiss_echelon, mod_rank
+from terracini.catalog import CatalogEntry
 from terracini.chart import (
     Chart,
     CurvilinearJet,
@@ -74,7 +75,6 @@ from terracini.chart import (
     project_generic,
     unit_vectors,
 )
-from terracini.catalog import CatalogEntry
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, Matrix, NotSquareError, Vector
 from terracini.gamma15 import (
