@@ -122,14 +122,11 @@ class CatalogEntry:
     notes: str
 
     def build(self) -> Chart:
-        if self.kind == "veronese":
-            chart = make_veronese(*self.params)
-        elif self.kind == "segre":
-            chart = make_segre(*self.params)
-        elif self.kind == "random":
-            chart = make_random_variety(*self.params)
-        else:
+        make = {"veronese": make_veronese, "segre": make_segre,
+                "random": make_random_variety}.get(self.kind)
+        if make is None:
             raise ValueError(f"unknown constructor kind {self.kind!r}")
+        chart = make(*self.params)
         if chart.n != self.n or chart.r != self.r:
             raise ValueError(
                 f"catalog entry {self.id}: built chart has (n,r)=({chart.n},{chart.r}),"

@@ -355,10 +355,12 @@ class Chart:
         return self._coord_degree
 
     def is_nondegenerate(self) -> bool:
-        """Coordinates linearly independent as polynomials (X spans P^r); ranks integer forms."""
-        forms = [dict(zip(es, cs)) for _, cs, es in self.forms]
-        mons = sorted({e for f in forms for e in f})
-        rows = [[f.get(e, 0) for e in mons] for f in forms]
+        """Coordinates independent (X spans P^r): ranks the flat x form, read by monomial index."""
+        cs, ids, cuts = self._dcache[()]
+        rows = [[0] * len(self._mons.codes) for _ in self.forms]
+        for row, cut in zip(rows, cuts or [slice(c, c + 1) for c in range(len(cs))]):
+            for c, i in zip(cs[cut], ids[cut]):
+                row[i] = c
         return span_rank(rows) == self.r + 1
 
 
@@ -594,11 +596,10 @@ def obj_to_chart(obj: dict) -> Chart:
     if not isinstance(obj["label"], str):
         raise ChartFormatError("label must be a string")
     n, r = obj["n"], obj["r"]
-    # type(x) is int: JSON true/false load as bool, an int subclass
-    if not (type(n) is int and n >= 1):
-        raise ChartFormatError("n must be a positive integer")
-    if not (type(r) is int and r >= 1):
-        raise ChartFormatError("r must be a positive integer")
+    for key, v in (("n", n), ("r", r)):
+        # type(v) is int: JSON true/false load as bool, an int subclass
+        if not (type(v) is int and v >= 1):
+            raise ChartFormatError(f"{key} must be a positive integer")
     if r + 1 > MAX_COORDINATES:
         raise ChartFormatError(f"chart declares {r + 1} coordinates,"
                                f" above the cap of {MAX_COORDINATES}")

@@ -119,7 +119,7 @@ def _det(columns: LinearSpan) -> Fraction:
 
 @dataclass(frozen=True)
 class Gamma15Matrix:
-    """The determinant matrix at (pt, lam, mu): terms built and contracted on first use."""
+    """The determinant matrix at (pt, lam, mu), ints and Fractions kept; contracted on first use."""
 
     chart: Chart
     pt: Vector
@@ -140,15 +140,19 @@ class Gamma15Matrix:
         return _det(self.columns)
 
 
+def _exact(v: Sequence) -> tuple:
+    """v as a tuple, as given if all its entries are ints and Fractions, else through Fraction."""
+    v = tuple(v)
+    return v if {int, Fraction}.issuperset(map(type, v)) else tuple(map(Fraction, v))
+
+
 def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
                    mu: Sequence[Fraction]) -> Gamma15Matrix:
-    """The (3n+3)-square matrix whose vanishing determinant is the curve condition."""
+    """The (3n+3)-square matrix whose vanishing determinant is the curve condition; see _exact."""
     _require_square_ambient(chart)
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
+    pt, lam, mu = _exact(pt), _exact(lam), _exact(mu)
     if all(c == 0 for c in lam):
         raise DegenerateJetError("lambda = 0")
-    pt = tuple(Fraction(x) for x in pt)
     if any(len(v) != chart.n for v in (pt, lam, mu)):
         raise ValueError(f"point, lambda and mu need length n={chart.n}")
     return Gamma15Matrix(chart=chart, pt=pt, lam=lam, mu=mu)
@@ -196,7 +200,7 @@ def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
     bound, _ = gamma15_degree_bound(chart)
 
     def evaluator(coords: tuple[int, ...]) -> Fraction:
-        # ints go through as they are: gamma15_matrix converts them once
+        # the drawn ints go through as they are: no Fraction is built
         lam = coords[n:2 * n]
         if not any(lam):
             # legitimate zero of D (the Hessian contraction columns vanish)
@@ -252,11 +256,9 @@ def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
 # ---------------------------------------------------------------------------
 
 def _coordinate_five_jet(chart: Chart, u1: Fraction) -> FiveJet:
-    n = chart.n
-    zero = tuple(_F0 for _ in range(n))
-    base = (Fraction(u1),) + zero[1:]
-    e1 = (_F1,) + zero[1:]
-    return FiveJet(base=base, lam=e1, mu=zero, nu=zero, rho=zero, sigma=zero)
+    zero = (_F0,) * chart.n
+    return FiveJet(base=(Fraction(u1),) + zero[1:], lam=(_F1,) + zero[1:], mu=zero, nu=zero,
+                   rho=zero, sigma=zero)
 
 
 def pi_space(chart: Chart, u1: Fraction) -> LinearSpan:

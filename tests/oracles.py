@@ -10,6 +10,8 @@ osculating verdicts are checked against.
 Charts hold integer forms only; ``chart_polys`` and ``polys_chart`` turn
 them into coordinate polynomials and back, the latter through
 ``integer_form``, the reference reduction of a polynomial to its form.
+``nondegenerate_reference`` ranks the forms' coefficients in one column
+per exponent, the route of ``Chart.is_nondegenerate`` without flat forms.
 The symbolic reference routes live here too, since only tests compare
 against them: derivative tables from a chain of formal partials evaluated
 term by term (``symbolic_table``), the 2-osculating criterion vectors as
@@ -516,6 +518,19 @@ def chart_polys(chart: Chart) -> tuple[MultiPoly, ...]:
 def polys_chart(label: str, n: int, r: int, polys) -> Chart:
     """The chart whose coordinates are the given polynomials, via ``integer_form``."""
     return Chart(label, n, r, tuple(integer_form(p) for p in polys))
+
+
+def nondegenerate_reference(chart: Chart) -> bool:
+    """``Chart.is_nondegenerate`` from the integer forms: one column per distinct exponent.
+
+    The second route: exponent dicts and the sorted set of their exponents,
+    ranked by ``rref_rank``; it reads neither the flat forms nor the
+    chart's monomial list.
+    """
+    forms = [dict(zip(es, cs)) for _, cs, es in chart.forms]
+    mons = sorted({e for f in forms for e in f})
+    rows = [[f.get(e, 0) for e in mons] for f in forms]
+    return rref_rank(rows) == chart.r + 1
 
 
 def chart_to_obj(chart: Chart) -> dict:

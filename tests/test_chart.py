@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from terracini.catalog import make_random_variety, make_segre, make_veronese
+from terracini.catalog import load_catalog, make_random_variety, make_segre, make_veronese
 from terracini.chart import (
     MAX_DEGREE,
     BadTargetError,
@@ -39,6 +39,7 @@ from oracles import (
     generators,
     is_normalized,
     jet_normalize,
+    nondegenerate_reference,
     partial,
     poly_compose_curve,
     polys_chart,
@@ -589,6 +590,55 @@ def test_smoothness_matches_the_fraction_route(name):
         # the first partials span at the origin, but x vanishes there
         assert c.forms[0][2] == ((0, 1), (0, 2))
         assert ((0, 0), 2) in singular
+
+
+def random_forms_chart(seed: int) -> Chart:
+    """Coordinates of one to three terms of degree <= 2: many charts are degenerate."""
+    rng = random.Random(seed)
+    n, r = rng.randint(1, 3), rng.randint(2, 6)
+    exps = [e for e in product(range(3), repeat=n) if sum(e) <= 2]
+
+    def form():
+        picked = rng.sample(exps, min(len(exps), rng.choice((1, 1, 2, 3))))
+        return rng.randint(1, 4), tuple(rng.choice((-2, -1, 1, 2)) for _ in picked), tuple(picked)
+
+    return Chart(f"forms-{seed}", n, r, tuple(form() for _ in range(r + 1)))
+
+
+def test_nondegeneracy_matches_the_exponent_route_on_the_catalog():
+    for entry in load_catalog():
+        c = entry.build()
+        assert c.is_nondegenerate() is nondegenerate_reference(c) is True, entry.id
+
+
+def test_nondegeneracy_matches_the_exponent_route_on_random_forms():
+    seen = set()
+    for seed in range(20):
+        c = random_forms_chart(seed)
+        verdict = c.is_nondegenerate()
+        assert verdict is nondegenerate_reference(c), seed
+        seen.add((verdict, c._dcache[()][2] is None))  # cuts None: the gather form
+    # both verdicts, and a degenerate chart in each flat form
+    assert {True, False} == {v for v, _ in seen} and {(False, True), (False, False)} <= seen
+
+
+def test_nondegeneracy_of_special_charts():
+    veronese = make_veronese(2, 2)
+    dense = make_random_variety(2, 3, 7, 4)
+    zero = Chart("zero-coordinate", 2, 6, veronese.forms + ((1, (), ()),))
+    equal = Chart("equal-coordinates", 2, 8, dense.forms + (dense.forms[3],))
+    projected = project_generic(make_veronese(2, 3), 8, seed=5)
+    assert [c.is_nondegenerate() for c in (zero, equal, projected)] == [False, False, True]
+    assert [nondegenerate_reference(c) for c in (zero, equal, projected)] == [False, False, True]
+    # the partials of u1 u2^2 and u1^2 u2 read u1 u2, which x does not: the
+    # monomial list outgrows x's monomials, and their rows gain zero columns
+    mixed = Chart("mixed", 2, 4, tuple((1, (1,), (e,))
+                                       for e in ((0, 0), (1, 0), (0, 1), (1, 2), (2, 1))))
+    for c, grows in ((mixed, True), (veronese, False), (dense, False), (equal, False)):
+        before = len(c._mons.codes)
+        c.integer_table((F(1), F(-2)), 4)
+        assert (len(c._mons.codes) > before) is grows
+        assert c.is_nondegenerate() is nondegenerate_reference(c) is (c is not equal)
 
 
 def test_projection_preserves_span_ranks():

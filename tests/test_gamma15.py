@@ -201,6 +201,51 @@ def test_identity_test_on_quadratic_chart_contracts_nothing(monkeypatch):
     assert term_lists == [] and len(matrices) == 20  # no term list built, one matrix a trial
 
 
+@pytest.mark.parametrize("chart", [make_veronese(4, 2), make_random_variety(4, 2, 14, 1)],
+                         ids=["veronese:4:2", "random:4:2:14:1"])
+def test_identity_test_on_quadratic_chart_builds_no_fraction(chart, monkeypatch):
+    # each trial's drawn ints reach the matrix as they are, and D = 0 is read
+    # off the column structure, so no trial converts anything
+    calls, matrices = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(gamma15, "Fraction", counted)
+    monkeypatch.setattr(gamma15, "gamma15_matrix",
+                        lambda *args: matrices.append(args) or gamma15_matrix(*args))
+    verdict = gamma15_identically_zero(chart, seed=1)
+    assert verdict.identically_zero and verdict.sz.trials == SZ_TRIALS == len(matrices)
+    assert calls == []
+    gm = gamma15_matrix(*matrices[-1])
+    assert all(type(x) is int for x in gm.pt + gm.lam + gm.mu)
+
+
+@pytest.mark.parametrize("chart", [make_random_variety(3, 3, 11, 1), make_veronese(4, 2)],
+                         ids=["random:3:3:11:1", "veronese:4:2"])
+def test_det_reads_ints_fractions_floats_and_decimal_strings_alike(chart):
+    rng = random.Random(65)
+    nonzero, ints = 0, 0
+    for halves in (False, True, False, True):
+        pt, lam, mu = ([F(rng.randint(-8, 8), 2 if halves else 1) for _ in range(chart.n)]
+                       for _ in range(3))
+        lam[0] = F(rng.randint(1, 4))
+        kinds = {"Fraction": F, "float": float, "str": lambda x: f"{float(x):.2f}"}
+        if not halves:
+            kinds["int"] = int  # integral values only
+        values = {kind: gamma15_det(chart, *([make(x) for x in v] for v in (pt, lam, mu)))
+                  for kind, make in kinds.items()}
+        ints += "int" in values
+        # a float among ints sends the whole vector through Fraction
+        values["mixed"] = gamma15_det(chart, pt, [float(lam[0])] + lam[1:], mu)
+        assert len(set(values.values())) == 1, values
+        nonzero += values["Fraction"] != 0
+        gm = gamma15_matrix(chart, [float(x) for x in pt], lam, mu)
+        assert all(type(x) is F for x in gm.pt) and gm.lam == tuple(lam)
+    assert ints == 2 and nonzero == (4 if chart.max_coord_degree() == 3 else 0)
+
+
 def _monomial_chart(n: int, d: int) -> Chart:
     """u_1^d and 3n+2 zero coordinates: a chart in P^{3n+2} of coordinate degree d (-1: zero)."""
     first = (1, (1,), ((d,) + (0,) * (n - 1),)) if d >= 0 else (1, (), ())
