@@ -226,7 +226,7 @@ def test_identity_test_on_quadratic_chart_builds_no_fraction(chart, monkeypatch)
                          ids=["random:3:3:11:1", "veronese:4:2"])
 def test_det_reads_ints_fractions_floats_and_decimal_strings_alike(chart):
     rng = random.Random(65)
-    nonzero, ints = 0, 0
+    nonzero = 0
     for halves in (False, True, False, True):
         pt, lam, mu = ([F(rng.randint(-8, 8), 2 if halves else 1) for _ in range(chart.n)]
                        for _ in range(3))
@@ -236,14 +236,13 @@ def test_det_reads_ints_fractions_floats_and_decimal_strings_alike(chart):
             kinds["int"] = int  # integral values only
         values = {kind: gamma15_det(chart, *([make(x) for x in v] for v in (pt, lam, mu)))
                   for kind, make in kinds.items()}
-        ints += "int" in values
-        # a float among ints sends the whole vector through Fraction
+        # a float among Fractions sends the whole vector through Fraction
         values["mixed"] = gamma15_det(chart, pt, [float(lam[0])] + lam[1:], mu)
         assert len(set(values.values())) == 1, values
         nonzero += values["Fraction"] != 0
         gm = gamma15_matrix(chart, [float(x) for x in pt], lam, mu)
         assert all(type(x) is F for x in gm.pt) and gm.lam == tuple(lam)
-    assert ints == 2 and nonzero == (4 if chart.max_coord_degree() == 3 else 0)
+    assert nonzero == (4 if chart.max_coord_degree() == 3 else 0)
 
 
 def _monomial_chart(n: int, d: int) -> Chart:
