@@ -34,14 +34,16 @@ where they are kept, as canonical ``Fraction``s (``fraction_vector``,
 with no gcd when both scales are 1, as at an integer point of an
 integer-coefficient chart).  ``derivative_vector`` reads a single
 multi-index as ``Fraction``s.  The smoothness test reads x through it and
-ranks the n first partials as the order-1 table's integer rows, which
-rank's indifference to row and column scales allows.
+ranks the n+1 rows x, x_1..x_n of the order-1 table's integers, which
+rank's indifference to row and column scales allows; only where that
+tangent rank falls short of n+1 does it rank the n first partials.
 
 ``integer_table`` is the one evaluator: it keeps the tables of the last
-point asked for, one per order, and starts afresh when the point changes.
-A point is drawn, tested for smoothness (x and the n first partials) and
-its tangent space is read, all from one order-1 evaluation; the five-jet
-check and the span Pi at a jet's base share one order-5 evaluation.
+point asked for, one per order, with the tangent rank once asked, and
+starts afresh when the point changes.  A point is drawn, tested for
+smoothness and its tangent space read, all from one order-1 evaluation
+and one rank; the five-jet check and the span Pi at a jet's base share
+one order-5 evaluation.
 ``derivative_vector`` reads a key of order h from the order-max(1, h)
 table.  Memoized tables are shared, so callers must not modify them.
 
@@ -240,8 +242,9 @@ class Chart:
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
-    # The last point given to ``integer_table`` and its tables, {order: table}.
-    _memo: list = field(default_factory=lambda: [None, {}], init=False, repr=False,
+    # The last point given to ``integer_table``, its tables, {order: table},
+    # and the rank of its order-1 rows (None until ``tangent_rank`` asks).
+    _memo: list = field(default_factory=lambda: [None, {}, None], init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
@@ -324,7 +327,7 @@ class Chart:
         """
         pt = tuple(pt)
         if self._memo[0] != pt:
-            self._memo[:] = pt, {}
+            self._memo[:] = pt, {}, None
         tables = self._memo[1]
         if h not in tables:
             # partials above the chart degree vanish
@@ -341,15 +344,26 @@ class Chart:
         """Rank of the n first partials, taken of the order-1 table's integer rows."""
         return span_rank(self.integer_table(pt, 1).rows([(i,) for i in range(self.n)]))
 
+    def tangent_rank(self, pt: Sequence[Fraction]) -> int:
+        """Rank of x, x_1..x_n at pt, taken of the order-1 table's integer rows.
+
+        It is kept with the point's tables, so a point is ranked once.
+        """
+        t = self.integer_table(pt, 1)
+        if self._memo[2] is None:
+            self._memo[2] = span_rank(t.rows(multi_indices(self.n, 1)))
+        return self._memo[2]
+
     def is_smooth_at(self, pt: Sequence[Fraction]) -> bool:
         """Chart smoothness: a nonzero coordinate vector and Jacobian rank n.
 
-        x is read through ``derivative_vector``, the rank from the integer
-        rows of the same order-1 table.
+        x is read through ``derivative_vector``.  Tangent rank n+1 implies
+        Jacobian rank n, so the n first partials are ranked only where the
+        memoized ``tangent_rank`` falls short.
         """
         if all(c == 0 for c in self.derivative_vector(pt, ())):
             return False
-        return self.jacobian_rank(pt) == self.n
+        return self.tangent_rank(pt) == self.n + 1 or self.jacobian_rank(pt) == self.n
 
     def max_coord_degree(self) -> int:
         return self._coord_degree

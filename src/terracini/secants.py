@@ -7,10 +7,11 @@ max-rank over a seeded batch of random small-height rational draws: the
 maximal rank attained is a certified lower bound for the generic rank,
 which is exactly what the statements being audited quantify over.
 Every span is a ``LinearSpan`` of integer numerator rows read from one
-chart's derivative tables, and it is ranked as such.  Every draw is one
-``exactlin.randints`` call; a point's draws index ``_LATTICE``, so they
-build no ``Fraction``.  Curve trials are drawn by ``sample_curve``; a
-sampled verdict is the largest value over its trials, witnessed by the
+chart's derivative tables, and it is ranked as such; a tangent span's
+rank is the chart's memoized ``tangent_rank`` of the point.  Every draw
+is one ``exactlin.randints`` call; a point's draws index ``_LATTICE``, so
+they build no ``Fraction``.  Curve trials are drawn by ``sample_curve``;
+a sampled verdict is the largest value over its trials, witnessed by the
 first trial that attains it.
 """
 
@@ -98,12 +99,16 @@ class LinearSpan:
 # ---------------------------------------------------------------------------
 
 def tangent_space(chart: Chart, pt: Sequence[Fraction]) -> LinearSpan:
-    """Projective tangent space: span of x and x_1..x_n; SingularPointError below rank n+1."""
-    span = osculating_space(chart, pt, 1)
-    if span.rank < chart.n + 1:
-        raise SingularPointError(f"tangent rank {span.rank} < n+1 at"
+    """Projective tangent space: span of x and x_1..x_n; SingularPointError below rank n+1.
+
+    The rank is the chart's memoized ``tangent_rank``, which the smoothness
+    test of a drawn point has already taken.
+    """
+    rank = chart.tangent_rank(pt)
+    if rank < chart.n + 1:
+        raise SingularPointError(f"tangent rank {rank} < n+1 at"
                                  f" ({', '.join(map(str, pt))}) on {chart.label}")
-    return span
+    return osculating_space(chart, pt, 1)
 
 
 def osculating_space(chart: Chart, pt: Sequence[Fraction], h: int) -> LinearSpan:
@@ -182,9 +187,11 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
     observed secant dimension.  The points come from the sample lattice, so
     k+1 may not exceed its size; when a run of duplicate draws as long as
     the lattice suggests it holds fewer than k+1 smooth points, the lattice
-    is counted and the shortfall raised as SingularPointError.  No union
-    can pass expected, so once a trial reaches it the later trials make
-    their draws and check each point's tangent rank but rank no union.
+    is counted and the shortfall raised as SingularPointError.  Each
+    accepted point is ranked once: its smoothness test takes the chart's
+    memoized tangent rank, which ``tangent_space`` reads.  No union can
+    pass expected, so once a trial reaches it the later trials make their
+    draws and check each point's tangent rank but rank no union.
     """
     if k < 1 or samples < 1:
         raise ValueError("need k >= 1 and samples >= 1")

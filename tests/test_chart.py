@@ -43,10 +43,12 @@ from oracles import (
     partial,
     poly_compose_curve,
     polys_chart,
+    rref_rank,
     save_chart,
     smoothness_reference,
     symbolic_table,
 )
+from test_secants import tangent_through_x_chart
 
 
 def rand_fivejet(rng, n, base_hi=2, hi=4):
@@ -566,6 +568,7 @@ SMOOTHNESS_CHARTS = {
     "projection": lambda: project_generic(make_veronese(2, 3), 6, seed=3),
     "cusp": cusp_chart,
     "vanishing-partial": vanishing_partial_chart,
+    "tangent-through-x": tangent_through_x_chart,
 }
 
 
@@ -586,10 +589,24 @@ def test_smoothness_matches_the_fraction_route(name):
         assert all(es != ((0, 0),) for _, _, es in c.forms)  # no constant coordinate
     elif name == "cusp":
         assert singular == [((0,), 0)]
+    elif name == "tangent-through-x":
+        # smooth everywhere, though x = x_1 at u = 1 sends the test to the Jacobian
+        assert singular == []
+        assert [u for u in range(-5, 6) if c.tangent_rank((F(u),)) < 2] == [1]
     else:
         # the first partials span at the origin, but x vanishes there
         assert c.forms[0][2] == ((0, 1), (0, 2))
         assert ((0, 0), 2) in singular
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda e: e.id)
+def test_tangent_rank_matches_the_fraction_route(entry):
+    # alternating points, so each rank is taken afresh after a point change
+    c = entry.build()
+    pts = [tuple(map(F, vals[:c.n])) for vals in ((0, 0, 0, 0), (2, -1, 3, 1), (F(1, 2), 4, -5, 2))]
+    for pt in pts + pts[::-1]:
+        table = symbolic_table(c, pt, 1)
+        assert c.tangent_rank(pt) == rref_rank([table[key] for key in multi_indices(c.n, 1)])
 
 
 def random_forms_chart(seed: int) -> Chart:

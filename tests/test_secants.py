@@ -54,7 +54,11 @@ def tangent_through_x_chart() -> Chart:
 
 @pytest.fixture
 def ranked(monkeypatch):
-    """The row count of every ``span_rank`` call made from ``secants``, in call order."""
+    """The row count of every ``span_rank`` call made from ``secants`` or ``chart``, in call order.
+
+    A drawn point's tangent rows are ranked in ``chart`` (``Chart.tangent_rank``,
+    from its smoothness test), the unions in ``secants``.
+    """
     sizes = []
     span_rank = secants.span_rank
 
@@ -63,6 +67,7 @@ def ranked(monkeypatch):
         return span_rank(rows)
 
     monkeypatch.setattr(secants, "span_rank", counted)
+    monkeypatch.setattr("terracini.chart.span_rank", counted)
     return sizes
 
 
@@ -89,6 +94,21 @@ def test_tangent_space_singular_point_raises():
     c = Chart("cusp", 1, 2, ((1, (1,), ((0,),)), (1, (1,), ((2,),)), (1, (1,), ((3,),))))
     with pytest.raises(SingularPointError):
         tangent_space(c, (F(0),))
+
+
+@pytest.mark.parametrize("order", [(1, 2, 1, 2), (2, 1, 2, 1)], ids=["1-first", "2-first"])
+def test_tangent_rank_memo_follows_the_point(order):
+    # x = x_1 at u = 1 only, so the smoothness test passes there through the
+    # Jacobian fallback and tangent_space raises there only
+    c = tangent_through_x_chart()
+    for u in order:
+        pt = (F(u),)
+        assert c.is_smooth_at(pt) and c.tangent_rank(pt) == (1 if u == 1 else 2)
+        if u == 1:
+            with pytest.raises(SingularPointError, match="tangent rank 1 < n"):
+                tangent_space(c, pt)
+        else:
+            assert tangent_space(c, pt).rank == 2
 
 
 def test_osculating_space_h1_is_tangent_space():
@@ -167,6 +187,14 @@ def test_a_union_below_expected_is_ranked_in_every_trial(ranked):
     rec = secant_defect(make_veronese(2, 2), 1, samples=3, seed=0)
     assert (rec.expected, rec.observed) == (5, 4)
     assert ranked == [3, 3, 6] * 3
+
+
+def test_each_accepted_draw_is_ranked_once(ranked):
+    # every point of v_2(P^10) is smooth with tangent rank 11, and no union
+    # reaches expected 54, so each trial ranks its 5 points once and its union
+    rec = secant_defect(make_veronese(10, 2), 4, samples=5, seed=0)
+    assert (rec.expected, rec.observed, rec.resamples) == (54, 44, 0)
+    assert ranked == ([11] * 5 + [55]) * 5
 
 
 @pytest.mark.parametrize("seed", [0, 1], ids=["first-trial", "later-trial"])
