@@ -216,7 +216,7 @@ def secant_defect(chart: Chart, k: int, samples: int = 5, seed: int = 0) -> Defe
                     _require_smooth_lattice_points(chart, k + 1)
                 continue
             pts.append(pt)
-            # the order-1 table the smoothness test just evaluated; all rows share den_c
+            # the order-1 table and tangent rank the smoothness test just took; all rows share den_c
             rows += tangent_space(chart, pt).rows
             repeats = 0
         # no union passes expected, so once a trial reaches it no later rank can change the report
