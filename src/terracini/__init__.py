@@ -12,7 +12,6 @@ from .catalog import make_random_variety, make_segre, make_veronese
 from .chart import (
     Chart,
     CurvilinearJet,
-    FiveJet,
     load_chart,
     project_generic,
 )
@@ -21,7 +20,7 @@ from .exactlin import Matrix
 from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
-    five_jet_rank_check,
+    five_jet_rank,
     gamma15_det,
     gamma15_identically_zero,
     gamma15_matrix,
@@ -42,13 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Chart",
     "CurvilinearJet",
-    "FiveJet",
     "KERNEL_BACKEND",
     "LinearSpan",
     "Matrix",
     "defect_pipeline",
     "equivalence_audit",
-    "five_jet_rank_check",
+    "five_jet_rank",
     "gamma15_det",
     "gamma15_identically_zero",
     "gamma15_matrix",

@@ -42,7 +42,7 @@ tangent rank falls short of n+1 does it rank the n first partials.
 point asked for, one per order, with the tangent rank once asked, and
 starts afresh when the point changes.  A point is drawn, tested for
 smoothness and its tangent space read, all from one order-1 evaluation
-and one rank; the five-jet check and the span Pi at a jet's base share
+and one rank; the five-jet rank and the span Pi at a curve's base share
 one order-5 evaluation.
 ``derivative_vector`` reads a key of order h from the order-max(1, h)
 table.  Memoized tables are shared, so callers must not modify them.
@@ -53,8 +53,9 @@ determinant columns, the five-jet vectors and Pi are each x or a first
 partial of x differentiated m times along one curve u(t) = base + sum_k
 c_k t^k, and ``jet_terms`` gives their contraction terms.  A jet is
 normalized through its affine frame (chain rule, no polynomial
-arithmetic): the partials along the frame's columns are contracted from
-the chart's own table at the jet's base.  The symbolic routes that tests
+arithmetic, no normalized jet built): the partials along the frame's
+columns and the curve are contracted from the chart's own table at the
+jet's base.  The symbolic routes that tests
 compare against (a formal partial chain evaluated term by term,
 substitution of the frame into every coordinate, composition with the
 curve's truncated series) live in ``tests/oracles.py``.
@@ -71,7 +72,7 @@ from itertools import accumulate, combinations_with_replacement, compress, repea
 from operator import add, attrgetter, mul, sub
 from typing import NamedTuple, Sequence
 
-from .exactlin import _F0, _F1, BadIndexError, Vector, randints, span_rank
+from .exactlin import _F0, BadIndexError, Vector, randints, span_rank
 
 # Largest coordinate count r + 1 that the catalog constructors build (checked
 # before any polynomial exists) and that a chart file may declare.
@@ -519,44 +520,20 @@ class CurvilinearJet:
         return len(self.base)
 
 
-@dataclass(frozen=True)
-class FiveJet:
-    """Fifth-order jet of a curve: u = base + lam t + mu t^2 + nu t^3 + rho t^4 + sigma t^5."""
-
-    base: Vector
-    lam: Vector
-    mu: Vector
-    nu: Vector
-    rho: Vector
-    sigma: Vector
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.lam):
-            raise DegenerateJetError("lambda = 0")
-        sizes = {len(self.base), len(self.lam), len(self.mu), len(self.nu),
-                 len(self.rho), len(self.sigma)}
-        if len(sizes) != 1:
-            raise ValueError("jet coefficient vectors have mixed lengths")
-
-
-def _normalized_frame(jet: CurvilinearJet) -> tuple[list[Vector], CurvilinearJet]:
-    """Columns M e_j of the affine frame M, and the normalized jet (lambda = e_1, mu_1 = 0).
+def _normalized_frame(jet: CurvilinearJet) -> tuple[list[Vector], Vector]:
+    """Columns M e_j of the affine frame M, and the curve's second coefficient mu - w_1 lambda.
 
     M has lambda as first column and e_i (i != pivot p) as the others, so
     u = base + M w is invertible and M w = mu is solved in closed form:
-    w_1 = mu_p / lambda_p and w_i = mu_i - w_1 lambda_i.  The curve
-    parameter is then requadratically rescaled (t -> s - w_1 s^2) to kill
-    mu_1, so M maps the normalized mu to mu - w_1 lambda.
+    w_1 = mu_p / lambda_p and w_i = mu_i - w_1 lambda_i.  Rescaling the
+    curve parameter (t -> s - w_1 s^2) kills mu_1: M maps the normalized
+    mu (0, w_2..w_n) to mu - w_1 lambda, the chart's own coordinates.
     """
-    n = jet.n
-    pivot = next(i for i in range(n) if jet.lam[i] != 0)
-    others = [i for i in range(n) if i != pivot]
-    e = unit_vectors(n)
+    pivot = next(i for i, x in enumerate(jet.lam) if x != 0)
     w1 = Fraction(jet.mu[pivot]) / jet.lam[pivot]
-    new_jet = CurvilinearJet(base=(_F0,) * n, lam=(_F1,) + (_F0,) * (n - 1),
-                             mu=(_F0,) + tuple(jet.mu[i] - w1 * jet.lam[i] for i in others),
-                             length=jet.length)
-    return [tuple(jet.lam)] + [e[i] for i in others], new_jet
+    e = unit_vectors(jet.n)
+    return ([tuple(jet.lam)] + e[:pivot] + e[pivot + 1:],
+            tuple(m - w1 * x for m, x in zip(jet.mu, jet.lam)))
 
 
 def project_generic(chart: Chart, r_target: int, seed: int) -> Chart:

@@ -5,17 +5,17 @@ section of the variety is singular along the scheme; dually it is the span
 of an explicit generator list of chart derivatives at the normalized jet.
 Through the normalizing frame each generator is a curve derivative of x
 or of one of its partials, whose ``jet_terms`` are contracted from one
-integer derivative table at the jet's base.  The scheme is special when
-that span falls short of the expected dimension min{r, k(n+1)-1}.  The
-dual route, a covector basis of that hyperplane system, is a test oracle
-(``tests/oracles.py``).
+integer derivative table at the jet's base; ``tangent_along`` returns
+that span alone.  The scheme is special when its dim falls short of the
+expected dimension min{r, k(n+1)-1}.  The dual route, a covector basis of
+that hyperplane system, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .chart import (
     AmbientTooSmallError,
@@ -28,60 +28,32 @@ from .exactlin import _F0, _F1
 from .secants import LinearSpan, expected_tangent_dim, sample_point, sample_smooth_point
 
 
-@dataclass(frozen=True)
-class TangentAlongScheme:
-    """Span of the tangent space along a curvilinear scheme, with verdict."""
+def tangent_along(chart: Chart, jet: CurvilinearJet) -> LinearSpan:
+    """Span of the tangent space along a length-2 or length-3 curvilinear scheme.
 
-    jet: CurvilinearJet          # normalized jet actually used
-    span: LinearSpan
-    expected: int
-    special: bool
-    zero_generators: tuple[int, ...]  # indices of generators that vanished
-    generator_labels: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-
-def tangent_along(chart: Chart, jet: CurvilinearJet) -> TangentAlongScheme:
-    """Tangent space along a length-2 or length-3 curvilinear scheme.
-
-    The generators are stated for the normalized jet (u = base + M w,
-    lambda = e_1, mu_1 = 0).  By the chain rule each is a derivative of x,
-    or of its partial along a column M e_j, along the line (lambda,) or,
-    for the mu combinations, the curve (lambda, mu - w_1 lambda), read
-    from the chart's own table at the jet's base; the substitution oracle
-    in tests builds them from a substituted chart.  Zero generators (e.g.
-    the quintic combination on a quadratic chart) are kept and flagged,
-    they cannot affect the rank.
+    For the normalized jet (u = base + M w, lambda = e_1, mu_1 = 0) the
+    generators are x, x_1..x_n, x_11..x_1n, x_111 and, for length 3,
+    2*sum x_ih mu_i + x_11h (h >= 2), 12*sum x_ij mu_i mu_j + 12*sum x_11i
+    mu_i + x_1111 and 60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111.
+    By the chain rule each is a derivative of x, or of its partial along a
+    column M e_j, along the line (lambda,) or the curve (lambda, mu - w_1
+    lambda), read from the chart's own table at the jet's base (tests
+    compare a substituted chart).  A generator that vanishes (the quintic
+    one on a quadratic chart) is kept as a zero row.
     """
     if jet.length == 3 and chart.r < 3 * chart.n + 2:
         raise AmbientTooSmallError(
             f"length-3 analysis needs r >= 3n+2 = {3 * chart.n + 2}, have r={chart.r}"
             " (project the chart first)")
-    frame, njet = _normalized_frame(jet)
+    frame, mu = _normalized_frame(jet)
     line = (jet.lam,)
-    gens = [("x", jet_terms(0, line))]
-    gens += [(f"x_{j}", jet_terms(0, line, (v,))) for j, v in enumerate(frame, 1)]
-    gens += [(f"x_1{j}", jet_terms(1, line, (v,))) for j, v in enumerate(frame, 1)]
-    gens.append(("x_111", jet_terms(3, line)))
+    gens = [jet_terms(0, line)] + [jet_terms(0, line, (v,)) for v in frame]
+    gens += [jet_terms(1, line, (v,)) for v in frame] + [jet_terms(3, line)]
     if jet.length == 3:
-        # M maps the normalized mu to mu - w_1 lambda
-        curve = line + (tuple(sum(map(mul, row, njet.mu)) for row in zip(*frame)),)
-        gens += [(f"2*sum x_i{h} mu_i + x_11{h}", jet_terms(2, curve, (v,)))
-                 for h, v in enumerate(frame[1:], 2)]
-        gens.append(("12*sum x_ij mu_i mu_j + 12*sum x_11i mu_i + x_1111",
-                     jet_terms(4, curve)))
-        gens.append(("60*sum x_1ij mu_i mu_j + 20*sum x_111i mu_i + x_11111",
-                     jet_terms(5, curve)))
-    t = chart.integer_table(jet.base, 3 if jet.length == 2 else 5)
-    span = LinearSpan.contracted(t, [terms for _, terms in gens])
-    expected = expected_tangent_dim(chart.n, jet.length, chart.r)
-    zeros = tuple(i for i, row in enumerate(span.rows) if not any(row))
-    return TangentAlongScheme(jet=njet, span=span, expected=expected,
-                              special=span.dim < expected, zero_generators=zeros,
-                              generator_labels=tuple(label for label, _ in gens))
+        curve = line + (mu,)
+        gens += [jet_terms(2, curve, (v,)) for v in frame[1:]]
+        gens += [jet_terms(4, curve), jet_terms(5, curve)]
+    return LinearSpan.contracted(chart.integer_table(jet.base, 3 if jet.length == 2 else 5), gens)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ column structure once per n, its terms contracted in one
 ``chart.contract_numerators`` pass on first use; a column of partials above
 the chart degree gives D = 0 with no term built), decides D == 0 by seeded
 Schwartz-Zippel testing (the exact symbolic expansion of D for n <= 3 is
-a test oracle in ``tests/oracles.py``), audits the five-jet rank condition,
-the constancy of the span Pi along coordinate curves, and the equivalence
-of the determinant verdict with curvilinear speciality, and runs the
-end-to-end 2-defectivity pipeline.
+a test oracle in ``tests/oracles.py``), takes the five-jet rank of a curve,
+audits the constancy of the span Pi along coordinate curves, and the
+equivalence of the determinant verdict with curvilinear speciality, and
+runs the end-to-end 2-defectivity pipeline.
 
 Convention note (recorded in every report): the fifth-order tangential
 column contracts the order-5 symmetric derivative tensor x_{ijklm} against
@@ -32,7 +32,6 @@ from .chart import (
     AmbientTooSmallError,
     Chart,
     DegenerateJetError,
-    FiveJet,
     _partitions,
     jet_terms,
     unit_vectors,
@@ -45,7 +44,6 @@ from .curvilinear import (
 )
 from .exactlin import (
     _F0,
-    _F1,
     SZResult,
     Vector,
     integer_det,
@@ -219,68 +217,44 @@ def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
 # five-jet rank condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiveJetRankCheck:
-    """Rank of {x, x_1..x_n, x', x'', x''', x'''', x'''''} and its verdict.
+def five_jet_rank(chart: Chart, base: Vector, coeffs: Sequence[Vector]) -> int:
+    """Rank of x, x_1..x_n, x', ..., x^(5) along u = base + sum_k coeffs[k-1] t^k.
 
-    The curve derivative x' lies in <x_1..x_n> identically, so the listed
-    n+6 vectors can never exceed rank n+5; the curve condition at the jet
-    is that the span degenerates one step further, to rank <= n+4 (the
-    span of the tangent space and the fifth osculating flag of the curve
-    falls below its expected dimension).
+    Missing coefficients are zero; the vectors come from the order-5 table
+    at base.  x' lies in <x_1..x_n> identically, so the n+6 vectors never
+    exceed rank n+5; the curve condition at base is rank <= n+4 (the span
+    of the tangent space and the curve's fifth osculating flag falls below
+    its expected dimension).
     """
-
-    rank: int
-    condition_holds: bool
-    dependency_threshold: int   # n + 4
-    structural_bound: int       # n + 5
-    vector_count: int           # n + 6
-
-
-def five_jet_rank_check(chart: Chart, jet: FiveJet) -> FiveJetRankCheck:
-    """The check read from the order-5 table at the jet's base."""
     _require_square_ambient(chart)
-    n = chart.n
-    t = chart.integer_table(jet.base, 5)
-    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
-    # x, x_1..x_n, then x', ..., x^(5) along the jet's curve
-    groups = [(0, ())] + [(0, (ei,)) for ei in unit_vectors(n)] + [(k, ()) for k in range(1, 6)]
-    rank = LinearSpan.contracted(t, [jet_terms(h, coeffs, along) for h, along in groups]).rank
-    return FiveJetRankCheck(rank=rank, condition_holds=(rank <= n + 4),
-                            dependency_threshold=n + 4, structural_bound=n + 5,
-                            vector_count=n + 6)
+    # x, x_1..x_n, then x', ..., x^(5) along the curve
+    groups = [(0, ())] + [(0, (e,)) for e in unit_vectors(chart.n)] + [(k, ()) for k in range(1, 6)]
+    return LinearSpan.contracted(chart.integer_table(base, 5),
+                                 [jet_terms(h, coeffs, along) for h, along in groups]).rank
 
 
 # ---------------------------------------------------------------------------
 # the span Pi along coordinate curves
 # ---------------------------------------------------------------------------
 
-def _coordinate_five_jet(chart: Chart, u1: Fraction) -> FiveJet:
-    zero = (_F0,) * chart.n
-    return FiveJet(base=(Fraction(u1),) + zero[1:], lam=(_F1,) + zero[1:], mu=zero, nu=zero,
-                   rho=zero, sigma=zero)
-
-
 def pi_space(chart: Chart, u1: Fraction) -> LinearSpan:
     """Pi at a sample of the u_1 coordinate curve (other parameters at 0).
 
     Its rows are x, x_1..x_n, x_11..x_1n, x_111..x_11n and x_1111, in that
-    order.  Precondition: the coordinate curve satisfies the quasi-asymptotic
-    rank condition at the sample (checked through five_jet_rank_check).
+    order.  Precondition: the coordinate curve base + e_1 t is quasi-asymptotic
+    at the sample, its ``five_jet_rank`` at most n+4.
     """
-    _require_square_ambient(chart)
     n = chart.n
-    jet = _coordinate_five_jet(chart, u1)
-    t = chart.integer_table(jet.base, 5)
-    check = five_jet_rank_check(chart, jet)
-    if not check.condition_holds:
-        raise PreconditionFailedError(
-            f"u_1-coordinate curve is not quasi-asymptotic at u1={u1}"
-            f" (rank {check.rank} > {check.dependency_threshold})")
-    # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     e = unit_vectors(n)
+    base = (Fraction(u1),) + (_F0,) * (n - 1)
+    rank = five_jet_rank(chart, base, e[:1])
+    if rank > n + 4:
+        raise PreconditionFailedError(
+            f"u_1-coordinate curve is not quasi-asymptotic at u1={u1} (rank {rank} > {n + 4})")
+    # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     groups = [(0, ())] + [(h, (ei,)) for h in (0, 1, 2) for ei in e] + [(4, ())]
-    return LinearSpan.contracted(t, [jet_terms(h, e[:1], along) for h, along in groups])
+    return LinearSpan.contracted(chart.integer_table(base, 5),
+                                 [jet_terms(h, e[:1], along) for h, along in groups])
 
 
 @dataclass(frozen=True)
@@ -304,7 +278,7 @@ def pi_constancy_check(chart: Chart, samples: Sequence[Fraction]) -> PiConstancy
     violating the regularity hypothesis still get a faithful report.
 
     ``tangent_contained`` decides nothing: each Pi contains its own first
-    n+1 generators (x, x_i at its base) by construction.  ROADMAP.md item 4
+    n+1 generators (x, x_i at its base) by construction.  ROADMAP.md item 6
     plans the real test, one sample's tangent space against another's Pi.
     """
     if not samples:

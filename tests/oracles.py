@@ -33,11 +33,12 @@ and checks it against the package's numeric ``gamma15_det``;
 nullspace; ``osc2_regular_coordinate`` ranks the 2-osculating
 criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
 ``osc2_regular``; and ``curve_derivatives`` contracts x', ..., x^(5) along
-a ``FiveJet`` from the order-5 table, the assembly route that
-``composed_curve_series`` is checked against.  Only tests write chart
-files, through ``chart_to_obj`` and ``save_chart``, read a span's exact
-vectors (``generators``) or the determinant matrix's ``column_labels``, or
-project a catalog chart to its recorded target (``build_for_length3``).
+a ``FiveJet`` (a fifth-order curve jet, which only tests build) from the
+order-5 table, the assembly route that ``composed_curve_series`` is
+checked against.  Only tests write chart files, through ``chart_to_obj``
+and ``save_chart``, read a span's exact vectors (``generators``) or zero
+rows (``zero_generators``) or the determinant matrix's ``column_labels``,
+or project a catalog chart to its recorded target (``build_for_length3``).
 
 ``secant_defect_reference`` ranks every trial, with no rank ceiling, by
 ``rref_rank``; it shares the package's draws and integer tables, so its
@@ -67,7 +68,7 @@ from terracini.catalog import CatalogEntry
 from terracini.chart import (
     Chart,
     CurvilinearJet,
-    FiveJet,
+    DegenerateJetError,
     IntegerTable,
     _normalized_frame,
     contract_numerators,
@@ -567,6 +568,11 @@ def generators(span: LinearSpan) -> tuple[Vector, ...]:
     return tuple(fraction_vector(row, span.dens, s) for row, s in zip(span.rows, span.scales))
 
 
+def zero_generators(span: LinearSpan) -> tuple[int, ...]:
+    """Indices of the span's generators that vanish (its zero rows)."""
+    return tuple(i for i, row in enumerate(span.rows) if not any(row))
+
+
 def column_labels(gm: Gamma15Matrix) -> tuple[str, ...]:
     """The labels of the determinant matrix's columns, in column order."""
     return tuple(label for label, _, _ in _gamma15_spec(gm.chart.n))
@@ -696,10 +702,16 @@ def jet_normalize(chart: Chart, jet: CurvilinearJet) -> tuple[Chart, Curvilinear
     The chart parameters undergo the affine change u = base + M w of
     ``chart._normalized_frame`` and every coordinate polynomial is
     substituted, so the normalized chart's derivatives can be read directly.
+    The normalized mu is (0, w_2, ..., w_n): M maps it to the frame's curve
+    coefficient mu - w_1 lambda, whose entries off the pivot are w_2..w_n.
     """
     if is_normalized(jet) and not any(jet.base):
         return chart, jet
-    frame, new_jet = _normalized_frame(jet)
+    frame, curve_mu = _normalized_frame(jet)
+    n = chart.n
+    new_jet = CurvilinearJet(base=(F0,) * n, lam=(F1,) + (F0,) * (n - 1),
+                             mu=(F0,) + tuple(sum(map(mul, v, curve_mu)) for v in frame[1:]),
+                             length=jet.length)
     m = Matrix(list(zip(*frame)))
     coords = [substitute_affine(p, jet.base, m) for p in chart_polys(chart)]
     return polys_chart(f"{chart.label}|jet-normalized", chart.n, chart.r, coords), new_jet
@@ -753,6 +765,31 @@ def poly_compose_curve(p: MultiPoly, curve, order: int) -> tuple:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class FiveJet:
+    """Fifth-order jet of a curve: u = base + lam t + mu t^2 + nu t^3 + rho t^4 + sigma t^5."""
+
+    base: Vector
+    lam: Vector
+    mu: Vector
+    nu: Vector
+    rho: Vector
+    sigma: Vector
+
+    def __post_init__(self):
+        if all(c == 0 for c in self.lam):
+            raise DegenerateJetError("lambda = 0")
+        sizes = {len(self.base), len(self.lam), len(self.mu), len(self.nu),
+                 len(self.rho), len(self.sigma)}
+        if len(sizes) != 1:
+            raise ValueError("jet coefficient vectors have mixed lengths")
+
+    @property
+    def coeffs(self) -> tuple[Vector, ...]:
+        """lam, mu, nu, rho, sigma: the coefficients of t, ..., t^5."""
+        return self.lam, self.mu, self.nu, self.rho, self.sigma
+
+
 def curve_series(jet, order: int) -> list[tuple]:
     """Component series of u(t) = base + lam t + ... + sigma t^5, truncated at order."""
     coeffs = [jet.base, jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma]
@@ -774,8 +811,7 @@ def curve_derivatives(chart: Chart, jet: FiveJet) -> tuple[Vector, Vector, Vecto
     the t^k coefficients of ``composed_curve_series``.
     """
     t = chart.integer_table(jet.base, 5)
-    coeffs = (jet.lam, jet.mu, jet.nu, jet.rho, jet.sigma)
-    rows, scales = contract_numerators(t, [jet_terms(k, coeffs) for k in range(1, 6)])
+    rows, scales = contract_numerators(t, [jet_terms(k, jet.coeffs) for k in range(1, 6)])
     return tuple(fraction_vector(row, t.dens, s) for row, s in zip(rows, scales))
 
 
@@ -877,14 +913,14 @@ class HyperplaneSystem:
 
 def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
     """Covector basis of the hyperplanes whose section is singular along the jet."""
-    tas = tangent_along(chart, jet)
-    m = Matrix.from_rows(generators(tas.span))
+    span = tangent_along(chart, jet)
+    m = Matrix.from_rows(generators(span))
     covs = tuple(m.right_nullspace())
     for a in covs:  # nullspace contract: every covector kills every generator
-        assert not any(sum(map(mul, a, v)) for v in generators(tas.span))
+        assert not any(sum(map(mul, a, v)) for v in generators(span))
     threshold = chart.r - jet.length * (chart.n + 1)
     sys_dim = len(covs) - 1
-    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=tas.dim,
+    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=span.dim,
                             speciality_threshold=threshold,
                             special=sys_dim > threshold)
 

@@ -23,7 +23,6 @@ import time
 from fractions import Fraction as F
 
 from terracini.catalog import load_catalog, make_random_variety, make_segre, make_veronese
-from terracini.chart import FiveJet
 from terracini.cli import main as cli_main
 from terracini.curvilinear import (
     expected_tangent_dim,
@@ -39,6 +38,7 @@ from terracini.gamma15 import (
 )
 from terracini.secants import osc2_regular, secant_defect
 from oracles import (
+    FiveJet,
     build_for_length3,
     composed_curve_series,
     curve_derivatives,

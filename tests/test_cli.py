@@ -78,6 +78,16 @@ def test_analyze_pi_constancy(capsys):
     assert result["constant"] is True and result["tangent_contained"] is True
 
 
+def test_pi_constancy_reports_a_failed_precondition(capsys):
+    # the quintic curve's u_1 line has five-jet rank n+5 = 6 at its first sample
+    code, out, err = run(capsys, "analyze", "--variety", "veronese:1:5",
+                         "--check", "pi-constancy")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"] == [{
+        "check": "pi-constancy", "precondition_failed": True,
+        "detail": "u_1-coordinate curve is not quasi-asymptotic at u1=0 (rank 6 > 5)"}]
+
+
 def test_analyze_audit_check(capsys):
     code, out, _ = run(capsys, "analyze", "--variety", "random:2:5:8:7",
                        "--check", "audit")
@@ -167,6 +177,12 @@ def test_input_errors_exit_1(capsys):
      "bad variety spec 'veronese:-1:3': need n >= 1 and d >= 1"),
     (("analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--project", "-1"),
      "projection target -1 invalid for r=5, n=2"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "gamma15:3"),
+     "check gamma15 takes no argument, got 'gamma15:3'"),
+    (("analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--project", "9"),
+     "--project 9 exceeds the chart's ambient dimension r=5"),
+    (("analyze", "--variety", "cone:2:2", "--check", "secant:1"),
+     "unknown variety kind 'cone'"),
 ])
 def test_bad_counts_exit_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

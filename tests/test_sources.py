@@ -100,7 +100,7 @@ def test_only_the_claim_audit_imports_multipoly(path):
 
 # no command-line run enters these, so they live in tests/oracles.py
 TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_length3",
-             "column_labels", "generators"}
+             "column_labels", "generators", "FiveJet", "TangentAlongScheme"}
 
 
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
@@ -108,10 +108,6 @@ TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_lengt
 def test_test_only_helpers_stay_in_the_oracles(path):
     source = path.read_text(encoding="utf-8")
     assert not defined_or_imported_names(source) & TEST_ONLY
-    five_jets = [node for node in ast.walk(ast.parse(source))
-                 if isinstance(node, ast.ClassDef) and node.name == "FiveJet"]
-    assert not [f for cls in five_jets for f in cls.body
-                if isinstance(f, ast.FunctionDef) and f.name == "n"]
 
 
 def stray_draws(source: str) -> list[str]:
