@@ -99,6 +99,7 @@ def test_only_the_claim_audit_imports_multipoly(path):
 
 
 # no command-line run enters these, so they live in tests/oracles.py
+# (TangentAlongScheme is gone: tangent_along returns its span)
 TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_length3",
              "column_labels", "generators", "FiveJet", "TangentAlongScheme"}
 
