@@ -16,7 +16,6 @@ from .chart import (
     project_generic,
 )
 from .curvilinear import generic_speciality, tangent_along
-from .exactlin import Matrix
 from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
@@ -43,7 +42,6 @@ __all__ = [
     "CurvilinearJet",
     "KERNEL_BACKEND",
     "LinearSpan",
-    "Matrix",
     "defect_pipeline",
     "equivalence_audit",
     "five_jet_rank",

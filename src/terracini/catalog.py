@@ -14,9 +14,10 @@ import math
 import random
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import product
+from typing import Iterator, Sequence
 
-from .chart import MAX_COORDINATES, Chart
+from .chart import MAX_COORDINATES, Chart, multi_indices
 from .exactlin import randints
 
 DATA_VERSION = "v1"
@@ -36,16 +37,26 @@ def _check_size(what: str, count: int) -> None:
                             f" above the cap of {MAX_COORDINATES}")
 
 
-def _monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
-    """Exponents of total degree <= d, by degree; the constant comes first."""
-    out = []
-    for tot in range(d + 1):
-        for pick in combinations_with_replacement(range(n), tot):
-            e = [0] * n
-            for i in pick:
-                e[i] += 1
-            out.append(tuple(e))
-    return out
+def _monomials_upto(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Exponents of total degree <= d, in ``multi_indices`` order; the constant comes first."""
+    for idx in multi_indices(n, d):
+        e = [0] * n
+        for i in idx:
+            e[i] += 1
+        yield tuple(e)
+
+
+def make_segre_veronese(dims: Sequence[int], degrees: Sequence[int], label: str) -> Chart:
+    """Affine chart of P^dims[0] x ... x P^dims[-1] embedded by O(degrees).
+
+    Each coordinate is a product of one monomial of degree <= degrees[i] in
+    the i-th factor's own variables, which come in factor order; the first
+    factor varies slowest.  It checks no size: its callers cap theirs first.
+    """
+    factors = [_monomials_upto(k, d) for k, d in zip(dims, degrees, strict=True)]
+    # the factors' variables are disjoint blocks, so a product's exponent is their concatenation
+    forms = tuple((1, (1,), (sum(es, ()),)) for es in product(*factors))
+    return Chart(label, sum(dims), len(forms) - 1, forms)
 
 
 def make_veronese(n: int, d: int) -> Chart:
@@ -53,8 +64,7 @@ def make_veronese(n: int, d: int) -> Chart:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     _check_size(f"veronese(n={n}, d={d})", math.comb(n + d, d))
-    forms = tuple((1, (1,), (e,)) for e in _monomials_upto(n, d))
-    return Chart(f"veronese-{n}-{d}", n, len(forms) - 1, forms)
+    return make_segre_veronese((n,), (d,), f"veronese-{n}-{d}")
 
 
 def make_segre(a: int, b: int) -> Chart:
@@ -62,12 +72,7 @@ def make_segre(a: int, b: int) -> Chart:
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
     _check_size(f"segre(a={a}, b={b})", (a + 1) * (b + 1))
-    n = a + b
-    left = [(0,) * n] + [tuple(1 if t == i else 0 for t in range(n)) for i in range(a)]
-    right = [(0,) * n] + [tuple(1 if t == a + j else 0 for t in range(n)) for j in range(b)]
-    forms = tuple((1, (1,), (tuple(x + y for x, y in zip(ea, eb)),))
-                  for ea in left for eb in right)
-    return Chart(f"segre-{a}-{b}", n, len(forms) - 1, forms)
+    return make_segre_veronese((a, b), (1, 1), f"segre-{a}-{b}")
 
 
 def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
@@ -92,6 +97,12 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
         if cand.is_smooth_at((0,) * n) and cand.is_nondegenerate():
             return cand
     raise SmoothnessFailureError(f"no smooth chart after retries (seed={seed})")
+
+
+# kind -> constructor of its integer params; each looks its function up when called
+CONSTRUCTORS = {"veronese": lambda n, d: make_veronese(n, d),
+                "segre": lambda a, b: make_segre(a, b),
+                "random": lambda n, d, r, seed: make_random_variety(n, d, r, seed)}
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +133,7 @@ class CatalogEntry:
     notes: str
 
     def build(self) -> Chart:
-        make = {"veronese": make_veronese, "segre": make_segre,
-                "random": make_random_variety}.get(self.kind)
-        if make is None:
-            raise ValueError(f"unknown constructor kind {self.kind!r}")
-        chart = make(*self.params)
+        chart = CONSTRUCTORS[self.kind](*self.params)
         if chart.n != self.n or chart.r != self.r:
             raise ValueError(
                 f"catalog entry {self.id}: built chart has (n,r)=({chart.n},{chart.r}),"
@@ -135,22 +142,8 @@ class CatalogEntry:
 
 
 def _entry_from_obj(obj: dict) -> CatalogEntry:
-    return CatalogEntry(
-        id=obj["id"],
-        kind=obj["kind"],
-        params=tuple(obj["params"]),
-        label=obj["label"],
-        n=obj["n"],
-        r=obj["r"],
-        known_defects=tuple(KnownDefect(d["k"], d["delta"], d["oracle"])
-                            for d in obj.get("known_defects", [])),
-        speciality_len2=obj.get("speciality_len2"),
-        speciality_len3=obj.get("speciality_len3"),
-        gamma15=obj.get("gamma15"),
-        equivalence_eligible=obj["equivalence_eligible"],
-        projection_target=obj.get("projection_target"),
-        notes=obj.get("notes", ""),
-    )
+    return CatalogEntry(**{**obj, "params": tuple(obj["params"]), "known_defects": tuple(
+        KnownDefect(**d) for d in obj["known_defects"])})
 
 
 def load_catalog() -> list[CatalogEntry]:

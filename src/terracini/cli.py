@@ -189,15 +189,12 @@ _int.__name__ = "int"  # argparse names a flag's type by it: "invalid int value:
 def parse_variety(spec: str) -> Chart:
     kind, _, rest = spec.partition(":")
     try:
-        if kind == "veronese":
-            n, d = (_int(x) for x in rest.split(":"))
-            return cat.make_veronese(n, d)
-        if kind == "segre":
-            a, b = (_int(x) for x in rest.split(":"))
-            return cat.make_segre(a, b)
-        if kind == "random":
-            n, d, r, seed = (_int(x) for x in rest.split(":"))
-            return cat.make_random_variety(n, d, r, seed)
+        make = cat.CONSTRUCTORS.get(kind)
+        if make is not None:
+            params = [_int(x) for x in rest.split(":")]
+            if len(params) != make.__code__.co_argcount:
+                raise ValueError(f"{kind} needs {make.__code__.co_argcount} integers")
+            return make(*params)
         if kind == "catalog":
             return cat.get_entry(rest).build()
         if kind == "file":

@@ -23,8 +23,8 @@ from .chart import (
     CurvilinearJet,
     _normalized_frame,
     jet_terms,
+    unit_vectors,
 )
-from .exactlin import _F0, _F1
 from .secants import LinearSpan, expected_tangent_dim, sample_point, sample_smooth_point
 
 
@@ -106,11 +106,9 @@ def generic_speciality(chart: Chart, length: int, trials: int = 5,
 def special_position_jets(chart: Chart, count: int, seed: int = 0) -> list[CurvilinearJet]:
     """Spot-check jets in special position: mu = 0, lambda along coordinate axes."""
     rng = random.Random(seed)
+    axes = unit_vectors(chart.n)
     out = []
     for i in range(count):
         base, _ = sample_smooth_point(chart, rng)
-        axis = i % chart.n
-        lam = tuple(_F1 if j == axis else _F0 for j in range(chart.n))
-        out.append(CurvilinearJet(base=base, lam=lam,
-                                  mu=tuple(_F0 for _ in range(chart.n)), length=3))
+        out.append(CurvilinearJet(base=base, lam=axes[i % chart.n], mu=(0,) * chart.n, length=3))
     return out

@@ -78,31 +78,24 @@ def _require_square_ambient(chart: Chart) -> None:
 # ---------------------------------------------------------------------------
 
 @cache
-def _gamma15_spec(n: int) -> tuple[tuple[str, int, tuple], ...]:
-    """(label, m, along) per column of the determinant matrix; it depends on n alone.
+def _gamma15_spec(n: int) -> tuple[tuple[int, tuple], ...]:
+    """(m, along) per column of the determinant matrix; it depends on n alone.
 
     Column j is d_along (d/dt)^m x along the curve pt + lam t + mu t^2: x;
     x_1..x_n; the n Hessian contractions d_j x' = sum_i x_ij lam_i; the
     quartic x^(4); the n cubic combinations d_k x'' = 2 sum_i x_ik mu_i +
     sum_ij x_ijk lam_i lam_j; the quintic x^(5).
     """
-    e = list(enumerate(unit_vectors(n), 1))
-    spec = [("x", 0, ())] + [(f"x_{i}", 0, (ei,)) for i, ei in e]
-    spec += [(f"sum_i x_i{j} lam_i", 1, (ej,)) for j, ej in e] + [("quartic combination", 4, ())]
-    spec += [(f"cubic combination k={k}", 2, (ek,)) for k, ek in e]
-    return tuple(spec + [("quintic combination", 5, ())])
+    e = unit_vectors(n)
+    return ((0, ()), *((0, (ei,)) for ei in e), *((1, (ej,)) for ej in e), (4, ()),
+            *((2, (ek,)) for ek in e), (5, ()))
 
 
 @cache
 def _lowest_orders(n: int) -> tuple[int, ...]:
     """Per column, the lowest order of partials its terms read: len(along) + fewest parts of m."""
     return tuple(len(along) + min(len(p) for _, p in _partitions(m, 2))
-                 for _, m, along in _gamma15_spec(n))
-
-
-def _gamma15_columns(n: int, lam, mu) -> list[tuple[str, list]]:
-    """Labelled contraction terms of the columns, in the jet coefficients lam and mu."""
-    return [(label, jet_terms(m, (lam, mu), along)) for label, m, along in _gamma15_spec(n)]
+                 for m, along in _gamma15_spec(n))
 
 
 def _det(columns: LinearSpan) -> Fraction:
@@ -126,7 +119,8 @@ class Gamma15Matrix:
 
     @cached_property
     def terms(self) -> tuple[list, ...]:
-        return tuple(terms for _, terms in _gamma15_columns(self.chart.n, self.lam, self.mu))
+        return tuple(jet_terms(m, (self.lam, self.mu), along)
+                     for m, along in _gamma15_spec(self.chart.n))
 
     @cached_property
     def columns(self) -> LinearSpan:
@@ -161,17 +155,16 @@ def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
     return gamma15_matrix(chart, pt, lam, mu).det()
 
 
-def gamma15_degree_bound(chart: Chart) -> tuple[int, dict[str, int]]:
-    """Upper bound for the total degree of D in (pt, lambda, mu) jointly, and per column label.
+def gamma15_degree_bound(chart: Chart) -> int:
+    """Upper bound for the total degree of D in (pt, lambda, mu) jointly.
 
     Per column: the (lambda, mu)-degree is at most its m, and the point
     degree at most the coordinate degree minus the lowest derivative order
     the column reads.
     """
     d = max(chart.max_coord_degree(), 0)
-    per = {label: m + max(d - low, 0)
-           for (label, m, _), low in zip(_gamma15_spec(chart.n), _lowest_orders(chart.n))}
-    return sum(per.values()), per
+    return sum(m + max(d - low, 0)
+               for (m, _), low in zip(_gamma15_spec(chart.n), _lowest_orders(chart.n)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
     """
     _require_square_ambient(chart)
     n = chart.n
-    bound, _ = gamma15_degree_bound(chart)
+    bound = gamma15_degree_bound(chart)
 
     def evaluator(coords: tuple[int, ...]) -> Fraction:
         # the drawn ints go through as they are: no Fraction is built

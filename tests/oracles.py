@@ -37,8 +37,10 @@ a ``FiveJet`` (a fifth-order curve jet, which only tests build) from the
 order-5 table, the assembly route that ``composed_curve_series`` is
 checked against.  Only tests write chart files, through ``chart_to_obj``
 and ``save_chart``, read a span's exact vectors (``generators``) or zero
-rows (``zero_generators``) or the determinant matrix's ``column_labels``,
-or project a catalog chart to its recorded target (``build_for_length3``).
+rows (``zero_generators``) or the determinant matrix's ``column_labels``
+and column term lists (``_gamma15_columns``, in lambda and mu of any
+ring), or project a catalog chart to its recorded target
+(``build_for_length3``).
 
 ``secant_defect_reference`` ranks every trial, with no rank ceiling, by
 ``rref_rank``; it shares the package's draws and integer tables, so its
@@ -82,7 +84,6 @@ from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, Matrix, NotSquareError, Vector
 from terracini.gamma15 import (
     Gamma15Matrix,
-    _gamma15_columns,
     _gamma15_spec,
     _require_square_ambient,
     gamma15_det,
@@ -574,8 +575,16 @@ def zero_generators(span: LinearSpan) -> tuple[int, ...]:
 
 
 def column_labels(gm: Gamma15Matrix) -> tuple[str, ...]:
-    """The labels of the determinant matrix's columns, in column order."""
-    return tuple(label for label, _, _ in _gamma15_spec(gm.chart.n))
+    """The labels of the determinant matrix's columns, in ``gamma15._gamma15_spec`` order."""
+    e = range(1, gm.chart.n + 1)
+    return ("x", *(f"x_{i}" for i in e), *(f"sum_i x_i{j} lam_i" for j in e),
+            "quartic combination", *(f"cubic combination k={k}" for k in e),
+            "quintic combination")
+
+
+def _gamma15_columns(n: int, lam, mu) -> list[list]:
+    """The contraction terms of the determinant matrix's columns, in lam and mu of any ring."""
+    return [jet_terms(m, (lam, mu), along) for m, along in _gamma15_spec(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +853,7 @@ class ClaimAuditReport:
 
 def gamma15_lamu_degree(n: int) -> int:
     """(lambda, mu)-degree bound of D: the sum of the columns' m, 3n + 9."""
-    return sum(m for _, m, _ in _gamma15_spec(n))
+    return sum(m for m, _ in _gamma15_spec(n))
 
 
 def claim_coefficient_audit(chart: Chart, pt, evaluations: int = 10,
@@ -864,8 +873,7 @@ def claim_coefficient_audit(chart: Chart, pt, evaluations: int = 10,
     lam = [MultiPoly.variable(nv, i) for i in range(n)]
     mu = [MultiPoly.variable(nv, n + i) for i in range(n)]
     table = symbolic_table(chart, pt, 5)
-    cols = [brute_contract(table, n, chart.r + 1, terms)
-            for _, terms in _gamma15_columns(n, lam, mu)]
+    cols = [brute_contract(table, n, chart.r + 1, terms) for terms in _gamma15_columns(n, lam, mu)]
     sym = poly_det([[x if isinstance(x, MultiPoly) else MultiPoly.constant(nv, x) for x in row]
                     for row in zip(*cols)])
 

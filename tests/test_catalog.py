@@ -9,6 +9,7 @@ from terracini.catalog import (
     load_catalog,
     make_random_variety,
     make_segre,
+    make_segre_veronese,
     make_veronese,
 )
 from terracini.secants import secant_defect
@@ -38,6 +39,26 @@ def test_segre_coordinates_are_products():
     left = [F(1), F(2)]
     right = [F(1), F(3), F(5)]
     assert sorted(vec) == sorted(a * b for a in left for b in right)
+
+
+def test_segre_veronese_coordinates_are_products_with_the_first_factor_slowest():
+    # P^1 x P^2 by O(2, 1): (1, s, s^2) times (1, t, w)
+    c = make_segre_veronese((1, 2), (2, 1), "p1xp2-2-1")
+    assert (c.label, c.n, c.r) == ("p1xp2-2-1", 3, 8)
+    assert [exps for _, _, exps in c.forms] == [
+        ((a, b, w),) for a in range(3) for b, w in ((0, 0), (1, 0), (0, 1))]
+    with pytest.raises(ValueError):
+        make_segre_veronese((1, 2), (2,), "short")
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 3), (4, 2), (10, 2)])
+def test_veronese_is_the_one_factor_segre_veronese(n, d):
+    assert make_veronese(n, d) == make_segre_veronese((n,), (d,), f"veronese-{n}-{d}")
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (3, 1), (6, 7)])
+def test_segre_is_the_linear_two_factor_segre_veronese(a, b):
+    assert make_segre(a, b) == make_segre_veronese((a, b), (1, 1), f"segre-{a}-{b}")
 
 
 def test_random_variety_contract():

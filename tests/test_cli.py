@@ -183,6 +183,13 @@ def test_input_errors_exit_1(capsys):
      "--project 9 exceeds the chart's ambient dimension r=5"),
     (("analyze", "--variety", "cone:2:2", "--check", "secant:1"),
      "unknown variety kind 'cone'"),
+    # a spec with the wrong count of integers names the count its kind needs
+    (("analyze", "--variety", "veronese:2", "--check", "secant:1"),
+     "bad variety spec 'veronese:2': veronese needs 2 integers\n"),
+    (("analyze", "--variety", "segre:1:2:3", "--check", "secant:1"),
+     "bad variety spec 'segre:1:2:3': segre needs 2 integers\n"),
+    (("analyze", "--variety", "random:1:2:3", "--check", "secant:1"),
+     "bad variety spec 'random:1:2:3': random needs 4 integers\n"),
 ])
 def test_bad_counts_exit_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -53,7 +53,7 @@ def segre_polys(a, b):
 
 def random_polys(n, degree, r, seed):
     """The accepted coordinates, and whether the constant-term fix-up ran."""
-    mons = _monomials_upto(n, degree)
+    mons = list(_monomials_upto(n, degree))
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
         coords = [MultiPoly(n, {e: F(rng.randint(-9, 9)) for e in mons})
