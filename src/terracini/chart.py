@@ -594,6 +594,9 @@ def obj_to_chart(obj: dict) -> Chart:
     if r + 1 > MAX_COORDINATES:
         raise ChartFormatError(f"chart declares {r + 1} coordinates,"
                                f" above the cap of {MAX_COORDINATES}")
+    if (n + 1) * (r + 1) > MAX_TABLE_ENTRIES:  # no check can read even an order-1 table
+        raise ChartFormatError(f"chart declares n={n} and r={r}: (n+1)(r+1) = {(n + 1) * (r + 1)}"
+                               f" table entries, above the cap of {MAX_TABLE_ENTRIES}")
     coords = obj["coords"]
     if not isinstance(coords, list) or len(coords) != r + 1:
         raise ChartFormatError(f"coords must be a list of r+1={r + 1} polynomials")
@@ -636,4 +639,6 @@ def load_chart(path) -> Chart:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ChartFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ChartFormatError(f"{path}: JSON nested too deeply to read") from exc
     return obj_to_chart(obj)

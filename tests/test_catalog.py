@@ -47,8 +47,9 @@ def test_segre_veronese_coordinates_are_products_with_the_first_factor_slowest()
     assert (c.label, c.n, c.r) == ("p1xp2-2-1", 3, 8)
     assert [exps for _, _, exps in c.forms] == [
         ((a, b, w),) for a in range(3) for b, w in ((0, 0), (1, 0), (0, 1))]
-    with pytest.raises(ValueError):
-        make_segre_veronese((1, 2), (2,), "short")
+    for dims, degrees in [((1, 2), (2,)), ((1,), (2, 2))]:
+        with pytest.raises(ValueError):
+            make_segre_veronese(dims, degrees, "mismatched")
 
 
 @pytest.mark.parametrize("n, d", [(1, 5), (2, 3), (4, 2), (10, 2)])

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, load_chart
+from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, Chart, load_chart
 from fractions import Fraction
 
 from terracini import cli
@@ -327,6 +327,36 @@ def test_oversized_derivative_table_is_refused_before_any_work(argv):
     assert "Traceback" not in proc.stderr
 
 
+# Every check and argument, the last one audit-theorem's pipeline.  The cubic
+# chart reads every check's highest order: a quadratic chart's gamma15 reads
+# no table, since its quintic column is structurally zero.
+ORDER_RUNS = ["secant:1", "secant:2", "osc:1", "osc:2", "speciality:2", "speciality:3",
+              "gamma15", "pi-constancy", "audit", "defect-pipeline"]
+
+
+@pytest.mark.parametrize("token", ORDER_RUNS)
+def test_table_cap_reads_the_order_the_check_requests(capsys, monkeypatch, token):
+    # check_work caps the table of order CHECKS[name].order(arg); the library
+    # must request no table above it, and the cubic chart requests that one
+    orders = []
+    integer_table = Chart.integer_table
+    monkeypatch.setattr(Chart, "integer_table",
+                        lambda self, pt, h: orders.append(h) or integer_table(self, pt, h))
+    name, arg = (token, None) if token == "defect-pipeline" else cli.parse_check(token)
+
+    def highest(variety: str) -> int:
+        orders.clear()
+        argv = (["audit-theorem", "--variety", variety] if name == "defect-pipeline" else
+                ["analyze", "--variety", variety, "--check", token])
+        assert main(argv + ["--trials", "1"]) == 0
+        capsys.readouterr()
+        return max(orders, default=0)
+
+    order = cli.CHECKS[name].order(arg)
+    assert highest("random:2:3:8:1") == order
+    assert highest("veronese:4:2") <= order
+
+
 @pytest.mark.parametrize("argv", [
     # without the cap this runs far past the timeout, its trial lists growing
     ["analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--trials", "100000000"],
@@ -519,6 +549,53 @@ def test_chart_file_of_excessive_degree_is_refused_before_any_work(tmp_path):
     assert proc.stderr.startswith("terracini: error:")
     assert f"total degree 100000, above the cap of {MAX_DEGREE}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _refusal_in_child(path) -> subprocess.CompletedProcess:
+    """``analyze --variety file:PATH --check secant:1`` in a child with 512 MiB of address space."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
+         "--check", "secant:1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+
+
+def test_deeply_nested_chart_file_exits_1_with_message(tmp_path):
+    # the JSON reader recurses once per bracket and raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    proc = _refusal_in_child(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"{path}: JSON nested too deeply to read" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chart_file_of_excessive_width_is_refused_before_any_work(tmp_path):
+    # 70 bytes that would build 10^8 exponent columns before the table cap is checked
+    path = tmp_path / "wide.json"
+    path.write_text('{"label": "wide", "n": 100000000, "r": 1, "coords": [[], []]}',
+                    encoding="utf-8")
+    start = time.perf_counter()
+    proc = _refusal_in_child(path)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert ("chart declares n=100000000 and r=1: (n+1)(r+1) = 200000002 table entries,"
+            f" above the cap of {MAX_TABLE_ENTRIES}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chart_file_at_the_width_cap_is_read(tmp_path):
+    # (n+1)(r+1) = MAX_TABLE_ENTRIES: an order-1 table just fits, so the reader builds it
+    n = MAX_TABLE_ENTRIES // 2 - 1
+    path = tmp_path / "at-cap.json"
+    path.write_text(json.dumps({"label": "at-cap", "n": n, "r": 1, "coords": [[], []]}),
+                    encoding="utf-8")
+    assert load_chart(path).n == n
 
 
 def test_usage_errors_exit_1(capsys):
