@@ -574,7 +574,7 @@ def test_deeply_nested_chart_file_exits_1_with_message(tmp_path):
 
 
 def test_chart_file_of_excessive_width_is_refused_before_any_work(tmp_path):
-    # 70 bytes that would build 10^8 exponent columns before the table cap is checked
+    # 61 bytes that would build 10^8 exponent columns before the table cap is checked
     path = tmp_path / "wide.json"
     path.write_text('{"label": "wide", "n": 100000000, "r": 1, "coords": [[], []]}',
                     encoding="utf-8")
