@@ -9,16 +9,16 @@ generic projection.
 A chart is its integer forms: one (den, coefficients, exponents) per
 coordinate, in lowest terms, built from ints by the constructors, the
 projection and the chart-file reader.  Each monomial that a built
-derivative reads enters the chart's monomial list once, decoded once into
-its exponent of each variable and its total degree, and recorded as one
-step from a parent entered before it: u^e is its parent times one u_v.
-The derivative store holds each mixed partial flat, its monomials
-referred to by index, derived from its prefix's flat form in one pass of
-integer differentiation.  A partial with at most one term per coordinate
-(every partial of a Veronese or Segre chart, the top-order partials of a
-dense chart) is one coefficient and one index per coordinate; any other
-keeps the terms of all coordinates in one list, with one slice per
-coordinate.  A point is scaled to a common denominator q, the monomial
+derivative reads enters the chart's monomial list once, keyed by its
+exponent tuple, with its total degree, and recorded as one step from a
+parent entered before it: u^e is its parent times one u_v.  The
+derivative store holds each mixed partial flat, its monomials referred
+to by index, derived from its prefix's flat form in one pass of integer
+differentiation that lowers each distinct monomial once.  A partial with
+at most one term per coordinate (every partial of a Veronese or Segre
+chart, the top-order partials of a dense chart) is one coefficient and
+one index per coordinate; any other keeps the terms of all coordinates
+in one list, with one slice per coordinate.  A point is scaled to a common denominator q, the monomial
 list is evaluated in index order with one multiply per monomial (its
 parent's value times one scaled coordinate), then one pass of q powers
 when q != 1, and a row is one gather pass, or one multiply pass and one
@@ -65,11 +65,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, compress, repeat
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .exactlin import _F0, BadIndexError, Vector, randints, span_rank
@@ -84,6 +85,9 @@ MAX_DEGREE = MAX_COORDINATES - 1
 # command line lets a check read; the shipped catalog, tests and benchmark
 # read at most 1,890, veronese:900:1 at order 3 would read 1.1e11.
 MAX_TABLE_ENTRIES = 200_000
+# Largest chart file: json.load holds it whole, at 3-10 times its size.  1,000
+# coordinates of 126 terms each, in JSON indented by 2, take 17 MB.
+MAX_CHART_BYTES = 64 << 20
 
 
 class DegenerateJetError(ValueError):
@@ -128,41 +132,33 @@ def _lowest_terms(den: int, coeffs: Sequence[int], exps: Sequence[tuple[int, ...
 
 
 class _MonomialList(dict):
-    """A chart's monomials, {exponent code: index}, entered on first use.
+    """A chart's monomials, {exponent: index}, entered on first use.
 
-    The code of u^e is sum(e_i * base^i) with base > every exponent.  Entry
-    i has code ``codes[i]``, exponent ``cols[v][i]`` of u_v and total degree
-    ``degs[i]``, decoded once, when it enters.  Entry 0 is u^0; entry i > 0
-    is its parent times u_v, ``steps[i - 1] = (parent index, v)``, with v
-    the lowest variable of positive exponent.  Missing parents are entered
-    first, so a parent's index is below its child's.
+    Entry i is u^``exps[i]``, of total degree ``degs[i]``.  Entry 0 is u^0;
+    entry i > 0 is its parent times u_v, ``steps[i - 1] = (parent index, v)``,
+    with v the lowest variable of positive exponent.  Missing parents are
+    entered first, so a parent's index is below its child's.  Exponents
+    must be nonnegative: lowering a negative one never reaches u^0.
     """
 
-    __slots__ = ("base", "codes", "cols", "degs", "steps")
+    __slots__ = ("exps", "degs", "steps")
 
-    def __init__(self, n: int, base: int):
-        super().__init__({0: 0})
-        self.base, self.codes, self.cols = base, [0], tuple([0] for _ in range(n))
-        self.degs, self.steps = [0], []
+    def __init__(self, n: int):
+        super().__init__({(0,) * n: 0})
+        self.exps, self.degs, self.steps = [(0,) * n], [0], []
 
-    def __missing__(self, code: int) -> int:
-        chain = []  # (code, exponents, v) of code and its missing ancestors, youngest first
-        while code not in self:
-            es, rest = [], code
-            for _ in self.cols:
-                rest, e = divmod(rest, self.base)
-                es.append(e)
-            v = next(i for i, e in enumerate(es) if e)
-            chain.append((code, es, v))
-            code -= self.base ** v
-        parent = self[code]
-        for code, es, v in reversed(chain):
+    def __missing__(self, e: tuple) -> int:
+        chain = []  # (exponent, v) of e and its missing ancestors, youngest first
+        while e not in self:
+            v = next(i for i, k in enumerate(e) if k)
+            chain.append((e, v))
+            e = e[:v] + (e[v] - 1,) + e[v + 1:]
+        parent = self[e]
+        for e, v in reversed(chain):
             self.steps.append((parent, v))
-            parent = self[code] = len(self.codes)
-            self.codes.append(code)
-            for col, e in zip(self.cols, es):
-                col.append(e)
-            self.degs.append(sum(es))
+            parent = self[e] = len(self.exps)
+            self.exps.append(e)
+            self.degs.append(sum(e))
         return parent
 
 
@@ -185,18 +181,21 @@ def _flat_form(cs: list, ids: list, stops: list) -> tuple:
 def _flat_partial(flat: tuple, v: int, mons: _MonomialList) -> tuple:
     """Flat form of the partial derivative in variable v, in one pass over the terms.
 
-    The exponent of u_v of each term is read from the list's column v, and
-    lowering it subtracts base^v from the term's exponent code.  A gather
-    form's empty coordinates read u^0, so they drop out like the terms free
-    of u_v.  The denominators are the chart's and do not change.
+    The exponent of u_v of each term is read from the list's exponents, and
+    each distinct monomial of the terms is lowered once: its exponent with
+    e_v - 1 in slot v is looked up, entering it if new.  A gather form's
+    empty coordinates read u^0, so they drop out like the terms free of
+    u_v.  The denominators are the chart's and do not change.
     """
     cs, ids, cuts = flat
-    ks = list(map(mons.cols[v].__getitem__, ids))  # e_v per term
+    ks = list(map(itemgetter(v), map(mons.exps.__getitem__, ids)))  # e_v per term
     kept = list(accumulate(map(bool, ks), initial=0))
     stops = kept[1:] if cuts is None else list(map(kept.__getitem__, map(attrgetter("stop"), cuts)))
-    lowered = map(sub, map(mons.codes.__getitem__, compress(ids, ks)), repeat(mons.base ** v))
+    ids = list(compress(ids, ks))
+    lowered = {i: mons[e[:v] + (e[v] - 1,) + e[v + 1:]]
+               for i in dict.fromkeys(ids) for e in [mons.exps[i]]}
     return _flat_form(list(map(mul, compress(cs, ks), filter(None, ks))),
-                      list(map(mons.__getitem__, lowered)), stops)
+                      list(map(lowered.__getitem__, ids)), stops)
 
 
 class IntegerTable(NamedTuple):
@@ -258,15 +257,15 @@ class Chart:
         distinct = dict.fromkeys(exps)  # a random chart repeats its monomials in every coordinate
         if any(len(e) != self.n for e in distinct):
             raise ValueError("coordinate form has wrong variable count")
+        if any(k < 0 for e in distinct for k in e):
+            raise ValueError("coordinate form has a negative exponent")
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
         object.__setattr__(self, "_coord_degree", max(map(sum, distinct), default=-1))
         object.__setattr__(self, "_degree", max(self._coord_degree, 0))
-        object.__setattr__(self, "_mons", _MonomialList(self.n, self._degree + 1))
-        weights = [(self._degree + 1) ** i for i in range(self.n)]  # exponent codes
-        index = {e: self._mons[sum(map(mul, e, weights))] for e in distinct}
+        object.__setattr__(self, "_mons", _MonomialList(self.n))
         self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
-                                      list(map(index.__getitem__, exps)),
+                                      list(map(self._mons.__getitem__, exps)),
                                       list(accumulate(len(cs) for _, cs, _ in forms)))
 
     # -- derivatives ---------------------------------------------------------
@@ -372,7 +371,7 @@ class Chart:
     def is_nondegenerate(self) -> bool:
         """Coordinates independent (X spans P^r): ranks the flat x form, read by monomial index."""
         cs, ids, cuts = self._dcache[()]
-        rows = [[0] * len(self._mons.codes) for _ in self.forms]
+        rows = [[0] * len(self._mons) for _ in self.forms]
         for row, cut in zip(rows, cuts or [slice(c, c + 1) for c in range(len(cs))]):
             for c, i in zip(cs[cut], ids[cut]):
                 row[i] = c
@@ -418,10 +417,12 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
     cleared to integers with one common denominator s for the whole span:
     a term c * D^h x[v_1..v_h] is c.numerator * D^h x[s v_1..s v_h] over
     c.denominator * s^h, and a row's scale is the lcm of its terms' times
-    the table's q^D.  Each distinct product of directions is expanded once
-    per span into {sorted multi-index: scalar}, extending the expansion of
-    its prefix and merging keys at every step, and each row reads each
-    distinct derivative once, in one pass over the width.  Every vector
+    the table's q^D.  Each direction object is cleared once per span.  Each
+    term expands its own product of directions into {sorted multi-index:
+    scalar}, one direction at a time, merging keys at every step, so an
+    order-5 term at n = 4 reads 56 distinct derivatives, not 1024 ordered
+    index tuples; each row reads each distinct derivative once, in one
+    pass over the width.  Every vector
     contracted from one chart's tables is its numerators over a row scale
     times a column scale (den_c), so ranks and determinants can be taken
     of the numerators.
@@ -433,35 +434,20 @@ def contract_numerators(table: IntegerTable, term_lists: Sequence[Sequence[tuple
             if any(len(v) != table.n for v in vs):
                 raise ValueError(f"direction length differs from the chart's n={table.n}")
     lists = [[(c, vs) for c, vs in terms if len(vs) <= table.top] for terms in term_lists]
-    # one slot per distinct direction object, numbered by first appearance
-    slots: dict = {}
-    for terms in lists:
-        for _, vs in terms:
-            for v in vs:
-                slots.setdefault(id(v), (len(slots), v))
-    vecs = [v for _, v in slots.values()]
-    s = math.lcm(*(x.denominator for v in vecs for x in v))
-    vecs = [tuple(x.numerator * (s // x.denominator) for x in v) for v in vecs]
-    # expansions keyed by slots in decreasing order, so that directions first
-    # seen late (a curve's lam, mu after the unit vectors) lead and share prefixes
-    expansions: dict = {(): {(): 1}}
-
-    def expand(key: tuple) -> dict:
-        part = expansions.get(key)
-        if part is None:
-            part = expansions[key] = _times(expand(key[:-1]), vecs[key[-1]])
-        return part
-
+    vecs = {id(v): v for terms in lists for _, vs in terms for v in vs}
+    s = math.lcm(*(x.denominator for v in vecs.values() for x in v))
+    vecs = {k: tuple(x.numerator * (s // x.denominator) for x in v) for k, v in vecs.items()}
     rows, scales = [], []
     for terms in lists:
         dens = [c.denominator * s ** len(vs) for c, vs in terms]
         scale = math.lcm(*dens)
-        mults = [c.numerator * (scale // d) for (c, _), d in zip(terms, dens)]
         coeffs: dict = {}
-        for m, (_, vs) in zip(mults, terms):
-            key = tuple(sorted((slots[id(v)][0] for v in vs), reverse=True))
-            for k, x in expand(key).items():
-                coeffs[k] = coeffs.get(k, 0) + m * x
+        for (c, vs), d in zip(terms, dens):
+            part = {(): c.numerator * (scale // d)}
+            for v in vs:
+                part = _times(part, vecs[id(v)])
+            for k, x in part.items():
+                coeffs[k] = coeffs.get(k, 0) + x
         acc: list = [0] * len(table.dens)
         for k, x in coeffs.items():
             row = table.nums.get(k)
@@ -634,6 +620,8 @@ def obj_to_chart(obj: dict) -> Chart:
 
 
 def load_chart(path) -> Chart:
+    if os.stat(path).st_size > MAX_CHART_BYTES:
+        raise ChartFormatError(f"{path}: file above the cap of {MAX_CHART_BYTES} bytes")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

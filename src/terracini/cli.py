@@ -130,10 +130,11 @@ CHECKS = {
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the report contract reserves 2 for
-    # consistency failures, so remap usage errors to exit 1.
+    # consistency failures, so remap usage errors to exit 1, under the prefix
+    # of every input error (a subcommand's prog would be "terracini analyze").
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"terracini: error: {message}\n")
 
 
 @cache  # one parser per process, built on first use: parse_args keeps no state

@@ -1,9 +1,14 @@
 """Charts, jets, derivative extraction, normalization and projection."""
 
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -318,12 +323,32 @@ def test_each_monomial_steps_from_an_earlier_parent(name):
     c = make()
     c.integer_table((F(1),) * c.n, h)
     mons = c._mons
-    assert len(mons) == len(mons.codes) == len(mons.steps) + 1 and mons.codes[0] == 0
+    assert len(mons) == len(mons.exps) == len(mons.degs) == len(mons.steps) + 1
+    assert mons.exps[0] == (0,) * c.n and mons.degs[0] == 0
     for i, (p, v) in enumerate(mons.steps, start=1):
-        assert p < i and mons.cols[v][i] > 0
-        assert all(mons.cols[w][i] == 0 for w in range(v))
-        assert mons.codes[p] == mons.codes[i] - mons.base ** v
-        assert mons[mons.codes[i]] == i
+        e = mons.exps[i]
+        assert p < i and e[v] > 0 and not any(e[:v])
+        assert mons.exps[p] == tuple(k - (w == v) for w, k in enumerate(e))
+        assert mons[e] == i and mons.degs[i] == sum(e)
+
+
+@pytest.mark.parametrize("chart", [
+    "Chart('neg', 2, 1, ((1, (1,), ((0, 0),)), (1, (1,), ((1, -1),))))",  # 1 and u1 / u2
+    "Chart('neg', 1, 0, ((1, (1,), ((-1,),)),))",  # 1 / u
+], ids=["u1/u2", "1/u"])
+def test_negative_exponent_is_refused(chart):
+    # lowering a negative exponent never reaches u^0, so a chart that took one
+    # could grow its monomial list without end: build it in a child with
+    # 512 MiB of address space and a timeout
+    code = ("from terracini.chart import Chart\n"
+            f"try:\n    {chart}\nexcept ValueError as exc:\n    print(exc)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (512 << 20, 512 << 20)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "coordinate form has a negative exponent\n", "")
 
 
 def test_integral_fast_path_needs_unit_row_and_column_scales():
@@ -652,9 +677,9 @@ def test_nondegeneracy_of_special_charts():
     mixed = Chart("mixed", 2, 4, tuple((1, (1,), (e,))
                                        for e in ((0, 0), (1, 0), (0, 1), (1, 2), (2, 1))))
     for c, grows in ((mixed, True), (veronese, False), (dense, False), (equal, False)):
-        before = len(c._mons.codes)
+        before = len(c._mons.exps)
         c.integer_table((F(1), F(-2)), 4)
-        assert (len(c._mons.codes) > before) is grows
+        assert (len(c._mons.exps) > before) is grows
         assert c.is_nondegenerate() is nondegenerate_reference(c) is (c is not equal)
 
 

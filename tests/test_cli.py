@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import MAX_DEGREE, MAX_TABLE_ENTRIES, Chart, load_chart
+from terracini.chart import MAX_CHART_BYTES, MAX_DEGREE, MAX_TABLE_ENTRIES, Chart, load_chart
 from fractions import Fraction
 
 from terracini import cli
@@ -229,7 +229,7 @@ def test_trials_and_seed_take_ascii_digits_only(capsys, flag, token):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (1, "")
     assert err.startswith("usage: terracini analyze")
-    assert err.endswith(f"terracini analyze: error: argument {flag}:"
+    assert err.endswith(f"terracini: error: argument {flag}:"
                         f" invalid int value: {token!r}\n")
 
 
@@ -573,8 +573,21 @@ def test_deeply_nested_chart_file_exits_1_with_message(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_chart_file_above_the_byte_cap_is_refused_before_reading(tmp_path):
+    # a sparse file of MAX_CHART_BYTES + 1 bytes: its size is read, not its bytes
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_CHART_BYTES + 1)
+    proc = _refusal_in_child(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"{path}: file above the cap of {MAX_CHART_BYTES} bytes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_chart_file_of_excessive_width_is_refused_before_any_work(tmp_path):
-    # 61 bytes that would build 10^8 exponent columns before the table cap is checked
+    # 61 bytes that would build a 10^8-entry exponent tuple before the table cap is checked
     path = tmp_path / "wide.json"
     path.write_text('{"label": "wide", "n": 100000000, "r": 1, "coords": [[], []]}',
                     encoding="utf-8")

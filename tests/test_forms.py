@@ -11,6 +11,7 @@ plus the denominator.
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -39,8 +40,23 @@ def assert_same_forms(chart, polys):
 # the reference constructors: polynomial arithmetic over Q
 # ---------------------------------------------------------------------------
 
+def monomials_upto(n, d):
+    """Exponents of total degree <= d, by degree, then by decreasing exponent tuple.
+
+    This is the order that ``catalog._monomials_upto`` documents as
+    ``multi_indices`` order, enumerated here without it.
+    """
+    return sorted((e for e in product(range(d + 1), repeat=n) if sum(e) <= d),
+                  key=lambda e: (sum(e), tuple(-k for k in e)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 4), (4, 2)])
+def test_catalog_enumerates_monomials_in_the_reference_order(n, d):
+    assert list(_monomials_upto(n, d)) == monomials_upto(n, d)
+
+
 def veronese_polys(n, d):
-    return [MultiPoly(n, {e: 1}) for e in _monomials_upto(n, d)]
+    return [MultiPoly(n, {e: 1}) for e in monomials_upto(n, d)]
 
 
 def segre_polys(a, b):
@@ -53,7 +69,7 @@ def segre_polys(a, b):
 
 def random_polys(n, degree, r, seed):
     """The accepted coordinates, and whether the constant-term fix-up ran."""
-    mons = list(_monomials_upto(n, degree))
+    mons = monomials_upto(n, degree)
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
         coords = [MultiPoly(n, {e: F(rng.randint(-9, 9)) for e in mons})
