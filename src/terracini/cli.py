@@ -130,8 +130,7 @@ CHECKS = {
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the report contract reserves 2 for
-    # consistency failures, so remap usage errors to exit 1, under the prefix
-    # of every input error (a subcommand's prog would be "terracini analyze").
+    # consistency failures, so usage errors exit 1, as every input error does.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"terracini: error: {message}\n")

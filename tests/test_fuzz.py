@@ -31,7 +31,7 @@ FILE_COMMANDS = (["audit-theorem", "--trials", "1"],
 HUGE = ("9" * 19, "1" + "0" * 80, "1" + "0" * 5000)  # the last is above int()'s digit limit
 
 CHILD = r"""
-import contextlib, io, json, resource, signal, sys, traceback
+import contextlib, io, json, pathlib, resource, signal, sys, traceback
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from terracini.cli import main
 
@@ -46,7 +46,7 @@ def on_alarm(signum, frame):
 
 signal.signal(signal.SIGALRM, on_alarm)
 results = []
-for argv in json.loads(open(sys.argv[1], encoding="utf-8").read()):
+for argv in json.loads(pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")):
     out, err = io.StringIO(), io.StringIO()
     signal.alarm(20)
     try:
