@@ -20,7 +20,6 @@ from .gamma15 import (
     defect_pipeline,
     equivalence_audit,
     five_jet_rank,
-    gamma15_det,
     gamma15_identically_zero,
     gamma15_matrix,
     pi_constancy_check,
@@ -45,7 +44,6 @@ __all__ = [
     "defect_pipeline",
     "equivalence_audit",
     "five_jet_rank",
-    "gamma15_det",
     "gamma15_identically_zero",
     "gamma15_matrix",
     "generic_speciality",

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import product
 from typing import Iterator, Sequence
 
-from .chart import MAX_COORDINATES, Chart, multi_indices
+from .chart import MAX_COORDINATES, Chart, TooLargeError, multi_indices
 from .exactlin import randints
 
 DATA_VERSION = "v1"
@@ -27,13 +27,13 @@ class SmoothnessFailureError(RuntimeError):
     """Random constructor failed to produce a chart smooth at the base point."""
 
 
-class TooLargeError(ValueError):
-    """Requested variety has more coordinates than MAX_COORDINATES."""
-
-
-def _check_size(what: str, count: int) -> None:
-    if count > MAX_COORDINATES:
-        raise TooLargeError(f"{what} needs {count} coordinates,"
+def _check_size(what: str, n: int, d: int, count=lambda n, d: math.comb(n + d, d)) -> None:
+    # count(n, d) >= max(n, d) + 1 for n, d >= 1, so a larger n or d is refused uncounted:
+    # C(2*10^6, 10^6) alone takes 30 s, and a count of over 4,300 digits cannot be printed
+    big = max(n, d) >= MAX_COORDINATES
+    total = f"more than {MAX_COORDINATES}" if big else count(n, d)
+    if big or total > MAX_COORDINATES:
+        raise TooLargeError(f"{what} needs {total} coordinates,"
                             f" above the cap of {MAX_COORDINATES}")
 
 
@@ -63,7 +63,7 @@ def make_veronese(n: int, d: int) -> Chart:
     """Affine chart of the d-uple embedding of P^n: all monomials of degree <= d."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    _check_size(f"veronese(n={n}, d={d})", math.comb(n + d, d))
+    _check_size(f"veronese(n={n}, d={d})", n, d)
     return make_segre_veronese((n,), (d,), f"veronese-{n}-{d}")
 
 
@@ -71,7 +71,7 @@ def make_segre(a: int, b: int) -> Chart:
     """Affine chart of the Segre embedding of P^a x P^b."""
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
-    _check_size(f"segre(a={a}, b={b})", (a + 1) * (b + 1))
+    _check_size(f"segre(a={a}, b={b})", a, b, lambda a, b: (a + 1) * (b + 1))
     return make_segre_veronese((a, b), (1, 1), f"segre-{a}-{b}")
 
 
@@ -81,7 +81,7 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
         raise ValueError(f"need r >= 2n, got r={r}, n={n}")
     if n < 1 or degree < 1:
         raise ValueError("need n >= 1 and degree >= 1")
-    _check_size(f"random(n={n}, degree={degree})", math.comb(n + degree, degree))
+    _check_size(f"random(n={n}, degree={degree})", n, degree)
     mons = tuple(_monomials_upto(n, degree))
     if len(mons) < r + 1:
         raise ValueError(

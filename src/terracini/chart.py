@@ -88,6 +88,11 @@ MAX_TABLE_ENTRIES = 200_000
 # Largest chart file: json.load holds it whole, at 3-10 times its size.  1,000
 # coordinates of 126 terms each, in JSON indented by 2, take 17 MB.
 MAX_CHART_BYTES = 64 << 20
+# Largest monomial list, in exponent entries (monomials x n).  The largest
+# constructor charts hold 997,002 (veronese:998:1), 500,000 (segre:1:499) and
+# 42,570 (random:43:2:989:1); a few kB of chart file whose partials enter long
+# parent chains, such as u_1...u_999 at n = 2,000, would hold 10^9.
+MAX_MONOMIAL_ENTRIES = 4_000_000
 
 
 class DegenerateJetError(ValueError):
@@ -104,6 +109,10 @@ class AmbientTooSmallError(ValueError):
 
 class ChartFormatError(ValueError):
     """Malformed chart JSON document."""
+
+
+class TooLargeError(ValueError):
+    """Requested chart has more coordinates or monomials than its cap."""
 
 
 def multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
@@ -138,7 +147,8 @@ class _MonomialList(dict):
     entry i > 0 is its parent times u_v, ``steps[i - 1] = (parent index, v)``,
     with v the lowest variable of positive exponent.  Missing parents are
     entered first, so a parent's index is below its child's.  Exponents
-    must be nonnegative: lowering a negative one never reaches u^0.
+    must be nonnegative: lowering a negative one never reaches u^0.  Each
+    new entry is checked against MAX_MONOMIAL_ENTRIES before it is built.
     """
 
     __slots__ = ("exps", "degs", "steps")
@@ -150,6 +160,9 @@ class _MonomialList(dict):
     def __missing__(self, e: tuple) -> int:
         chain = []  # (exponent, v) of e and its missing ancestors, youngest first
         while e not in self:
+            if (len(self.exps) + len(chain) + 1) * len(e) > MAX_MONOMIAL_ENTRIES:
+                raise TooLargeError(f"the chart's monomial list would pass the cap of"
+                                    f" {MAX_MONOMIAL_ENTRIES} exponent entries (monomials x n)")
             v = next(i for i, k in enumerate(e) if k)
             chain.append((e, v))
             e = e[:v] + (e[v] - 1,) + e[v + 1:]
@@ -237,8 +250,7 @@ class Chart:
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The monomials that the flat forms read, by index.
     _mons: _MonomialList = field(default=None, init=False, repr=False, compare=False)
-    # Chart degree (-1 if zero) and D = max(it, 0).
-    _coord_degree: int = field(default=-1, init=False, repr=False, compare=False)
+    # Chart degree D, the largest total degree of a term (0 for the zero chart).
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -261,8 +273,7 @@ class Chart:
             raise ValueError("coordinate form has a negative exponent")
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "_dens", tuple(den for den, _, _ in forms))
-        object.__setattr__(self, "_coord_degree", max(map(sum, distinct), default=-1))
-        object.__setattr__(self, "_degree", max(self._coord_degree, 0))
+        object.__setattr__(self, "_degree", max(map(sum, distinct), default=0))
         object.__setattr__(self, "_mons", _MonomialList(self.n))
         self._dcache[()] = _flat_form([c for _, cs, _ in forms for c in cs],
                                       list(map(self._mons.__getitem__, exps)),
@@ -366,7 +377,7 @@ class Chart:
         return self.tangent_rank(pt) == self.n + 1 or self.jacobian_rank(pt) == self.n
 
     def max_coord_degree(self) -> int:
-        return self._coord_degree
+        return self._degree
 
     def is_nondegenerate(self) -> bool:
         """Coordinates independent (X spans P^r): ranks the flat x form, read by monomial index."""

@@ -24,6 +24,7 @@ from .chart import (
     AmbientTooSmallError,
     Chart,
     ChartFormatError,
+    TooLargeError,
     load_chart,
     project_generic,
 )
@@ -293,7 +294,8 @@ def run_checks(args) -> int:
     for _, name, arg in jobs:
         try:
             fields = CHECKS[name].run(chart, arg, args.trials, args.seed)
-        except (AmbientMismatchError, AmbientTooSmallError, SingularPointError) as exc:
+        except (AmbientMismatchError, AmbientTooSmallError, SingularPointError,
+                TooLargeError) as exc:
             raise InputError(f"check {name}: {exc}" if analyze else str(exc)) from exc
         results.append({"check": name if arg is None else f"{name}:{arg}", **fields})
     doc = {

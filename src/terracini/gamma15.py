@@ -150,11 +150,6 @@ def gamma15_matrix(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction]
     return Gamma15Matrix(chart=chart, pt=pt, lam=lam, mu=mu)
 
 
-def gamma15_det(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
-                mu: Sequence[Fraction]) -> Fraction:
-    return gamma15_matrix(chart, pt, lam, mu).det()
-
-
 def gamma15_degree_bound(chart: Chart) -> int:
     """Upper bound for the total degree of D in (pt, lambda, mu) jointly.
 
@@ -162,7 +157,7 @@ def gamma15_degree_bound(chart: Chart) -> int:
     degree at most the coordinate degree minus the lowest derivative order
     the column reads.
     """
-    d = max(chart.max_coord_degree(), 0)
+    d = chart.max_coord_degree()
     return sum(m + max(d - low, 0)
                for (m, _), low in zip(_gamma15_spec(chart.n), _lowest_orders(chart.n)))
 
@@ -196,7 +191,7 @@ def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
         if not any(lam):
             # legitimate zero of D (the Hessian contraction columns vanish)
             return _F0
-        return gamma15_det(chart, coords[:n], lam, coords[2 * n:])
+        return gamma15_matrix(chart, coords[:n], lam, coords[2 * n:]).det()
 
     sz = sz_zero_test(evaluator, 3 * n, bound, trials=SZ_TRIALS, seed=seed)
     if sz.identically_zero:

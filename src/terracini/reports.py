@@ -57,21 +57,11 @@ def _md_value(value, indent: int = 0) -> list[str]:
 
 
 def render_markdown(doc: dict) -> str:
-    lines = [f"# terracini report (schema {doc.get('schema_version', '?')})", ""]
-    config = doc.get("config", {})
-    if config:
-        lines.append("## config")
-        lines.extend(_md_value(config))
-        lines.append("")
-    chart = doc.get("chart")
-    if chart:
-        lines.append("## chart")
-        lines.extend(_md_value(chart))
-        lines.append("")
-    for result in doc.get("results", []):
-        name = result.get("check", "result")
-        lines.append(f"## {name}")
-        body = {k: v for k, v in result.items() if k != "check"}
-        lines.extend(_md_value(body))
-        lines.append("")
+    """A ``cli.run_checks`` report as markdown: config, chart, then one section per check."""
+    sections = [("config", doc["config"]), ("chart", doc["chart"])] + [
+        (result["check"], {k: v for k, v in result.items() if k != "check"})
+        for result in doc["results"]]
+    lines = [f"# terracini report (schema {doc['schema_version']})", ""]
+    for title, body in sections:
+        lines += [f"## {title}", *_md_value(body), ""]
     return "\n".join(lines)

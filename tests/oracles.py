@@ -28,7 +28,7 @@ fraction-free determinant.
 The second routes that no command-line check reaches live here too:
 ``claim_coefficient_audit`` expands the determinant D symbolically for
 n <= 3 (its columns ``brute_contract``ed with ring-variable lambda and mu)
-and checks it against the package's numeric ``gamma15_det``;
+and checks it against the package's numeric ``gamma15_matrix(...).det()``;
 ``hyperplane_system`` reads the dual of a tangent space along a jet as a
 nullspace; ``osc2_regular_coordinate`` ranks the 2-osculating
 criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
@@ -86,7 +86,7 @@ from terracini.gamma15 import (
     Gamma15Matrix,
     _gamma15_spec,
     _require_square_ambient,
-    gamma15_det,
+    gamma15_matrix,
 )
 from terracini.secants import (
     DefectRecord,
@@ -862,8 +862,8 @@ def claim_coefficient_audit(chart: Chart, pt, evaluations: int = 10,
 
     The columns are ``brute_contract``ed from ``symbolic_table`` with lambda
     and mu the ring's variables, and D is their ``poly_det``; it is checked
-    against the package's numeric ``gamma15_det`` at ``evaluations`` seeded
-    (lambda, mu).
+    against the package's numeric ``gamma15_matrix(...).det()`` at
+    ``evaluations`` seeded (lambda, mu).
     """
     _require_square_ambient(chart)
     n = chart.n
@@ -884,7 +884,7 @@ def claim_coefficient_audit(chart: Chart, pt, evaluations: int = 10,
         if all(c == 0 for c in lam_v):
             lam_v = (F1,) * n
         mu_v = sample_point(rng, n)
-        if sym.eval(lam_v + mu_v) != gamma15_det(chart, pt, lam_v, mu_v):
+        if sym.eval(lam_v + mu_v) != gamma15_matrix(chart, pt, lam_v, mu_v).det():
             match = False
 
     coeff1 = coeff2 = derived = None

@@ -15,6 +15,7 @@ import pytest
 from terracini.catalog import load_catalog, make_random_variety, make_segre, make_veronese
 from terracini.chart import (
     MAX_DEGREE,
+    MAX_MONOMIAL_ENTRIES,
     BadTargetError,
     Chart,
     ChartFormatError,
@@ -841,3 +842,17 @@ def test_chart_json_accepts_the_degree_cap():
     obj = chart_to_obj(make_veronese(1, 2))
     obj["coords"][2][0]["exp"] = [MAX_DEGREE]
     assert obj_to_chart(obj).max_coord_degree() == MAX_DEGREE
+
+
+def test_zero_and_constant_charts_have_degree_0():
+    zero = Chart("zero", 1, 1, ((1, (), ()), (1, (), ())))
+    constant = Chart("constant", 1, 1, ((1, (3,), ((0,),)), (1, (), ())))
+    assert zero.max_coord_degree() == constant.max_coord_degree() == 0
+
+
+@pytest.mark.parametrize("make, entries", [(lambda: make_veronese(998, 1), 997_002),
+                                           (lambda: make_segre(1, 499), 500_000)],
+                         ids=["veronese:998:1", "segre:1:499"])
+def test_largest_constructor_charts_fit_the_monomial_cap(make, entries):
+    chart = make()
+    assert len(chart._mons.exps) * chart.n == entries < MAX_MONOMIAL_ENTRIES

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import resource
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import MAX_CHART_BYTES, MAX_DEGREE, MAX_TABLE_ENTRIES, Chart, load_chart
+from terracini.chart import (MAX_CHART_BYTES, MAX_DEGREE, MAX_MONOMIAL_ENTRIES, MAX_TABLE_ENTRIES,
+                             Chart, load_chart)
 from fractions import Fraction
 
 from terracini import cli
@@ -67,6 +69,26 @@ def test_analyze_multiple_checks_and_markdown(capsys):
                        "--format", "markdown")
     assert code == 0
     assert "## secant:2" in out and "## osc:2" in out
+
+
+# Markdown reports that together render nested dicts, lists of lists, None
+# and fractions; recorded from the renderer that wrote the config, chart and
+# check sections each on its own path, and only read here.
+MARKDOWN_DIGESTS = {
+    "analyze --variety veronese:4:2 --check secant:2 --check speciality:3 --check osc:2"
+    " --trials 2": "9eb186e54a3a41d642944598a03aa1a7842e47bc169629a35ff291ca5011e3f0",
+    "analyze --variety veronese:4:2 --check gamma15 --check pi-constancy --check audit"
+    " --seed 7": "5c33981d5d1428c660746cc0983f3c3667cb1aed6a8c8476bdecc18d7edfb230",
+    "audit-theorem --variety random:2:4:8:5 --trials 1":
+        "208ed078629a61efa91b71198c8020c3ea605a9a8c5b610b23d1d38ef2b24175",
+}
+
+
+@pytest.mark.parametrize("command", list(MARKDOWN_DIGESTS))
+def test_markdown_report_matches_recorded_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split(), "--format", "markdown")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MARKDOWN_DIGESTS[command]
 
 
 def test_analyze_pi_constancy(capsys):
@@ -292,8 +314,12 @@ def _limit_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("variety", ["veronese:40:40", "segre:40:40",
-                                     "random:40:40:100:1"])
+# C(2*10^5, 10^5) has too many digits to print, C(2*10^6, 10^6) takes 30 s to
+# compute and C(2*10^7, 10^7) tens of minutes: each is refused uncounted
+@pytest.mark.parametrize("variety", ["veronese:40:40", "segre:40:40", "random:40:40:100:1",
+                                     "veronese:100000:100000", "veronese:1000000:1000000",
+                                     "random:1000000:1000000:2000000:1",
+                                     "veronese:10000000:10000000"])
 def test_oversized_variety_is_refused_before_any_work(variety):
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -599,6 +625,27 @@ def test_chart_file_of_excessive_width_is_refused_before_any_work(tmp_path):
     assert proc.stderr.startswith("terracini: error:")
     assert ("chart declares n=100000000 and r=1: (n+1)(r+1) = 200000002 table entries,"
             f" above the cap of {MAX_TABLE_ENTRIES}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n, starts", [(2_000, [0]), (99_999, [0]), (5_000, range(0, 4_000, 40))],
+                         ids=["8kB-in-a-partial", "400kB-in-the-chart", "1MB-in-the-chart"])
+def test_chart_file_of_long_monomial_chains_is_refused(tmp_path, n, starts):
+    # r = 1: the constant 1 and the sum of u_s...u_{s+998} over s; each monomial
+    # enters its chain of ancestors, one n-tuple each, and the first file's
+    # partial in u_j enters j-1 more: uncapped, each ends in MemoryError
+    coords = [[{"exp": [0] * n, "num": "1", "den": "1"}],
+              [{"exp": [int(s <= i < s + 999) for i in range(n)], "num": "1", "den": "1"}
+               for s in starts]]
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps({"label": "chains", "n": n, "r": 1, "coords": coords},
+                               separators=(",", ":")), encoding="utf-8")
+    proc = _refusal_in_child(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert (f"monomial list would pass the cap of {MAX_MONOMIAL_ENTRIES} exponent entries"
+            in proc.stderr)
     assert "Traceback" not in proc.stderr
 
 

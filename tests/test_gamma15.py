@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from terracini.catalog import load_catalog, make_random_variety, make_veronese
-from terracini import gamma15, secants
+from terracini import exactlin, gamma15, secants
 from terracini.chart import Chart, CurvilinearJet, contract_numerators, jet_terms
 from terracini.curvilinear import generic_speciality
+from terracini.exactlin import randints
 from terracini.gamma15 import (
     SZ_TRIALS,
     AmbientMismatchError,
@@ -20,7 +21,6 @@ from terracini.gamma15 import (
     equivalence_audit,
     five_jet_rank,
     gamma15_degree_bound,
-    gamma15_det,
     gamma15_identically_zero,
     gamma15_matrix,
     pi_constancy_check,
@@ -232,10 +232,10 @@ def test_det_reads_ints_fractions_floats_and_decimal_strings_alike(chart):
         kinds = {"Fraction": F, "float": float, "str": lambda x: f"{float(x):.2f}"}
         if not halves:
             kinds["int"] = int  # integral values only
-        values = {kind: gamma15_det(chart, *([make(x) for x in v] for v in (pt, lam, mu)))
+        values = {kind: gamma15_matrix(chart, *([make(x) for x in v] for v in (pt, lam, mu))).det()
                   for kind, make in kinds.items()}
         # a float among Fractions sends the whole vector through Fraction
-        values["mixed"] = gamma15_det(chart, pt, [float(lam[0])] + lam[1:], mu)
+        values["mixed"] = gamma15_matrix(chart, pt, [float(lam[0])] + lam[1:], mu).det()
         assert len(set(values.values())) == 1, values
         nonzero += values["Fraction"] != 0
         gm = gamma15_matrix(chart, [float(x) for x in pt], lam, mu)
@@ -290,7 +290,7 @@ def test_quintic_curve_det_nonzero_generically():
         pt = (F(rng.randint(-3, 3)),)
         lam = (F(rng.randint(1, 5)),)
         mu = (F(rng.randint(-5, 5)),)
-        if gamma15_det(c, pt, lam, mu) != 0:
+        if gamma15_matrix(c, pt, lam, mu).det() != 0:
             nonzero += 1
     assert nonzero >= 9  # generic nonvanishing
 
@@ -304,7 +304,7 @@ def test_quadratic_veronese_det_vanishes_on_50_draws():
         if all(x == 0 for x in lam):
             lam = (F(1),) * 4
         mu = tuple(F(rng.randint(-4, 4)) for _ in range(4))
-        assert gamma15_det(c, pt, lam, mu) == 0
+        assert gamma15_matrix(c, pt, lam, mu).det() == 0
 
 
 def test_identically_zero_verdicts():
@@ -314,6 +314,28 @@ def test_identically_zero_verdicts():
     v2 = gamma15_identically_zero(make_random_variety(2, 5, 8, 7), seed=1)
     assert not v2.identically_zero
     assert gamma15_identically_zero(degenerate_chart_p8(), seed=1).identically_zero
+
+
+def test_identity_test_draw_with_lambda_zero_counts_as_a_zero_of_d(monkeypatch):
+    # D != 0 on the quintic curve.  The first trial's lambda is forced to 0,
+    # where no matrix can be built (DegenerateJetError) and D vanishes, so that
+    # trial reads 0 and the second trial's point is the witness.
+    draws = []
+
+    def first_lambda_zero(rng, lo, hi, count):
+        out = randints(rng, lo, hi, count)
+        if not draws:
+            out[1] = 0  # n = 1: (pt, lam, mu)
+        draws.append(tuple(out))
+        return out
+
+    monkeypatch.setattr(exactlin, "randints", first_lambda_zero)
+    verdict = gamma15_identically_zero(make_veronese(1, 5))
+    assert not verdict.identically_zero and verdict.witness_value != 0
+    assert len(draws) == 2 and draws[0][1] == 0
+    assert verdict.sz.witness == draws[1]
+    assert (verdict.witness_pt, verdict.witness_lam, verdict.witness_mu) == (
+        draws[1][:1], draws[1][1:2], draws[1][2:])
 
 
 def test_identically_zero_reports_error_bound():
@@ -566,8 +588,8 @@ def test_normalization_preserves_downstream_verdicts():
             assert zero_generators(via_contraction) == zero_generators(via_substitution)
         jet3 = CurvilinearJet(base, lam, mu, 3)
         nc, nj = jet_normalize(c, jet3)
-        d_before = gamma15_det(c, base, lam, mu)
-        d_after = gamma15_det(nc, nj.base, nj.lam, nj.mu)
+        d_before = gamma15_matrix(c, base, lam, mu).det()
+        d_after = gamma15_matrix(nc, nj.base, nj.lam, nj.mu).det()
         assert (d_before == 0) == (d_after == 0) == vanishes
 
 
