@@ -38,14 +38,14 @@ ranks the n+1 rows x, x_1..x_n of the order-1 table's integers, which
 rank's indifference to row and column scales allows; only where that
 tangent rank falls short of n+1 does it rank the n first partials.
 
-``integer_table`` is the one evaluator: it keeps the tables of the last
-point asked for, one per order, with the tangent rank once asked, and
-starts afresh when the point changes.  A point is drawn, tested for
-smoothness and its tangent space read, all from one order-1 evaluation
-and one rank; the five-jet rank and the span Pi at a curve's base share
-one order-5 evaluation.
-``derivative_vector`` reads a key of order h from the order-max(1, h)
-table.  Memoized tables are shared, so callers must not modify them.
+``integer_table`` is the one evaluator: it keeps one table of the last
+point asked for, of the highest order asked there, with the tangent rank
+once asked; a lower order reads it, and a new point or a higher order
+evaluates afresh.  A span reads the order its own terms need
+(``secants.LinearSpan.contracted``).  A point is drawn, tested for
+smoothness and its tangent space read, all from one order-1 evaluation and
+one rank; the five-jet rank and the span Pi at a curve's base share one
+order-5 evaluation.  The memoized table is shared: do not modify it.
 
 ``jet_terms`` is the one place that holds Faa di Bruno coefficients.  The
 generators along a jet, the 2-osculating criterion vectors, the
@@ -254,9 +254,9 @@ class Chart:
     _degree: int = field(default=0, init=False, repr=False, compare=False)
     # Per coordinate, the common denominator of its integer forms.
     _dens: tuple = field(default=(), init=False, repr=False, compare=False)
-    # The last point given to ``integer_table``, its tables, {order: table},
-    # and the rank of its order-1 rows (None until ``tangent_rank`` asks).
-    _memo: list = field(default_factory=lambda: [None, {}, None], init=False, repr=False,
+    # The last point given to ``integer_table``, its table of the highest order
+    # asked there, and the rank of its order-1 rows (None until ``tangent_rank`` asks).
+    _memo: list = field(default_factory=lambda: [None, None, None], init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
@@ -332,22 +332,23 @@ class Chart:
     def integer_table(self, pt: Sequence[Fraction], h: int) -> IntegerTable:
         """Derivatives of order <= h at pt as integer numerators; what contractions read.
 
-        The tables of the last point asked for are kept, one per order.
-        Points match by value, so ints and equal Fractions share them; the
-        tables are shared, so read them, do not modify them.
+        One table of the last point asked for is kept, of the highest h asked
+        there; a lower h reads it (order >= h, same rows at those keys), so it is
+        evaluated again only when the point changes or h passes it.  Points match
+        by value, so ints and equal Fractions share it; read it, do not modify it.
         """
         pt = tuple(pt)
         if self._memo[0] != pt:
-            self._memo[:] = pt, {}, None
-        tables = self._memo[1]
-        if h not in tables:
+            self._memo[:] = pt, None, None
+        t = self._memo[1]
+        if t is None or t.order < h:
             # partials above the chart degree vanish
             keys = multi_indices(self.n, min(h, self._degree))
             rows, scale = self._numerators(pt, keys)
             nums = {key: row for key, row in zip(keys, rows) if any(row)}
-            tables[h] = IntegerTable(nums, self._dens, scale, self.n, h,
-                                     max(map(len, nums), default=-1))
-        return tables[h]
+            t = self._memo[1] = IntegerTable(nums, self._dens, scale, self.n, h,
+                                             max(map(len, nums), default=-1))
+        return t
 
     # -- basic geometry -------------------------------------------------------
 

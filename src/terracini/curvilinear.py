@@ -53,7 +53,7 @@ def tangent_along(chart: Chart, jet: CurvilinearJet) -> LinearSpan:
         curve = line + (mu,)
         gens += [jet_terms(2, curve, (v,)) for v in frame[1:]]
         gens += [jet_terms(4, curve), jet_terms(5, curve)]
-    return LinearSpan.contracted(chart.integer_table(jet.base, 3 if jet.length == 2 else 5), gens)
+    return LinearSpan.contracted(chart, jet.base, gens)
 
 
 # ---------------------------------------------------------------------------

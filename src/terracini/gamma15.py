@@ -124,7 +124,7 @@ class Gamma15Matrix:
 
     @cached_property
     def columns(self) -> LinearSpan:
-        return LinearSpan.contracted(self.chart.integer_table(self.pt, 5), self.terms)
+        return LinearSpan.contracted(self.chart, self.pt, self.terms)
 
     def det(self) -> Fraction:
         if max(_lowest_orders(self.chart.n)) > self.chart.max_coord_degree():
@@ -217,7 +217,7 @@ def five_jet_rank(chart: Chart, base: Vector, coeffs: Sequence[Vector]) -> int:
     _require_square_ambient(chart)
     # x, x_1..x_n, then x', ..., x^(5) along the curve
     groups = [(0, ())] + [(0, (e,)) for e in unit_vectors(chart.n)] + [(k, ()) for k in range(1, 6)]
-    return LinearSpan.contracted(chart.integer_table(base, 5),
+    return LinearSpan.contracted(chart, base,
                                  [jet_terms(h, coeffs, along) for h, along in groups]).rank
 
 
@@ -241,7 +241,7 @@ def pi_space(chart: Chart, u1: Fraction) -> LinearSpan:
             f"u_1-coordinate curve is not quasi-asymptotic at u1={u1} (rank {rank} > {n + 4})")
     # x, x_i, x_1j, x_11k, x_1111: derivatives along the u_1 line
     groups = [(0, ())] + [(h, (ei,)) for h in (0, 1, 2) for ei in e] + [(4, ())]
-    return LinearSpan.contracted(chart.integer_table(base, 5),
+    return LinearSpan.contracted(chart, base,
                                  [jet_terms(h, e[:1], along) for h, along in groups])
 
 

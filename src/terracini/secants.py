@@ -29,7 +29,6 @@ from typing import Sequence
 from .chart import (
     AmbientTooSmallError,
     Chart,
-    IntegerTable,
     contract_numerators,
     jet_terms,
     multi_indices,
@@ -74,8 +73,11 @@ class LinearSpan:
     dens: tuple[int, ...]
 
     @classmethod
-    def contracted(cls, t: IntegerTable, term_lists: Sequence[Sequence[tuple]]) -> "LinearSpan":
-        """Span of the vectors that ``contract_numerators`` contracts from table t."""
+    def contracted(cls, chart: Chart, pt: Sequence[Fraction],
+                   term_lists: Sequence[Sequence[tuple]]) -> "LinearSpan":
+        """Span of the term lists, contracted from pt's table of the most directions in a term."""
+        order = max((len(vs) for terms in term_lists for _, vs in terms), default=0)
+        t = chart.integer_table(pt, order)
         return cls(*contract_numerators(t, term_lists), t.dens)
 
     @cached_property
@@ -243,11 +245,9 @@ def _osc2_rank(chart: Chart, pt: Sequence[Fraction], lam: Sequence[Fraction],
     sum_{i,j} x_kij lam_i lam_j + 2 sum_j x_kj mu_j, derivatives along the
     curve pt + lam t + mu t^2.
     """
-    e = unit_vectors(chart.n)
-    curve = (lam, mu)
-    t = chart.integer_table(pt, 3)
-    return LinearSpan.contracted(t, [jet_terms(h, curve, along) for h, along in
-                                     [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in e]]).rank
+    groups = [(0, ())] + [(h, (v,)) for h in (0, 1, 2) for v in unit_vectors(chart.n)]
+    return LinearSpan.contracted(chart, pt, [jet_terms(h, (lam, mu), along)
+                                             for h, along in groups]).rank
 
 
 @dataclass(frozen=True)
@@ -315,6 +315,5 @@ def osc_variety_dim(chart: Chart, m: int, samples: int = 5, seed: int = 0) -> in
         terms = [dy(0)] + [dy(0, (ek,)) for ek in e]
         terms += [dy(s, (ej,)) for s in range(1, m + 1) for ej in e[1:]]
         terms += [jet_terms(h, (lam, mu)) for h in range(1, m + 1)]
-        t = chart.integer_table(pt, m + 1)
-        best = max(best, LinearSpan.contracted(t, terms).dim)
+        best = max(best, LinearSpan.contracted(chart, pt, terms).dim)
     return best

@@ -32,7 +32,7 @@ from terracini.chart import (
 )
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, span_rank
-from terracini.secants import osculating_space
+from terracini.secants import LinearSpan, osculating_space
 from oracles import (
     FiveJet,
     MultiPoly,
@@ -150,9 +150,9 @@ def test_integer_kernel_rejects_bad_index_and_point_length():
 
 
 def test_table_memo_serves_the_point_and_order_asked_for():
-    # the chart keeps the tables of the last point, one per order; every read
-    # must still give that point's derivatives at the order asked for,
-    # however the point is spelled and whatever was read before
+    # the chart keeps one table of the last point, of the highest order asked
+    # there; every read must still give that point's derivatives up to the
+    # order asked for, however the point is spelled and whatever was read before
     c = rational_chart()
     a, b = (F(1, 2), F(-3, 7), F(0)), (F(2), F(-1), F(3))
     refs = {a: symbolic_table(c, a, 5), b: symbolic_table(c, b, 5)}
@@ -160,16 +160,13 @@ def test_table_memo_serves_the_point_and_order_asked_for():
 
     def check(pt, h, ref):
         t = c.integer_table(pt, h)
-        assert t.order == h
-        # tables are kept by their exact order, so a lower one still refuses
-        # terms above it after a higher one was read at the same point
-        with pytest.raises(ValueError, match=f"above the table's order {h}"):
-            contract(t, [(1, (E[0],) * (h + 1))])
+        # a lower order is served from the kept table, whose rows at its keys are the same
+        assert t.order >= h
         for idx, vec in ref.items():
             if len(idx) <= h:
                 assert tuple(F(x, d * t.scale)
                              for x, d in zip(t.nums.get(idx, zero), t.dens)) == vec
-            # orders 0 to 5, each read from the table of its own order
+            # orders 0 to 5, each read from the kept table or a higher one evaluated for it
             assert c.derivative_vector(pt, idx[::-1]) == vec
             assert all(type(x) is F for x in c.derivative_vector(pt, idx))
 
@@ -183,6 +180,12 @@ def test_table_memo_serves_the_point_and_order_asked_for():
     assert c.integer_table(a, 3).order == 3
     check(b, 1, refs[b])
     check(a, 5, refs[a])
+    # a table first read at a point has the order asked, so it refuses terms above it
+    for h in (1, 3, 5):
+        t = c.integer_table((F(h), F(-1, h), F(0)), h)
+        assert t.order == h
+        with pytest.raises(ValueError, match=f"above the table's order {h}"):
+            contract(t, [(1, (E[0],) * (h + 1))])
 
 
 def flat_chart():
@@ -443,6 +446,22 @@ def test_span_contraction_matches_the_oracle_per_term_list(make):
         assert fraction_vector(row, itable.dens, scale) == expected == contract(itable, terms)
     assert not any(rows[1]) and scales[1] == itable.scale
     assert any(rows[0]) == (itable.top == 5)
+
+
+@pytest.mark.parametrize("make", [rational_chart, lambda: make_veronese(3, 2)],
+                         ids=["quintic", "quadratic"])
+def test_span_reads_the_table_of_the_order_its_terms_need(make):
+    # LinearSpan.contracted reads pt's table of the most directions in any
+    # term (0 when there are none) and contracts it as contract_numerators does
+    pt = (F(5, 3), F(-5, 6), F(1, 4))
+    t = make().integer_table(pt, 5)
+    assert LinearSpan.contracted(make(), pt, SPAN) == LinearSpan(*contract_numerators(t, SPAN),
+                                                                 t.dens)
+    for lists, order in [(SPAN, 5), (SPAN[2:5], 3), (SPAN[2:3], 2), ([[], [(1, ())]], 0)]:
+        c = make()
+        LinearSpan.contracted(c, pt, lists)
+        # an order-0 read is served from the kept table, so it shows that table's order
+        assert c.integer_table(pt, 0).order == order
 
 
 @pytest.mark.parametrize("at", range(3))

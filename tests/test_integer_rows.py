@@ -216,6 +216,37 @@ def test_claim_audit_expands_at_a_rational_point():
     assert rep.evaluations_match and not rep.identically_zero
 
 
+def test_lower_order_read_after_a_higher_one_evaluates_nothing(evaluations):
+    # the chart keeps one table of the last point, of the highest order asked
+    # there: lower orders, the tangent rank and x are read from it, and only
+    # a higher order or another point evaluates again
+    chart = make_random_variety(2, 3, 8, 1)
+    pt, other = (F(1, 2), F(-3)), (F(1), F(2))
+    evaluations.clear()
+    high = chart.integer_table(pt, 5)
+    assert all(chart.integer_table(pt, h) is high for h in (1, 0, 4, 5))
+    assert chart.is_smooth_at(pt) and chart.tangent_rank(pt) == 3
+    assert evaluations == [pt]
+    chart.integer_table(other, 1)
+    assert chart.integer_table(other, 2).order == 2 and chart.integer_table(other, 1).order == 2
+    assert evaluations == [pt, other, other]
+
+
+@pytest.mark.parametrize("u1", [0, 1, 2, F(1, 2)])
+def test_pi_space_evaluates_one_table_per_sample(monkeypatch, evaluations, u1):
+    # the five-jet rank reads the order-5 table, and Pi's own span, whose terms
+    # need order 4, is served from it
+    chart = make_random_variety(2, 3, 8, 1)
+    orders = []
+    integer_table = Chart.integer_table
+    monkeypatch.setattr(Chart, "integer_table",
+                        lambda self, pt, h: orders.append(h) or integer_table(self, pt, h))
+    evaluations.clear()
+    pi_space(chart, u1)
+    assert orders == [5, 4]
+    assert len(evaluations) == 1
+
+
 def test_pi_constancy_evaluates_each_sample_once(evaluations):
     # the five-jet check, its curve derivatives and the span Pi share the
     # order-5 table at each sample
