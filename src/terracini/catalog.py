@@ -82,6 +82,8 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
     if n < 1 or degree < 1:
         raise ValueError("need n >= 1 and degree >= 1")
     _check_size(f"random(n={n}, degree={degree})", n, degree)
+    # r+1 coordinates, refused before the monomial count, whose message prints r+1
+    _check_size(f"random(r >= {MAX_COORDINATES})", r, 1, lambda r, _: r + 1)
     mons = tuple(_monomials_upto(n, degree))
     if len(mons) < r + 1:
         raise ValueError(

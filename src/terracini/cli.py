@@ -60,11 +60,18 @@ MAX_TRIALS = 10_000
 # entries a second, and the sampled checks run at 0.2-2.7 million estimated
 # entries a second (v_12(P^2) osc:2 0.56M).
 MAX_WORK = 5_000_000
+# Most digits of a command-line integer.  Python prints no int above 4,300
+# digits (640 at its lowest setting), and a report prints seeds plus 1 to 3.
+MAX_DIGITS = 100
 PI_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1))
 
 
 class InputError(Exception):
     """User input problem: bad flag value, bad file, bad variety spec."""
+
+
+class TooManyDigitsError(InputError, argparse.ArgumentTypeError):
+    """A command-line integer above MAX_DIGITS; argparse prints it as a flag's error."""
 
 
 class Check(NamedTuple):
@@ -178,8 +185,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _int(text: str) -> int:
-    """``int(text)`` of ASCII digits after an optional minus; ``int`` also reads 1_0, +2, ' 2'."""
+    """``int(text)`` of ASCII digits after an optional minus; ``int`` also reads 1_0, +2, ' 2'.
+
+    More than MAX_DIGITS digits raise TooManyDigitsError before ``int`` reads them.
+    """
     if re.fullmatch(r"-?[0-9]+", text):
+        digits = len(text.lstrip("-"))
+        if digits > MAX_DIGITS:
+            raise TooManyDigitsError(f"integer {text[:12]}... has {digits} digits,"
+                                     f" above the cap of {MAX_DIGITS}")
         return int(text)
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 

@@ -3,6 +3,7 @@
 import pytest
 
 from terracini.catalog import (
+    MAX_COORDINATES,
     CatalogEntry,
     SmoothnessFailureError,
     get_entry,
@@ -12,6 +13,7 @@ from terracini.catalog import (
     make_segre_veronese,
     make_veronese,
 )
+from terracini.chart import TooLargeError
 from terracini.secants import secant_defect
 from oracles import build_for_length3, symmetric_rank_locus_dim
 
@@ -22,6 +24,19 @@ def test_veronese_counts():
     assert make_veronese(4, 2).r == 14
     c = make_veronese(2, 3)
     assert len(c.forms) == 10 and c.n == 2
+
+
+def test_random_variety_refuses_r_above_the_coordinate_cap():
+    # r+1 coordinates are refused before the monomial count, whose message
+    # prints r+1: for r of 4,300 nines, the most int() reads, Python cannot
+    for r in (MAX_COORDINATES, int("9" * 4300)):
+        with pytest.raises(TooLargeError, match="random.r >= 1000. needs more than 1000"
+                                                " coordinates, above the cap of 1000$"):
+            make_random_variety(1, 1, r, 1)
+    # r+1 = 1000 passes the cap, and the monomial count refuses it
+    with pytest.raises(ValueError, match="only 2 monomials < r.1=1000") as exc:
+        make_random_variety(1, 1, MAX_COORDINATES - 1, 1)
+    assert type(exc.value) is ValueError
 
 
 def test_segre_counts():

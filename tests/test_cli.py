@@ -212,6 +212,13 @@ def test_input_errors_exit_1(capsys):
      "bad variety spec 'segre:1:2:3': segre needs 2 integers\n"),
     (("analyze", "--variety", "random:1:2:3", "--check", "secant:1"),
      "bad variety spec 'random:1:2:3': random needs 4 integers\n"),
+    # r+1 = 5001 is refused by the coordinate cap before the monomial count prints it
+    (("analyze", "--variety", "random:1:1:5000:1", "--check", "secant:1"),
+     "bad variety spec 'random:1:1:5000:1': random(r >= 1000) needs more than 1000"
+     " coordinates, above the cap of 1000\n"),
+    # int() reads 4,300 digits, but r+1 has 4,301, which Python cannot print
+    (("analyze", "--variety", f"random:1:1:{'9' * 4300}:1", "--check", "secant:1"),
+     "terracini: error: integer 999999999999... has 4300 digits, above the cap of 100\n"),
 ])
 def test_bad_counts_exit_1_with_message(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -253,6 +260,40 @@ def test_trials_and_seed_take_ascii_digits_only(capsys, flag, token):
     assert err.startswith("usage: terracini analyze")
     assert err.endswith(f"terracini: error: argument {flag}:"
                         f" invalid int value: {token!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # the pipeline reports seed + 1..3, and seed + 1 has 4,301 digits, which Python cannot print
+    ["audit-theorem", "--variety", "veronese:1:5", "--trials", "1", "--seed", "9" * 4300],
+    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--seed", "-1" + "0" * 100],
+    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--trials", "1" * 101],
+    ["analyze", "--variety", "veronese:1:3", "--check", "secant:" + "9" * 4300],
+    ["analyze", "--variety", "random:1:1:3:" + "1" * 101, "--check", "secant:1"],
+    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--project", "1" * 101],
+], ids=["audit-theorem-seed", "negative-seed", "trials", "check", "variety", "project"])
+def test_integers_above_the_digit_cap_exit_1_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*_):
+        raise AssertionError("work started")
+
+    for name in ("check_work", "project_generic"):
+        monkeypatch.setattr(cli, name, no_work)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    out, err = capsys.readouterr()
+    digits = next(len(arg.lstrip("-")) for arg in (a.rpartition(":")[2] for a in argv)
+                  if arg.lstrip("-").isdigit() and len(arg.lstrip("-")) > cli.MAX_DIGITS)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"has {digits} digits, above the cap of {cli.MAX_DIGITS}\n")
+    assert "terracini: error: " in err and "Traceback" not in err
+
+
+def test_integers_at_the_digit_cap_run(capsys):
+    seed = "9" * cli.MAX_DIGITS
+    code, out, _ = run(capsys, "analyze", "--variety", f"random:1:3:3:{seed}",
+                       "--check", "secant:1", "--trials", "1", "--seed", seed)
+    assert code == 0 and json.loads(out)["config"]["seed"] == int(seed)
 
 
 def test_negative_seed_is_read_and_echoed(capsys):

@@ -28,7 +28,8 @@ CHILDREN = 4
 FILE_COMMANDS = (["audit-theorem", "--trials", "1"],
                  ["analyze", "--check", "secant:2", "--check", "osc:2", "--check", "gamma15",
                   "--trials", "1"])
-HUGE = ("9" * 19, "1" + "0" * 80, "1" + "0" * 5000)  # the last is above int()'s digit limit
+# the third is the most digits int() reads, so seed + 1 cannot be printed; the last is above it
+HUGE = ("9" * 19, "1" + "0" * 80, "9" * 4300, "1" + "0" * 5000)
 
 CHILD = r"""
 import contextlib, io, json, pathlib, resource, signal, sys, traceback
