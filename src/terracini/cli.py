@@ -185,10 +185,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _int(text: str) -> int:
-    """``int(text)`` of ASCII digits after an optional minus; ``int`` also reads 1_0, +2, ' 2'.
-
-    More than MAX_DIGITS digits raise TooManyDigitsError before ``int`` reads them.
-    """
+    """``int(text)`` of ASCII digits after an optional minus; ``int`` also reads 1_0, +2, ' 2'."""
     if re.fullmatch(r"-?[0-9]+", text):
         digits = len(text.lstrip("-"))
         if digits > MAX_DIGITS:

@@ -208,11 +208,12 @@ def gamma15_identically_zero(chart: Chart, seed: int = 0) -> Gamma15Verdict:
 def five_jet_rank(chart: Chart, base: Vector, coeffs: Sequence[Vector]) -> int:
     """Rank of x, x_1..x_n, x', ..., x^(5) along u = base + sum_k coeffs[k-1] t^k.
 
-    Missing coefficients are zero; the vectors come from the order-5 table
-    at base.  x' lies in <x_1..x_n> identically, so the n+6 vectors never
-    exceed rank n+5; the curve condition at base is rank <= n+4 (the span
-    of the tangent space and the curve's fifth osculating flag falls below
-    its expected dimension).
+    Missing coefficients are zero.  The span reads the table at base of the
+    order its terms need, 5 unless coeffs is empty, and ``pi_space``'s
+    order-4 span then reads the same table.  x' lies in <x_1..x_n>
+    identically, so the n+6 vectors never exceed rank n+5; the curve
+    condition at base is rank <= n+4 (the span of the tangent space and the
+    curve's fifth osculating flag falls below its expected dimension).
     """
     _require_square_ambient(chart)
     # x, x_1..x_n, then x', ..., x^(5) along the curve

@@ -262,16 +262,17 @@ def test_trials_and_seed_take_ascii_digits_only(capsys, flag, token):
                         f" invalid int value: {token!r}\n")
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, digits", [
     # the pipeline reports seed + 1..3, and seed + 1 has 4,301 digits, which Python cannot print
-    ["audit-theorem", "--variety", "veronese:1:5", "--trials", "1", "--seed", "9" * 4300],
-    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--seed", "-1" + "0" * 100],
-    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--trials", "1" * 101],
-    ["analyze", "--variety", "veronese:1:3", "--check", "secant:" + "9" * 4300],
-    ["analyze", "--variety", "random:1:1:3:" + "1" * 101, "--check", "secant:1"],
-    ["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--project", "1" * 101],
+    (["audit-theorem", "--variety", "veronese:1:5", "--trials", "1", "--seed", "9" * 4300], 4300),
+    (["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--seed", "-1" + "0" * 100],
+     101),
+    (["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--trials", "1" * 101], 101),
+    (["analyze", "--variety", "veronese:1:3", "--check", "secant:" + "9" * 4300], 4300),
+    (["analyze", "--variety", "random:1:1:3:" + "1" * 101, "--check", "secant:1"], 101),
+    (["analyze", "--variety", "veronese:1:3", "--check", "secant:1", "--project", "1" * 101], 101),
 ], ids=["audit-theorem-seed", "negative-seed", "trials", "check", "variety", "project"])
-def test_integers_above_the_digit_cap_exit_1_before_any_work(capsys, monkeypatch, argv):
+def test_integers_above_the_digit_cap_exit_1_before_any_work(capsys, monkeypatch, argv, digits):
     def no_work(*_):
         raise AssertionError("work started")
 
@@ -282,8 +283,6 @@ def test_integers_above_the_digit_cap_exit_1_before_any_work(capsys, monkeypatch
     except SystemExit as exc:  # argparse refuses a flag's value
         code = exc.code
     out, err = capsys.readouterr()
-    digits = next(len(arg.lstrip("-")) for arg in (a.rpartition(":")[2] for a in argv)
-                  if arg.lstrip("-").isdigit() and len(arg.lstrip("-")) > cli.MAX_DIGITS)
     assert (code, out) == (1, "")
     assert err.endswith(f"has {digits} digits, above the cap of {cli.MAX_DIGITS}\n")
     assert "terracini: error: " in err and "Traceback" not in err
