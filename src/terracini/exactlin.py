@@ -16,11 +16,11 @@ out telescope to one factor, and skips cells whose operands are both zero
 defective Veronese that is half its work.  ``integer_det`` is the last
 Bareiss pivot, and 0 below full rank; on a quadratic chart
 ``Gamma15Matrix.det`` reads its zero off the column structure and never
-calls it.  The ``Fraction`` ``Matrix`` remains for nullspaces, the one
-place where ``Fraction``s meet elimination: it clears each row by the lcm
-of its denominators first.  No package path reads it: the duality oracle
-of the tests does, and the benchmark's tracer looks the class up.  No
-polynomial arithmetic is shipped: the polynomial ring and the symbolic
+calls it.  No elimination over ``Fraction``s is shipped: the nullspace
+of the tests' duality oracle is ``oracles.nullspace``.  ``Matrix`` is
+left as a container of ``Fraction`` rows with no method, since the
+oracles read its entries and the benchmark's tracer looks the class up.
+No polynomial arithmetic is shipped: the polynomial ring and the symbolic
 determinant audit built on it live in ``tests/oracles.py``, and
 ``sz_zero_test`` decides identities by evaluation alone.  Every seeded
 draw of the package, point, trial or coefficient, is one ``randints`` call.
@@ -31,8 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._kernels import bareiss_echelon, mod_rank
 
@@ -60,7 +59,7 @@ class BadIndexError(IndexError):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q, kept as a container for the oracles and the tracer."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -75,37 +74,6 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Fraction]]) -> "Matrix":
-        return cls(list(rows))
-
-    def right_nullspace(self) -> list[Vector]:
-        """Basis of {v : M v = 0}, one vector per non-pivot column."""
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            return [tuple(_F1 if i == j else _F0 for i in range(self.cols))
-                    for j in range(self.cols)]
-        ints = []
-        for r in self.entries:
-            m = lcm(*(x.denominator for x in r))
-            ints.append([x.numerator * (m // x.denominator) for x in r])
-        ech, pivots, _ = bareiss_echelon(ints)
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free_cols:
-            v = [_F0] * self.cols
-            v[f] = _F1
-            # back-substitute pivot rows bottom-up
-            for i in range(len(pivots) - 1, -1, -1):
-                pc = pivots[i]
-                s = sum((Fraction(ech[i][j]) * v[j] for j in range(pc + 1, self.cols)
-                         if v[j]), _F0)
-                v[pc] = -s / ech[i][pc]
-            basis.append(tuple(v))
-        return basis
 
 
 def span_rank(vectors: Sequence[Sequence[int]]) -> int:

@@ -30,7 +30,7 @@ The second routes that no command-line check reaches live here too:
 n <= 3 (its columns ``brute_contract``ed with ring-variable lambda and mu)
 and checks it against the package's numeric ``gamma15_matrix(...).det()``;
 ``hyperplane_system`` reads the dual of a tangent space along a jet as a
-nullspace; ``osc2_regular_coordinate`` ranks the 2-osculating
+``nullspace``, the rational Gauss-Jordan loop that ``rref_rank`` runs; ``osc2_regular_coordinate`` ranks the 2-osculating
 criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
 ``osc2_regular``; and ``curve_derivatives`` contracts x', ..., x^(5) along
 a ``FiveJet`` (a fifth-order curve jet, which only tests build) from the
@@ -103,14 +103,18 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def rref_rank(rows) -> int:
-    """Rank by straightforward rational Gaussian elimination."""
+def _gauss_jordan(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Rational Gauss-Jordan: (rows, pivot columns), each pivot column cleared in the other rows.
+
+    Row i is the unscaled pivot row of column ``pivots[i]``.  No package
+    kernel is used, so the ranks and nullspaces read from it are a second
+    route to the package's.
+    """
     m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
+    pivots: list[int] = []
+    nr, nc = len(m), len(m[0]) if m else 0
     for pc in range(nc):
+        rank = len(pivots)
         piv = next((i for i in range(rank, nr) if m[i][pc] != 0), None)
         if piv is None:
             continue
@@ -121,10 +125,28 @@ def rref_rank(rows) -> int:
                 f = m[i][pc] / pv
                 for j in range(pc, nc):
                     m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == nr:
+        pivots.append(pc)
+        if len(pivots) == nr:
             break
-    return rank
+    return m, pivots
+
+
+def rref_rank(rows) -> int:
+    """Rank by straightforward rational Gaussian elimination."""
+    return len(_gauss_jordan(rows)[1])
+
+
+def nullspace(rows) -> list[Vector]:
+    """Basis of {v : rows . v = 0}: per free column, 1 there, 0 at the other free columns."""
+    m, pivots = _gauss_jordan(rows)
+    width = len(m[0]) if m else 0
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        v = [F1 if j == f else F0 for j in range(width)]
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[f] / row[pc]
+        basis.append(tuple(v))
+    return basis
 
 
 def gauss_det(rows) -> Fraction:
@@ -921,14 +943,14 @@ class HyperplaneSystem:
 
 def hyperplane_system(chart: Chart, jet: CurvilinearJet) -> HyperplaneSystem:
     """Covector basis of the hyperplanes whose section is singular along the jet."""
-    span = tangent_along(chart, jet)
-    m = Matrix.from_rows(generators(span))
-    covs = tuple(m.right_nullspace())
+    gens = generators(tangent_along(chart, jet))
+    covs = tuple(nullspace(gens))
     for a in covs:  # nullspace contract: every covector kills every generator
-        assert not any(sum(map(mul, a, v)) for v in generators(span))
+        assert not any(sum(map(mul, a, v)) for v in gens)
     threshold = chart.r - jet.length * (chart.n + 1)
     sys_dim = len(covs) - 1
-    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=span.dim,
+    # rank-nullity in P^r, so that tests compare it with the package's span rank
+    return HyperplaneSystem(covectors=covs, dim=sys_dim, tangent_dim=chart.r - len(covs),
                             speciality_threshold=threshold,
                             special=sys_dim > threshold)
 

@@ -1,6 +1,7 @@
 """Tangent spaces along curvilinear schemes: spans, duality, speciality."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -117,6 +118,24 @@ def test_hyperplane_system_covectors_annihilate_generators():
     assert len(hs.covectors) == c.r + 1 - tas.rank
     for a in hs.covectors:
         assert all(dot(a, v) == 0 for v in generators(tas))
+
+
+def test_hyperplane_system_runs_no_package_elimination(monkeypatch):
+    # the duality route is a second route only if its nullspace shares no
+    # kernel with span_rank, which decides the speciality it cross-checks
+    c = make_veronese(4, 2)
+    jet = make_jet(random.Random(55), c.n, 3)
+    expected = hyperplane_system(c, jet)
+
+    def refuse(*_):
+        raise AssertionError("a package elimination kernel ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("terracini") or name == "oracles":
+            for kernel in ("bareiss_echelon", "mod_rank", "span_rank"):
+                if hasattr(module, kernel):
+                    monkeypatch.setattr(module, kernel, refuse)
+    assert hyperplane_system(c, jet) == expected
 
 
 def test_speciality_threshold_equivalence():

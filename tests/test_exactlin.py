@@ -22,6 +22,7 @@ from oracles import (
     OrderMismatchError,
     dot,
     gauss_det,
+    nullspace,
     partial,
     poly_compose_curve,
     poly_det,
@@ -210,11 +211,11 @@ def test_determinants_without_a_zero_row_match_the_oracle(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_nullspace_identity_empty():
-    assert identity(3).right_nullspace() == []
+    assert nullspace(identity(3).entries) == []
 
 
 def test_nullspace_zero_matrix_full():
-    basis = Matrix([[F(0)] * 3, [F(0)] * 3]).right_nullspace()
+    basis = nullspace([[F(0)] * 3, [F(0)] * 3])
     assert len(basis) == 3
     assert rref_rank(basis) == 3
 
@@ -229,11 +230,17 @@ def test_left_nullspace_of_veronese_tangent_columns():
     cols = [c.derivative_vector(pt, ())] + \
         [c.derivative_vector(pt, (i,)) for i in range(2)]
     # the covectors a with a M = 0 are the right kernel of M's transpose
-    covs = Matrix.from_rows(cols).right_nullspace()
+    covs = nullspace(cols)
     assert len(covs) == 3
     for a in covs:
         for v in cols:
             assert dot(a, v) == 0
+
+
+def test_nullspace_basis_has_one_unit_per_free_column():
+    # x0 + 2 x2 = 0 and x1 - x2/3 = 0: columns 2 and 3 are free
+    rows = [[F(1), F(0), F(2), F(0)], [F(0), F(1), F(-1, 3), F(0)]]
+    assert nullspace(rows) == [(F(-2), F(1, 3), F(1), F(0)), (F(0), F(0), F(0), F(1))]
 
 
 def test_nullspace_annihilates_and_has_right_size():
@@ -241,23 +248,25 @@ def test_nullspace_annihilates_and_has_right_size():
     for _ in range(25):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nr, nc, -4, 4)
-        basis = m.right_nullspace()
+        basis = nullspace(m.entries)
         assert len(basis) == nc - rank_exact(m)
         for v in basis:
             for row in m.entries:
                 assert dot(row, v) == 0
-        if basis:
-            assert rref_rank(basis) == len(basis)
+        # column j is free when it adds nothing to the rank of the columns before it
+        free = [j for j in range(nc) if rref_rank([r[:j + 1] for r in m.entries])
+                == rref_rank([r[:j] for r in m.entries])]
+        assert tuple(tuple(v[j] for j in free) for v in basis) == identity(len(free)).entries
 
 
 def test_nullspace_of_rows_with_different_denominators():
-    # each row is cleared by the lcm of its own denominators before Bareiss
+    # Fraction rows with unlike denominators, eliminated as they are
     rng = random.Random(29)
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(2, 6)
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(nc)]
                 for _ in range(nr)]
-        basis = Matrix(rows).right_nullspace()
+        basis = nullspace(rows)
         assert len(basis) == nc - rref_rank(rows)
         for v in basis:
             for row in rows:

@@ -1,8 +1,8 @@
 """Static checks of the package sources: no module imports a name it never
 uses, no annotation names something the module never binds, none defines or
-imports the polynomial ring or a helper that only tests use, none draws but
-through ``exactlin.randints``, and the kernel module exposes its two kernels
-only."""
+imports the polynomial ring or a helper that only tests use, ``exactlin.Matrix``
+defines no method but its constructor, none draws but through
+``exactlin.randints``, and the kernel module exposes its two kernels only."""
 
 import ast
 import builtins
@@ -99,9 +99,11 @@ def test_only_the_claim_audit_imports_multipoly(path):
 
 
 # no command-line run enters these, so they live in tests/oracles.py
-# (TangentAlongScheme is gone: tangent_along returns its span)
+# (TangentAlongScheme is gone: tangent_along returns its span; the Fraction
+# nullspace is oracles.nullspace, and Matrix.right_nullspace and from_rows are gone)
 TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_length3",
-             "column_labels", "_gamma15_columns", "generators", "FiveJet", "TangentAlongScheme"}
+             "column_labels", "_gamma15_columns", "generators", "FiveJet", "TangentAlongScheme",
+             "right_nullspace", "from_rows", "nullspace"}
 
 
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
@@ -109,6 +111,16 @@ TEST_ONLY = {"curve_derivatives", "chart_to_obj", "save_chart", "build_for_lengt
 def test_test_only_helpers_stay_in_the_oracles(path):
     source = path.read_text(encoding="utf-8")
     assert not defined_or_imported_names(source) & TEST_ONLY
+
+
+def test_exactlin_matrix_defines_no_public_method():
+    # Matrix is a container the oracles read and the tracer looks up; every
+    # elimination over Fractions lives in tests/oracles.py
+    tree = ast.parse((PACKAGE / "exactlin.py").read_text(encoding="utf-8"))
+    (matrix,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "Matrix"]
+    methods = [node.name for node in matrix.body if isinstance(node, ast.FunctionDef)]
+    assert methods == ["__init__"]
 
 
 def stray_draws(source: str) -> list[str]:
