@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -632,13 +631,15 @@ def obj_to_chart(obj: dict) -> Chart:
 
 
 def load_chart(path) -> Chart:
-    if os.stat(path).st_size > MAX_CHART_BYTES:
+    # one byte past the cap, read and not stat'ed: a device or a pipe has size 0
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CHART_BYTES + 1)
+    if len(data) > MAX_CHART_BYTES:
         raise ChartFormatError(f"{path}: file above the cap of {MAX_CHART_BYTES} bytes")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ChartFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-        except RecursionError as exc:
-            raise ChartFormatError(f"{path}: JSON nested too deeply to read") from exc
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ChartFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ChartFormatError(f"{path}: JSON nested too deeply to read") from exc
     return obj_to_chart(obj)

@@ -37,7 +37,8 @@ from .gamma15 import (
     gamma15_identically_zero,
     pi_constancy_check,
 )
-from .reports import SCHEMA_VERSION, render_json, render_markdown, to_jsonable
+from .reports import (SCHEMA_VERSION, UnprintableValueError, render_json, render_markdown,
+                      to_jsonable)
 from .secants import (
     COORD_RADIUS,
     SingularPointError,
@@ -306,7 +307,7 @@ def run_checks(args) -> int:
         try:
             fields = CHECKS[name].run(chart, arg, args.trials, args.seed)
         except (AmbientMismatchError, AmbientTooSmallError, SingularPointError,
-                TooLargeError) as exc:
+                TooLargeError, UnprintableValueError) as exc:
             raise InputError(f"check {name}: {exc}" if analyze else str(exc)) from exc
         results.append({"check": name if arg is None else f"{name}:{arg}", **fields})
     doc = {

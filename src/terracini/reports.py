@@ -9,16 +9,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 SCHEMA_VERSION = "1"
+
+
+class UnprintableValueError(ValueError):
+    """A report value with more digits than Python converts to a string."""
 
 
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError as exc:  # the int-to-string digit limit
+            raise UnprintableValueError(f"a report value has more than"
+                                        f" {sys.get_int_max_str_digits()} digits,"
+                                        " too many for Python to print") from exc
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

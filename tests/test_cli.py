@@ -347,6 +347,32 @@ def test_audit_theorem_without_smooth_points_exits_1(capsys, tmp_path):
     assert err.startswith("terracini: error:") and "no smooth sample found" in err
 
 
+@pytest.mark.parametrize("check", ["gamma15", "audit"])
+@pytest.mark.parametrize("power, code", [(900, 1), (100, 0)])
+def test_report_value_above_the_digit_limit_exits_1(capsys, tmp_path, check, power, code):
+    # (1, 10^p u, ..., 10^p u^5): at 10^900 the determinant's witness value has
+    # more than Python's default 4,300 printable digits, at 10^100 it prints
+    coords = [[{"exp": [0], "num": "1", "den": "1"}]] + [
+        [{"exp": [k], "num": str(10 ** power), "den": "1"}] for k in range(1, 6)]
+    path = tmp_path / "steep-coefficients.json"
+    path.write_text(json.dumps({"label": "big", "n": 1, "r": 5, "coords": coords}),
+                    encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ["analyze", "--variety", f"file:{path}", "--check", check, "--trials", "1"]
+        got, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["results"][0]["check"] == check
+        return
+    assert out == ""
+    assert err == (f"terracini: error: check {check}: a report value has more than 4300 digits,"
+                   " too many for Python to print\n")
+
+
 def _limit_child_memory():
     # Runs in the child only: a size check that let the work start would hit
     # this limit (or the timeout) instead of the host's memory.
@@ -640,7 +666,8 @@ def test_deeply_nested_chart_file_exits_1_with_message(tmp_path):
 
 
 def test_chart_file_above_the_byte_cap_is_refused_before_reading(tmp_path):
-    # a sparse file of MAX_CHART_BYTES + 1 bytes: its size is read, not its bytes
+    # a sparse file of MAX_CHART_BYTES + 1 bytes: the reader stops one byte past
+    # the cap, before json reads any of it
     path = tmp_path / "huge.json"
     with open(path, "wb") as fh:
         fh.truncate(MAX_CHART_BYTES + 1)
@@ -649,6 +676,18 @@ def test_chart_file_above_the_byte_cap_is_refused_before_reading(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("terracini: error:")
     assert f"{path}: file above the cap of {MAX_CHART_BYTES} bytes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs the /dev/zero device")
+def test_endless_device_file_is_refused_at_the_byte_cap():
+    # /dev/zero reports size 0 and never ends: a reader that trusted its size
+    # would read until the child's 512 MiB ran out
+    proc = _refusal_in_child("/dev/zero")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert f"/dev/zero: file above the cap of {MAX_CHART_BYTES} bytes" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
