@@ -30,8 +30,9 @@ The second routes that no command-line check reaches live here too:
 n <= 3 (its columns ``brute_contract``ed with ring-variable lambda and mu)
 and checks it against the package's numeric ``gamma15_matrix(...).det()``;
 ``hyperplane_system`` reads the dual of a tangent space along a jet as a
-``nullspace``, the rational Gauss-Jordan loop that ``rref_rank`` runs; ``osc2_regular_coordinate`` ranks the 2-osculating
-criterion vectors at lambda = e_1, mu = 0, a sufficient condition for
+``nullspace``, from the rational Gauss-Jordan loop that ``rref_rank``
+runs; ``osc2_regular_coordinate`` ranks the 2-osculating criterion
+vectors at lambda = e_1, mu = 0, a sufficient condition for
 ``osc2_regular``; and ``curve_derivatives`` contracts x', ..., x^(5) along
 a ``FiveJet`` (a fifth-order curve jet, which only tests build) from the
 order-5 table, the assembly route that ``composed_curve_series`` is
@@ -141,7 +142,7 @@ def nullspace(rows) -> list[Vector]:
     m, pivots = _gauss_jordan(rows)
     width = len(m[0]) if m else 0
     basis = []
-    for f in sorted(set(range(width)) - set(pivots)):
+    for f in (j for j in range(width) if j not in pivots):
         v = [F1 if j == f else F0 for j in range(width)]
         for row, pc in zip(m, pivots):
             v[pc] = -row[f] / row[pc]
