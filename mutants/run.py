@@ -6,15 +6,17 @@
 A mutant is an id, a file, an anchor that occurs exactly once in it, the
 text that replaces the anchor, the test files expected to fail with it,
 and what the change breaks.  The runner copies ``src/``, ``tests/``,
-``perfbench/`` (the golden reports read its templates and digests) and
-``pyproject.toml`` to a temporary directory and first runs the named test
-files on the unmutated copy.  Then it applies one mutant at a time and runs only that mutant's
-test files, in one pytest subprocess at a time, restoring the file after.
-A mutant is killed when pytest reports a failure or a collection error, or
-runs past the timeout.  The runner prints one line per mutant and the kill
-count.  It exits 1 if a mutant survives, and 2 if an anchor does not occur
-exactly once or the unmutated copy fails.  It uses the standard library
-only and is not part of the tier-1 suite; it takes a minute or two.
+``perfbench/`` (the golden reports read its templates and digests),
+``pyproject.toml`` and ``BENCHMARK.json`` (perfbench's own tests read it)
+to a temporary directory and first runs the named test files on the
+unmutated copy.  Then it applies one mutant at a time and runs only that
+mutant's test files, in one pytest subprocess at a time, restoring the
+file after.  A mutant is killed when pytest reports a failure or a
+collection error, or runs past the timeout.  The runner prints one line
+per mutant and the kill count.  It exits 1 if a mutant survives, and 2 if
+an anchor does not occur exactly once or the unmutated copy fails.  It
+uses the standard library only and is not part of the tier-1 suite; it
+takes a minute or two.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
 TIMEOUT_S = 300
+
+
+def copy_tree(copy: Path) -> None:
+    """Copy ``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and ``BENCHMARK.json``."""
+    for part in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy(ROOT / name, copy)
 
 
 def run_tests(copy: Path, tests: list[str]) -> str:
@@ -67,10 +77,7 @@ def main(argv=None) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "perfbench"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__", "out"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        copy_tree(copy)
         named = sorted({t for m in mutants for t in m["tests"]})
         if run_tests(copy, named) != "passed":
             print(f"the unmutated copy fails {' '.join(named)}")

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .chart import MAX_COORDINATES, Chart, TooLargeError, multi_indices
-from .exactlin import randints
+from .exactlin import randints, span_rank
 
 DATA_VERSION = "v1"
 
@@ -75,29 +75,54 @@ def make_segre(a: int, b: int) -> Chart:
     return make_segre_veronese((a, b), (1, 1), f"segre-{a}-{b}")
 
 
+def _draw_accepted(coeffs: Sequence[int], n: int, r: int) -> bool:
+    """Whether x = C m(u) is smooth at 0 and nondegenerate, read off C alone.
+
+    C is the (r+1) x M integer draws, row by row, and m(u) the monomials in
+    ``_monomials_upto`` order (1, u_1, ..., u_n, ...), so x(0) and
+    x_1(0)..x_n(0) are C's columns 0..n.  Smooth at 0 is tangent rank n+1, or
+    Jacobian rank n where it falls short (x(0) != 0 is the caller's to
+    arrange); nondegenerate is rank C = r+1.  These are the ranks that
+    ``Chart.is_smooth_at`` and ``Chart.is_nondegenerate`` take of the chart.
+    """
+    m = len(coeffs) // (r + 1)
+    at0 = [coeffs[j::m] for j in range(n + 1)]  # x(0), x_1(0), ..., x_n(0)
+    return ((span_rank(at0) == n + 1 or span_rank(at0[1:]) == n)
+            and span_rank([coeffs[i:i + m] for i in range(0, len(coeffs), m)]) == r + 1)
+
+
 def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
-    """Seeded random degree-bounded parametrization, smooth at 0 and nondegenerate."""
+    """Seeded random degree-bounded parametrization, smooth at 0 and nondegenerate.
+
+    Each attempt draws the (r+1) x M coefficients of x = C m(u) from
+    ``random.Random(seed + 104729 * attempt)``, coordinate by coordinate, and
+    sets C[0][0] = 1 if every constant term is 0.  ``_draw_accepted`` tests the
+    draws, and a chart is built only from the first accepted one, with no
+    derivative table evaluated; 25 rejected attempts raise
+    ``SmoothnessFailureError``.
+    """
     if r < 2 * n:
         raise ValueError(f"need r >= 2n, got r={r}, n={n}")
     if n < 1 or degree < 1:
         raise ValueError("need n >= 1 and degree >= 1")
     _check_size(f"random(n={n}, degree={degree})", n, degree)
     # r+1 coordinates, refused before the monomial count, whose message prints r+1
-    _check_size(f"random(r >= {MAX_COORDINATES})", r, 1, lambda r, _: r + 1)
+    if r >= MAX_COORDINATES:
+        raise TooLargeError(f"random(r >= {MAX_COORDINATES}) needs more than {MAX_COORDINATES}"
+                            f" coordinates, above the cap of {MAX_COORDINATES}")
     mons = tuple(_monomials_upto(n, degree))
-    if len(mons) < r + 1:
-        raise ValueError(
-            f"degree {degree} in {n} vars has only {len(mons)} monomials < r+1={r + 1}")
+    m = len(mons)
+    if m < r + 1:
+        raise ValueError(f"degree {degree} in {n} vars has only {m} monomials < r+1={r + 1}")
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
-        coeffs = randints(rng, -9, 9, (r + 1) * len(mons))  # coordinate by coordinate
+        coeffs = randints(rng, -9, 9, (r + 1) * m)  # coordinate by coordinate
         # arrange a usable base point: some coordinate's constant term nonzero
-        if not any(coeffs[::len(mons)]):
+        if not any(coeffs[::m]):
             coeffs[0] = 1
-        cand = Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r, tuple(
-            (1, tuple(coeffs[i:i + len(mons)]), mons) for i in range(0, len(coeffs), len(mons))))
-        if cand.is_smooth_at((0,) * n) and cand.is_nondegenerate():
-            return cand
+        if _draw_accepted(coeffs, n, r):
+            return Chart(f"random-{n}-{degree}-{r}(seed={seed})", n, r, tuple(
+                (1, tuple(coeffs[i:i + m]), mons) for i in range(0, len(coeffs), m)))
     raise SmoothnessFailureError(f"no smooth chart after retries (seed={seed})")
 
 

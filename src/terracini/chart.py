@@ -132,11 +132,13 @@ def _lowest_terms(den: int, coeffs: Sequence[int], exps: Sequence[tuple[int, ...
 
     Zero terms are dropped, the rest sorted by exponent, and den and the
     coefficients divided by their gcd, so each polynomial has one form
-    (den = 1 for zero).
+    (den = 1 for zero).  A gcd of 1, as in every random chart, divides nothing.
     """
+    g = math.gcd(den, *coeffs)
+    if g != 1:
+        den, coeffs = den // g, [c // g for c in coeffs]
     terms = sorted((e, c) for c, e in zip(coeffs, exps) if c)
-    g = math.gcd(den, *(c for _, c in terms))
-    return den // g, tuple(c // g for _, c in terms), tuple(e for e, _ in terms)
+    return den, tuple(c for _, c in terms), tuple(e for e, _ in terms)
 
 
 class _MonomialList(dict):

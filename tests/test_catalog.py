@@ -1,11 +1,15 @@
 """Catalog constructors and the self-justifying fixture table."""
 
+import random
+
 import pytest
 
 from terracini.catalog import (
     MAX_COORDINATES,
     CatalogEntry,
     SmoothnessFailureError,
+    _draw_accepted,
+    _monomials_upto,
     get_entry,
     load_catalog,
     make_random_variety,
@@ -13,9 +17,10 @@ from terracini.catalog import (
     make_segre_veronese,
     make_veronese,
 )
-from terracini.chart import TooLargeError
+from terracini.chart import Chart, TooLargeError
+from terracini.exactlin import randints
 from terracini.secants import secant_defect
-from oracles import build_for_length3, symmetric_rank_locus_dim
+from oracles import build_for_length3, nondegenerate_reference, symmetric_rank_locus_dim
 
 
 def test_veronese_counts():
@@ -36,6 +41,19 @@ def test_random_variety_refuses_r_above_the_coordinate_cap():
     # r+1 = 1000 passes the cap, and the monomial count refuses it
     with pytest.raises(ValueError, match="only 2 monomials < r.1=1000") as exc:
         make_random_variety(1, 1, MAX_COORDINATES - 1, 1)
+    assert type(exc.value) is ValueError
+
+
+def test_constructors_refuse_one_coordinate_past_the_cap():
+    # a parameter of MAX_COORDINATES is refused uncounted; below it the count decides
+    with pytest.raises(TooLargeError, match=r"^veronese\(n=1000, d=1\) needs more than 1000 "):
+        make_veronese(MAX_COORDINATES, 1)
+    for a, b in [(1, 500), (500, 1)]:  # (a+1)(b+1) = 1002, while 2 x 500 = 1000 fits
+        with pytest.raises(TooLargeError, match=rf"^segre\(a={a}, b={b}\) needs 1002 coordinates"):
+            make_segre(a, b)
+    # r+1 = 4 coordinates of 3 monomials: refused before any draw
+    with pytest.raises(ValueError, match="only 3 monomials < r.1=4$") as exc:
+        make_random_variety(1, 2, 3, 0)
     assert type(exc.value) is ValueError
 
 
@@ -85,6 +103,76 @@ def test_random_variety_contract():
         assert c.is_smooth_at((F(0), F(0)))
         assert c.is_nondegenerate()
         assert f"seed={seed}" in c.label
+
+
+# ---------------------------------------------------------------------------
+# a random chart accepted from its draws
+# ---------------------------------------------------------------------------
+
+def first_draw(n, degree, r, seed):
+    """The first attempt's coefficients in ``make_random_variety``, constant fix-up applied."""
+    m = len(list(_monomials_upto(n, degree)))
+    coeffs = randints(random.Random(seed), -9, 9, (r + 1) * m)
+    if not any(coeffs[::m]):
+        coeffs[0] = 1
+    return coeffs
+
+
+def chart_of(coeffs, n, degree, r):
+    """The chart x = C m(u) of the draws C, read row by row."""
+    mons = tuple(_monomials_upto(n, degree))
+    return Chart("draw", n, r, tuple((1, tuple(coeffs[i:i + len(mons)]), mons)
+                                     for i in range(0, len(coeffs), len(mons))))
+
+
+def built_chart_accepts(chart, reference=True):
+    nondegenerate = chart.is_nondegenerate()
+    if reference:
+        assert nondegenerate == nondegenerate_reference(chart)
+    return chart.is_smooth_at((0,) * chart.n) and nondegenerate
+
+
+@pytest.mark.parametrize("n, degree, r", [(4, 2, 14), (4, 3, 14), (3, 3, 11), (3, 4, 11),
+                                          (1, 2, 2), (1, 3, 2), (2, 1, 4)])
+def test_draw_test_agrees_with_the_built_chart(n, degree, r):
+    # (1, 2, 2) rejects seed 72's singular draws; (2, 1, 4), P^2 in P^4, has
+    # 5 x 3 draws of rank 3 < r+1 and rejects every seed.  The Fraction
+    # reference takes about 20 ms a chart at M = 35, so it ranks every 10th.
+    for seed in range(200):
+        coeffs = first_draw(n, degree, r, seed)
+        chart = chart_of(coeffs, n, degree, r)
+        assert _draw_accepted(coeffs, n, r) == built_chart_accepts(chart, seed % 10 == 0), seed
+
+
+@pytest.mark.parametrize("rows, accepted", [
+    # singular C: x(0) and x_1(0) independent, but coordinate 3 is coordinate 1 + 2
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]], False),
+    # no linear term: x_1(0) = 0, though C has rank r + 1
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], False),
+    # x(0) = x_1(0): tangent rank 1 < n + 1, but Jacobian rank n through the fallback
+    ([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], True),
+])
+def test_draw_test_on_crafted_draws(rows, accepted):
+    coeffs = [c for row in rows for c in row]
+    assert _draw_accepted(coeffs, 1, 2) == accepted
+    assert built_chart_accepts(chart_of(coeffs, 1, 3, 2)) == accepted
+
+
+def test_rejected_first_draw_retries_with_the_next_seed():
+    # seed 72's 3 x 3 draws are singular, so seed 72 + 104729's are used
+    assert not _draw_accepted(first_draw(1, 2, 2, 72), 1, 2)
+    chart = make_random_variety(1, 2, 2, 72)
+    assert chart.forms == chart_of(first_draw(1, 2, 2, 72 + 104729), 1, 2, 2).forms
+    assert chart.forms == ((1, (2, 5, 1), ((0,), (1,), (2,))), (1, (-2, 2, -1), ((0,), (1,), (2,))),
+                           (1, (7, -7, -3), ((0,), (1,), (2,))))
+    assert chart.label == "random-1-2-2(seed=72)"
+
+
+def test_random_variety_evaluates_no_table():
+    for shape in [(4, 2, 14), (3, 4, 11), (1, 2, 2)]:
+        chart = make_random_variety(*shape, 72)
+        assert chart._memo == [None, None, None]
+        assert list(chart._dcache) == [()]
 
 
 def test_random_variety_is_seed_deterministic():

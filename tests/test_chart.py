@@ -21,6 +21,7 @@ from terracini.chart import (
     ChartFormatError,
     CurvilinearJet,
     DegenerateJetError,
+    TooLargeError,
     contract_numerators,
     fraction_vector,
     jet_terms,
@@ -844,6 +845,8 @@ def test_chart_json_big_integers():
     (lambda o: o["coords"][1][0].__setitem__("exp", [True]), "nonnegative integers"),
     (lambda o: o["coords"][1][0].__setitem__("num", 2.7), "decimal-string"),
     (lambda o: o["coords"][1][0].__setitem__("den", 1), "needs decimal-string num/den"),
+    # a zero den is the term's error, before the chart's lcm of 0 reaches Chart
+    (lambda o: o["coords"][0][0].__setitem__("den", "0"), r"coords\[0\]\[0\]\.den must be positive$"),
     (lambda o: o["coords"][1][0].__setitem__("exp", [MAX_DEGREE + 1]),
      f"total degree {MAX_DEGREE + 1}, above the cap of {MAX_DEGREE}"),
     # two terms with one exponent: the reader would keep only the last
@@ -875,3 +878,13 @@ def test_zero_and_constant_charts_have_degree_0():
 def test_largest_constructor_charts_fit_the_monomial_cap(make, entries):
     chart = make()
     assert len(chart._mons.exps) * chart.n == entries < MAX_MONOMIAL_ENTRIES
+
+
+def test_monomial_list_may_reach_the_cap_but_not_pass_it(monkeypatch):
+    # u_1^2 u_2 enters its parents u_1 u_2 and u_2 after u^0: 4 monomials of n = 2
+    forms = ((1, (1,), ((2, 1),)), (1, (1,), ((0, 0),)))
+    monkeypatch.setattr("terracini.chart.MAX_MONOMIAL_ENTRIES", 8)
+    assert len(Chart("at-cap", 2, 1, forms)._mons.exps) * 2 == 8
+    monkeypatch.setattr("terracini.chart.MAX_MONOMIAL_ENTRIES", 7)
+    with pytest.raises(TooLargeError, match="would pass the cap of 7 exponent entries"):
+        Chart("past-cap", 2, 1, forms)

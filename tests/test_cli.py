@@ -501,7 +501,10 @@ def test_oversized_secant_work_is_refused_before_any_work(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "--variety", "random:2:3:8:1",
                          "--check", "secant:120", "--trials", "10000")
     assert code == 1 and out == ""
-    assert err.startswith("terracini: error: check secant:120 with --trials 10000 draws at least")
+    # past the cap the count stops at one draw per point: 10,000 x 121
+    assert err.startswith("terracini: error: check secant:120 with --trials 10000 draws at least"
+                          " 1,210,000 sample points of 27 order-1 table entries each,"
+                          " 32,670,000 entries in all")
     assert err.rstrip().endswith(f"above the cap of {MAX_WORK:,}")
     code, _, err = run(capsys, "analyze", "--variety", "random:2:3:8:1",
                        "--check", "secant:120", "--trials", "1000")
