@@ -20,7 +20,10 @@ scales every row.  A cell whose two operands are zero is not touched.
 64-bit slot j holds column j, so a row operation is one bigint
 multiply-add instead of one interpreted step per cell.  Every slot stays
 non-negative, so no borrow crosses a slot, and a row's slots are reduced
-mod p before they could carry into the next one.  The kernels' share of the
+mod p before they could carry into the next one.  Given ``need``, it
+stops once the rank found plus the rows not yet reduced falls below
+``need``; when ``need`` is the row count, that is at the first row that
+reduces to zero.  The kernels' share of the
 CLI time is in the ``kernels.*`` rows of a ``--trace 1`` benchmark run.
 `tests/test_kernels.py` checks both kernels against the oracles and
 against the plain loops ``oracles.bareiss_reference`` and
@@ -99,7 +102,7 @@ def _scaled(y, width, p, c=1):
     return int.from_bytes(array.array("Q", [v * c % p for v in slots]).tobytes(), "little")
 
 
-def mod_rank(rows, p):
+def mod_rank(rows, p, need=None):
     """Rank of an integer matrix reduced modulo the prime ``p``.
 
     Each row is packed into one int (column j in 64-bit slot j, entries
@@ -117,6 +120,12 @@ def mod_rank(rows, p):
     any carry could cross it (256 for primes below 2^28, 4 for 2^31 - 1);
     after that many the row's slots are reduced mod p.  A prime whose
     square does not fit a slot is refused with ``ValueError``.
+
+    With ``need``, only whether the rank reaches ``need`` is asked: the
+    loop stops as soon as the rank found plus the rows not yet reduced
+    falls below ``need``, and returns the rank found so far, which is below
+    ``need`` as well.  A rank that reaches ``need`` never triggers the stop,
+    so it comes out exact; ``need=None`` (the default) is the exact rank.
     """
     room = ((1 << _SLOT) - p) // (p * p)
     if room < 1:
@@ -134,7 +143,10 @@ def mod_rank(rows, p):
     scaled = {}
     unused = {}
     rank = 0
+    need = 0 if need is None else need
+    left = nr  # rows not yet reduced
     for start in range(0, len(packed), row_bytes):
+        left -= 1
         y = int.from_bytes(packed[start:start + row_bytes], "little")
         col = 0  # the column in slot 0 of y
         adds = 0  # multiply-adds into y since its slots were last reduced
@@ -163,6 +175,6 @@ def mod_rank(rows, p):
             if adds == room:
                 y = _scaled(y, nc - col, p)
                 adds = 0
-        if rank == nc:
+        if rank == nc or rank + left < need:
             break
     return rank

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import product
 from typing import Iterator, Sequence
 
-from .chart import MAX_COORDINATES, Chart, TooLargeError, multi_indices
+from .chart import MAX_COORDINATES, Chart, TooLargeError, check_form_work, multi_indices
 from .exactlin import randints, span_rank
 
 DATA_VERSION = "v1"
@@ -114,6 +114,7 @@ def make_random_variety(n: int, degree: int, r: int, seed: int) -> Chart:
     m = len(mons)
     if m < r + 1:
         raise ValueError(f"degree {degree} in {n} vars has only {m} monomials < r+1={r + 1}")
+    check_form_work(f"random(n={n}, degree={degree}, r={r})", (r + 1) * m, n)
     for attempt in range(25):
         rng = random.Random(seed + 104729 * attempt)
         coeffs = randints(rng, -9, 9, (r + 1) * m)  # coordinate by coordinate

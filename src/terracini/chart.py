@@ -88,10 +88,15 @@ MAX_TABLE_ENTRIES = 200_000
 # coordinates of 126 terms each, in JSON indented by 2, take 17 MB.
 MAX_CHART_BYTES = 64 << 20
 # Largest monomial list, in exponent entries (monomials x n).  The largest
-# constructor charts hold 997,002 (veronese:998:1), 500,000 (segre:1:499) and
-# 42,570 (random:43:2:989:1); a few kB of chart file whose partials enter long
-# parent chains, such as u_1...u_999 at n = 2,000, would hold 10^9.
+# constructor charts hold 997,002 (veronese:998:1) and 500,000 (segre:1:499);
+# a few kB of chart file whose partials enter long parent chains, such as
+# u_1...u_999 at n = 2,000, would hold 10^9.
 MAX_MONOMIAL_ENTRIES = 4_000_000
+# Largest order-1 work of a random or file chart, its forms' total term count
+# times n+1: the terms that x and its n first partials read.  The benchmark,
+# catalog and fixtures read at most 5,250 (random:4:4:14); random:20:2:230
+# would read 1,120,581 and take 0.7 s, random:43:2:989 43,124,400 and 12 s.
+MAX_FORM_WORK = 1_000_000
 
 
 class DegenerateJetError(ValueError):
@@ -112,6 +117,14 @@ class ChartFormatError(ValueError):
 
 class TooLargeError(ValueError):
     """Requested chart has more coordinates or monomials than its cap."""
+
+
+def check_form_work(what: str, terms: int, n: int) -> None:
+    """Refuse a chart of ``terms`` form terms in ``n`` variables above ``MAX_FORM_WORK``."""
+    work = terms * (n + 1)
+    if work > MAX_FORM_WORK:
+        raise TooLargeError(f"{what} has {terms} form terms in n={n} variables: order-1 work"
+                            f" {terms} x {n + 1} = {work}, above the cap of {MAX_FORM_WORK}")
 
 
 def multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
@@ -629,6 +642,7 @@ def obj_to_chart(obj: dict) -> Chart:
             tdict[tuple(exp)] = num, den
         den = math.lcm(*(d for _, d in tdict.values()))
         forms.append((den, tuple(a * (den // d) for a, d in tdict.values()), tuple(tdict)))
+    check_form_work("chart", sum(len(es) for _, _, es in forms), n)
     return Chart(obj["label"], n, r, tuple(forms))
 
 

@@ -133,8 +133,28 @@ def _gauss_jordan(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rref_rank(rows) -> int:
-    """Rank by straightforward rational Gaussian elimination."""
-    return len(_gauss_jordan(rows)[1])
+    """Rank by rational Gaussian elimination, clearing each pivot column below the pivot only.
+
+    A second route to the package's ranks, sharing no kernel with them;
+    ``_gauss_jordan`` also clears above each pivot, which a rank does not need.
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank = 0
+    for pc in range(nc):
+        piv = next((i for i in range(rank, nr) if m[i][pc] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, nr):
+            if m[i][pc] != 0:
+                f = m[i][pc] / top[pc]
+                m[i][pc:] = [a - f * b for a, b in zip(m[i][pc:], top[pc:])]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
 
 
 def nullspace(rows) -> list[Vector]:

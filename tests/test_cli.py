@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from terracini.catalog import MAX_COORDINATES, make_veronese
-from terracini.chart import (MAX_CHART_BYTES, MAX_DEGREE, MAX_MONOMIAL_ENTRIES, MAX_TABLE_ENTRIES,
-                             Chart, load_chart)
+from terracini.chart import (MAX_CHART_BYTES, MAX_DEGREE, MAX_FORM_WORK, MAX_MONOMIAL_ENTRIES,
+                             MAX_TABLE_ENTRIES, Chart, TooLargeError, check_form_work, load_chart)
 from fractions import Fraction
 
 from terracini import cli
@@ -738,6 +738,50 @@ def test_chart_file_at_the_width_cap_is_read(tmp_path):
     path.write_text(json.dumps({"label": "at-cap", "n": n, "r": 1, "coords": [[], []]}),
                     encoding="utf-8")
     assert load_chart(path).n == n
+
+
+# uncapped, the first built its chart and exited 0 after 2.7 s and 51 MB,
+# the second after about 12 s and 150 MB
+@pytest.mark.parametrize("variety, terms, n", [("random:30:2:495:1", 496 * 496, 30),
+                                               ("random:43:2:989:1", 990 * 990, 43)])
+def test_oversized_random_chart_is_refused_before_any_work(variety, terms, n):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
+         "--check", "secant:1", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_limit_child_memory)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("terracini: error:")
+    assert (f"{terms} form terms in n={n} variables: order-1 work {terms} x {n + 1}"
+            f" = {terms * (n + 1)}, above the cap of {MAX_FORM_WORK}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_chart_file_above_the_form_work_cap_is_refused(tmp_path):
+    # n = 1999 and 501 terms, the constant and u_1..u_500: 1,002,000 > 1,000,000
+    n = 1999
+    coords = [[{"exp": [0] * n, "num": "1", "den": "1"}],
+              [{"exp": [int(i == j) for i in range(n)], "num": "1", "den": "1"}
+               for j in range(500)]]
+    path = tmp_path / "many-terms.json"
+    path.write_text(json.dumps({"label": "many-terms", "n": n, "r": 1, "coords": coords},
+                               separators=(",", ":")), encoding="utf-8")
+    proc = _refusal_in_child(path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert ("chart has 501 form terms in n=1999 variables: order-1 work 501 x 2000 = 1002000,"
+            f" above the cap of {MAX_FORM_WORK}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_form_work_may_reach_the_cap_but_not_pass_it():
+    check_form_work("at-cap", MAX_FORM_WORK // 2, 1)
+    with pytest.raises(TooLargeError, match=f"= {MAX_FORM_WORK + 2}, above the cap"):
+        check_form_work("past-cap", MAX_FORM_WORK // 2 + 1, 1)
 
 
 def test_usage_errors_exit_1(capsys):

@@ -7,7 +7,7 @@ import pytest
 from terracini import _kernels
 from terracini._kernels import BACKEND
 from terracini.catalog import make_veronese
-from terracini.exactlin import SCREEN_PRIME
+from terracini.exactlin import SCREEN_PRIME, span_rank
 from terracini.secants import sample_smooth_point, tangent_space
 from oracles import bareiss_reference, gauss_det, mod_rank_reference, rref_rank
 
@@ -145,6 +145,18 @@ def test_mod_rank_reduces_slots_before_they_carry(monkeypatch, p):
     assert reductions
 
 
+def test_mod_rank_reads_a_slot_whose_lowest_set_bit_is_its_top_bit():
+    # with p = 2^31 - 1 a slot takes 4 multiply-adds before it is reduced;
+    # the last row's column 4 gathers 8 + 2 (p-1)^2 + 16 (2^30 - 1) = 2^63
+    # (= 2 mod p) while column 3 is zero, so skipping the zero slots must
+    # stop at column 4 even though its only set bit is bit 63 of the slot
+    p = (1 << 31) - 1
+    m = [[p - 1, 0, 0, 0, p - 1], [0, p - 1, 0, 0, p - 1], [0, 0, p - 1, 0, (1 << 30) - 1],
+         [p - 1, p - 1, 16, 0, 8]]
+    assert 8 + 2 * (p - 1) ** 2 + 16 * ((1 << 30) - 1) == 1 << 63
+    assert _kernels.mod_rank(m, p) == mod_rank_reference(m, p) == 4
+
+
 @pytest.mark.parametrize("p", [(1 << 32) + 15, (1 << 61) - 1])
 def test_mod_rank_refuses_a_prime_whose_square_overflows_a_slot(p):
     with pytest.raises(ValueError, match="too large"):
@@ -154,6 +166,39 @@ def test_mod_rank_refuses_a_prime_whose_square_overflows_a_slot(p):
 def test_mod_rank_refuses_ragged_rows():
     with pytest.raises(ValueError, match="ragged"):
         _kernels.mod_rank([[1, 2, 3], [4, 5]], SCREEN_PRIME)
+
+
+# with need, mod_rank stops once the rows left cannot bring the rank to need
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mod_rank_with_need_reads_the_last_row_of_a_full_rank_matrix(p):
+    for n in range(1, 7):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert _kernels.mod_rank(eye, p, n) == n
+
+
+def test_mod_rank_with_need_stops_at_the_row_that_leaves_it_short():
+    m = [[1, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert _kernels.mod_rank(m, SCREEN_PRIME) == 2
+    assert _kernels.mod_rank(m, SCREEN_PRIME, 3) == 1  # row 1 repeats row 0: at most 2 < 3
+    # rank + rows left = need after the repeated row: the last row is still read
+    assert _kernels.mod_rank([[1, 0], [1, 0], [0, 1]], SCREEN_PRIME, 2) == 2
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mod_rank_with_need_is_exact_up_to_need(p):
+    # a rank that reaches need comes out exact; one below need may come out lower
+    rng = random.Random(109)
+    for _ in range(40):
+        nr, nc, r = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 5)
+        a = random_int_matrix(rng, nr, r, -p, p)
+        b = random_int_matrix(rng, r, nc, -p, p)
+        m = [[sum(a[i][k] * b[k][j] for k in range(r)) for j in range(nc)] for i in range(nr)]
+        exact = mod_rank_reference(m, p)
+        for need in range(min(nr, nc) + 2):
+            got = _kernels.mod_rank(m, p, need)
+            assert got == exact if exact >= need else got <= exact, (m, need)
 
 
 # bareiss_echelon scales a row only when it is next touched and skips cells
@@ -253,3 +298,7 @@ def test_bareiss_output_matches_reference_on_a_defective_secant_span():
     echelon, pivots, sign = _kernels.bareiss_echelon(rows)
     assert len(pivots) == 45
     assert (echelon, pivots, sign) == bareiss_reference(rows)
+    # the screen asked for 55 stops at the first dependent row, below the rank
+    assert _kernels.mod_rank(rows, SCREEN_PRIME, 55) < 45
+    # span_rank hands Bareiss the rows sparsest first, whatever order they come in
+    assert span_rank(rows) == span_rank(rows[::-1]) == rref_rank(rows) == 45
