@@ -11,12 +11,12 @@ and what the change breaks.  The runner copies ``src/``, ``tests/``,
 to a temporary directory and first runs the named test files on the
 unmutated copy.  Then it applies one mutant at a time and runs only that
 mutant's test files, in one pytest subprocess at a time, restoring the
-file after.  A mutant is killed when pytest reports a failure or a
-collection error, or runs past the timeout.  The runner prints one line
-per mutant and the kill count.  It exits 1 if a mutant survives, and 2 if
-an anchor does not occur exactly once or the unmutated copy fails.  It
-uses the standard library only and is not part of the tier-1 suite; it
-takes a minute or two.
+file after.  A mutant is killed when pytest reports a failure, a
+collection error or an internal error, or runs past the timeout.  The
+runner prints one line per mutant and the kill count.  It exits 1 if a
+mutant survives, and 2 if an anchor does not occur exactly once or the
+unmutated copy fails.  It uses the standard library only and is not part
+of the tier-1 suite; it takes a few minutes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,9 @@ def run_tests(copy: Path, tests: list[str]) -> str:
         return "timeout"
     if proc.returncode == 0:
         return "passed"
-    if proc.returncode in (1, 2):  # test failures; an error during collection
+    # test failures; an error during collection; an internal error, as when a
+    # mutated module exits on import (the unmutated copy has passed already)
+    if proc.returncode in (1, 2, 3):
         return "failed"
     raise RuntimeError(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")
 

@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         if args.command == "catalog-list":
             return cmd_catalog_list(args)
         return run_checks(args)
-    except (InputError, ChartFormatError) as exc:
+    except InputError as exc:
         print(f"terracini: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,9 @@
 """Charts, jets, derivative extraction, normalization and projection."""
 
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
 from fractions import Fraction as F
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -34,6 +29,7 @@ from terracini.chart import (
 from terracini.curvilinear import tangent_along
 from terracini.exactlin import BadIndexError, span_rank
 from terracini.secants import LinearSpan, osculating_space
+from children import run_python
 from oracles import (
     FiveJet,
     MultiPoly,
@@ -343,15 +339,9 @@ def test_each_monomial_steps_from_an_earlier_parent(name):
 ], ids=["u1/u2", "1/u"])
 def test_negative_exponent_is_refused(chart):
     # lowering a negative exponent never reaches u^0, so a chart that took one
-    # could grow its monomial list without end: build it in a child with
-    # 512 MiB of address space and a timeout
-    code = ("from terracini.chart import Chart\n"
-            f"try:\n    {chart}\nexcept ValueError as exc:\n    print(exc)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=src),
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                                (512 << 20, 512 << 20)))
+    # could grow its monomial list without end: build it in a capped child
+    proc = run_python("from terracini.chart import Chart\n"
+                      f"try:\n    {chart}\nexcept ValueError as exc:\n    print(exc)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "coordinate form has a negative exponent\n", "")
 

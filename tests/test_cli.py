@@ -1,15 +1,21 @@
-"""Command-line interface: dispatch, formats, exit codes, determinism."""
+"""Command-line interface: dispatch, formats, exit codes, determinism.
+
+Most tests call ``cli.main`` in this process.  The inputs that must be
+refused, some of which would exhaust memory or time if the refusal failed,
+are rows of ``REFUSALS`` and run in the capped children of
+``children.run_cli``.
+"""
 
 import dataclasses
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -20,6 +26,7 @@ from fractions import Fraction
 
 from terracini import cli
 from terracini.cli import MAX_TRIALS, MAX_WORK, main
+from children import run_cli
 from oracles import save_chart
 
 
@@ -169,21 +176,6 @@ def test_catalog_list_formats_agree(capsys):
             assert f"delta_{kd['k']}={kd['delta']}" in text_out
 
 
-def test_input_errors_exit_1(capsys):
-    assert run(capsys, "analyze", "--variety", "catalog:nope",
-               "--check", "secant:1")[0] == 1
-    assert run(capsys, "analyze", "--variety", "veronese:4:2",
-               "--check", "bogus")[0] == 1
-    assert run(capsys, "analyze", "--variety", "veronese:4:2",
-               "--check", "secant:x")[0] == 1
-    assert run(capsys, "analyze", "--variety", "file:/does/not/exist.json",
-               "--check", "secant:1")[0] == 1
-    # gamma15 needs r = 3n+2: flagged as an input problem with guidance
-    code, _, err = run(capsys, "analyze", "--variety", "veronese:2:2",
-                       "--check", "gamma15")
-    assert code == 1 and "project" in err
-
-
 @pytest.mark.parametrize("argv, message", [
     (("analyze", "--variety", "veronese:2:2", "--check", "secant:0"), "k >= 1"),
     (("analyze", "--variety", "veronese:2:2", "--check", "secant:-2"), "k >= 1"),
@@ -226,6 +218,13 @@ def test_bad_counts_exit_1_with_message(capsys, argv, message):
     assert out == ""
     assert err.startswith("terracini: error:") and message in err
     assert "Traceback" not in err
+
+
+def test_projection_to_the_chart_s_own_ambient_dimension_runs(capsys):
+    # --project r is allowed (r+1 is refused above): it keeps the ambient space
+    code, out, _ = run(capsys, "analyze", "--variety", "veronese:2:2", "--check", "secant:1",
+                       "--trials", "1", "--project", "5")
+    assert code == 0 and json.loads(out)["chart"]["r"] == 5
 
 
 # int() also reads these, so secant:1_0 would run secant:10 under a config echoing 1_0
@@ -301,16 +300,20 @@ def test_negative_seed_is_read_and_echoed(capsys):
     assert code == 0 and json.loads(out)["config"]["seed"] == -7
 
 
-def _monomial_chart(label, exps):
+def curve(label, *exps):
+    return surface(label, *((e,) for e in exps))
+
+
+def surface(label, *exps):
     """Chart document whose coordinates are the monomials u^e, e in exps."""
-    return {"label": label, "n": 2, "r": len(exps) - 1,
+    return {"label": label, "n": len(exps[0]), "r": len(exps) - 1,
             "coords": [[{"exp": list(e), "num": "1", "den": "1"}] for e in exps]}
 
 
 # Jacobian rank 1 everywhere, so no sample point is smooth.
-U1_ONLY = _monomial_chart("u1-only", [(0, 0), (1, 0), (2, 0)])
+U1_ONLY = surface("u1-only", (0, 0), (1, 0), (2, 0))
 # Homogeneous: x lies in the span of x_1, x_2, so every tangent span has rank 2.
-HOMOGENEOUS = _monomial_chart("homogeneous", [(2, 0), (1, 1), (0, 2)])
+HOMOGENEOUS = surface("homogeneous", (2, 0), (1, 1), (0, 2))
 
 
 @pytest.mark.parametrize("doc, check, message", [
@@ -335,16 +338,6 @@ def test_chart_without_usable_points_exits_1_with_message(capsys, tmp_path, doc,
     assert code == 1
     assert out == ""
     assert err.startswith("terracini: error:") and message in err
-
-
-def test_audit_theorem_without_smooth_points_exits_1(capsys, tmp_path):
-    doc = _monomial_chart("u1-only-p8", [(k, 0) for k in range(9)])
-    path = tmp_path / "chart.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "audit-theorem", "--variety", f"file:{path}")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("terracini: error:") and "no smooth sample found" in err
 
 
 @pytest.mark.parametrize("check", ["gamma15", "audit"])
@@ -373,50 +366,184 @@ def test_report_value_above_the_digit_limit_exits_1(capsys, tmp_path, check, pow
                    " too many for Python to print\n")
 
 
-def _limit_child_memory():
-    # Runs in the child only: a size check that let the work start would hit
-    # this limit (or the timeout) instead of the host's memory.
-    limit = 512 << 20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+class Refusal(NamedTuple):
+    """A command line, and the fragments its stderr (stdout if it exits 0) must hold.
+
+    ``argv`` may be a function that writes the row's chart file at the path it
+    is given and returns the command; "{path}" in a fragment is that path.
+    ``seconds`` bounds the time spent inside ``main``.
+    """
+
+    id: str
+    argv: tuple[str, ...] | Callable[[Path], tuple[str, ...]]
+    fragments: tuple[str, ...]
+    code: int = 1
+    seconds: float | None = None
 
 
-# C(2*10^5, 10^5) has too many digits to print, C(2*10^6, 10^6) takes 30 s to
-# compute and C(2*10^7, 10^7) tens of minutes: each is refused uncounted
-@pytest.mark.parametrize("variety", ["veronese:40:40", "segre:40:40", "random:40:40:100:1",
-                                     "veronese:100000:100000", "veronese:1000000:1000000",
-                                     "random:1000000:1000000:2000000:1",
-                                     "veronese:10000000:10000000"])
-def test_oversized_variety_is_refused_before_any_work(variety):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
-         "--check", "secant:1"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"above the cap of {MAX_COORDINATES}" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def command(variety, *checks, trials=None):
+    """``analyze`` with the given checks, or ``audit-theorem`` given none."""
+    argv = (("analyze", "--variety", variety, *(a for c in checks for a in ("--check", c)))
+            if checks else ("audit-theorem", "--variety", variety))
+    return argv + (("--trials", str(trials)) if trials else ())
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--variety", "veronese:900:1", "--check", "speciality:2"],
-    # secant:1 fits (15,376 entries); osc:2 would build 2.7e6 per table
-    ["analyze", "--variety", "veronese:30:2", "--check", "secant:1", "--check", "osc:2"],
-    ["audit-theorem", "--variety", "veronese:11:2"],
-], ids=["speciality", "second-check", "audit-theorem"])
-def test_oversized_derivative_table_is_refused_before_any_work(argv):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"above the cap of {MAX_TABLE_ENTRIES}" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def chart_file(content, *checks, trials=None):
+    """Write ``content`` (a chart document, or its text) and run ``command`` on it."""
+    def build(path):
+        path.write_text(content if isinstance(content, str) else
+                        json.dumps(content, separators=(",", ":")), encoding="utf-8")
+        return command(f"file:{path}", *checks, trials=trials)
+    return build
+
+
+def sparse_file(path):
+    # MAX_CHART_BYTES + 1 bytes of holes: the reader stops one byte past the
+    # cap, before json reads any of it
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_CHART_BYTES + 1)
+    return command(f"file:{path}", "secant:1")
+
+
+# Inputs that exit 1 with a message, most of them before any work that could
+# exhaust memory or time.  All rows run in one children.run_cli call.
+REFUSALS = [
+    # C(2*10^5, 10^5) has too many digits to print, C(2*10^6, 10^6) takes 30 s
+    # to compute and C(2*10^7, 10^7) tens of minutes: each is refused uncounted
+    *(Refusal(f"coordinates-{variety}", command(variety, "secant:1"),
+              (f"above the cap of {MAX_COORDINATES}",))
+      for variety in ("veronese:40:40", "segre:40:40", "random:40:40:100:1",
+                      "veronese:100000:100000", "veronese:1000000:1000000",
+                      "random:1000000:1000000:2000000:1", "veronese:10000000:10000000")),
+    *(Refusal(f"table-{name}", argv, (f"above the cap of {MAX_TABLE_ENTRIES}",))
+      for name, argv in (("speciality", command("veronese:900:1", "speciality:2")),
+                         # secant:1 fits (15,376 entries); osc:2 would build 2.7e6 per table
+                         ("second-check", command("veronese:30:2", "secant:1", "osc:2")),
+                         ("audit-theorem", command("veronese:11:2")))),
+    # without the cap this runs far past the alarm, its trial lists growing
+    Refusal("trials-analyze", command("veronese:2:2", "secant:1", trials=100_000_000),
+            (f"above the cap of {MAX_TRIALS}",)),
+    Refusal("trials-audit-theorem", command("veronese:4:2", trials=MAX_TRIALS + 1),
+            (f"above the cap of {MAX_TRIALS}",)),
+    # k+1 distinct points cannot be drawn from the 11^n points of [-5, 5]^n;
+    # without the refusal the draw loops forever
+    *(Refusal(f"lattice-{variety}", command(variety, "secant:1", f"secant:{k}"),
+              (f"k+1 = {k + 1} distinct sample points", f"holds only {points}"))
+      for variety, k, points in (("veronese:1:3", 11, 11), ("veronese:2:2", 121, 121))),
+    # the cusp (1, u^2, u^3) is singular at u = 0 only, so [-5, 5] holds 10
+    # smooth points: k+1 = 11 of them can never be drawn, 10 can
+    Refusal("cusp-secant:10", chart_file(curve("cusp", 0, 2, 3), "secant:10", trials=1),
+            ("k+1 = 11 distinct smooth points needed", "holds only 10 on cusp")),
+    Refusal("cusp-secant:9", chart_file(curve("cusp", 0, 2, 3), "secant:9", trials=1),
+            ('"observed": 2,',), code=0),
+    Refusal("file-no-smooth-point", chart_file(surface("u1-only-p8", *((k, 0) for k in range(9)))),
+            ("no smooth sample found",)),
+    # 1001 coordinates 1, u, ..., u^1000; without the cap secant:1 would run
+    Refusal("file-coordinates", chart_file(curve("long-curve", *range(MAX_COORDINATES + 1)),
+                                           "secant:1"),
+            (f"{MAX_COORDINATES + 1} coordinates, above the cap of {MAX_COORDINATES}",)),
+    # (1, u, u^100000): without the cap secant:1 grows past 1.5 GB resident
+    Refusal("file-degree", chart_file(curve("steep-curve", 0, 1, 100000), "secant:1", trials=1),
+            (f"total degree 100000, above the cap of {MAX_DEGREE}",), seconds=1),
+    # the JSON reader recurses once per bracket and raises RecursionError
+    Refusal("file-nested", chart_file("[" * 100_000 + "]" * 100_000, "secant:1"),
+            ("{path}: JSON nested too deeply to read",)),
+    Refusal("file-bytes", sparse_file,
+            (f"{{path}}: file above the cap of {MAX_CHART_BYTES} bytes",)),
+    # /dev/zero reports size 0 and never ends: a reader that trusted its size
+    # would read until the child's address space ran out
+    Refusal("file-dev-zero", command("file:/dev/zero", "secant:1"),
+            (f"/dev/zero: file above the cap of {MAX_CHART_BYTES} bytes",)),
+    Refusal("file-missing", command("file:/does/not/exist.json", "secant:1"),
+            ("bad variety spec 'file:/does/not/exist.json'",)),
+    # 61 bytes that would build a 10^8-entry exponent tuple before the table cap is checked
+    Refusal("file-width", chart_file(
+        '{"label": "wide", "n": 100000000, "r": 1, "coords": [[], []]}', "secant:1"),
+            ("chart declares n=100000000 and r=1: (n+1)(r+1) = 200000002 table entries,"
+             f" above the cap of {MAX_TABLE_ENTRIES}",), seconds=1),
+    # r = 1: the constant 1 and the sum of u_s...u_{s+998} over s; each monomial
+    # enters its chain of ancestors, one n-tuple each, and the first file's
+    # partial in u_j enters j-1 more: uncapped, each ends in MemoryError
+    *(Refusal(f"chains-{size}", chart_file({"label": "chains", "n": n, "r": 1, "coords": [
+        [{"exp": [0] * n, "num": "1", "den": "1"}],
+        [{"exp": [int(s <= i < s + 999) for i in range(n)], "num": "1", "den": "1"}
+         for s in starts]]}, "secant:1"),
+              (f"monomial list would pass the cap of {MAX_MONOMIAL_ENTRIES} exponent entries",))
+      for size, n, starts in (("8kB-in-a-partial", 2_000, [0]),
+                              ("400kB-in-the-chart", 99_999, [0]),
+                              ("1MB-in-the-chart", 5_000, range(0, 4_000, 40)))),
+    # uncapped, the first built its chart and exited 0 after 2.7 s and 51 MB,
+    # the second after about 12 s and 150 MB
+    *(Refusal(f"form-work-{variety}", command(variety, "secant:1", trials=1),
+              (f"{terms} form terms in n={n} variables: order-1 work {terms} x {n + 1}"
+               f" = {terms * (n + 1)}, above the cap of {MAX_FORM_WORK}",), seconds=1)
+      for variety, terms, n in (("random:30:2:495:1", 496 * 496, 30),
+                                ("random:43:2:989:1", 990 * 990, 43))),
+    # n = 1999 and 501 terms, the constant and u_1..u_500: 1,002,000 > 1,000,000
+    Refusal("form-work-file", chart_file({"label": "many-terms", "n": 1999, "r": 1, "coords": [
+        [{"exp": [0] * 1999, "num": "1", "den": "1"}],
+        [{"exp": [int(i == j) for i in range(1999)], "num": "1", "den": "1"} for j in range(500)],
+    ]}, "secant:1"), ("chart has 501 form terms in n=1999 variables: order-1 work 501 x 2000"
+                      f" = 1002000, above the cap of {MAX_FORM_WORK}",)),
+    # the file states 1 + 2 as x_0; a reader keeping the last term would load 2
+    Refusal("file-repeated-exponent", chart_file({"label": "repeated", "n": 1, "r": 2, "coords": [
+        [{"exp": [0], "num": "1", "den": "1"}, {"exp": [0], "num": "2", "den": "1"}],
+        *curve("", 1, 2)["coords"]]}, "secant:1"),
+            ("coords[0][1] repeats the exponent [0] of an earlier term",)),
+    # the reader's other refusals, each at the first field it reads wrong
+    *(Refusal(f"file-{name}", chart_file(content, "secant:1"), (fragment,))
+      for name, content, fragment in (
+          ("not-an-object", [1, 2], "chart document must be a JSON object"),
+          ("bad-json", '{"label": "x", "n": 1,\n', "{path}: line 2 col 1: Expecting property name"),
+          ("table-cap", {"label": "x", "n": 200, "r": 999, "coords": []},
+           f"(n+1)(r+1) = 201000 table entries, above the cap of {MAX_TABLE_ENTRIES}"),
+          ("coords-not-a-list", {"label": "x", "n": 1, "r": 2, "coords": {}},
+           "coords must be a list of r+1=3 polynomials"),
+          ("coords-a-number", {"label": "x", "n": 1, "r": 2, "coords": 3},
+           "coords must be a list of r+1=3 polynomials"),
+          ("coord-not-a-list", {"label": "x", "n": 1, "r": 1, "coords": [3, []]},
+           "coords[0] must be a list of terms"),
+          ("term-not-an-object", {"label": "x", "n": 1, "r": 1, "coords": [[3], []]},
+           "coords[0][0] must be an object"),
+          ("no-coords", {"label": "x", "n": 1, "r": 1}, "missing key 'coords'"))),
+    Refusal("catalog-unknown", command("catalog:nope", "secant:1"), ("no catalog entry 'nope'",)),
+    Refusal("check-unknown", command("veronese:4:2", "bogus"), ("unknown check 'bogus'",)),
+    Refusal("check-not-an-integer", command("veronese:4:2", "secant:x"),
+            ("check secant needs an integer argument, got 'secant:x'",)),
+    # the length-3 checks need r >= 3n+2 and gamma15 r = 3n+2, and say to project
+    Refusal("ambient-pipeline", command("veronese:2:2"),
+            ("pipeline needs r >= 3n+2 = 8, have r=5",)),
+    Refusal("ambient-length-3", command("veronese:2:2", "speciality:3"),
+            ("length-3 analysis needs r >= 3n+2 = 8",)),
+    *(Refusal(f"ambient-gamma15-{variety}", command(variety, "gamma15"), (fragment,))
+      for variety, fragment in (("veronese:1:3", "need r = 3n+2 = 5, have r = 3"),
+                                ("veronese:2:2", "(generically project the chart first)"))),
+]
+
+
+@pytest.fixture(scope="module")
+def refusal_outcomes(tmp_path_factory):
+    """The rows' chart file folder, and every row's outcome by id, from one run_cli call."""
+    folder = tmp_path_factory.mktemp("refusals")
+    argvs = [list(row.argv(folder / f"{row.id}.json") if callable(row.argv) else row.argv)
+             for row in REFUSALS]
+    return folder, dict(zip((row.id for row in REFUSALS), run_cli(argvs)))
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.id)
+def test_refusal(refusal_outcomes, row):
+    folder, outcomes = refusal_outcomes
+    got = outcomes[row.id]
+    assert got.code == row.code
+    assert "Traceback" not in got.err
+    if row.code == 1:
+        assert got.out == "" and got.err.startswith("terracini: error:")
+    else:
+        json.loads(got.out)
+    printed = got.err if row.code == 1 else got.out
+    path = str(folder / f"{row.id}.json")
+    assert [f for f in row.fragments if f.replace("{path}", path) not in printed] == []
+    assert row.seconds is None or got.seconds < row.seconds
 
 
 # Every check and argument, the last one audit-theorem's pipeline.  The cubic
@@ -449,49 +576,12 @@ def test_table_cap_reads_the_order_the_check_requests(capsys, monkeypatch, token
     assert highest("veronese:4:2") <= order
 
 
-@pytest.mark.parametrize("argv", [
-    # without the cap this runs far past the timeout, its trial lists growing
-    ["analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--trials", "100000000"],
-    ["audit-theorem", "--variety", "veronese:4:2", "--trials", str(MAX_TRIALS + 1)],
-], ids=["analyze", "audit-theorem"])
-def test_oversized_trial_count_is_refused_before_any_work(argv):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"above the cap of {MAX_TRIALS}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 def test_trial_count_at_the_cap_is_accepted(capsys):
     # MAX_TRIALS itself passes the cap; the bad variety then stops the run
     # before any trial, and is what the error names
     code, _, err = run(capsys, "analyze", "--variety", "veronese:0:2", "--check", "secant:1",
                        "--trials", str(MAX_TRIALS))
     assert code == 1 and "bad variety spec" in err
-
-
-@pytest.mark.parametrize("variety, k, points", [("veronese:1:3", 11, 11),
-                                                ("veronese:2:2", 121, 121)])
-def test_secant_beyond_the_sample_lattice_is_refused(variety, k, points):
-    # k+1 distinct points cannot be drawn from the 11^n points of [-5, 5]^n;
-    # without the refusal the draw loops forever
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
-         "--check", "secant:1", "--check", f"secant:{k}"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"k+1 = {k + 1} distinct sample points" in proc.stderr
-    assert f"holds only {points}" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_oversized_secant_work_is_refused_before_any_work(capsys, monkeypatch):
@@ -522,6 +612,21 @@ def test_secant_work_estimate_meets_the_cap_exactly(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_WORK", int(work) + 1)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["results"][0]["observed"] == 8
+    # one draw per point, 121 x 27 = 3,267 entries, meets the cap: the estimate
+    # still sums the expected draws, and refuses
+    monkeypatch.setattr(cli, "MAX_WORK", 121 * 27)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "draws about 651 sample points of 27" in err
+
+
+def test_table_cap_may_be_met_but_not_passed(capsys, monkeypatch):
+    # secant:1 on veronese:2:2 reads order-1 tables of (2+1)(5+1) = 18 entries
+    argv = ("analyze", "--variety", "veronese:2:2", "--check", "secant:1", "--trials", "1")
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 17)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "(r+1) = 18 entries, above the cap of 17" in err
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 18)
+    assert run(capsys, *argv)[0] == 0
 
 
 SAMPLED_CHECKS = ("osc_variety_dim", "osc2_regular", "generic_speciality",
@@ -571,166 +676,6 @@ def test_sampled_work_estimate_meets_the_cap_exactly(capsys, monkeypatch, argv, 
     assert code == 0 and json.loads(out)["results"]
 
 
-@pytest.mark.parametrize("k, code", [(10, 1), (9, 0)])
-def test_secant_beyond_the_smooth_lattice_points_exits_1(tmp_path, k, code):
-    # the cusp (1, u^2, u^3) is singular at u = 0 only, so [-5, 5] holds 10
-    # smooth points: k+1 = 11 of them can never be drawn, 10 can
-    doc = {"label": "cusp", "n": 1, "r": 2,
-           "coords": [[{"exp": [e], "num": "1", "den": "1"}] for e in (0, 2, 3)]}
-    path = tmp_path / "cusp.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
-         "--check", f"secant:{k}", "--trials", "1"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert proc.returncode == code
-    assert "Traceback" not in proc.stderr
-    if code == 0:
-        assert json.loads(proc.stdout)["results"][0]["observed"] == 2
-        return
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert "k+1 = 11 distinct smooth points needed" in proc.stderr
-    assert "holds only 10 on cusp" in proc.stderr
-
-
-def test_oversized_chart_file_is_refused(capsys, tmp_path):
-    # 1001 coordinates 1, u, ..., u^1000; without the cap secant:1 would run
-    r = MAX_COORDINATES
-    doc = {"label": "long-curve", "n": 1, "r": r,
-           "coords": [[{"exp": [k], "num": "1", "den": "1"}] for k in range(r + 1)]}
-    path = tmp_path / "long.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "analyze", "--variety", f"file:{path}", "--check", "secant:1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("terracini: error:")
-    assert f"{r + 1} coordinates, above the cap of {MAX_COORDINATES}" in err
-
-
-def test_chart_file_with_a_repeated_exponent_exits_1(capsys, tmp_path):
-    # the file states 1 + 2 as x_0; a reader keeping the last term would load 2
-    one = {"num": "1", "den": "1"}
-    doc = {"label": "repeated", "n": 1, "r": 2,
-           "coords": [[{"exp": [0], **one}, {"exp": [0], "num": "2", "den": "1"}],
-                      [{"exp": [1], **one}], [{"exp": [2], **one}]]}
-    path = tmp_path / "repeated.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "analyze", "--variety", f"file:{path}", "--check", "secant:1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("terracini: error:")
-    assert "coords[0][1] repeats the exponent [0] of an earlier term" in err
-
-
-def test_chart_file_of_excessive_degree_is_refused_before_any_work(tmp_path):
-    # (1, u, u^100000): without the cap secant:1 grows past 1.5 GB resident
-    doc = {"label": "steep-curve", "n": 1, "r": 2,
-           "coords": [[{"exp": [e], "num": "1", "den": "1"}] for e in (0, 1, 100000)]}
-    path = tmp_path / "steep.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
-         "--check", "secant:1", "--trials", "1"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert time.perf_counter() - start < 1
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"total degree 100000, above the cap of {MAX_DEGREE}" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def _refusal_in_child(path) -> subprocess.CompletedProcess:
-    """``analyze --variety file:PATH --check secant:1`` in a child with 512 MiB of address space."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", f"file:{path}",
-         "--check", "secant:1"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-
-
-def test_deeply_nested_chart_file_exits_1_with_message(tmp_path):
-    # the JSON reader recurses once per bracket and raises RecursionError
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    proc = _refusal_in_child(path)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"{path}: JSON nested too deeply to read" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_chart_file_above_the_byte_cap_is_refused_before_reading(tmp_path):
-    # a sparse file of MAX_CHART_BYTES + 1 bytes: the reader stops one byte past
-    # the cap, before json reads any of it
-    path = tmp_path / "huge.json"
-    with open(path, "wb") as fh:
-        fh.truncate(MAX_CHART_BYTES + 1)
-    proc = _refusal_in_child(path)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"{path}: file above the cap of {MAX_CHART_BYTES} bytes" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs the /dev/zero device")
-def test_endless_device_file_is_refused_at_the_byte_cap():
-    # /dev/zero reports size 0 and never ends: a reader that trusted its size
-    # would read until the child's 512 MiB ran out
-    proc = _refusal_in_child("/dev/zero")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert f"/dev/zero: file above the cap of {MAX_CHART_BYTES} bytes" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_chart_file_of_excessive_width_is_refused_before_any_work(tmp_path):
-    # 61 bytes that would build a 10^8-entry exponent tuple before the table cap is checked
-    path = tmp_path / "wide.json"
-    path.write_text('{"label": "wide", "n": 100000000, "r": 1, "coords": [[], []]}',
-                    encoding="utf-8")
-    start = time.perf_counter()
-    proc = _refusal_in_child(path)
-    assert time.perf_counter() - start < 1
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert ("chart declares n=100000000 and r=1: (n+1)(r+1) = 200000002 table entries,"
-            f" above the cap of {MAX_TABLE_ENTRIES}") in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("n, starts", [(2_000, [0]), (99_999, [0]), (5_000, range(0, 4_000, 40))],
-                         ids=["8kB-in-a-partial", "400kB-in-the-chart", "1MB-in-the-chart"])
-def test_chart_file_of_long_monomial_chains_is_refused(tmp_path, n, starts):
-    # r = 1: the constant 1 and the sum of u_s...u_{s+998} over s; each monomial
-    # enters its chain of ancestors, one n-tuple each, and the first file's
-    # partial in u_j enters j-1 more: uncapped, each ends in MemoryError
-    coords = [[{"exp": [0] * n, "num": "1", "den": "1"}],
-              [{"exp": [int(s <= i < s + 999) for i in range(n)], "num": "1", "den": "1"}
-               for s in starts]]
-    path = tmp_path / "chains.json"
-    path.write_text(json.dumps({"label": "chains", "n": n, "r": 1, "coords": coords},
-                               separators=(",", ":")), encoding="utf-8")
-    proc = _refusal_in_child(path)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert (f"monomial list would pass the cap of {MAX_MONOMIAL_ENTRIES} exponent entries"
-            in proc.stderr)
-    assert "Traceback" not in proc.stderr
-
-
 def test_chart_file_at_the_width_cap_is_read(tmp_path):
     # (n+1)(r+1) = MAX_TABLE_ENTRIES: an order-1 table just fits, so the reader builds it
     n = MAX_TABLE_ENTRIES // 2 - 1
@@ -738,44 +683,6 @@ def test_chart_file_at_the_width_cap_is_read(tmp_path):
     path.write_text(json.dumps({"label": "at-cap", "n": n, "r": 1, "coords": [[], []]}),
                     encoding="utf-8")
     assert load_chart(path).n == n
-
-
-# uncapped, the first built its chart and exited 0 after 2.7 s and 51 MB,
-# the second after about 12 s and 150 MB
-@pytest.mark.parametrize("variety, terms, n", [("random:30:2:495:1", 496 * 496, 30),
-                                               ("random:43:2:989:1", 990 * 990, 43)])
-def test_oversized_random_chart_is_refused_before_any_work(variety, terms, n):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "terracini.cli", "analyze", "--variety", variety,
-         "--check", "secant:1", "--trials", "1"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_limit_child_memory)
-    assert time.perf_counter() - start < 1
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("terracini: error:")
-    assert (f"{terms} form terms in n={n} variables: order-1 work {terms} x {n + 1}"
-            f" = {terms * (n + 1)}, above the cap of {MAX_FORM_WORK}") in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_chart_file_above_the_form_work_cap_is_refused(tmp_path):
-    # n = 1999 and 501 terms, the constant and u_1..u_500: 1,002,000 > 1,000,000
-    n = 1999
-    coords = [[{"exp": [0] * n, "num": "1", "den": "1"}],
-              [{"exp": [int(i == j) for i in range(n)], "num": "1", "den": "1"}
-               for j in range(500)]]
-    path = tmp_path / "many-terms.json"
-    path.write_text(json.dumps({"label": "many-terms", "n": n, "r": 1, "coords": coords},
-                               separators=(",", ":")), encoding="utf-8")
-    proc = _refusal_in_child(path)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert ("chart has 501 form terms in n=1999 variables: order-1 work 501 x 2000 = 1002000,"
-            f" above the cap of {MAX_FORM_WORK}") in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_form_work_may_reach_the_cap_but_not_pass_it():
@@ -829,6 +736,15 @@ def test_help_and_usage_errors_repeat_in_one_process(capsys, argv, code):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert (outputs[0].out if code == 0 else outputs[0].err).startswith("usage: terracini")
+
+
+def test_check_help_lists_the_analyze_checks(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("--check CHECK secant:K | osc:M | speciality:LEN | gamma15 | pi-constancy | audit"
+            " (repeatable)") in help_text
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -4,69 +4,28 @@ Each case mutates one golden command (``test_golden_reports.ROUND0``) or
 one chart file of ``tests/fixtures`` with a fixed, seeded mutation: drop a
 key or token, swap a type, truncate, nest deeper, put in a huge or a
 negative integer, put in non-UTF-8 bytes, repeat or garble tokens.  The
-cases run through ``terracini.cli.main`` in a few child processes, each
-of which limits its own address space and gives every case an alarm.  A
-case must exit 0, 1 or 2 with no traceback, and an exit 1 must say
-"terracini: error:".
+cases run through ``terracini.cli.main`` in the capped children of
+``children.run_cli``, each case under an alarm.  A case must exit 0, 1 or
+2 with no traceback, and an exit 1 must say "terracini: error:".
 """
 
 import json
-import os
 import random
 import string
-import subprocess
-import sys
 from pathlib import Path
 
+from children import run_cli
 from test_golden_reports import ROUND0
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KINDS = ("drop", "swap-type", "truncate", "nest", "huge", "negative", "non-utf8", "repeat",
          "garble")
 VARIANTS = 2  # seeded mutations per source and kind
-CHILDREN = 4
 FILE_COMMANDS = (["audit-theorem", "--trials", "1"],
                  ["analyze", "--check", "secant:2", "--check", "osc:2", "--check", "gamma15",
                   "--trials", "1"])
 # the third is the most digits int() reads, so seed + 1 cannot be printed; the last is above it
 HUGE = ("9" * 19, "1" + "0" * 80, "9" * 4300, "1" + "0" * 5000)
-
-CHILD = r"""
-import contextlib, io, json, pathlib, resource, signal, sys, traceback
-resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-from terracini.cli import main
-
-
-class CaseTimeout(BaseException):
-    pass
-
-
-def on_alarm(signum, frame):
-    raise CaseTimeout
-
-
-signal.signal(signal.SIGALRM, on_alarm)
-results = []
-for argv in json.loads(pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")):
-    out, err = io.StringIO(), io.StringIO()
-    signal.alarm(20)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: help, usage errors
-                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
-        out.getvalue().encode("utf-8")  # the report must be writable to a UTF-8 stdout
-    except CaseTimeout:
-        code = "timeout"
-    except Exception:  # what the command line would print as a traceback
-        code, err = "crash", io.StringIO(err.getvalue() + traceback.format_exc())
-    finally:
-        signal.alarm(0)
-    results.append([code, err.getvalue()])
-json.dump(results, sys.stdout)
-"""
-
 
 def int_fields(argv):
     """(token, part) positions of the integer fields of an argv, ':' splitting parts."""
@@ -192,21 +151,9 @@ def test_fuzz_covers_every_source_and_kind(tmp_path):
 
 def test_fuzzed_inputs_exit_with_a_code_and_no_traceback(tmp_path):
     cases = fuzz_cases(tmp_path)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    procs = []
-    for i in range(CHILDREN):
-        batch = tmp_path / f"batch-{i}.json"
-        batch.write_text(json.dumps([argv for _, argv in cases[i::CHILDREN]]), encoding="utf-8")
-        procs.append(subprocess.Popen([sys.executable, "-c", CHILD, str(batch)],
-                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                      env=dict(os.environ, PYTHONPATH=src)))
-    results = [None] * len(cases)
-    for i, proc in enumerate(procs):
-        out, err = proc.communicate(timeout=600)
-        assert proc.returncode == 0, err
-        results[i::CHILDREN] = json.loads(out)
-    bad = [(name, argv, code, err[-400:]) for (name, argv), (code, err) in zip(cases, results)
-           if code not in (0, 1, 2) or "Traceback" in err
-           or (code == 1 and not any(line.startswith("terracini: error:")
-                                     for line in err.splitlines()))]
+    results = run_cli([argv for _, argv in cases])
+    bad = [(name, argv, r.code, r.err[-400:]) for (name, argv), r in zip(cases, results)
+           if r.code not in (0, 1, 2) or "Traceback" in r.err
+           or (r.code == 1 and not any(line.startswith("terracini: error:")
+                                       for line in r.err.splitlines()))]
     assert bad == []

@@ -2,10 +2,12 @@
 uses, no annotation names something the module never binds, none defines or
 imports the polynomial ring or a helper that only tests use, ``exactlin.Matrix``
 defines no method but its constructor, none draws but through
-``exactlin.randints``, and the kernel module exposes its two kernels only."""
+``exactlin.randints``, and the kernel module exposes its two kernels only.
+Of the test modules, only ``children.py`` caps a child process's memory."""
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from terracini import _kernels
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "terracini"
+TESTS = Path(__file__).resolve().parent
 # the package __init__ imports names to re-export them; _kernels/__init__
 # holds the kernels themselves
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p != PACKAGE / "__init__.py")
@@ -164,3 +167,11 @@ def test_kernels_module_exposes_the_two_kernels_only():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.FunctionDef) and "mod" in node.name and "rank" in node.name]
     assert rank_defs == ["mod_rank"]
+
+
+def test_only_the_harness_caps_a_child():
+    # every bounded child starts in tests/children.py, so that a new refusal
+    # test is a row of test_cli.REFUSALS; this module names the tokens to find them
+    capped = sorted(p.name for p in TESTS.glob("*.py") if p.name != Path(__file__).name
+                    and re.search(r"\bRLIMIT_AS\b|\bpreexec_fn\b", p.read_text(encoding="utf-8")))
+    assert capped == ["children.py"]
